@@ -6,7 +6,8 @@ Subcommands:
   table      recompute the x = 2a invariant over the embedded catalog
   verify     run the verification suites
 
-Exit code 0 means every strict comparison passed.
+Exit code 0 means every strict comparison passed.  Bad braid or ring input
+exits with code 2 and a one-line message.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .braids import BraidWord, parity_invariant, parse_braid
+from .braids import BraidError, BraidWord, parity_invariant, parse_braid
 from .coxeter import T0Invariant, ThmTraceConfig
 from .hecke import HeckeRing, OcneanuTrace, hecke_trace_qa
 from .qa import QA
@@ -68,11 +69,7 @@ def cmd_kauffman(args) -> int:
         spec_text = AT_SPECS.get(args.at)
         if spec_text is None:
             raise SystemExit(f"unknown point {args.at!r}; choose from {sorted(AT_SPECS)}")
-        try:
-            value = kauffman_at_point(braid, spec_ax_point(spec_text))
-        except RingError as exc:
-            raise SystemExit(str(exc))
-        print(value.render())
+        print(kauffman_at_point(braid, spec_ax_point(spec_text)).render())
     else:
         print(markov_trace_pm(braid, args.variant).render())
     return 0
@@ -115,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tab = sub.add_parser("table", help="recompute the x = 2a invariant catalog")
     tab.add_argument("--input", default=None, help="alternate TSV path")
-    tab.add_argument("--column", default="x2a", choices=["x2a"],
-                     help="which tabulated column to compare (only x2a is computable)")
     tab.add_argument("--timings", action="store_true")
     tab.set_defaults(func=cmd_table)
 
@@ -134,7 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (BraidError, RingError) as exc:
+        print(f"cubictrace: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .braids import BraidWord, component_count
 from .hecke import HeckeRing, OcneanuTrace, hecke_trace_qa
+from .combination import Combination
 from .qa import QA
-from .rings import AX, LaurentPolynomial, RingError, spec_ax_point
+from .rings import LaurentPolynomial, RingError, fold_a, spec_ax_point
 from .skein import kauffman_at_point
 
 
@@ -192,17 +193,10 @@ class DihedralCoxeter(CoxeterSystem):
 C_KEY = "__C__"
 
 
-@dataclass(frozen=True)
-class ExtHeckeVector:
+class ExtHeckeVector(Combination):
     """Sparse vector over Q[a]/(a^2-1) in the basis {E_w} + {C}."""
 
-    coeffs: Mapping[object, QA]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs",
-            {k: v for k, v in self.coeffs.items() if not v.is_zero()},
-        )
+    __slots__ = ()
 
     @classmethod
     def basis(cls, w) -> "ExtHeckeVector":
@@ -212,75 +206,32 @@ class ExtHeckeVector:
     def c_vector(cls) -> "ExtHeckeVector":
         return cls({C_KEY: QA(1)})
 
-    def __add__(self, other: "ExtHeckeVector") -> "ExtHeckeVector":
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = acc.get(k)
-            acc[k] = v if s is None else s + v
-        return ExtHeckeVector(acc)
-
-    def scale(self, c: QA | int | Fraction) -> "ExtHeckeVector":
-        c = c if isinstance(c, QA) else QA(c)
-        return ExtHeckeVector({k: v * c for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "ExtHeckeVector") -> "ExtHeckeVector":
-        return self + other.scale(-1)
-
-    def c_coefficient(self) -> QA:
-        return self.coeffs.get(C_KEY, QA(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtHeckeVector):
-            return NotImplemented
-        return dict(self.coeffs) == dict(other.coeffs)
-
 
 def act_generator(index: int, v: ExtHeckeVector, cox: CoxeterSystem) -> ExtHeckeVector:
     """Action of s_gen^(+-1); index is 1-based and signed like a braid letter."""
     gen = abs(index) - 1
     if gen not in tuple(cox.generators()):
         raise RingError(f"generator index {index} out of range")
-    out: dict[object, QA] = {}
-
-    def add(key, value: QA) -> None:
-        if value.is_zero():
-            return
-        s = out.get(key)
-        s = value if s is None else s + value
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     positive = index > 0
+    terms = []
     for key, coeff in v.coeffs.items():
         if key == C_KEY:
-            add(C_KEY, coeff * QA.a_power(1))
+            terms.append((C_KEY, coeff * QA.a_power(1)))
             continue
         w = key
         sw = cox.act(gen, w)
-        if cox.is_ascent(gen, w):
-            if positive:
-                add(sw, coeff)
-            else:
-                # s^-1 = 2a - 2C - s as operators, so on an ascent
-                # s^-1 E_w = 2a E_w - 2 a^l(w) C - E_{sw}
-                add(w, coeff * QA(0, 2))
-                add(C_KEY, coeff * QA.a_power(cox.length(w)) * QA(-2))
-                add(sw, coeff * QA(-1))
+        if cox.is_ascent(gen, w) == positive:
+            # s E_w = E_{sw} on an ascent; on a descent the C-terms of
+            # s^-1 = 2a - 2C - s cancel against the expansion of s E_w,
+            # leaving s^-1 E_w = E_{sw} exactly
+            terms.append((sw, coeff))
         else:
-            if positive:
-                add(C_KEY, coeff * QA.a_power(cox.length(w)) * QA(-2))
-                add(w, coeff * QA(0, 2))
-                add(sw, coeff * QA(-1))
-            else:
-                # on a descent the C-terms of s^-1 = 2a - 2C - s cancel
-                # against the expansion of s E_w, leaving E_{sw} exactly
-                add(sw, coeff)
-    return ExtHeckeVector(out)
+            # s E_w on a descent, and s^-1 E_w on an ascent (through
+            # s^-1 = 2a - 2C - s): 2a E_w - 2 a^l(w) C - E_{sw}
+            terms.append((w, coeff * QA(0, 2)))
+            terms.append((C_KEY, coeff * QA.a_power(cox.length(w)) * QA(-2)))
+            terms.append((sw, coeff * QA(-1)))
+    return ExtHeckeVector.collect(terms)
 
 
 def act_word(word: Sequence[int], v: ExtHeckeVector, cox: CoxeterSystem) -> ExtHeckeVector:
@@ -530,73 +481,39 @@ def nonsplit_certificate() -> NonSplitReport:
     def pl(text: str) -> LaurentPolynomial:
         return LaurentPolynomial.parse(text, AL)
 
-    def reduce(p: LaurentPolynomial) -> LaurentPolynomial:
-        # fold a^2 -> 1, keep L
-        out: dict[tuple[int, int], Fraction] = {}
-        for (ea, el), c in p.terms.items():
-            key = (ea % 2, el)
-            out[key] = out.get(key, Fraction(0)) + c
-        return LaurentPolynomial(AL, out)
-
     one = cox.identity()
-    s = cox.act(0, one)
+    a = pl("a")
+    lam = pl("L")
 
-    def shat_minus_a(vec: dict) -> dict:
-        # vec: mapping from basis keys to polynomials in (a, L)
-        out: dict[object, LaurentPolynomial] = {}
-
-        def add(key, val):
-            val = reduce(val)
-            if val.is_zero():
-                return
-            acc = out.get(key)
-            acc = val if acc is None else reduce(acc + val)
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-
-        a = pl("a")
-        lam = pl("L")
-        for key, coeff in vec.items():
+    def shat_minus_a(vec: Combination) -> Combination:
+        # vec: basis keys with coefficients in (a, L)
+        terms = []
+        for key, coeff in vec.coeffs.items():
             if key == C_KEY:
-                add(C_KEY, coeff * a)          # s . C = aC
-                add(C_KEY, -1 * (coeff * a))   # -a . C
+                terms.append((C_KEY, coeff * a))          # s . C = aC
+                terms.append((C_KEY, -1 * (coeff * a)))   # -a . C
                 continue
             w = key
             ell = cox.length(w)
             sw = cox.act(0, w)
             if cox.is_ascent(0, w):
-                add(sw, coeff)
+                terms.append((sw, coeff))
             else:
-                add(C_KEY, coeff * pl("-2") * pl("a") ** ell)
-                add(w, coeff * pl("2*a"))
-                add(sw, -1 * coeff)
-            add(C_KEY, coeff * lam * pl("a") ** ell)  # lambda C . E_w = lambda a^l C
-            add(w, -1 * (coeff * a))                  # -a E_w
-        return out
+                terms.append((C_KEY, coeff * pl("-2") * a ** ell))
+                terms.append((w, coeff * pl("2*a")))
+                terms.append((sw, -1 * coeff))
+            terms.append((C_KEY, coeff * lam * a ** ell))  # lambda C . E_w = lambda a^l C
+            terms.append((w, -1 * (coeff * a)))            # -a E_w
+        return Combination.collect(terms).map(fold_a)
 
-    v0 = {one: pl("1")}
-    v1 = shat_minus_a(v0)
-    v2 = shat_minus_a(v1)
+    v2 = shat_minus_a(shat_minus_a(Combination({one: pl("1")})))
     lambda_free = all(
-        all(el == 0 for (_, el) in coeff.terms) for coeff in v2.values()
+        all(el == 0 for (_, el) in coeff.terms) for coeff in v2.coeffs.values()
     )
-    target = {C_KEY: pl("-2*a")}
-    squared_ok = {k: reduce(v) for k, v in v2.items()} == target
+    squared_ok = v2 == Combination({C_KEY: pl("-2*a")})
 
-    # (t - a) with t the other generator kills C
-    def t_minus_a(vec):
-        out: dict[object, LaurentPolynomial] = {}
-        a = pl("a")
-        for key, coeff in vec.items():
-            if key == C_KEY:
-                contrib = reduce(coeff * a - coeff * a)
-                if not contrib.is_zero():
-                    out[key] = contrib
-            else:
-                raise RingError("certificate expects a pure C vector here")
-        return out
-
-    killed = t_minus_a(v2) == {}
+    # (t - a) with t the other generator kills C, since t . C = aC
+    if any(key != C_KEY for key in v2.coeffs):
+        raise RingError("certificate expects a pure C vector here")
+    killed = (v2.scale(a) - v2.scale(a)).is_zero()
     return NonSplitReport(lambda_free, squared_ok, killed)

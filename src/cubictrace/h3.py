@@ -33,8 +33,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
+from .combination import Combination
 from .linalg import Matrix, det_bareiss, det_fraction, invert_unit_det
 from .rings import (
     ABC,
@@ -61,65 +62,33 @@ REP_DIMS = {"Sa": 1, "Sb": 1, "Sc": 1, "Uab": 2, "Uac": 2, "Ubc": 2, "V": 3}
 # -- formal linear combinations of braid words --------------------------------
 
 
-class WordSum:
+class WordSum(Combination):
     """Finite formal sum of words in s_1^+-1, s_2^+-1 with Laurent coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[Word, LaurentPolynomial]):
-        clean = {}
-        for word, coeff in coeffs.items():
-            if not coeff.is_zero():
-                clean[tuple(word)] = coeff
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WordSum is immutable")
+    __slots__ = ()
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[str | Fraction | int | LaurentPolynomial, Word]]) -> "WordSum":
-        acc: dict[Word, LaurentPolynomial] = {}
-        for coeff, word in terms:
-            if isinstance(coeff, str):
-                coeff = poly_abc(coeff)
-            elif isinstance(coeff, (int, Fraction)):
-                coeff = LaurentPolynomial.constant(coeff, ABC)
-            word = tuple(word)
-            acc[word] = acc.get(word, LaurentPolynomial.zero(ABC)) + coeff
-        return cls(acc)
+        def coefficient(c) -> LaurentPolynomial:
+            if isinstance(c, str):
+                return poly_abc(c)
+            if isinstance(c, (int, Fraction)):
+                return LaurentPolynomial.constant(c, ABC)
+            return c
+
+        return cls.collect((tuple(word), coefficient(coeff)) for coeff, word in terms)
 
     @classmethod
     def word(cls, word: Word, coeff=1) -> "WordSum":
         return cls.from_terms([(coeff, word)])
 
-    def __add__(self, other: "WordSum") -> "WordSum":
-        acc = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            acc[w] = acc.get(w, LaurentPolynomial.zero(ABC)) + c
-        return WordSum(acc)
-
-    def __sub__(self, other: "WordSum") -> "WordSum":
-        return self + other.scale(-1)
-
-    def scale(self, coeff) -> "WordSum":
-        if isinstance(coeff, str):
-            coeff = poly_abc(coeff)
-        return WordSum({w: c * coeff for w, c in self.coeffs.items()})
-
     def __mul__(self, other: "WordSum") -> "WordSum":
-        acc: dict[Word, LaurentPolynomial] = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                w = w1 + w2
-                prod = c1 * c2
-                if w in acc:
-                    acc[w] = acc[w] + prod
-                else:
-                    acc[w] = prod
-        return WordSum(acc)
+        return WordSum.collect((w1 + w2, c1 * c2)
+                               for w1, c1 in self.coeffs.items()
+                               for w2, c2 in other.coeffs.items())
 
     def conjugated_by(self, word: Word) -> "WordSum":
-        inv = tuple(-x for x in reversed(word))
+        inv = _inverse_word(word)
         return WordSum({tuple(word) + w + inv: c for w, c in self.coeffs.items()})
 
 

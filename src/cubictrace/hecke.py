@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .braids import BraidWord, component_count, parity_invariant
+from .combination import Combination
 from .qa import QA
-from .rings import LaurentPolynomial, QuotientSpec, RingError
+from .rings import LaurentPolynomial, QuotientSpec, RingError, fold_a
 
 XY = ("x", "y")
 
@@ -33,14 +33,14 @@ def _identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def _apply_gen(w: Perm, i: int) -> Perm:
+def _right_gen(w: Perm, i: int) -> Perm:
     """Right multiplication by s_i (transposition of places i, i+1)."""
     lst = list(w)
     lst[i], lst[i + 1] = lst[i + 1], lst[i]
     return tuple(lst)
 
 
-def _left_gen(i: int, w: Perm) -> Perm:
+def _left_gen(w: Perm, i: int) -> Perm:
     """Left multiplication by s_i (transposition of values i, i+1)."""
     return tuple(x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in w)
 
@@ -87,89 +87,48 @@ class HeckeRing:
 
     def reduce(self, p: LaurentPolynomial) -> LaurentPolynomial:
         if self.variables == ("a",):
-            # fold a^2 -> 1
-            return QA.from_poly(p).to_poly()
+            return fold_a(p)
         return p
 
 
-@dataclass(frozen=True)
-class HeckeElement:
-    strands: int
-    coeffs: Mapping[Perm, LaurentPolynomial]
-    ring: HeckeRing
+class HeckeElement(Combination):
+    """A combination of basis elements T_w, keyed by permutations of one S_n."""
 
-    def support(self):
-        return self.coeffs.keys()
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if other.strands != self.strands:
-            raise RingError("strand mismatch")
-        acc = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = acc.get(w)
-            acc[w] = c if s is None else s + c
-        return HeckeElement(self.strands, _clean(acc), self.ring)
-
-    def scale(self, coeff: LaurentPolynomial) -> "HeckeElement":
-        return HeckeElement(self.strands,
-                            _clean({w: c * coeff for w, c in self.coeffs.items()}),
-                            self.ring)
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return (self.strands == other.strands
-                and dict(self.coeffs) == dict(other.coeffs))
-
-
-def _clean(coeffs: dict[Perm, LaurentPolynomial]) -> dict[Perm, LaurentPolynomial]:
-    return {w: c for w, c in coeffs.items() if not c.is_zero()}
+    __slots__ = ()
 
 
 def unit(n: int, ring: HeckeRing) -> HeckeElement:
-    return HeckeElement(n, {_identity(n): ring.one}, ring)
+    return HeckeElement({_identity(n): ring.one})
 
 
-def multiply_generator(elem: HeckeElement, i: int, sign: int) -> HeckeElement:
-    """Left-multiply by T_{s_i} (sign=+1) or by T_{s_i}^-1 (sign=-1).
+def multiply_generator(elem: HeckeElement, i: int, sign: int, ring: HeckeRing,
+                       side: str = "left") -> HeckeElement:
+    """Multiply by T_{s_i} (sign=+1) or by T_{s_i}^-1 (sign=-1) on one side.
 
-    T_s T_w = T_{sw} on ascent and x T_w - y T_{sw} on descent;
-    T_s^-1 = (x - T_s) y^-1 gives the inverse case.
+    T_s T_w = T_{sw} when l(sw) > l(w), and x T_w - y T_{sw} otherwise
+    (the quadratic relation T_s^2 = x T_s - y); on the right, read ws for
+    sw.  T_s^-1 = (x - T_s) y^-1 gives the inverse case.
     """
-    ring = elem.ring
-    out: dict[Perm, LaurentPolynomial] = {}
-
-    def add(w: Perm, c: LaurentPolynomial) -> None:
-        c = ring.reduce(c)
-        if c.is_zero():
-            return
-        s = out.get(w)
-        s = c if s is None else ring.reduce(s + c)
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-
+    move = _left_gen if side == "left" else _right_gen
+    terms = []
     for w, c in elem.coeffs.items():
-        sw = _left_gen(i, w)
+        sw = move(w, i)
         ascent = _length(sw) > _length(w)
         if sign > 0:
             if ascent:
-                add(sw, c)
+                terms.append((sw, c))
             else:
-                add(w, c * ring.x)
-                add(sw, -1 * (c * ring.y))
+                terms.append((w, c * ring.x))
+                terms.append((sw, -1 * (c * ring.y)))
         else:
-            # T_s^-1 T_w = (x T_w - T_s T_w) / y
+            # T_s^-1 T_w = y^-1 (x T_w - T_s T_w)
             if ascent:
-                add(w, c * ring.x * ring.y_inv)
-                add(sw, -1 * (c * ring.y_inv))
+                terms.append((w, c * ring.x * ring.y_inv))
+                terms.append((sw, -1 * (c * ring.y_inv)))
             else:
-                # T_s T_w = x T_w - y T_{sw}  =>  T_s^-1 T_w = T_{sw}... no:
-                # solve directly: T_s^-1 T_w = y^-1 (x T_w - T_s T_w)
-                #               = y^-1 (x T_w - x T_w + y T_{sw}) = T_{sw}
-                add(sw, c)
-    return HeckeElement(elem.strands, out, ring)
+                # = y^-1 (x T_w - x T_w + y T_{sw}) = T_{sw}
+                terms.append((sw, c))
+    return HeckeElement.collect(terms).map(ring.reduce)
 
 
 def hecke_normal_form(w: BraidWord, ring: HeckeRing | None = None) -> HeckeElement:
@@ -177,7 +136,7 @@ def hecke_normal_form(w: BraidWord, ring: HeckeRing | None = None) -> HeckeEleme
     ring = ring or HeckeRing.generic()
     elem = unit(w.strands, ring)
     for letter in reversed(w.letters):
-        elem = multiply_generator(elem, abs(letter) - 1, 1 if letter > 0 else -1)
+        elem = multiply_generator(elem, abs(letter) - 1, 1 if letter > 0 else -1, ring)
     return elem
 
 
@@ -191,7 +150,7 @@ class OcneanuTrace:
     def of_element(self, elem: HeckeElement) -> LaurentPolynomial:
         total = self.ring.zero
         for w, c in elem.coeffs.items():
-            total = total + c * self._basis_trace(elem.strands, w)
+            total = total + c * self._basis_trace(len(w), w)
         return self.ring.reduce(total)
 
     def of_braid(self, w: BraidWord) -> LaurentPolynomial:
@@ -216,49 +175,18 @@ class OcneanuTrace:
             for j in range(k, n - 1):
                 w_prime[j] = w_prime[j + 1]
             w_prime = tuple(w_prime[: n - 1])
-            value = self._right_fold_trace(n - 1, w_prime, list(range(n - 3, k - 1, -1)))
+            value = self._right_fold_trace(w_prime, list(range(n - 3, k - 1, -1)))
         value = ring.reduce(value)
         self._memo[key] = value
         return value
 
-    def _right_fold_trace(self, n: int, w: Perm, gens: list[int]) -> LaurentPolynomial:
-        """t_n(T_w T_{s_{g1}} T_{s_{g2}} ...) for the descending run `gens`."""
+    def _right_fold_trace(self, w: Perm, gens: list[int]) -> LaurentPolynomial:
+        """t(T_w T_{s_{g1}} T_{s_{g2}} ...) for the descending run `gens`."""
         ring = self.ring
-        elem = HeckeElement(n, {w: ring.one}, ring)
+        elem = HeckeElement({w: ring.one})
         for i in gens:
-            elem = _multiply_generator_right(elem, i)
+            elem = multiply_generator(elem, i, 1, ring, side="right")
         return self.of_element(elem)
-
-
-def _multiply_generator_right(elem: HeckeElement, i: int) -> HeckeElement:
-    """Right multiplication by T_{s_i}."""
-    ring = elem.ring
-    out: dict[Perm, LaurentPolynomial] = {}
-
-    def add(w: Perm, c: LaurentPolynomial) -> None:
-        c = ring.reduce(c)
-        if c.is_zero():
-            return
-        s = out.get(w)
-        s = c if s is None else ring.reduce(s + c)
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-
-    for w, c in elem.coeffs.items():
-        ws = _apply_gen(w, i)
-        if _length(ws) > _length(w):
-            add(ws, c)
-        else:
-            add(w, c * ring.x)
-            add(ws, -1 * (c * ring.y))
-    return HeckeElement(elem.strands, out, ring)
-
-
-def ocneanu_trace(elem: HeckeElement, tracer: OcneanuTrace | None = None) -> LaurentPolynomial:
-    tracer = tracer or OcneanuTrace(elem.ring)
-    return tracer.of_element(elem)
 
 
 def homfly_invariant(w: BraidWord, spec: QuotientSpec | None = None,

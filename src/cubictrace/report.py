@@ -19,18 +19,36 @@ class SuiteReport:
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
 
-    def add(self, check_id: str, ok: bool, detail: str = "", elapsed: float = 0.0) -> None:
+    def add(self, check_id: str, ok: bool, detail: str, elapsed: float) -> None:
         self.checks.append(CheckResult(check_id, bool(ok), detail, elapsed))
 
     def run(self, check_id: str, thunk, detail: str = "") -> None:
+        """Run one check and record its verdict and elapsed time.
+
+        The thunk returns the verdict, or a (verdict, detail) pair when the
+        detail depends on the result.  An exception fails this check alone.
+        """
+        self.run_each(check_id, lambda: {check_id: thunk()}, detail)
+
+    def run_each(self, check_id: str, thunk, detail: str = "", prefix: str = "") -> None:
+        """Run a thunk that decides several checks at once.
+
+        The thunk returns a dict from check name to verdict, or to a
+        (verdict, detail) pair; each check is recorded as prefix + name
+        with an equal share of the elapsed time, since one call decides
+        them all.  An exception records the single failed check `check_id`.
+        """
         start = time.perf_counter()
         try:
-            ok = thunk()
-            note = detail
+            results = thunk()
         except Exception as exc:  # surfaces as a failure with the message
-            ok = False
-            note = f"{detail + '; ' if detail else ''}error: {exc}"
-        self.add(check_id, bool(ok), note, time.perf_counter() - start)
+            self.add(check_id, False, f"{detail + '; ' if detail else ''}error: {exc}",
+                     time.perf_counter() - start)
+            return
+        share = (time.perf_counter() - start) / max(len(results), 1)
+        for name, verdict in results.items():
+            ok, note = verdict if isinstance(verdict, tuple) else (verdict, detail)
+            self.add(prefix + name, ok, note, share)
 
     @property
     def ok(self) -> bool:

@@ -775,6 +775,20 @@ def spec_a_squared_one(variables: Sequence[str] = A_ONLY) -> QuotientSpec:
     )
 
 
+def fold_a(p: LaurentPolynomial) -> LaurentPolynomial:
+    """Reduce a^2 -> 1 on any variable tuple containing a.
+
+    The fast form of `spec_a_squared_one(p.variables).reduce(p)`: the
+    exponent of a is taken mod 2, the others are kept.
+    """
+    i = p.variables.index("a")
+    out: dict[Monomial, Fraction] = {}
+    for mono, c in p.terms.items():
+        mono = mono[:i] + (mono[i] % 2,) + mono[i + 1:]
+        out[mono] = out.get(mono, 0) + c
+    return LaurentPolynomial(p.variables, out)
+
+
 def spec_ax_point(x_image_text: str) -> QuotientSpec:
     """Quotient of Q[a,x,x^-1]/(a^2-1) sending x to a multiple of a power of a."""
     a = ("a",)

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
+from .combination import Combination
 from .qa import QA
-from .rings import AX, LaurentPolynomial, RingError, spec_ax_point
+from .rings import AX, LaurentPolynomial, RingError, fold_a, spec_ax_point
 
 Word = tuple[int, ...]
 C_WORD = "C"
@@ -43,17 +43,8 @@ C_WORD = "C"
 A_VARS = AX  # ("a", "x")
 
 
-def _fold_a(p: LaurentPolynomial) -> LaurentPolynomial:
-    """Reduce a^2 -> 1 in Q[a, x^+-1]."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (ea, ex), c in p.terms.items():
-        key = (ea % 2, ex)
-        out[key] = out.get(key, Fraction(0)) + c
-    return LaurentPolynomial(A_VARS, out)
-
-
 def apl(text: str) -> LaurentPolynomial:
-    return _fold_a(LaurentPolynomial.parse(text, A_VARS))
+    return fold_a(LaurentPolynomial.parse(text, A_VARS))
 
 
 DT = apl("2 - a*x")
@@ -62,21 +53,10 @@ C_SQUARED = apl("2 * x^-2 * (2 - a*x) * (a - x)")
 TWO_A_OVER_X = apl("2*a*x^-1")
 
 
-class TLElement:
+class TLElement(Combination):
     """Formal combination of normal words and C with coefficients in A."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[object, LaurentPolynomial]):
-        clean = {}
-        for k, v in coeffs.items():
-            v = _fold_a(v)
-            if not v.is_zero():
-                clean[k] = v
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TLElement is immutable")
+    __slots__ = ()
 
     @classmethod
     def word(cls, word: Word, coeff: LaurentPolynomial | int = 1) -> "TLElement":
@@ -93,29 +73,6 @@ class TLElement:
     @classmethod
     def zero(cls) -> "TLElement":
         return cls({})
-
-    def __add__(self, other: "TLElement") -> "TLElement":
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = acc.get(k)
-            acc[k] = v if s is None else s + v
-        return TLElement(acc)
-
-    def __sub__(self, other: "TLElement") -> "TLElement":
-        return self + other.scale(-1)
-
-    def scale(self, coeff) -> "TLElement":
-        if isinstance(coeff, (int, Fraction)):
-            coeff = LaurentPolynomial.constant(coeff, A_VARS)
-        return TLElement({k: v * coeff for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def __repr__(self):
         if not self.coeffs:
@@ -160,11 +117,11 @@ class ExtTL:
                 i, j = current[pos], current[pos + 1]
                 if i == j:
                     rest = current[:pos] + current[pos + 1:]
-                    return self.reduce_word(rest).scale(DT_OVER_X)
+                    return self.reduce_word(rest).map(lambda c: fold_a(c * DT_OVER_X))
                 if pos + 2 < len(current) and current[pos + 2] == i and abs(i - j) == 1:
                     rest = current[:pos] + (i,) + current[pos + 3:]
                     through = self.reduce_word(rest)
-                    c_coeff = TWO_A_OVER_X * DT_OVER_X ** (len(current) - 3)
+                    c_coeff = fold_a(TWO_A_OVER_X * DT_OVER_X ** (len(current) - 3))
                     return through + TLElement.c(c_coeff)
             for pos in range(len(current) - 1):
                 i, j = current[pos], current[pos + 1]
@@ -190,21 +147,20 @@ class ExtTL:
 
     def multiply(self, u: TLElement, v: TLElement) -> TLElement:
         """Product in the extended algebra."""
-        out = TLElement.zero()
-        for ku, cu in u.coeffs.items():
-            for kv, cv in v.coeffs.items():
-                out = out + self._basis_product(ku, kv).scale(cu * cv)
-        return out
+        return TLElement.collect(
+            (k, fold_a(cu * cv * c))
+            for ku, cu in u.coeffs.items()
+            for kv, cv in v.coeffs.items()
+            for k, c in self._basis_product(ku, kv).coeffs.items()
+        )
 
     def _basis_product(self, ku, kv) -> TLElement:
         if ku == C_WORD and kv == C_WORD:
             return TLElement.c(C_SQUARED)
         if ku == C_WORD:
-            k = len(kv)
-            return TLElement.c(DT_OVER_X ** k)
+            return TLElement.c(fold_a(DT_OVER_X ** len(kv)))
         if kv == C_WORD:
-            k = len(ku)
-            return TLElement.c(DT_OVER_X ** k)
+            return TLElement.c(fold_a(DT_OVER_X ** len(ku)))
         return self.reduce_word(tuple(ku) + tuple(kv))
 
     def basis(self) -> list:
@@ -421,12 +377,13 @@ def trace_x2a(elem: TLElement | Word, n: int, cfg: TLTraceConfig | None = None) 
 AXL = ("a", "x", "L")
 
 
-def _fold_axl(p: LaurentPolynomial) -> LaurentPolynomial:
-    out: dict[tuple[int, int, int], Fraction] = {}
+def _by_l(p: LaurentPolynomial) -> dict[int, LaurentPolynomial]:
+    """The coefficients over (a, x) of the powers of L in p over (a, x, L)."""
+    by_l: dict[int, LaurentPolynomial] = {}
     for (ea, ex, el), c in p.terms.items():
-        key = (ea % 2, ex, el)
-        out[key] = out.get(key, Fraction(0)) + c
-    return LaurentPolynomial(AXL, out)
+        mono = LaurentPolynomial(AX, {(ea, ex): c})
+        by_l[el] = by_l.get(el, LaurentPolynomial.zero(AX)) + mono
+    return by_l
 
 
 @dataclass
@@ -459,78 +416,37 @@ def split_checks() -> SplitReport:
     """
     alg = ExtTL(4)
 
+    def mul(u: Combination, v: Combination) -> Combination:
+        # the product of ExtTL.multiply, with coefficients in Q[a, x, L]
+        return Combination.collect(
+            (k, fold_a(cu * cv * c.extend(AXL)))
+            for ku, cu in u.coeffs.items()
+            for kv, cv in v.coeffs.items()
+            for k, c in alg._basis_product(ku, kv).coeffs.items()
+        )
+
     def relation_residues_with_lambda() -> list[LaurentPolynomial]:
         """Residues of the TL relations for e_i + L C, as polynomials in L.
 
         Returns the coefficients (in Q[a,x,L]) that must vanish after the
         substitution L = -x/(2(a-x)), cleared of denominators.
         """
-        residues: list[LaurentPolynomial] = []
-
-        def lift(i: int):
-            return ("word", (i,))
-
-        # represent elements with L-polynomial coefficients as dicts
-        def mul(u: dict, v: dict) -> dict:
-            out: dict[object, LaurentPolynomial] = {}
-            for ku, cu in u.items():
-                for kv, cv in v.items():
-                    prod = alg._basis_product(
-                        ku if ku == C_WORD else tuple(ku),
-                        kv if kv == C_WORD else tuple(kv),
-                    )
-                    for kk, cc in prod.coeffs.items():
-                        key = kk if kk == C_WORD else tuple(kk)
-                        val = _fold_axl(cu * cv * cc.extend(AXL))
-                        acc = out.get(key)
-                        acc = val if acc is None else _fold_axl(acc + val)
-                        if acc.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = acc
-            return out
-
-        def check_elem(i: int) -> dict:
-            lam = LaurentPolynomial.var("L", AXL)
-            return {(i,): LaurentPolynomial.one(AXL), C_WORD: lam}
-
-        def sub(u: dict, v: dict) -> dict:
-            out = dict(u)
-            for k, c in v.items():
-                acc = out.get(k)
-                acc = -1 * c if acc is None else _fold_axl(acc - c)
-                if acc.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-            return out
-
-        def scale(u: dict, c: LaurentPolynomial) -> dict:
-            return {k: _fold_axl(v * c.extend(AXL)) for k, v in u.items()}
-
-        e1 = check_elem(0)
-        e2 = check_elem(1)
-        e3 = check_elem(2)
-        dt_over_x = DT_OVER_X.extend(AXL)
+        lam = LaurentPolynomial.var("L", AXL)
+        e1, e2, e3 = (Combination({(i,): LaurentPolynomial.one(AXL), C_WORD: lam})
+                      for i in range(3))
         # relation (1): ě^2 = dt/x ě
-        r1 = sub(mul(e1, e1), scale(e1, dt_over_x))
-        residues.extend(r1.values())
+        r1 = mul(e1, e1) - e1.scale(DT_OVER_X.extend(AXL))
         # relation (4): commuting generators
-        r4 = sub(mul(e1, e3), mul(e3, e1))
-        residues.extend(r4.values())
+        r4 = mul(e1, e3) - mul(e3, e1)
         # relation (5): ě1 ě2 ě1 = ě1
-        r5 = sub(mul(mul(e1, e2), e1), e1)
-        residues.extend(r5.values())
-        return residues
+        r5 = mul(mul(e1, e2), e1) - e1
+        return [*r1.coeffs.values(), *r4.coeffs.values(), *r5.coeffs.values()]
 
     residues = relation_residues_with_lambda()
     # substitute L = -x / (2(a-x)) with denominator cleared: for a residue
     # sum r_k L^k, check sum r_k (-x)^k (2(a-x))^(d-k) = 0 where d = max k.
     def cleared_substitution_zero(p: LaurentPolynomial) -> bool:
-        by_l: dict[int, LaurentPolynomial] = {}
-        for (ea, ex, el), c in p.terms.items():
-            mono = LaurentPolynomial(AX, {(ea, ex): c})
-            by_l[el] = by_l.get(el, LaurentPolynomial.zero(AX)) + mono
+        by_l = _by_l(p)
         if not by_l:
             return True
         d = max(by_l)
@@ -538,8 +454,8 @@ def split_checks() -> SplitReport:
         two_a_minus_x = apl("2*(a-x)")
         total = LaurentPolynomial.zero(AX)
         for k, coeff in by_l.items():
-            total = total + _fold_a(coeff * minus_x ** k * two_a_minus_x ** (d - k))
-        return _fold_a(total).is_zero()
+            total = total + coeff * minus_x ** k * two_a_minus_x ** (d - k)
+        return fold_a(total).is_zero()
 
     generic_ok = all(cleared_substitution_zero(r) for r in residues)
 
@@ -549,16 +465,11 @@ def split_checks() -> SplitReport:
     def at0(p: LaurentPolynomial) -> QA:
         return QA.from_poly(spec0.reduce(p))
 
-    def elem_at0(u: TLElement) -> dict:
-        return {k: at0(v) for k, v in u.coeffs.items() if not at0(v).is_zero()}
-
-    e1c = TLElement.word((0,)) + TLElement.c(1)
-    e2c = TLElement.word((1,)) + TLElement.c(1)
-    e3c = TLElement.word((2,)) + TLElement.c(1)
+    e1c, e2c, e3c = (TLElement.word((i,)) + TLElement.c(1) for i in range(3))
     x2a_ok = (
-        elem_at0(alg.multiply(e1c, e1c)) == {}
-        and elem_at0(alg.multiply(alg.multiply(e1c, e2c), e1c) - e1c) == {}
-        and elem_at0(alg.multiply(e1c, e3c) - alg.multiply(e3c, e1c)) == {}
+        alg.multiply(e1c, e1c).map(at0).is_zero()
+        and (alg.multiply(alg.multiply(e1c, e2c), e1c) - e1c).map(at0).is_zero()
+        and (alg.multiply(e1c, e3c) - alg.multiply(e3c, e1c)).map(at0).is_zero()
     )
 
     # x = a: lambda is forced to 0 by (1), and then (5) leaves 2a/x C != 0
@@ -572,8 +483,7 @@ def split_checks() -> SplitReport:
     e1p = TLElement.word((0,))
     e2p = TLElement.word((1,))
     sandwich = alg.multiply(alg.multiply(e1p, e2p), e1p) - e1p
-    resid = {k: ata(v) for k, v in sandwich.coeffs.items() if not ata(v).is_zero()}
-    xa_obstructed = resid == {C_WORD: QA(2)}  # 2a/x C at x=a is 2C
+    xa_obstructed = sandwich.map(ata) == TLElement({C_WORD: QA(2)})  # 2a/x C at x=a is 2C
 
     # braid-extension obstruction Q(lambda) = x^4(1 + u dt + u^2 dt)
     def q_is_unit(spec) -> bool:
@@ -581,13 +491,8 @@ def split_checks() -> SplitReport:
         u = apl("2*a*(a-x)*x^-2").extend(AXL) * lam
         dt = DT.extend(AXL)
         q = (LaurentPolynomial.one(AXL) + u * dt + u * u * dt) * apl("x^4").extend(AXL)
-        by_l: dict[int, LaurentPolynomial] = {}
-        for (ea, ex, el), c in _fold_axl(q).terms.items():
-            mono = LaurentPolynomial(AX, {(ea, ex): c})
-            by_l[el] = by_l.get(el, LaurentPolynomial.zero(AX)) + mono
-        reduced = {k: QA.from_poly(spec.reduce(_fold_a(v))) for k, v in by_l.items()}
-        reduced = {k: v for k, v in reduced.items() if not v.is_zero()}
-        return set(reduced) == {0} and reduced[0].is_unit()
+        reduced = Combination(_by_l(q)).map(lambda v: QA.from_poly(spec.reduce(v)))
+        return set(reduced.coeffs) == {0} and reduced.coeffs[0].is_unit()
 
     return SplitReport(
         generic_section_works=generic_ok,
@@ -622,9 +527,6 @@ def retraction_check(n: int = 4) -> RetractionReport:
     def at(p: LaurentPolynomial) -> QA:
         return QA.from_poly(spec.reduce(p))
 
-    def norm(u: TLElement) -> dict:
-        return {k: at(v) for k, v in u.coeffs.items() if not at(v).is_zero()}
-
     def shat(i: int) -> TLElement:
         return TLElement.word((i,)).scale(-1) + TLElement({(): apl("-a")})
 
@@ -641,21 +543,21 @@ def retraction_check(n: int = 4) -> RetractionReport:
     s1, s2 = shat(0), shat(1)
     # cubic (s - a)(s^2 - xs + 1) = 0
     cubic = mul(s1 - a_el, mul(s1, s1) - mul(x_el, s1) + one)
-    cubic_ok = norm(cubic) == {}
+    cubic_ok = cubic.map(at).is_zero()
     # braid relation
-    braid_ok = norm(mul(s1, s2, s1) - mul(s2, s1, s2)) == {}
+    braid_ok = (mul(s1, s2, s1) - mul(s2, s1, s2)).map(at).is_zero()
     # e_i = a((s + s^-1)/x - 1): cleared by x: a(s + s^-1 - x)
     e_rec = (s1 + s1).scale(apl("a")) - TLElement({(): apl("a*x")})
     e_target = TLElement.word((0,)).scale(apl("x"))
-    e_ok = norm(e_rec - e_target) == {}
+    e_ok = (e_rec - e_target).map(at).is_zero()
     # absorption s e = a e
     absorb = mul(s1, TLElement.word((0,))) - TLElement.word((0,)).scale(apl("a"))
-    absorb_ok = norm(absorb) == {}
+    absorb_ok = absorb.map(at).is_zero()
     # sandwich e1 s2 e1 = e1 + C and the inverse variant
     e1 = TLElement.word((0,))
     sandwich = mul(e1, s2, e1) - e1 - TLElement.c(1)
-    sandwich_ok = norm(sandwich) == {}
+    sandwich_ok = sandwich.map(at).is_zero()
     # s C = a C
     c_rel = mul(s1, TLElement.c(1)) - TLElement.c(apl("a"))
-    c_ok = norm(c_rel) == {}
+    c_ok = c_rel.map(at).is_zero()
     return RetractionReport(cubic_ok, braid_ok, e_ok, absorb_ok, sandwich_ok, c_ok)

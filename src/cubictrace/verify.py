@@ -73,54 +73,50 @@ def _random_letter(rng: random.Random, n: int) -> int:
 
 def suite_h3(seed: int = 11, pit_points: int = 7, symbolic_gram: bool = False) -> SuiteReport:
     rep = SuiteReport("h3")
-    for name, ok in h3.check_cubic_and_braid().items():
-        rep.add(f"h3/{name}", ok)
+
+    def each(check) -> None:
+        rep.run_each(f"h3/{check.__name__}", check, prefix="h3/")
+
+    each(h3.check_cubic_and_braid)
     rep.run("h3/multiplicative on 200 random pairs",
             lambda: h3.check_multiplicativity(200, seed))
-    for name, ok in h3.check_r1_images().items():
-        rep.add(f"h3/{name}", ok)
-    rep.add("h3/index swap of the 6-term relator is the half-twist conjugate",
-            h3.check_r2_conjugation())
-    for name, ok in h3.check_twelve_term_identities().items():
-        rep.add(f"h3/{name}", ok)
-    for name, ok in h3.check_symmetric_difference_identities().items():
-        rep.add(f"h3/{name}", ok)
-    for name, ok in h3.character_and_module_checks().items():
-        rep.add(f"h3/{name}", ok)
-    schur = h3.check_schur_identity()
-    rep.add("h3/schur decomposition of t0 on all 24 basis words",
-            all(schur.values()), f"{sum(schur.values())}/24")
+    each(h3.check_r1_images)
+    rep.run("h3/index swap of the 6-term relator is the half-twist conjugate",
+            h3.check_r2_conjugation)
+    each(h3.check_twelve_term_identities)
+    each(h3.check_symmetric_difference_identities)
+    each(h3.character_and_module_checks)
+
+    def schur() -> tuple[bool, str]:
+        verdicts = h3.check_schur_identity()
+        return all(verdicts.values()), f"{sum(verdicts.values())}/24"
+
+    rep.run("h3/schur decomposition of t0 on all 24 basis words", schur)
     for basis, seed_shift in (("B0", 0), ("B1", 6)):
-        res = h3.gram_determinant_at_points(basis, count=pit_points, seed=23 + seed_shift)
-        rep.add(f"h3/gram determinant {basis} ({pit_points} seeded points)",
-                all(res.values()),
+        rep.run(f"h3/gram determinant {basis} ({pit_points} seeded points)",
+                lambda basis=basis, seed_shift=seed_shift: all(h3.gram_determinant_at_points(
+                    basis, count=pit_points, seed=23 + seed_shift).values()),
                 f"det = -(abc)^{54 if basis == 'B0' else 2}")
     if symbolic_gram:
         rep.run("h3/gram determinant B1 fully symbolic",
                 lambda: h3.gram_determinant_symbolic("B1"))
         rep.run("h3/gram determinant B0 fully symbolic",
                 lambda: h3.gram_determinant_symbolic("B0"))
-    trace_rep = h3.trace_equations_check(points=5, seed=97)
-    rep.add("h3/trace equations at 5 points", trace_rep.ok,
-            "; ".join(trace_rep.notes[:1]))
+
+    def trace_equations() -> tuple[bool, str]:
+        trace_rep = h3.trace_equations_check(points=5, seed=97)
+        return trace_rep.ok, "; ".join(trace_rep.notes[:1])
+
+    rep.run("h3/trace equations at 5 points", trace_equations)
     return rep
 
 
 def suite_braid(seed: int = 3, samples: int = 500) -> SuiteReport:
     rep = SuiteReport("braid")
     rng = random.Random(seed)
-    parity_ok = True
-    move_ok = True
-    mirror_ok = True
+    pairs = []  # (w, w after three random Markov moves)
     for _ in range(samples):
         w = _random_braid(rng, 5, 12)
-        ncomp = component_count(w)
-        if (w.strands + w.writhe() - ncomp) % 2:
-            parity_ok = False
-        if component_count(w.mirror()) != ncomp:
-            mirror_ok = False
-        value = parity_invariant(w)
-        seq_value = component_trace(w, lambda k: Fraction(k * k - 1, 2))
         moved = w
         for _ in range(3):
             move = rng.choice(["conjugate", "stabilize_pos", "stabilize_neg"])
@@ -129,19 +125,22 @@ def suite_braid(seed: int = 3, samples: int = 500) -> SuiteReport:
             if move == "conjugate" and moved.strands == 1:
                 move = "stabilize_pos"
             moved = markov_move(moved, move, g)
-        if parity_invariant(moved) != value:
-            move_ok = False
-        if component_trace(moved, lambda k: Fraction(k * k - 1, 2)) != seq_value:
-            move_ok = False
-    rep.add(f"braid/parity lemma on {samples} random braids", parity_ok)
-    rep.add("braid/mirror preserves component count", mirror_ok)
-    rep.add("braid/parity and component traces invariant under Markov moves", move_ok)
-    records = load_records()
-    table_ok = all(
-        parity_invariant(r.braid()) == QA.a_power(component_count(r.braid()))
-        for r in records
-    )
-    rep.add("braid/parity invariant equals a^components on the whole table", table_ok)
+        pairs.append((w, moved))
+
+    def seq_trace(w: BraidWord) -> Fraction:
+        return component_trace(w, lambda k: Fraction(k * k - 1, 2))
+
+    rep.run(f"braid/parity lemma on {samples} random braids",
+            lambda: all((w.strands + w.writhe() - component_count(w)) % 2 == 0
+                        for w, _ in pairs))
+    rep.run("braid/mirror preserves component count",
+            lambda: all(component_count(w.mirror()) == component_count(w) for w, _ in pairs))
+    rep.run("braid/parity and component traces invariant under Markov moves",
+            lambda: all(parity_invariant(moved) == parity_invariant(w)
+                        and seq_trace(moved) == seq_trace(w) for w, moved in pairs))
+    rep.run("braid/parity invariant equals a^components on the whole table",
+            lambda: all(parity_invariant(r.braid()) == QA.a_power(component_count(r.braid()))
+                        for r in load_records()))
     return rep
 
 
@@ -149,68 +148,77 @@ def suite_skein(seed: int = 5, markov_braids: int = 100) -> SuiteReport:
     rep = SuiteReport("skein")
     one = LaurentPolynomial.one(AX)
     evs = {v: KauffmanEvaluator(v) for v in "+-"}
-    ok = all(
-        markov_trace_pm_fast(BraidWord(n, tuple(range(1, n))), v, evs[v]) == one
-        for n in (2, 3, 4, 5) for v in "+-"
-    )
-    rep.add("skein/t(s1...s_{n-1}) = 1 for n = 2..5, both variants", ok)
+    rep.run("skein/t(s1...s_{n-1}) = 1 for n = 2..5, both variants",
+            lambda: all(markov_trace_pm_fast(BraidWord(n, tuple(range(1, n))), v, evs[v]) == one
+                        for n in (2, 3, 4, 5) for v in "+-"))
     delta_plus = LaurentPolynomial.parse("(a - x + 1)/x", AX)
     delta_minus = LaurentPolynomial.parse("(-a + x + 1)/x", AX)
-    rep.add("skein/two-strand loop values",
-            markov_trace_pm_fast(BraidWord(2, ()), "+", evs["+"]) == delta_plus
+    rep.run("skein/two-strand loop values",
+            lambda: markov_trace_pm_fast(BraidWord(2, ()), "+", evs["+"]) == delta_plus
             and markov_trace_pm_fast(BraidWord(2, ()), "-", evs["-"]) == delta_minus)
     fig8 = BraidWord(3, (1, -2, 1, -2))
-    t_plus = markov_trace_pm_fast(fig8, "+", evs["+"])
-    t_minus = markov_trace_pm_fast(fig8, "-", evs["-"])
     true_plus = LaurentPolynomial.parse(
         "x^3*(a^-2+a^-1) + x^2*(a^-2+2*a^-1+1) - x*(1+a^-1) - (1+a+a^-1)", AX)
     true_minus = LaurentPolynomial.parse(
         "x^3*(a^-1-a^-2) + x^2*(1-2*a^-1+a^-2) + x*(1-a^-1) + (a-1+a^-1)", AX)
-    rep.add("skein/figure-eight values (independently derived)",
-            t_plus == true_plus and t_minus == true_minus)
-    mirror_sub = {m: c for m, c in t_plus.terms.items()}
+    rep.run("skein/figure-eight values (independently derived)",
+            lambda: markov_trace_pm_fast(fig8, "+", evs["+"]) == true_plus
+            and markov_trace_pm_fast(fig8, "-", evs["-"]) == true_minus)
     printed_plus = LaurentPolynomial.parse(
         "x^3*(a^2+a) + x^2*(a^2+2*a+1) - x*(1+a) - (1+a+a^-1)", AX)
-    flipped = LaurentPolynomial(AX, {(-ea, ex): c for (ea, ex), c in t_plus.terms.items()})
-    rep.add("skein/often-quoted + figure-eight display is the a -> a^-1 image",
-            flipped == printed_plus,
+
+    def printed_display_is_mirror_image() -> bool:
+        t_plus = markov_trace_pm_fast(fig8, "+", evs["+"])
+        flipped = LaurentPolynomial(AX, {(-ea, ex): c for (ea, ex), c in t_plus.terms.items()})
+        return flipped == printed_plus
+
+    rep.run("skein/often-quoted + figure-eight display is the a -> a^-1 image",
+            printed_display_is_mirror_image,
             "the display cannot hold together with the loop-value anchors")
     rng = random.Random(seed)
-    markov_ok = True
-    for _ in range(markov_braids):
-        w = _random_braid(rng, 4, 10)
-        g = BraidWord(w.strands, (_random_letter(rng, w.strands),)) if w.strands > 1 else None
-        for v in "+-":
-            t0 = markov_trace_pm_fast(w, v, evs[v])
-            variants = [stabilize_pos(w), stabilize_neg(w)]
-            if g is not None:
-                variants.append(conjugate(w, g))
-            for w2 in variants:
-                if markov_trace_pm_fast(w2, v, evs[v]) != t0:
-                    markov_ok = False
-    rep.add(f"skein/markov invariance on {markov_braids} random braids (exact)", markov_ok)
+
+    def markov_invariance() -> bool:
+        ok = True
+        for _ in range(markov_braids):
+            w = _random_braid(rng, 4, 10)
+            g = BraidWord(w.strands, (_random_letter(rng, w.strands),)) if w.strands > 1 else None
+            for v in "+-":
+                t0 = markov_trace_pm_fast(w, v, evs[v])
+                variants = [stabilize_pos(w), stabilize_neg(w)]
+                if g is not None:
+                    variants.append(conjugate(w, g))
+                for w2 in variants:
+                    if markov_trace_pm_fast(w2, v, evs[v]) != t0:
+                        ok = False
+        return ok
+
+    rep.run(f"skein/markov invariance on {markov_braids} random braids (exact)",
+            markov_invariance)
     w = BraidWord(3, (1, -2, 1, -2))
-    cached = markov_trace_pm_fast(w, "+", KauffmanEvaluator("+", use_cache=True))
-    uncached = markov_trace_pm_fast(w, "+", KauffmanEvaluator("+", use_cache=False))
-    rep.add("skein/memoization transparency", cached == uncached)
+    rep.run("skein/memoization transparency",
+            lambda: markov_trace_pm_fast(w, "+", KauffmanEvaluator("+", use_cache=True))
+            == markov_trace_pm_fast(w, "+", KauffmanEvaluator("+", use_cache=False)))
 
     records = load_records()
     spec = spec_ax_point("2*a")
     caches = ({}, {})
-    det_ok = True
-    sign_ok = True
-    for r in records:
-        braid = r.braid()
-        if variant_sign_relation(braid, (evs["+"], evs["-"])) is False:
-            sign_ok = False
-        if r.kind in ("knot", "composite") and len(braid.letters) <= 12:
-            ncomp = component_count(braid)
-            expected = QA.a_power(ncomp - 1) * QA(alexander_det(braid) ** 2)
-            if kauffman_at_point(braid, spec, caches) != expected:
-                det_ok = False
-    rep.add("skein/t^K = a^(#L-1) det^2 at the x = 2a point (independent Burau det)",
-            det_ok)
-    rep.add("skein/variant sign relation on the whole table", sign_ok)
+
+    def det_squared() -> bool:
+        ok = True
+        for r in records:
+            braid = r.braid()
+            if r.kind in ("knot", "composite") and len(braid.letters) <= 12:
+                ncomp = component_count(braid)
+                expected = QA.a_power(ncomp - 1) * QA(alexander_det(braid) ** 2)
+                if kauffman_at_point(braid, spec, caches) != expected:
+                    ok = False
+        return ok
+
+    rep.run("skein/t^K = a^(#L-1) det^2 at the x = 2a point (independent Burau det)",
+            det_squared)
+    rep.run("skein/variant sign relation on the whole table",
+            lambda: all(variant_sign_relation(r.braid(), (evs["+"], evs["-"])) is not False
+                        for r in records))
     return rep
 
 
@@ -219,51 +227,57 @@ def suite_hecke(seed: int = 7, pairs: int = 200) -> SuiteReport:
     ring = HeckeRing.generic()
     tracer = OcneanuTrace(ring)
     rng = random.Random(seed)
-    trace_ok = True
-    markov_ok = True
-    for _ in range(pairs):
-        n = rng.randint(2, 5)
-        u = _random_braid(rng, n, 6, min_strands=n)
-        v = _random_braid(rng, n, 6, min_strands=n)
-        if tracer.of_braid(u * v) != tracer.of_braid(v * u):
-            trace_ok = False
-    for _ in range(pairs):
-        w = _random_braid(rng, 4, 8)
-        t0 = tracer.of_braid(w)
-        if tracer.of_braid(stabilize_pos(w)) != t0 or tracer.of_braid(stabilize_neg(w)) != t0:
-            markov_ok = False
-    rep.add(f"hecke/trace property on {pairs} random pairs", trace_ok)
-    rep.add(f"hecke/both Markov conditions on {pairs} random braids", markov_ok)
-    rep.add("hecke/normalization anchors",
-            tracer.of_braid(BraidWord(1, ())) == LaurentPolynomial.one(("x", "y"))
+
+    def trace_property() -> bool:
+        ok = True
+        for _ in range(pairs):
+            n = rng.randint(2, 5)
+            u = _random_braid(rng, n, 6, min_strands=n)
+            v = _random_braid(rng, n, 6, min_strands=n)
+            if tracer.of_braid(u * v) != tracer.of_braid(v * u):
+                ok = False
+        return ok
+
+    def markov_conditions() -> bool:
+        ok = True
+        for _ in range(pairs):
+            w = _random_braid(rng, 4, 8)
+            t0 = tracer.of_braid(w)
+            if tracer.of_braid(stabilize_pos(w)) != t0 or tracer.of_braid(stabilize_neg(w)) != t0:
+                ok = False
+        return ok
+
+    rep.run(f"hecke/trace property on {pairs} random pairs", trace_property)
+    rep.run(f"hecke/both Markov conditions on {pairs} random braids", markov_conditions)
+    rep.run("hecke/normalization anchors",
+            lambda: tracer.of_braid(BraidWord(1, ())) == LaurentPolynomial.one(("x", "y"))
             and tracer.of_braid(BraidWord(3, ()))
             == LaurentPolynomial.parse("(y+1)^2 * x^-2", ("x", "y"))
             and tracer.of_braid(BraidWord(2, (1, 1, 1)))
             == LaurentPolynomial.parse("x^2 - y^2 - 2*y", ("x", "y")))
     delta_h = LaurentPolynomial.parse("(y+1)/x", ("x", "y"))
     delta_k = LaurentPolynomial.parse("(y^2 - a*x + y)/(x*y)", ("x", "y", "a"))
-    lhs = delta_h.extend(("x", "y", "a")) - delta_k
-    rep.add("hecke/loop-value difference delta_H - delta_K = a/y",
-            lhs == LaurentPolynomial.parse("a/y", ("x", "y", "a")))
-    parity_ring = HeckeRing.at_parity_point()
-    parity_tracer = OcneanuTrace(parity_ring)
-    records = load_records()
-    ok = all(
-        hecke_trace_qa(r.braid(), parity_tracer)
-        == QA.a_power(component_count(r.braid()) - 1)
-        for r in records
-    )
-    rep.add("hecke/value a^(#L-1) at y = 1, x = 2a on the whole table", ok)
+    rep.run("hecke/loop-value difference delta_H - delta_K = a/y",
+            lambda: delta_h.extend(("x", "y", "a")) - delta_k
+            == LaurentPolynomial.parse("a/y", ("x", "y", "a")))
+    parity_tracer = OcneanuTrace(HeckeRing.at_parity_point())
+    rep.run("hecke/value a^(#L-1) at y = 1, x = 2a on the whole table",
+            lambda: all(hecke_trace_qa(r.braid(), parity_tracer)
+                        == QA.a_power(component_count(r.braid()) - 1)
+                        for r in load_records()))
     rng2 = random.Random(seed + 1)
-    aug_ok = True
-    for _ in range(50):
-        w = _random_braid(rng2, 4, 8)
-        e = hecke_normal_form(w, ring)
-        total = sum((c.evaluate({"x": Fraction(2), "y": Fraction(1)}) for c in e.coeffs.values()),
-                    Fraction(0))
-        if total != 1:
-            aug_ok = False
-    rep.add("hecke/augmentation at (x, y) = (2, 1) is 1 on 50 random braids", aug_ok)
+
+    def augmentation() -> bool:
+        ok = True
+        for _ in range(50):
+            e = hecke_normal_form(_random_braid(rng2, 4, 8), ring)
+            total = sum((c.evaluate({"x": Fraction(2), "y": Fraction(1)})
+                         for c in e.coeffs.values()), Fraction(0))
+            if total != 1:
+                ok = False
+        return ok
+
+    rep.run("hecke/augmentation at (x, y) = (2, 1) is 1 on 50 random braids", augmentation)
     return rep
 
 
@@ -275,69 +289,74 @@ def suite_coxeter(seed: int = 7, markov_braids: int = 300) -> SuiteReport:
     for m in (3, 4, 5, 6, 7, 8):
         rep.run(f"coxeter/braid relations I2({m})",
                 lambda m=m: verify_braid_relations(DihedralCoxeter(m)))
-    rep.add("coxeter/non-splitting certificate", nonsplit_certificate().ok)
+    rep.run("coxeter/non-splitting certificate", lambda: nonsplit_certificate().ok)
 
     rng = random.Random(seed)
     engine = ThmTraceEngine()
-    trace_ok = True
-    for _ in range(200):
-        n = rng.randint(2, 4)
-        u = _random_braid(rng, n, 6, min_strands=n)
-        v = _random_braid(rng, n, 6, min_strands=n)
-        if engine.trace_braid(u * v) != engine.trace_braid(v * u):
-            trace_ok = False
-    rep.add("coxeter/theorem trace property on 200 random pairs", trace_ok)
+
+    def trace_property() -> bool:
+        ok = True
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            u = _random_braid(rng, n, 6, min_strands=n)
+            v = _random_braid(rng, n, 6, min_strands=n)
+            if engine.trace_braid(u * v) != engine.trace_braid(v * u):
+                ok = False
+        return ok
+
+    rep.run("coxeter/theorem trace property on 200 random pairs", trace_property)
 
     inv = T0Invariant()
-    markov_ok = True
-    mirror_ok = True
+    samples = []  # (w, the moved braids w is checked against)
     for _ in range(markov_braids):
         w = _random_braid(rng, 5, 12)
-        t0 = inv.value(w)
         g = BraidWord(w.strands, (_random_letter(rng, w.strands),)) if w.strands > 1 else None
         moved = [stabilize_pos(w), stabilize_neg(w)]
         if g is not None:
             moved.append(conjugate(w, g))
-        for w2 in moved:
-            if inv.value(w2) != t0:
-                markov_ok = False
-        if inv.value(w.mirror()) != t0 or inv.value(w.reverse()) != t0:
-            mirror_ok = False
-    rep.add(f"coxeter/t0 Markov invariance on {markov_braids} random braids", markov_ok)
-    rep.add("coxeter/t0 mirror and reversal invariance", mirror_ok)
+        samples.append((w, moved))
+    rep.run(f"coxeter/t0 Markov invariance on {markov_braids} random braids",
+            lambda: all(inv.value(w2) == inv.value(w) for w, moved in samples for w2 in moved))
+    rep.run("coxeter/t0 mirror and reversal invariance",
+            lambda: all(inv.value(w.mirror()) == inv.value(w) == inv.value(w.reverse())
+                        for w, _ in samples))
 
-    lam_ok = True
-    invariants = {lam: T0Invariant(ThmTraceConfig(base=Fraction(lam)))
-                  for lam in (0, 1, -1, 5)}
-    for _ in range(50):
-        w = _random_braid(rng, 4, 10)
-        values = {lam: inv_l.value(w) for lam, inv_l in invariants.items()}
-        if len(set(values.values())) != 1:
-            lam_ok = False
-    rep.add("coxeter/t0 independent of the base value lambda in {0, 1, -1, 5}", lam_ok)
+    def lambda_independence() -> bool:
+        invariants = [T0Invariant(ThmTraceConfig(base=Fraction(lam))) for lam in (0, 1, -1, 5)]
+        ok = True
+        for _ in range(50):
+            w = _random_braid(rng, 4, 10)
+            if len({inv_l.value(w) for inv_l in invariants}) != 1:
+                ok = False
+        return ok
 
-    inj_ok = True
-    cox = SymmetricCoxeter(5)
-    elements = list(cox.elements())
-    for _ in range(100):
-        w1, w2 = rng.sample(elements, 2)
-        v1 = braid_to_vector(BraidWord(5, tuple(g + 1 for g in cox.reduced_word(w1))), cox)
-        v2 = braid_to_vector(BraidWord(5, tuple(g + 1 for g in cox.reduced_word(w2))), cox)
-        if v1 == v2:
-            inj_ok = False
-    rep.add("coxeter/braid-to-module map separates 100 random element pairs", inj_ok)
+    rep.run("coxeter/t0 independent of the base value lambda in {0, 1, -1, 5}",
+            lambda_independence)
 
-    unlink_ok = all(
-        inv.value(BraidWord(n, ())) == QA.a_power(n + 1) * QA(n - 2)
-        for n in range(2, 9)
-    )
-    rep.add("coxeter/unlink series (n-2) a^(n+1) for n = 2..8", unlink_ok)
+    def injectivity() -> bool:
+        cox = SymmetricCoxeter(5)
+        elements = list(cox.elements())
+        ok = True
+        for _ in range(100):
+            w1, w2 = rng.sample(elements, 2)
+            v1 = braid_to_vector(BraidWord(5, tuple(g + 1 for g in cox.reduced_word(w1))), cox)
+            v2 = braid_to_vector(BraidWord(5, tuple(g + 1 for g in cox.reduced_word(w2))), cox)
+            if v1 == v2:
+                ok = False
+        return ok
 
-    printed = T0Invariant(ThmTraceConfig(printed_exponent_variant=True))
-    w = BraidWord(2, (1,))
-    broken = printed.engine.trace_braid(stabilize_neg(w)) != printed.engine.trace_braid(w)
-    rep.add("coxeter/printed level-descent exponent variant breaks the negative Markov move",
-            broken, "the derived exponent is the one used")
+    rep.run("coxeter/braid-to-module map separates 100 random element pairs", injectivity)
+    rep.run("coxeter/unlink series (n-2) a^(n+1) for n = 2..8",
+            lambda: all(inv.value(BraidWord(n, ())) == QA.a_power(n + 1) * QA(n - 2)
+                        for n in range(2, 9)))
+
+    def printed_variant_breaks() -> bool:
+        printed = T0Invariant(ThmTraceConfig(printed_exponent_variant=True))
+        w = BraidWord(2, (1,))
+        return printed.engine.trace_braid(stabilize_neg(w)) != printed.engine.trace_braid(w)
+
+    rep.run("coxeter/printed level-descent exponent variant breaks the negative Markov move",
+            printed_variant_breaks, "the derived exponent is the one used")
     return rep
 
 
@@ -348,90 +367,98 @@ def suite_tl(seed: int = 13, pairs: int = 200) -> SuiteReport:
     def random_word(n: int, max_len: int) -> tuple[int, ...]:
         return tuple(rng.randint(0, n - 2) for _ in range(rng.randint(0, max_len)))
 
-    cyc_ok = True
-    for _ in range(pairs):
-        n = rng.randint(3, 5)
-        alg = tlmod.ExtTL(n)
-        u = tlmod.TLElement.word(random_word(n, 4))
-        v = tlmod.TLElement.word(random_word(n, 4))
-        uv = alg.multiply(u, v)
-        vu = alg.multiply(v, u)
-        for trace in (lambda e: tlmod.trace_xa(e, n), lambda e: tlmod.trace_x2a(e, n)):
-            if trace(uv) != trace(vu):
-                cyc_ok = False
-    rep.add(f"tl/both traces cyclic on {pairs} random word pairs", cyc_ok)
+    def cyclic() -> bool:
+        ok = True
+        for _ in range(pairs):
+            n = rng.randint(3, 5)
+            alg = tlmod.ExtTL(n)
+            u = tlmod.TLElement.word(random_word(n, 4))
+            v = tlmod.TLElement.word(random_word(n, 4))
+            uv = alg.multiply(u, v)
+            vu = alg.multiply(v, u)
+            for trace in (lambda e: tlmod.trace_xa(e, n), lambda e: tlmod.trace_x2a(e, n)):
+                if trace(uv) != trace(vu):
+                    ok = False
+        return ok
 
-    relation_ok = True
-    for _ in range(100):
-        n = rng.randint(3, 5)
-        alg = tlmod.ExtTL(n)
-        i = rng.randint(0, n - 2)
-        relators = [
-            alg.multiply(tlmod.TLElement.word((i,)), tlmod.TLElement.word((i,)))
-            - tlmod.TLElement.word((i,)).scale(tlmod.DT_OVER_X),
-        ]
-        if i + 1 <= n - 2:
-            sandwich = alg.multiply(
-                alg.multiply(tlmod.TLElement.word((i,)), tlmod.TLElement.word((i + 1,))),
-                tlmod.TLElement.word((i,)))
-            relators.append(sandwich - tlmod.TLElement.word((i,))
-                            - tlmod.TLElement.c(tlmod.TWO_A_OVER_X))
-        left = tlmod.TLElement.word(random_word(n, 3))
-        right = tlmod.TLElement.word(random_word(n, 3))
-        for relator in relators:
-            sandwiched = alg.multiply(alg.multiply(left, relator), right)
-            if tlmod.trace_xa(sandwiched, n) != QA(0) or tlmod.trace_x2a(sandwiched, n) != QA(0):
-                relation_ok = False
-    rep.add("tl/both traces vanish on 100 random relator sandwiches", relation_ok)
+    rep.run(f"tl/both traces cyclic on {pairs} random word pairs", cyclic)
 
-    rot_ok = True
-    for _ in range(100):
-        n = rng.randint(3, 5)
-        word = random_word(n, 6)
-        if not word:
-            continue
-        ncomp = tlmod.closure_components(tlmod.word_to_diagram(word, n))
-        k = rng.randrange(len(word))
-        rotated = word[k:] + word[:k]
-        if tlmod.closure_components(tlmod.word_to_diagram(rotated, n)) != ncomp:
-            rot_ok = False
-    rep.add("tl/closure component count invariant under cyclic rotation", rot_ok)
+    def relator_sandwiches() -> bool:
+        ok = True
+        for _ in range(100):
+            n = rng.randint(3, 5)
+            alg = tlmod.ExtTL(n)
+            i = rng.randint(0, n - 2)
+            relators = [
+                alg.multiply(tlmod.TLElement.word((i,)), tlmod.TLElement.word((i,)))
+                - tlmod.TLElement.word((i,)).scale(tlmod.DT_OVER_X),
+            ]
+            if i + 1 <= n - 2:
+                sandwich = alg.multiply(
+                    alg.multiply(tlmod.TLElement.word((i,)), tlmod.TLElement.word((i + 1,))),
+                    tlmod.TLElement.word((i,)))
+                relators.append(sandwich - tlmod.TLElement.word((i,))
+                                - tlmod.TLElement.c(tlmod.TWO_A_OVER_X))
+            left = tlmod.TLElement.word(random_word(n, 3))
+            right = tlmod.TLElement.word(random_word(n, 3))
+            for relator in relators:
+                sandwiched = alg.multiply(alg.multiply(left, relator), right)
+                if tlmod.trace_xa(sandwiched, n) != QA(0) or tlmod.trace_x2a(sandwiched, n) != QA(0):
+                    ok = False
+        return ok
 
-    assoc_ok = True
-    alg4 = tlmod.ExtTL(4)
-    for _ in range(pairs):
-        u = tlmod.TLElement.word(random_word(4, 4))
-        v = tlmod.TLElement.word(random_word(4, 4))
-        t = tlmod.TLElement.word(random_word(4, 4))
-        if alg4.multiply(alg4.multiply(u, v), t) != alg4.multiply(u, alg4.multiply(v, t)):
-            assoc_ok = False
-    rep.add(f"tl/associativity on {pairs} random triples at rank 4", assoc_ok)
+    rep.run("tl/both traces vanish on 100 random relator sandwiches", relator_sandwiches)
 
-    rep.add("tl/splitting certificates", tlmod.split_checks().ok)
-    rep.add("tl/retraction at x = -2a", tlmod.retraction_check(4).ok)
+    def rotation() -> bool:
+        ok = True
+        for _ in range(100):
+            n = rng.randint(3, 5)
+            word = random_word(n, 6)
+            if not word:
+                continue
+            ncomp = tlmod.closure_components(tlmod.word_to_diagram(word, n))
+            k = rng.randrange(len(word))
+            rotated = word[k:] + word[:k]
+            if tlmod.closure_components(tlmod.word_to_diagram(rotated, n)) != ncomp:
+                ok = False
+        return ok
 
-    witness_ok = True
-    alg3 = tlmod.ExtTL(3)
-    diff = tlmod.TLElement.word((0,)) - tlmod.TLElement.word((1,))
-    for b in alg3.basis():
-        elem = tlmod.TLElement.c(1) if b == tlmod.C_WORD else tlmod.TLElement.word(b)
-        if tlmod.trace_x2a(alg3.multiply(diff, elem), 3) != QA(0):
-            witness_ok = False
-    rep.add("tl/(e1 - e2) pairs to zero against the whole rank-3 basis at x = 2a",
-            witness_ok)
+    rep.run("tl/closure component count invariant under cyclic rotation", rotation)
 
-    anchors_ok = (
-        tlmod.trace_xa((0,), 3) == QA(1)
-        and tlmod.trace_xa(tlmod.TLElement.c(1), 3) == QA(-1)
-        and tlmod.trace_xa((0, 1, 0), 3) == QA(-1)
-        and tlmod.trace_x2a((), 3) == QA(1)
-        and tlmod.trace_x2a((0,), 3) == QA.a_power(3) * QA(-1)
-        and tlmod.trace_x2a((0, 1), 3) == QA(0)
-    )
-    rep.add("tl/trace anchor values", anchors_ok)
+    def associativity() -> bool:
+        ok = True
+        alg4 = tlmod.ExtTL(4)
+        for _ in range(pairs):
+            u = tlmod.TLElement.word(random_word(4, 4))
+            v = tlmod.TLElement.word(random_word(4, 4))
+            t = tlmod.TLElement.word(random_word(4, 4))
+            if alg4.multiply(alg4.multiply(u, v), t) != alg4.multiply(u, alg4.multiply(v, t)):
+                ok = False
+        return ok
 
-    rep.add("tl/x = 2a trace matches the braid invariant where they overlap",
-            _tl_t0_consistency())
+    rep.run(f"tl/associativity on {pairs} random triples at rank 4", associativity)
+    rep.run("tl/splitting certificates", lambda: tlmod.split_checks().ok)
+    rep.run("tl/retraction at x = -2a", lambda: tlmod.retraction_check(4).ok)
+
+    def rank3_witness() -> bool:
+        alg3 = tlmod.ExtTL(3)
+        diff = tlmod.TLElement.word((0,)) - tlmod.TLElement.word((1,))
+        return all(
+            tlmod.trace_x2a(alg3.multiply(diff, tlmod.TLElement.c(1) if b == tlmod.C_WORD
+                                          else tlmod.TLElement.word(b)), 3) == QA(0)
+            for b in alg3.basis())
+
+    rep.run("tl/(e1 - e2) pairs to zero against the whole rank-3 basis at x = 2a",
+            rank3_witness)
+    rep.run("tl/trace anchor values",
+            lambda: tlmod.trace_xa((0,), 3) == QA(1)
+            and tlmod.trace_xa(tlmod.TLElement.c(1), 3) == QA(-1)
+            and tlmod.trace_xa((0, 1, 0), 3) == QA(-1)
+            and tlmod.trace_x2a((), 3) == QA(1)
+            and tlmod.trace_x2a((0,), 3) == QA.a_power(3) * QA(-1)
+            and tlmod.trace_x2a((0, 1), 3) == QA(0))
+    rep.run("tl/x = 2a trace matches the braid invariant where they overlap",
+            _tl_t0_consistency)
     return rep
 
 
@@ -490,30 +517,29 @@ def table_report(path: str | None = None, base: Fraction = Fraction(0)) -> Suite
     records = load_records(path)
     inv = T0Invariant(ThmTraceConfig(base=base))
     rep = SuiteReport("table")
-    for record in records:
+
+    def row(record) -> dict[str, tuple[bool, str]]:
         validation = validate_record(record)
         if not validation.ok:
-            rep.add(f"table/{record.name} data integrity", False,
-                    "failed row validation")
-            continue
-        braid = record.braid()
-        comp = inv.components(braid)
+            return {f"table/{record.name} data integrity": (False, "failed row validation")}
+        comp = inv.components(record.braid())
         decomposition = (f"thm={comp.thm.render()} hecke={comp.hecke.render()} "
                          f"kauffman={comp.kauffman.render()}")
         if record.expected_x2a is None:
-            rep.add(f"table/{record.name} = {comp.value.render()} (no reference)",
-                    True, decomposition)
-        elif record.strict:
-            ok = comp.value == record.expected_x2a
-            rep.add(f"table/{record.name}", ok,
-                    f"computed {comp.value.render()}, expected "
-                    f"{record.expected_x2a.render()}; {decomposition}")
-        else:
-            agree = comp.value == record.expected_x2a
-            status = "agrees with" if agree else "differs from"
-            rep.add(f"table/{record.name} diagnostic", True,
-                    f"computed {comp.value.render()} {status} tabulated "
-                    f"{record.expected_x2a.render()}; {decomposition}")
+            return {f"table/{record.name} = {comp.value.render()} (no reference)":
+                    (True, decomposition)}
+        if record.strict:
+            return {f"table/{record.name}": (
+                comp.value == record.expected_x2a,
+                f"computed {comp.value.render()}, expected "
+                f"{record.expected_x2a.render()}; {decomposition}")}
+        status = "agrees with" if comp.value == record.expected_x2a else "differs from"
+        return {f"table/{record.name} diagnostic": (
+            True, f"computed {comp.value.render()} {status} tabulated "
+                  f"{record.expected_x2a.render()}; {decomposition}")}
+
+    for record in records:
+        rep.run_each(f"table/{record.name}", lambda record=record: row(record))
     return rep
 
 

@@ -61,6 +61,17 @@ class TestInvariantCommand:
         assert out0 == out5 == "16"
 
 
+    @pytest.mark.parametrize("args", [
+        ["invariant", "--which", "parity", "--braid", "1 5", "--strands", "3"],
+        ["kauffman", "--braid", "1 x", "--strands", "2", "--variant", "+", "--at", "x2a"],
+    ])
+    def test_bad_input_is_one_line_and_exit_2(self, args, capsys):
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("cubictrace: ")
+
+
 class TestVerifyCommand:
     def test_braid_suite_passes(self, capsys):
         code, out = run_cli(["verify", "--suite", "braid", "--seed", "3"], capsys)

@@ -14,9 +14,11 @@ from cubictrace.rings import (
     QuotientSpec,
     RingError,
     Substitute,
+    fold_a,
     pit_equal,
     pit_points,
     poly_abc,
+    spec_a_squared_one,
     spec_ax_point,
     spec_dagger_dagger,
     spec_free_abc,
@@ -135,6 +137,18 @@ class TestQuotients:
             lhs = spec.reduce(p * q)
             rhs = spec.reduce(spec.reduce(p).extend(ABC) * spec.reduce(q).extend(ABC))
             assert lhs == rhs
+
+    @pytest.mark.parametrize("variables", [("a",), ("a", "x"), ("a", "x", "L")])
+    def test_fold_a_matches_the_quotient_spec(self, variables):
+        import random
+
+        rng = random.Random(len(variables))
+        spec = spec_a_squared_one(variables)
+        for _ in range(300):
+            terms = {tuple(rng.randint(-5, 5) for _ in variables): Fraction(rng.randint(-5, 5))
+                     for _ in range(rng.randint(0, 6))}
+            p = LaurentPolynomial(variables, terms)
+            assert fold_a(p) == spec.reduce(p)
 
     def test_nonterminating_rules_rejected(self):
         with pytest.raises(RingError):

@@ -49,6 +49,22 @@ def test_table_runner_strict_rows():
     assert sum(1 for c in rep.checks if c.check_id.startswith("table/")) >= 90
 
 
+def test_every_braid_check_is_timed():
+    rep = suite_braid()
+    assert rep.checks and all(c.elapsed > 0 for c in rep.checks)
+
+
+def test_a_raising_check_fails_alone():
+    rep = SuiteReport("isolation")
+    rep.run("before", lambda: True)
+    rep.run("raises", lambda: 1 // 0)
+    rep.run_each("raises too", lambda: {"never": 1 // 0}, prefix="group/")
+    rep.run("after", lambda: True)
+    assert [(c.check_id, c.ok) for c in rep.checks] == [
+        ("before", True), ("raises", False), ("raises too", False), ("after", True)]
+    assert "error:" in rep.checks[1].detail and "error:" in rep.checks[2].detail
+
+
 def test_reports_render_deterministically():
     a = suite_braid().render()
     b = suite_braid().render()
