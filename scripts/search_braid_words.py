@@ -41,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from cubictrace.braids import BraidWord
-from cubictrace.burau import alexander_coefficients
+from cubictrace.burau import alexander_coefficients, reduced_burau_generator
 from cubictrace.coxeter import T0Invariant
 from cubictrace.knotdata import (
     InvariantIndex,
@@ -75,32 +75,24 @@ def _mat_mul(p, q):
     )
 
 
+def _at_minus_one(p) -> tuple[int, int]:
+    """(p(-1), p'(-1)) of a Laurent polynomial in t: its value at t = -1 + eps."""
+    value = slope = 0
+    for (e,), c in p.terms.items():
+        sign = -1 if e % 2 else 1
+        value += c * sign
+        slope -= c * e * sign
+    return int(value), int(slope)
+
+
 def burau_dual_letters(n: int) -> dict[int, tuple]:
-    """Reduced Burau images of s_i^(+-1) at t = -1 + eps, as (A, B) pairs.
-
-    s_i has -t at (i, i), t at (i-1, i) and 1 at (i+1, i); its inverse has
-    -1/t at (i, i), 1 at (i-1, i) and 1/t at (i+1, i), with
-    1/t = -1 - eps to first order.
-    """
-    size = n - 1
-    t, t_inv = (-1, 1), (-1, -1)
-
-    def matrix(i: int, diag, above, below):
-        entries = {(r, r): (1, 0) for r in range(size)}
-        r = i - 1
-        entries[(r, r)] = (-diag[0], -diag[1])
-        if r > 0:
-            entries[(r - 1, r)] = above
-        if r + 1 < size:
-            entries[(r + 1, r)] = below
-        part = lambda k: tuple(tuple(entries.get((row, col), (0, 0))[k] for col in range(size))
-                               for row in range(size))
-        return part(0), part(1)
-
+    """Reduced Burau images of s_i^(+-1) at t = -1 + eps, as (A, B) pairs."""
     letters = {}
-    for i in range(1, n):
-        letters[i] = matrix(i, t, t, (1, 0))
-        letters[-i] = matrix(i, t_inv, (1, 0), t_inv)
+    for letter in [i for i in range(1, n)] + [-i for i in range(1, n)]:
+        rows = reduced_burau_generator(letter, n).rows
+        pairs = [[_at_minus_one(p) for p in row] for row in rows]
+        letters[letter] = tuple(tuple(tuple(x[k] for x in row) for row in pairs) for k in (0, 1))
+    size = n - 1
     one = tuple(tuple(int(r == c) for c in range(size)) for r in range(size))
     zero = tuple(tuple(0 for _ in range(size)) for _ in range(size))
     for i in range(1, n):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .braids import BraidWord
-from .linalg import Matrix, det_bareiss, invert_unit_det
+from .linalg import Matrix, det_bareiss
 from .rings import LaurentPolynomial, RingError
 
 T = ("t",)
@@ -26,21 +26,27 @@ def _tp(text: str) -> LaurentPolynomial:
     return LaurentPolynomial.parse(text, T)
 
 
-def reduced_burau_generator(i: int, n: int) -> Matrix:
-    """Image of s_i in the reduced Burau representation of B_n ((n-1) x (n-1))."""
+def reduced_burau_generator(letter: int, n: int) -> Matrix:
+    """Image of s_i^(+-1), i = |letter|, in the reduced Burau representation of B_n.
+
+    The (n-1) x (n-1) matrix differs from the identity in column i only:
+    s_i has -t on the diagonal, t above and 1 below; s_i^-1 has -t^-1 on
+    the diagonal, 1 above and t^-1 below.
+    """
+    i = abs(letter)
     if not (1 <= i <= n - 1):
         raise RingError("generator index out of range")
     size = n - 1
     zero, one = LaurentPolynomial.zero(T), LaurentPolynomial.one(T)
+    t = _tp("t") if letter > 0 else _tp("t^-1")
+    above, below = (t, one) if letter > 0 else (one, t)
     rows = [[one if r == c else zero for c in range(size)] for r in range(size)]
-    t = _tp("t")
-    minus_t = _tp("-t")
     r = i - 1  # row/col of the generator's own basis vector
-    rows[r][r] = minus_t
+    rows[r][r] = -t
     if r > 0:
-        rows[r - 1][r] = t
+        rows[r - 1][r] = above
     if r + 1 < size:
-        rows[r + 1][r] = one
+        rows[r + 1][r] = below
     return Matrix(rows)
 
 
@@ -53,44 +59,10 @@ def burau_matrix(w: BraidWord) -> Matrix:
     acc = Matrix.identity(size, one, zero)
     gens: dict[int, Matrix] = {}
     for letter in w.letters:
-        i = abs(letter)
-        if i not in gens:
-            gens[i] = reduced_burau_generator(i, n)
-        m = gens[i]
-        if letter < 0:
-            det = _tp("-t") if size == 1 else None
-            if det is None:
-                det = det_bareiss(m)
-            if len(det.terms) != 1:
-                raise RingError("Burau determinant should be a monomial")
-            m = invert_unit_det(m, det.monomial_inverse()) if size <= 3 else _invert(m, det)
-        acc = acc * m
+        if letter not in gens:
+            gens[letter] = reduced_burau_generator(letter, n)
+        acc = acc * gens[letter]
     return acc
-
-
-def _invert(m: Matrix, det: LaurentPolynomial) -> Matrix:
-    """Inverse for sizes beyond the adjugate helper: solve columns exactly."""
-    size = m.nrows
-    zero, one = LaurentPolynomial.zero(T), LaurentPolynomial.one(T)
-    # Gauss-Jordan with exact division; pivots of Burau generators are
-    # monomials so the divisions stay exact.
-    a = [list(row) + [one if r == c else zero for c in range(size)]
-         for r, row in enumerate(m.rows)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size)
-                      if not a[r][col].is_zero() and len(a[r][col].terms) == 1), None)
-        if pivot is None:
-            pivot = next(r for r in range(col, size) if not a[r][col].is_zero())
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col].monomial_inverse() if len(a[col][col].terms) == 1 else None
-        if inv is None:
-            raise RingError("non-monomial pivot; use the adjugate path")
-        a[col] = [x * inv for x in a[col]]
-        for r in range(size):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return Matrix([row[size:] for row in a])
 
 
 def alexander_polynomial_normalized(w: BraidWord) -> LaurentPolynomial:

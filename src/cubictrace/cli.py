@@ -19,7 +19,6 @@ from fractions import Fraction
 from .braids import BraidError, BraidWord, parity_invariant, parse_braid
 from .coxeter import T0Invariant, ThmTraceConfig
 from .hecke import HeckeRing, OcneanuTrace, hecke_trace_qa
-from .qa import QA
 from .rings import RingError, spec_ax_point
 from .skein import kauffman_at_point, markov_trace_pm
 from .verify import run_suite, table_report
@@ -33,7 +32,7 @@ AT_SPECS = {
 
 def _braid_from_args(args) -> BraidWord:
     if args.braid is None or args.strands is None:
-        raise SystemExit("--braid and --strands are required")
+        raise BraidError("--braid and --strands are required")
     return parse_braid(args.braid, args.strands)
 
 
@@ -49,27 +48,22 @@ def cmd_invariant(args) -> int:
         elif args.at == "x2a":
             print(hecke_trace_qa(braid, OcneanuTrace(HeckeRing.at_parity_point())).render())
         else:
-            raise SystemExit("hecke supports --at x2a only")
+            raise RingError("hecke supports --at x2a only")
     elif which in ("kauffman+", "kauffman-"):
         variant = which[-1]
         if args.at is None:
             print(markov_trace_pm(braid, variant).render())
         else:
             print(kauffman_at_point(braid, spec_ax_point(AT_SPECS[args.at])).render())
-    elif which == "parity":
+    else:  # parity
         print(parity_invariant(braid).render())
-    else:
-        raise SystemExit(f"unknown invariant {which!r}")
     return 0
 
 
 def cmd_kauffman(args) -> int:
     braid = _braid_from_args(args)
     if args.at is not None:
-        spec_text = AT_SPECS.get(args.at)
-        if spec_text is None:
-            raise SystemExit(f"unknown point {args.at!r}; choose from {sorted(AT_SPECS)}")
-        print(kauffman_at_point(braid, spec_ax_point(spec_text)).render())
+        print(kauffman_at_point(braid, spec_ax_point(AT_SPECS[args.at])).render())
     else:
         print(markov_trace_pm(braid, args.variant).render())
     return 0

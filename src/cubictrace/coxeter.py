@@ -24,13 +24,14 @@ independent of the free base value t_1(1) = lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .braids import BraidWord, component_count
+from .braids import BraidWord
 from .hecke import HeckeRing, OcneanuTrace, hecke_trace_qa
 from .combination import Combination
+from .linalg import Matrix, eliminate
 from .qa import QA
 from .rings import LaurentPolynomial, RingError, fold_a, spec_ax_point
 from .skein import kauffman_at_point
@@ -401,23 +402,18 @@ class T0Invariant:
 
     def _solve_combination(self) -> CombinedTrace:
         m = self._three_strand_matrix()
-        # coefficients c with c . M = (1, 0, 0): solve via the adjugate of M^T
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        if not det.is_unit():
-            raise RingError(
-                "the three traces are dependent at this point; cannot pin the combination"
-            )
-        det_inv = det.inverse()
-        # c solves M^T c = (1,0,0)^T, i.e. c is the first row of M^-1:
-        # c_j = cofactor_{j0}(M) / det.
-        c0 = (m[1][1] * m[2][2] - m[1][2] * m[2][1]) * det_inv
-        c1 = (m[0][1] * m[2][2] - m[0][2] * m[2][1]) * det_inv * QA(-1)
-        c2 = (m[0][1] * m[1][2] - m[0][2] * m[1][1]) * det_inv
-        combo = CombinedTrace(c0, c1, c2)
+        # c . M = (1, 0, 0); Q[a]/(a^2 - 1) = Q x Q splits it into one
+        # system over Q at a = 1 and one at a = -1
+        solved = []
+        for a in (1, -1):
+            transpose = Matrix([[m[i][j].at(a) for i in range(3)] for j in range(3)])
+            _, solutions = eliminate(transpose, [(1, 0, 0)])
+            if solutions is None:
+                raise RingError(
+                    "the three traces are dependent at this point; cannot pin the combination"
+                )
+            solved.append(solutions[0])
+        combo = CombinedTrace(*(QA.from_components(p, q) for p, q in zip(*solved)))
         # verify the pin exactly
         words = [BraidWord(3, ()), BraidWord(3, (1,)), BraidWord(3, (1, 2))]
         expected = [QA(1), QA(0), QA(0)]

@@ -36,14 +36,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .combination import Combination
-from .linalg import Matrix, det_bareiss, det_fraction, invert_unit_det
+from .linalg import Matrix, det_bareiss, eliminate
 from .rings import (
     ABC,
     LaurentPolynomial,
-    PowerReduce,
     QuotientSpec,
     RingError,
     RingPoint,
+    fold_a,
     pit_equal,
     pit_points,
     poly_abc,
@@ -119,11 +119,18 @@ def _generator_matrices() -> dict[str, tuple[Matrix, Matrix]]:
     return reps
 
 
-_DETS = {
-    "Sa": "a", "Sb": "b", "Sc": "c",
-    "Uab": "a*b", "Uac": "a*c", "Ubc": "b*c",
-    "V": "a*b*c",
-}
+def _inverse_from_cubic(s: Matrix, roots: Sequence[LaurentPolynomial]) -> Matrix:
+    """s^-1 = e3^-1 (s^2 - e1 s + e2) for s with (s - r1)(s - r2)(s - r3) = 0.
+
+    e1, e2, e3 are the elementary symmetric functions of the roots, and
+    e3 = r1 r2 r3 must be a unit monomial.
+    """
+    r1, r2, r3 = roots
+    e1 = r1 + r2 + r3
+    e2 = r1 * r2 + r1 * r3 + r2 * r3
+    e3_inv = (r1 * r2 * r3).monomial_inverse()
+    e2_ident = Matrix.identity(s.nrows, e2, LaurentPolynomial.zero(e2.variables))
+    return (s * s - s * e1 + e2_ident) * e3_inv
 
 
 @dataclass(frozen=True)
@@ -163,16 +170,15 @@ class H3Model:
         self.spec = spec or spec_free_abc()
         self._letter: dict[str, dict[int, Matrix]] = {}
         reduce = self.spec.reduce
+        roots = [poly_abc(r) for r in "abc"]
         for key, (s1, s2) in _generator_matrices().items():
-            det = poly_abc(_DETS[key])
-            det_inv = det.monomial_inverse()
-            table = {
+            # every block satisfies the defining cubic, so it inverts by it
+            self._letter[key] = {
                 1: s1.map(reduce),
                 2: s2.map(reduce),
-                -1: invert_unit_det(s1, det_inv).map(reduce),
-                -2: invert_unit_det(s2, det_inv).map(reduce),
+                -1: _inverse_from_cubic(s1, roots).map(reduce),
+                -2: _inverse_from_cubic(s2, roots).map(reduce),
             }
-            self._letter[key] = table
         self._word_cache: dict[Word, H3RepImage] = {}
         tv = self.spec.target_variables
         self._zero = LaurentPolynomial.zero(tv)
@@ -232,10 +238,6 @@ class H3Model:
                 continue
             return False
         return True
-
-
-def rep_image(expr: WordSum, spec: QuotientSpec | None = None) -> H3RepImage:
-    return H3Model(spec).image(expr)
 
 
 def verify_identity(lhs: WordSum, rhs: WordSum, spec: QuotientSpec | None = None,
@@ -603,7 +605,7 @@ def gram_determinant_at_points(basis: str = "B0", count: int = 7, seed: int = 23
         symmetric = all(
             entries[i][j] == entries[j][i] for i in range(len(words)) for j in range(len(words))
         )
-        det = det_fraction(gram)
+        det, _ = eliminate(gram)
         abc_val = pt.value(poly_abc("a*b*c"))
         out[f"{basis} Gram symmetric at point {idx}"] = symmetric
         out[f"{basis} Gram det at point {idx}"] = det == -(abc_val ** expected_exp)
@@ -671,24 +673,37 @@ class TraceEquationReport:
         )
 
 
-def _solve_linear(a_rows: list[list[Fraction]], rhs_cols: list[list[Fraction]]):
-    """Solve A x = b for several right-hand sides over Q; returns columns."""
-    n = len(a_rows)
-    width = len(rhs_cols)
-    aug = [list(map(Fraction, a_rows[i])) + [Fraction(rhs_cols[j][i]) for j in range(width)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise RingError("degenerate evaluation point")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [[aug[i][n + j] for i in range(n)] for j in range(width)]
+# Markov conditions t(x s_2) = t(x s_2^-1) for x = 1, s_1, s_1^-1.
+MARKOV_PAIRS: tuple[tuple[Word, Word], ...] = (
+    ((2,), (-2,)), ((1, 2), (1, -2)), ((-1, 2), (-1, -2)),
+)
+
+
+def _trace_forms(model: H3Model, point: RingPoint,
+                 exprs: Sequence[WordSum]) -> list[list[Fraction]] | None:
+    """Each t(expr) as a linear form in the unknowns t(g), g in TRACE_BASIS.
+
+    A trace is a combination of the 7 block traces; its multiplicities
+    solve the 3 Markov conditions and the 4 values on TRACE_BASIS, one
+    right-hand side per unknown.  None when the system is singular at
+    the point.
+    """
+    def traces(expr: WordSum) -> list[Fraction]:
+        image = model.image(expr)
+        return [point.value(image.block(k).trace()) for k in REP_KEYS]
+
+    rows = [[p - q for p, q in zip(traces(WordSum.word(u)), traces(WordSum.word(v)))]
+            for u, v in MARKOV_PAIRS]
+    rows += [traces(WordSum.word(g)) for g in TRACE_BASIS]
+    units = [[int(i == 3 + j) for i in range(7)] for j in range(4)]
+    _, solved = eliminate(Matrix(rows), units)
+    if solved is None:
+        return None
+    forms = []
+    for expr in exprs:
+        values = traces(expr)
+        forms.append([sum(c * v for c, v in zip(solved[j], values)) for j in range(4)])
+    return forms
 
 
 def trace_equations_check(points: int = 5, seed: int = 97) -> TraceEquationReport:
@@ -703,11 +718,8 @@ def trace_equations_check(points: int = 5, seed: int = 97) -> TraceEquationRepor
     model = H3Model()
     rng = random.Random(seed)
     spec = spec_free_abc()
-
-    markov_words = [((), (2,), (-2,)), ((1,), (1, 2), (1, -2)), ((-1,), (-1, 2), (-1, -2))]
     r1 = relator_r(1)
-    s1inv_r1 = WordSum.word((-1,)) * r1
-    r1_s1 = r1 * WordSum.word((1,))
+    exprs = (WordSum.word((-1,)) * r1, r1, r1 * WordSum.word((1,)))
 
     report = TraceEquationReport(
         points_checked=0,
@@ -728,38 +740,16 @@ def trace_equations_check(points: int = 5, seed: int = 97) -> TraceEquationRepor
         pt = spec.compatible_point(rng, low=2, high=10 ** 6)
         if any(pt.value(p) == 0 for p in schur.values()):
             continue  # resample: embedding not faithful at this point
-
-        def tr(expr: WordSum, key: str) -> Fraction:
-            img = model.image(expr)
-            return pt.value(img.block(key).trace())
-
-        rows: list[list[Fraction]] = []
-        rhs: list[list[Fraction]] = [[Fraction(0)] * 7 for _ in range(4)]
-        for (x, xs2, xs2inv) in markov_words:
-            row = []
-            for key in REP_KEYS:
-                diff = tr(WordSum.word(xs2), key) - tr(WordSum.word(xs2inv), key)
-                row.append(diff)
-            rows.append(row)
-        for j, g in enumerate(TRACE_BASIS):
-            row = [tr(WordSum.word(g), key) for key in REP_KEYS]
-            rows.append(row)
-            rhs[j][3 + j] = Fraction(1)
-        try:
-            solved = _solve_linear(rows, rhs)
-        except RingError:
+        forms = _trace_forms(model, pt, exprs)
+        if forms is None:
             continue
-
-        def linear_form(expr: WordSum) -> list[Fraction]:
-            # coefficient of each unknown T_j in t(expr)
-            values = [tr(expr, key) for key in REP_KEYS]
-            return [sum(c * v for c, v in zip(solved[j], values)) for j in range(4)]
+        # coefficients of the unknowns in t(s_1^-1 R_1), t(R_1), t(R_1 s_1)
+        form1, form2, form3 = forms
 
         a = pt.assignment["a"]
         x = pt.assignment["b"] + pt.assignment["c"]
         y = pt.assignment["b"] * pt.assignment["c"]
 
-        form1 = linear_form(s1inv_r1)
         expected1 = [Fraction(0), (a * a - y * y) * x, -(a * a - y * y) * (y + 1), Fraction(0)]
         scale = None
         for got, want in zip(form1, expected1):
@@ -777,7 +767,6 @@ def trace_equations_check(points: int = 5, seed: int = 97) -> TraceEquationRepor
         #   ((a^2-y)(y+1) - x(y-1)a) (x t(s1) - (y+1) t(s1 s2))
         #   + x(y+1)(a^2-y) t(s1),
         # i.e. the often-quoted right-hand side times a unit factor a.
-        form2 = linear_form(r1)
         if form2[3] != 0:
             report.t4_coefficients_vanish = False
         bracket = (a * a - y) * (y + 1) - x * (y - 1) * a
@@ -791,7 +780,6 @@ def trace_equations_check(points: int = 5, seed: int = 97) -> TraceEquationRepor
         if scale2 is None or scale2 == 0 or [scale2 * t for t in expected2] != form2:
             report.second_equation_matches = False
 
-        form3 = linear_form(r1_s1)
         c1 = -x * x * (a * a + a * x + y)
         c2 = (x / a) * (2 * (y + 1) * a ** 3 + 2 * x * (y + 1) * a ** 2
                         + a * (x ** 2 + y * (y + 1)) + y * x)
@@ -823,12 +811,8 @@ def _specialized_vector_check(which: str, seed: int) -> bool:
     """t^dagger-dagger (resp. t^K) satisfies both trace equations at its locus."""
     model = H3Model()
     rng = random.Random(seed)
-    spec = spec_free_abc()
     r1 = relator_r(1)
-    words = {
-        "r1": r1,
-        "s1inv_r1": WordSum.word((-1,)) * r1,
-    }
+    exprs = (r1, WordSum.word((-1,)) * r1)
     schur = schur_elements()
     done = 0
     attempts = 0
@@ -851,32 +835,12 @@ def _specialized_vector_check(which: str, seed: int) -> bool:
         else:
             delta_k = (y * y - a * x + y) / (x * y)
             vec = [delta_k ** 2, delta_k, Fraction(1)]
-
-        markov_words = [((), (2,), (-2,)), ((1,), (1, 2), (1, -2)), ((-1,), (-1, 2), (-1, -2))]
-
-        def tr(expr: WordSum, key: str) -> Fraction:
-            return pt.value(model.image(expr).block(key).trace())
-
-        rows = []
-        rhs = [[Fraction(0)] * 7 for _ in range(4)]
-        for (xw, xs2, xs2inv) in markov_words:
-            rows.append([tr(WordSum.word(xs2), k) - tr(WordSum.word(xs2inv), k) for k in REP_KEYS])
-        for j, g in enumerate(TRACE_BASIS):
-            rows.append([tr(WordSum.word(g), k) for k in REP_KEYS])
-            rhs[j][3 + j] = Fraction(1)
-        try:
-            solved = _solve_linear(rows, rhs)
-        except RingError:
+        forms = _trace_forms(model, pt, exprs)
+        if forms is None:
             continue
-        ok = True
-        for expr in words.values():
-            values = [tr(expr, k) for k in REP_KEYS]
-            form = [sum(c * v for c, v in zip(solved[j], values)) for j in range(4)]
-            total = sum(cf * t for cf, t in zip(form[:3], vec))
-            if total != 0 or form[3] != 0:
-                ok = False
-        if not ok:
-            return False
+        for form in forms:
+            if sum(cf * t for cf, t in zip(form[:3], vec)) != 0 or form[3] != 0:
+                return False
         done += 1
     return done == 3
 
@@ -930,8 +894,7 @@ def dim3_module_check() -> Dim3ModuleReport:
         [zero, pl("b"), one],
         [zero, zero, pl("b^-1")],
     ])
-    det_inv = pl("a").monomial_inverse()
-    s_inv = invert_unit_det(s, det_inv)
+    s_inv = _inverse_from_cubic(s, [pl("a"), pl("b"), pl("b^-1")])
     x = pl("b+b^-1")
     ident = Matrix.identity(3, one, zero)
 
@@ -975,24 +938,20 @@ def dim3_module_check() -> Dim3ModuleReport:
 
 def _delta_determinant_check() -> bool:
     """det of the 3-strand trace-vector matrix is (2/x^2)(2a-x)(a-x)."""
-    ax = ("a", "x")
-    spec = QuotientSpec("AX/(a^2-1)", ax, (PowerReduce("a", 2, LaurentPolynomial.one(ax)),))
-
     def pl(text: str) -> LaurentPolynomial:
-        return LaurentPolynomial.parse(text, ax)
+        return LaurentPolynomial.parse(text, ("a", "x"))
 
     delta_h = pl("2*x^-1")
     delta_k = pl("2*x^-1-a")
     a = pl("a")
     rows = [
-        [spec.reduce(a ** 3), spec.reduce(a ** 2), a],
+        [fold_a(a ** 3), fold_a(a ** 2), a],
         [delta_h * delta_h, delta_h, pl("1")],
         [delta_k * delta_k, delta_k, pl("1")],
     ]
-    m = Matrix(rows).map(spec.reduce)
-    det = det_bareiss(m)
-    expected = spec.reduce(pl("2*x^-2") * (pl("2*a") - pl("x")) * (a - pl("x")))
-    return spec.reduce(det) == expected
+    det = det_bareiss(Matrix(rows).map(fold_a))
+    expected = fold_a(pl("2*x^-2") * (pl("2*a") - pl("x")) * (a - pl("x")))
+    return fold_a(det) == expected
 
 
 def character_and_module_checks() -> dict[str, bool]:

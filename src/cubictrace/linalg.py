@@ -2,8 +2,12 @@
 
 Entries may be `LaurentPolynomial`, `QA`, or `Fraction`; the only
 requirements are +, -, * and (for determinants over a polynomial ring)
-`exact_div`.  Everything here is tiny (24x24 at most), so the code favors
-clarity over asymptotics.
+`exact_div`.  There are two determinants: `det_bareiss`, fraction-free
+over Laurent polynomials, and `eliminate`, the one Gaussian elimination
+over Q, which also solves linear systems.  There is no inverse routine:
+the generators inverted elsewhere have closed-form inverses from their
+defining relations.  Everything here is tiny (24x24 at most), so the code
+favors clarity over asymptotics.
 """
 
 from __future__ import annotations
@@ -106,17 +110,23 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def det_fraction(m: Matrix) -> Fraction:
-    """Determinant over Q by Gaussian elimination with exact fractions."""
+def eliminate(m: Matrix, rhs: Sequence[Sequence] = ()) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """Determinant over Q, and the solution x of m x = b for each b in `rhs`.
+
+    One forward Gaussian elimination with exact fractions carries the
+    right-hand sides along; back-substitution then reads off the solutions.
+    They are None when m is singular (its determinant is then 0).
+    """
     n = m.nrows
     if n != m.ncols:
         raise RingError("determinant of a non-square matrix")
-    a = [[Fraction(x) for x in row] for row in m.rows]
+    a = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in rhs]
+         for i, row in enumerate(m.rows)]
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return Fraction(0), None
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             det = -det
@@ -126,8 +136,14 @@ def det_fraction(m: Matrix) -> Fraction:
             if a[r][col] == 0:
                 continue
             factor = a[r][col] * inv
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+            a[r][col:] = [x - factor * y for x, y in zip(a[r][col:], a[col][col:])]
+    solutions = []
+    for j in range(n, n + len(rhs)):
+        x = [Fraction(0)] * n
+        for i in reversed(range(n)):
+            x[i] = (a[i][j] - sum(a[i][k] * x[k] for k in range(i + 1, n))) / a[i][i]
+        solutions.append(x)
+    return det, solutions
 
 
 def det_bareiss(m: Matrix) -> LaurentPolynomial:
@@ -161,54 +177,3 @@ def det_bareiss(m: Matrix) -> LaurentPolynomial:
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det
-
-
-def invert_unit_det(m: Matrix, det_inverse) -> Matrix:
-    """Inverse via the adjugate, for matrices whose determinant is a unit.
-
-    `det_inverse` is the precomputed inverse of det(m) in the entry ring
-    (for the representation matrices used here the determinant is a
-    monomial, hence invertible as a Laurent polynomial).
-    """
-    n = m.nrows
-    if n != m.ncols:
-        raise RingError("inverse of a non-square matrix")
-    if n == 1:
-        return Matrix([[det_inverse]])
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = _minor(m, j, i)  # note the transpose: adjugate
-            d = _det_small(minor)
-            if (i + j) % 2:
-                d = -d
-            row.append(d * det_inverse)
-        cof.append(row)
-    return Matrix(cof)
-
-
-def _minor(m: Matrix, drop_row: int, drop_col: int) -> Matrix:
-    rows = [
-        [x for j, x in enumerate(row) if j != drop_col]
-        for i, row in enumerate(m.rows)
-        if i != drop_row
-    ]
-    return Matrix(rows)
-
-
-def _det_small(m: Matrix):
-    """Cofactor-expansion determinant for n <= 3 (used for adjugates)."""
-    n = m.nrows
-    r = m.rows
-    if n == 1:
-        return r[0][0]
-    if n == 2:
-        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-    if n == 3:
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-    raise RingError("_det_small only handles n <= 3")

@@ -276,12 +276,6 @@ class LaurentPolynomial:
             total += acc
         return total
 
-    def rename(self, variables: Sequence[str]) -> "LaurentPolynomial":
-        variables = tuple(variables)
-        if len(variables) != len(self.variables):
-            raise RingError("rename needs the same number of variables")
-        return LaurentPolynomial(variables, self.terms)
-
     def extend(self, variables: Sequence[str]) -> "LaurentPolynomial":
         """Re-express over a superset of variables (new ones with exponent 0)."""
         variables = tuple(variables)

@@ -1,7 +1,10 @@
 """CLI surface and catalog data integrity."""
 
+import functools
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +67,8 @@ class TestInvariantCommand:
     @pytest.mark.parametrize("args", [
         ["invariant", "--which", "parity", "--braid", "1 5", "--strands", "3"],
         ["kauffman", "--braid", "1 x", "--strands", "2", "--variant", "+", "--at", "x2a"],
+        ["invariant", "--which", "parity"],
+        ["invariant", "--which", "hecke", "--braid", "1", "--strands", "2", "--at", "xa"],
     ])
     def test_bad_input_is_one_line_and_exit_2(self, args, capsys):
         code = main(args)
@@ -147,6 +152,23 @@ class TestData:
             det_field = record.provenance_field("det")
             if det_field is not None:
                 assert alexander_det(record.braid()) == int(det_field), record.name
+
+    def test_search_script_dual_determinant(self):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "search_braid_words.py"
+        spec = importlib.util.spec_from_file_location("search_braid_words", path)
+        search = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(search)
+        checked = 0
+        for record in load_records():
+            det_field = record.provenance_field("det")
+            if record.kind == "link" or det_field is None:
+                continue
+            letters = search.burau_dual_letters(record.strands)
+            product = functools.reduce(search._mat_mul,
+                                       [letters[x] for x in record.braid().letters])
+            assert search.dual_det(product, record.strands) == int(det_field), record.name
+            checked += 1
+        assert checked >= 84
 
     def test_tsv_is_bit_exact_grammar(self):
         from importlib.resources import files

@@ -28,6 +28,9 @@ from cubictrace.rings import (
     RingError,
     poly_abc,
     spec_dagger_dagger,
+    spec_free_abc,
+    spec_r_minus,
+    spec_r_plus,
 )
 
 
@@ -45,6 +48,13 @@ class TestMatrixModels:
 
     def test_index_swap_is_half_twist_conjugation(self):
         assert check_r2_conjugation()
+
+    @pytest.mark.parametrize("spec", [spec_free_abc, spec_r_plus, spec_r_minus, spec_dagger_dagger])
+    def test_letter_inverses_from_the_cubic(self, spec):
+        model = H3Model(spec())
+        for i in (1, 2):
+            assert model.word_image((i, -i)) == model.identity_image()
+            assert model.word_image((-i, i)) == model.identity_image()
 
     def test_faithfulness_guard(self):
         # a specialization killing a Schur element must raise, not return False

@@ -7,6 +7,8 @@ import pytest
 
 from cubictrace.braids import BraidWord, component_count, conjugate, parse_braid, \
     stabilize_neg, stabilize_pos
+from cubictrace.burau import reduced_burau_generator
+from cubictrace.linalg import Matrix
 from cubictrace.qa import QA
 from cubictrace.rings import AX, LaurentPolynomial, RingError, spec_ax_point
 from cubictrace.skein import (
@@ -198,3 +200,10 @@ class TestAlexander:
             d = alexander_det(w)
             assert alexander_det(stabilize_pos(w)) == d
             assert alexander_det(stabilize_neg(w)) == d
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_closed_form_generator_inverse(self, n):
+        t = ("t",)
+        ident = Matrix.identity(n - 1, LaurentPolynomial.one(t), LaurentPolynomial.zero(t))
+        for i in range(1, n):
+            assert reduced_burau_generator(i, n) * reduced_burau_generator(-i, n) == ident
