@@ -13,6 +13,14 @@ q = -1 (relation (s - a)^2 = 0) by the one-dimensional central ideal
 spanned by C; the extension does not split, which `nonsplit_certificate`
 proves by showing (s + lambda C - a)^2 . E_1 = -2aC for every lambda.
 
+Because 2 is invertible, Q[a]/(a^2-1) = Q x Q under u + v a -> (u + v,
+u - v), the values at a = 1 and a = -1.  An element is zero exactly when
+both values are, so computing at both points is exact, not a sample.  The
+action is therefore written once, in `_act_at`, at a fixed a = +-1 on
+plain dicts (integer coefficients on integer input); `act_word` splits a
+vector once, acts at both points and joins the results once, and
+`verify_braid_relations` never leaves the integers.
+
 For W = S_n the tower carries a unique-per-normalization family of Markov
 traces with t_2(C) = 1; `ThmTraceEngine` computes it by the coset-peeling
 recursion.  Combining it with the Ocneanu and Kauffman traces specialized
@@ -33,17 +41,49 @@ from .hecke import HeckeRing, OcneanuTrace, hecke_trace_qa
 from .combination import Combination
 from .linalg import Matrix, eliminate
 from .qa import QA
-from .rings import LaurentPolynomial, RingError, fold_a, spec_ax_point
+from .rings import LaurentPolynomial, RingError, spec_ax_point
 from .skein import kauffman_at_point
 
 
 # -- Coxeter systems -----------------------------------------------------------
 
 
-class CoxeterSystem:
-    """Type A (symmetric group) or dihedral I2(m) with O(1) length bookkeeping."""
+class _StepTable(dict):
+    """Element ids, and per id the row of (id of s w, l(s w) > l(w), l(w) odd) over s.
 
-    kind: str
+    Ids and rows are assigned on first use, so acting on a sparse vector
+    never enumerates the group.
+    """
+
+    def __init__(self, cox: "CoxeterSystem"):
+        super().__init__()
+        self.cox = cox
+        self.ids: dict = {}
+        self.elements: list = []
+
+    def id(self, w) -> int:
+        if w not in self.ids:
+            self.ids[w] = len(self.elements)
+            self.elements.append(w)
+        return self.ids[w]
+
+    def __missing__(self, i: int):
+        cox = self.cox
+        w = self.elements[i]
+        ell = cox.length(w)
+        row = []
+        for g in cox.generators():
+            sw = cox.act(g, w)
+            row.append((self.id(sw), cox.length(sw) > ell, ell % 2 == 1))
+        self[i] = row = tuple(row)
+        return row
+
+
+class CoxeterSystem:
+    """Type A (symmetric group) or dihedral I2(m), with the step table of the module action."""
+
+    def __init__(self):
+        self.steps = _StepTable(self)
 
     def identity(self):
         raise NotImplementedError
@@ -58,9 +98,6 @@ class CoxeterSystem:
     def length(self, w) -> int:
         raise NotImplementedError
 
-    def is_ascent(self, gen: int, w) -> bool:
-        return self.length(self.act(gen, w)) > self.length(w)
-
     def elements(self) -> Iterable:
         raise NotImplementedError
 
@@ -71,13 +108,11 @@ class CoxeterSystem:
 class SymmetricCoxeter(CoxeterSystem):
     """S_n with elements as one-line tuples on 0..n-1; length = inversions."""
 
-    kind = "A"
-
     def __init__(self, n: int):
         if n < 1:
             raise RingError("need at least one strand")
+        super().__init__()
         self.n = n
-        self._length_cache: dict[tuple[int, ...], int] = {}
 
     def identity(self):
         return tuple(range(self.n))
@@ -91,20 +126,7 @@ class SymmetricCoxeter(CoxeterSystem):
         return tuple(b if x == a else (a if x == b else x) for x in w)
 
     def length(self, w) -> int:
-        hit = self._length_cache.get(w)
-        if hit is None:
-            hit = sum(
-                1
-                for i in range(len(w))
-                for j in range(i + 1, len(w))
-                if w[i] > w[j]
-            )
-            self._length_cache[w] = hit
-        return hit
-
-    def is_ascent(self, gen: int, w) -> bool:
-        # l(s w) = l(w) + 1 iff gen appears before gen+1 in one-line order
-        return w.index(gen) < w.index(gen + 1)
+        return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
     def elements(self):
         import itertools
@@ -142,11 +164,10 @@ class SymmetricCoxeter(CoxeterSystem):
 class DihedralCoxeter(CoxeterSystem):
     """I2(m): elements are (length, first_letter); w0 is (m, None)."""
 
-    kind = "I2"
-
     def __init__(self, m: int):
         if m < 2:
             raise RingError("dihedral order must be at least 2")
+        super().__init__()
         self.m = m
 
     def identity(self):
@@ -208,38 +229,71 @@ class ExtHeckeVector(Combination):
         return cls({C_KEY: QA(1)})
 
 
-def act_generator(index: int, v: ExtHeckeVector, cox: CoxeterSystem) -> ExtHeckeVector:
-    """Action of s_gen^(+-1); index is 1-based and signed like a braid letter."""
-    gen = abs(index) - 1
-    if gen not in tuple(cox.generators()):
-        raise RingError(f"generator index {index} out of range")
-    positive = index > 0
-    terms = []
-    for key, coeff in v.coeffs.items():
-        if key == C_KEY:
-            terms.append((C_KEY, coeff * QA.a_power(1)))
-            continue
-        w = key
-        sw = cox.act(gen, w)
-        if cox.is_ascent(gen, w) == positive:
-            # s E_w = E_{sw} on an ascent; on a descent the C-terms of
-            # s^-1 = 2a - 2C - s cancel against the expansion of s E_w,
-            # leaving s^-1 E_w = E_{sw} exactly
-            terms.append((sw, coeff))
-        else:
-            # s E_w on a descent, and s^-1 E_w on an ascent (through
-            # s^-1 = 2a - 2C - s): 2a E_w - 2 a^l(w) C - E_{sw}
-            terms.append((w, coeff * QA(0, 2)))
-            terms.append((C_KEY, coeff * QA.a_power(cox.length(w)) * QA(-2)))
-            terms.append((sw, coeff * QA(-1)))
-    return ExtHeckeVector.collect(terms)
+def _act_at(cox: CoxeterSystem, word: Sequence[int], vec: dict, c, a: int) -> tuple[dict, object]:
+    """The action of a braid word on sum_i vec[i] E_w(i) + c C at a fixed a = +-1.
+
+    The one place that writes the rule.  Keys are the element ids of
+    `cox.steps`; letters are 1-based, signed and act right to left;
+    coefficients are anything closed under + and * by an int (int,
+    Fraction, a Laurent polynomial).  Zero terms are dropped after every
+    letter.
+    """
+    steps = cox.steps
+    for letter in reversed(word):
+        gen, positive = abs(letter) - 1, letter > 0
+        c = a * c
+        out: dict = {}
+        get = out.get
+        for w, x in vec.items():
+            sw, ascent, odd = steps[w][gen]
+            if ascent == positive:
+                # s E_w = E_{sw} on an ascent; on a descent the C-terms of
+                # s^-1 = 2a - 2C - s cancel against the expansion of s E_w,
+                # leaving s^-1 E_w = E_{sw} exactly
+                out[sw] = get(sw, 0) + x
+            else:
+                # s E_w on a descent, and s^-1 E_w on an ascent (through
+                # s^-1 = 2a - 2C - s): 2a E_w - 2 a^l(w) C - E_{sw}
+                out[w] = get(w, 0) + 2 * a * x
+                out[sw] = get(sw, 0) - x
+                c = c - (2 * a * x if odd else 2 * x)
+        vec = {w: x for w, x in out.items() if x != 0}
+    return vec, c
 
 
 def act_word(word: Sequence[int], v: ExtHeckeVector, cox: CoxeterSystem) -> ExtHeckeVector:
-    """Left action of a braid word (letters applied right to left)."""
-    for letter in reversed(tuple(word)):
-        v = act_generator(letter, v, cox)
-    return v
+    """Left action of a braid word (letters applied right to left).
+
+    Splits v once into its values at a = 1 and a = -1, runs `_act_at` on
+    each, and joins the two results once.
+    """
+    word = tuple(word)
+    gens = cox.generators()
+    for letter in word:
+        if abs(letter) - 1 not in gens:
+            raise RingError(f"generator index {letter} out of range")
+
+    def at(x: QA, a: int):
+        # integral values as int, so that the kernel does int arithmetic
+        y = x.at(a)
+        return y.numerator if y.denominator == 1 else y
+
+    steps = cox.steps
+    basis = {steps.id(w): x for w, x in v.coeffs.items() if w != C_KEY}
+    c = v.coeffs.get(C_KEY, QA(0))
+    (plus, c_plus), (minus, c_minus) = (
+        _act_at(cox, word, {i: at(x, a) for i, x in basis.items()}, at(c, a), a)
+        for a in (1, -1)
+    )
+    coeffs = {steps.elements[i]: QA.from_components(plus.get(i, 0), minus.get(i, 0))
+              for i in plus | minus}
+    coeffs[C_KEY] = QA.from_components(c_plus, c_minus)
+    return ExtHeckeVector(coeffs)
+
+
+def act_generator(index: int, v: ExtHeckeVector, cox: CoxeterSystem) -> ExtHeckeVector:
+    """Action of s_gen^(+-1); index is 1-based and signed like a braid letter."""
+    return act_word((index,), v, cox)
 
 
 def braid_to_vector(w: BraidWord, cox: SymmetricCoxeter | None = None) -> ExtHeckeVector:
@@ -250,15 +304,19 @@ def braid_to_vector(w: BraidWord, cox: SymmetricCoxeter | None = None) -> ExtHec
 
 
 def verify_braid_relations(cox: CoxeterSystem) -> bool:
-    """Both sides of every braid relation act identically on all E_w and C."""
-    basis_vectors = [ExtHeckeVector.basis(w) for w in cox.elements()]
-    basis_vectors.append(ExtHeckeVector.c_vector())
+    """Both sides of every braid relation act identically on all E_w and C.
+
+    Checked with integer coefficients at a = 1 and at a = -1, which is
+    exact (see the module docstring).
+    """
+    starts = [({cox.steps.id(w): 1}, 0) for w in cox.elements()] + [({}, 1)]
     for lhs, rhs in cox.braid_relations():
         lhs_word = tuple(g + 1 for g in lhs)
         rhs_word = tuple(g + 1 for g in rhs)
-        for v in basis_vectors:
-            if act_word(lhs_word, v, cox) != act_word(rhs_word, v, cox):
-                return False
+        for a in (1, -1):
+            for vec, c in starts:
+                if _act_at(cox, lhs_word, vec, c, a) != _act_at(cox, rhs_word, vec, c, a):
+                    return False
     return True
 
 
@@ -461,55 +519,37 @@ class NonSplitReport:
         return self.lambda_free and self.squared_image_is_minus_2aC and self.killed_by_next_factor
 
 
-AL = ("a", "L")
+def shifted_minus_a(cox: CoxeterSystem, letter: int, vec: dict, c, a: int, lam=0):
+    """(s + lam C - a) on sum_i vec[i] E_w(i) + c C at a fixed a = +-1, as (vec, c).
+
+    s acts through `_act_at`; C E_w = a^l(w) C, and C C = 0.
+    """
+    out, c_out = _act_at(cox, (letter,), vec, c, a)
+    elements = cox.steps.elements
+    c_out = c_out - a * c + lam * sum(x * a ** cox.length(elements[i]) for i, x in vec.items())
+    for i, x in vec.items():
+        out[i] = out.get(i, 0) - a * x
+    return {i: x for i, x in out.items() if x != 0}, c_out
 
 
 def nonsplit_certificate() -> NonSplitReport:
     """(s + lambda C - a)^2 . E_1 = -2aC for formal lambda; then (t-a) kills it.
 
-    Coefficients live in Q[a, L]/(a^2 - 1) with L the formal lambda; the
-    computation uses only C^2 = 0, sC = aC and the module action, and the
-    result is L-free and nonzero, so no candidate splitting s -> s + lambda C
-    can satisfy (s-a)^2 = 0.
+    Coefficients live in Q[L] with L the formal lambda, at a = 1 and at
+    a = -1 (exact, as Q[a, L]/(a^2 - 1) = Q[L] x Q[L]); the computation
+    uses only C^2 = 0, sC = aC and the module action, and the result is
+    L-free and nonzero, so no candidate splitting s -> s + lambda C can
+    satisfy (s-a)^2 = 0.
     """
     cox = SymmetricCoxeter(3)
-
-    def pl(text: str) -> LaurentPolynomial:
-        return LaurentPolynomial.parse(text, AL)
-
-    one = cox.identity()
-    a = pl("a")
-    lam = pl("L")
-
-    def shat_minus_a(vec: Combination) -> Combination:
-        # vec: basis keys with coefficients in (a, L)
-        terms = []
-        for key, coeff in vec.coeffs.items():
-            if key == C_KEY:
-                terms.append((C_KEY, coeff * a))          # s . C = aC
-                terms.append((C_KEY, -1 * (coeff * a)))   # -a . C
-                continue
-            w = key
-            ell = cox.length(w)
-            sw = cox.act(0, w)
-            if cox.is_ascent(0, w):
-                terms.append((sw, coeff))
-            else:
-                terms.append((C_KEY, coeff * pl("-2") * a ** ell))
-                terms.append((w, coeff * pl("2*a")))
-                terms.append((sw, -1 * coeff))
-            terms.append((C_KEY, coeff * lam * a ** ell))  # lambda C . E_w = lambda a^l C
-            terms.append((w, -1 * (coeff * a)))            # -a E_w
-        return Combination.collect(terms).map(fold_a)
-
-    v2 = shat_minus_a(shat_minus_a(Combination({one: pl("1")})))
-    lambda_free = all(
-        all(el == 0 for (_, el) in coeff.terms) for coeff in v2.coeffs.values()
-    )
-    squared_ok = v2 == Combination({C_KEY: pl("-2*a")})
-
-    # (t - a) with t the other generator kills C, since t . C = aC
-    if any(key != C_KEY for key in v2.coeffs):
-        raise RingError("certificate expects a pure C vector here")
-    killed = (v2.scale(a) - v2.scale(a)).is_zero()
+    lam = LaurentPolynomial.var("L", ("L",))
+    lambda_free = squared_ok = killed = True
+    for a in (1, -1):
+        vec, c = {cox.steps.id(cox.identity()): 1}, 0
+        for _ in range(2):
+            vec, c = shifted_minus_a(cox, 1, vec, c, a, lam)
+        lambda_free &= all(isinstance(x, int) or x.is_constant() for x in (*vec.values(), c))
+        squared_ok &= not vec and c == -2 * a
+        # (t - a) with t the other generator kills C, since t . C = aC
+        killed &= shifted_minus_a(cox, 2, vec, c, a) == ({}, 0)
     return NonSplitReport(lambda_free, squared_ok, killed)

@@ -17,9 +17,8 @@ Permutations are tuples in one-line notation on 0..n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .braids import BraidWord, component_count, parity_invariant
+from .braids import BraidWord
 from .combination import Combination
 from .qa import QA
 from .rings import LaurentPolynomial, QuotientSpec, RingError, fold_a

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from .braids import BraidWord, component_count
 from .burau import alexander_determinant

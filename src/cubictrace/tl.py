@@ -29,9 +29,7 @@ x = a or x = 2a because its obstruction polynomial is the unit x^4.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .combination import Combination
 from .qa import QA

@@ -41,7 +41,6 @@ from .report import SuiteReport
 from .skein import (
     KauffmanEvaluator,
     alexander_det,
-    diagram_from_closure,
     kauffman_at_point,
     markov_trace_pm_fast,
     variant_sign_relation,

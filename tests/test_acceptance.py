@@ -23,7 +23,6 @@ from cubictrace.braids import (
     component_count,
     conjugate,
     parity_invariant,
-    parse_braid,
     stabilize_neg,
     stabilize_pos,
 )
@@ -44,7 +43,7 @@ from cubictrace.h3 import (
     check_twelve_term_identities,
     gram_determinant_at_points,
 )
-from cubictrace.knotdata import load_records, validate_record
+from cubictrace.knotdata import load_records
 from cubictrace.qa import QA
 from cubictrace.rings import AX, LaurentPolynomial, spec_ax_point
 from cubictrace.skein import (
@@ -57,7 +56,7 @@ from cubictrace.skein import (
     variant_sign_relation,
 )
 from cubictrace.tl import ExtTL, TLElement, retraction_check, split_checks, \
-    trace_x2a, trace_xa, DT_OVER_X, TWO_A_OVER_X, C_WORD
+    trace_x2a, trace_xa, DT_OVER_X, TWO_A_OVER_X
 
 
 def _verdict(number: int, ok: bool, text: str) -> None:

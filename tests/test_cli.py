@@ -2,8 +2,6 @@
 
 import functools
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest

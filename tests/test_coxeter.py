@@ -18,10 +18,12 @@ from cubictrace.coxeter import (
     act_word,
     braid_to_vector,
     nonsplit_certificate,
+    shifted_minus_a,
     t0_invariant,
     verify_braid_relations,
 )
 from cubictrace.qa import QA
+from cubictrace.rings import RingError
 
 
 class TestModuleAction:
@@ -57,6 +59,29 @@ class TestModuleAction:
         v = act_generator(2, ExtHeckeVector.c_vector(), cox)
         assert dict(v.coeffs) == {C_KEY: QA(0, 1)}
 
+    def test_out_of_range_letter(self):
+        cox = SymmetricCoxeter(3)
+        for letter in (0, 3, -3):
+            with pytest.raises(RingError):
+                act_generator(letter, ExtHeckeVector.c_vector(), cox)
+
+    @pytest.mark.parametrize("cox", [SymmetricCoxeter(4), DihedralCoxeter(5)],
+                             ids=["S4", "I2(5)"])
+    def test_round_trip_with_non_integer_coefficients(self, cox):
+        # coefficients whose values at a = 1 and a = -1 differ and are not
+        # integers, so a lost or swapped half or a truncation shows
+        rng = random.Random(29)
+        elements = list(cox.elements())
+        letters = [g + 1 for g in cox.generators()]
+        letters += [-x for x in letters]
+        start = {w: QA(Fraction(k, 3), Fraction(2, 5 + k)) for k, w in enumerate(elements[:4])}
+        start[C_KEY] = QA(Fraction(1, 3), Fraction(2, 5))
+        v = ExtHeckeVector(start)
+        for _ in range(100):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+            inverse = tuple(-x for x in reversed(word))
+            assert act_word(inverse, act_word(word, v, cox), cox) == v
+
 
 class TestBraidRelations:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -66,6 +91,18 @@ class TestBraidRelations:
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
     def test_dihedral(self, m):
         assert verify_braid_relations(DihedralCoxeter(m))
+
+    @pytest.mark.parametrize("system, size, relation", [
+        (SymmetricCoxeter, 3, ((0, 1), (1, 0))),
+        (SymmetricCoxeter, 4, ((0, 2, 0), (2, 0, 2))),
+        (DihedralCoxeter, 5, ((0, 1, 0, 1), (1, 0, 1, 0))),
+    ], ids=["A2 s1s2=s2s1", "A3 s1s3s1=s3s1s3", "I2(5) length m-1"])
+    def test_false_relation_is_rejected(self, system, size, relation):
+        class Wrong(system):
+            def braid_relations(self):
+                return [relation]
+
+        assert not verify_braid_relations(Wrong(size))
 
     def test_injectivity_smoke(self):
         rng = random.Random(11)
@@ -115,6 +152,14 @@ class TestNonSplit:
         assert rep.lambda_free
         assert rep.squared_image_is_minus_2aC
         assert rep.killed_by_next_factor
+
+    def test_next_factor_check_can_fail(self):
+        # (t - a) kills C but not E_1, so the certificate's last check is not vacuous
+        cox = SymmetricCoxeter(3)
+        one = {cox.steps.id(cox.identity()): 1}
+        for a in (1, -1):
+            assert shifted_minus_a(cox, 2, {}, -2 * a, a) == ({}, 0)
+            assert shifted_minus_a(cox, 2, one, 0, a) != ({}, 0)
 
 
 class TestT0Invariant:

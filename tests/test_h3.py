@@ -23,7 +23,6 @@ from cubictrace.h3 import (
 )
 from cubictrace.rings import (
     LaurentPolynomial,
-    PowerReduce,
     QuotientSpec,
     RingError,
     poly_abc,

@@ -21,7 +21,6 @@ from cubictrace.rings import (
     spec_a_squared_one,
     spec_ax_point,
     spec_dagger_dagger,
-    spec_free_abc,
     spec_r_plus,
 )
 

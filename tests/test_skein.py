@@ -1,7 +1,6 @@
 """Kauffman/Dubrovnik evaluator: anchors, invariance, and cross-checks."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +16,6 @@ from cubictrace.skein import (
     canonical_code,
     diagram_from_closure,
     kauffman_at_point,
-    kauffman_eval,
     markov_trace_pm,
     markov_trace_pm_fast,
     rewrite_alpha_z,

@@ -1,7 +1,5 @@
 """The orchestrated verification suites all pass under their default seeds."""
 
-import pytest
-
 from cubictrace.report import SuiteReport
 from cubictrace.verify import (
     suite_braid,
