@@ -6,8 +6,9 @@ Subcommands:
   table      recompute the x = 2a invariant over the embedded catalog
   verify     run the verification suites
 
-Exit code 0 means every strict comparison passed.  Bad braid or ring input
-exits with code 2 and a one-line message.
+Exit code 0 means every strict comparison passed.  Bad braid or ring input,
+an unreadable `table --input` file or a malformed row in it exits with
+code 2 and a one-line message.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from fractions import Fraction
 from .braids import BraidError, BraidWord, parity_invariant, parse_braid
 from .coxeter import T0Invariant, ThmTraceConfig
 from .hecke import HeckeRing, OcneanuTrace, hecke_trace_qa
+from .knotdata import DataError
 from .rings import RingError, spec_ax_point
-from .skein import kauffman_at_point, markov_trace_pm
+from .skein import kauffman_at_point, markov_trace_pm_fast
 from .verify import run_suite, table_report
 
 AT_SPECS = {
@@ -52,7 +54,7 @@ def cmd_invariant(args) -> int:
     elif which in ("kauffman+", "kauffman-"):
         variant = which[-1]
         if args.at is None:
-            print(markov_trace_pm(braid, variant).render())
+            print(markov_trace_pm_fast(braid, variant).render())
         else:
             print(kauffman_at_point(braid, spec_ax_point(AT_SPECS[args.at])).render())
     else:  # parity
@@ -65,7 +67,7 @@ def cmd_kauffman(args) -> int:
     if args.at is not None:
         print(kauffman_at_point(braid, spec_ax_point(AT_SPECS[args.at])).render())
     else:
-        print(markov_trace_pm(braid, args.variant).render())
+        print(markov_trace_pm_fast(braid, args.variant).render())
     return 0
 
 
@@ -125,7 +127,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BraidError, RingError) as exc:
+    except (BraidError, DataError, OSError, RingError) as exc:
         print(f"cubictrace: {exc}", file=sys.stderr)
         return 2
 

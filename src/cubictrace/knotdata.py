@@ -87,10 +87,14 @@ def parse_records(text: str) -> list[KnotRecord]:
         name, strands, word, expected, kind, provenance = parts
         if kind not in ("knot", "link", "composite"):
             raise DataError(f"line {lineno}: bad kind {kind!r}")
+        try:
+            n = int(strands)
+        except ValueError:
+            raise DataError(f"line {lineno}: strands {strands!r} is not an integer") from None
         expected_qa = None if expected.strip() == "unknown" else parse_qa(expected)
         records.append(KnotRecord(
             name=name.strip(),
-            strands=int(strands),
+            strands=n,
             word=word.strip(),
             expected_x2a=expected_qa,
             kind=kind,

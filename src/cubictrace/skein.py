@@ -3,8 +3,10 @@
 Diagrams are abstract 4-valent graphs with a rotation system: each crossing
 carries its four ports in counterclockwise order plus a flag saying which
 pair of opposite ports is the over-strand; arcs pair up ports; crossing-free
-circles are a separate counter.  All Reidemeister-style reductions below are
-local rules on this structure.
+circles are a separate counter.  Each diagram builds one port index (its arc
+map and each port's crossing and position) the first time it is asked; the
+strand walk, the canonical code and the Reidemeister-style reductions below
+are local rules on that index.
 
 The evaluator works with a twist-normalized value V(D) = alpha^{#crossings}
 K(D), where K is the regular-isotopy polynomial with the conventions pinned
@@ -25,16 +27,20 @@ deterministic walk, so the switch branch strictly approaches a descending
 diagram and both smoothing branches lose a crossing.  Values are memoized
 on a canonical relabeling of the diagram.
 
-The Markov traces are then t(beta) = a^(#negative letters) V(closure), a
-Laurent polynomial in a and x; `kauffman_eval` converts V back to the
-(alpha, z) form when the raw polynomial is wanted.
+There is one trace function, `markov_trace_pm_fast`: t(beta) =
+a^(#negative letters) V(closure), computed in the evaluator's own ring (a
+Laurent polynomial in a and x for the generic ring, a rational number for a
+numeric one).  `kauffman_at_point` is that function on the two numeric
+rings a = +1 and a = -1.  `rewrite_alpha_z` carries a polynomial written in
+(alpha, z) into (a, x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import cached_property
+from typing import Container, Mapping
 
 from .braids import BraidWord, component_count
 from .burau import alexander_determinant
@@ -53,6 +59,7 @@ class PlanarDiagram:
     arcs: tuple[tuple[Port, Port], ...]
     loops: int = 0
 
+    @cached_property
     def arc_map(self) -> dict[Port, Port]:
         out: dict[Port, Port] = {}
         for p, q in self.arcs:
@@ -60,18 +67,16 @@ class PlanarDiagram:
             out[q] = p
         return out
 
-    def ports(self) -> list[Port]:
-        out = []
-        for (ports, _) in self.crossings:
-            out.extend(ports)
-        return out
+    @cached_property
+    def slot(self) -> dict[Port, tuple[int, int]]:
+        """Each port's (crossing index, position in its ccw tuple), by port."""
+        return dict(sorted((p, (idx, k)) for idx, (ports, _) in enumerate(self.crossings)
+                           for k, p in enumerate(ports)))
 
     def validate(self) -> None:
-        ports = self.ports()
-        if len(set(ports)) != len(ports):
+        if len(self.slot) != 4 * len(self.crossings):
             raise RingError("duplicate ports")
-        amap = self.arc_map()
-        if sorted(amap) != sorted(ports):
+        if self.arc_map.keys() != self.slot.keys():
             raise RingError("every port must appear in exactly one arc")
 
 
@@ -114,52 +119,54 @@ def _braid_diagram(w: BraidWord, plat: bool) -> PlanarDiagram:
         joints.extend((dangling[i], dangling[i + 1]) for i in range(0, n, 2))
     else:
         joints.extend((dangling[i], bottoms[i]) for i in range(n))
-    # contract virtual nodes (each occurs exactly twice in `joints`)
+    arcs, loops = _contract(joints, range(-n, 0))
+    d = PlanarDiagram(tuple(crossings), arcs, loops)
+    d.validate()
+    return d
+
+
+def _contract(edges: list[tuple[int, int]], internal: Container[int]):
+    """Join `edges` through the `internal` nodes, each on exactly two edges.
+
+    Returns the arcs between the remaining ports, each walked from its
+    smaller end, and the number of closed circles made of internal nodes.
+    """
     adj: dict[int, list[int]] = {}
-    for p, q in joints:
+    for p, q in edges:
         adj.setdefault(p, []).append(q)
         adj.setdefault(q, []).append(p)
     arcs: list[tuple[Port, Port]] = []
     loops = 0
     seen: set[int] = set()
     for start in sorted(adj):
-        if start in seen or start < 0:
+        if start in seen or start in internal:
             continue
-        # walk from a real port through virtual nodes to the far end
         seen.add(start)
         prev, node = start, adj[start][0]
-        while node < 0:
+        while node in internal:
             seen.add(node)
-            nxt = adj[node][0] if adj[node][1] == prev else adj[node][1]
-            prev, node = node, nxt
+            a, b = adj[node]
+            prev, node = node, (a if b == prev else b)
         seen.add(node)
         arcs.append((start, node))
-    for start in sorted(adj):
-        if start in seen or start >= 0:
+    for start in adj:
+        if start in seen:
             continue
-        # pure virtual cycle: a free strand, i.e. an unknotted circle
         node, prev = start, None
         while node not in seen:
             seen.add(node)
             a, b = adj[node]
             node, prev = (a if a != prev else b), node
         loops += 1
-    d = PlanarDiagram(tuple(crossings), tuple(arcs), loops)
-    d.validate()
-    return d
+    return tuple(arcs), loops
 
 
 # -- local moves ---------------------------------------------------------------
 
 
-def _over_ports(crossing: Crossing) -> tuple[Port, Port]:
-    ports, over02 = crossing
-    return (ports[0], ports[2]) if over02 else (ports[1], ports[3])
-
-
-def _opposite(crossing: Crossing, p: Port) -> Port:
-    ports, _ = crossing
-    return ports[(ports.index(p) + 2) % 4]
+def _on_over(crossing: Crossing, k: int) -> bool:
+    """Whether position k of the crossing lies on its over-strand."""
+    return (k % 2 == 0) == crossing[1]
 
 
 def _remove_crossings(d: PlanarDiagram, wires: Mapping[int, list[tuple[Port, Port]]]) -> PlanarDiagram:
@@ -171,41 +178,13 @@ def _remove_crossings(d: PlanarDiagram, wires: Mapping[int, list[tuple[Port, Por
     contraction are added to the loop count.
     """
     removed_ports: set[Port] = set()
-    edge_sets: list[tuple[Port, Port]] = list(d.arcs)
+    edges: list[tuple[Port, Port]] = list(d.arcs)
     for idx, pairs in wires.items():
-        ports, _ = d.crossings[idx]
-        removed_ports.update(ports)
-        edge_sets.extend(pairs)
-    adj: dict[Port, list[Port]] = {}
-    for p, q in edge_sets:
-        adj.setdefault(p, []).append(q)
-        adj.setdefault(q, []).append(p)
-    new_arcs: list[tuple[Port, Port]] = []
-    loops = d.loops
-    seen: set[Port] = set()
-    for start in sorted(adj):
-        if start in seen or start in removed_ports:
-            continue
-        seen.add(start)
-        prev, node = start, adj[start][0]
-        while node in removed_ports:
-            seen.add(node)
-            nbrs = adj[node]
-            nxt = nbrs[0] if nbrs[1] == prev else nbrs[1]
-            prev, node = node, nxt
-        seen.add(node)
-        new_arcs.append((start, node))
-    for start in sorted(adj):
-        if start in seen or start not in removed_ports:
-            continue
-        node, prev = start, None
-        while node not in seen:
-            seen.add(node)
-            nbrs = adj[node]
-            node, prev = (nbrs[0] if nbrs[0] != prev else nbrs[1]), node
-        loops += 1
+        removed_ports.update(d.crossings[idx][0])
+        edges.extend(pairs)
+    arcs, loops = _contract(edges, removed_ports)
     remaining = tuple(c for i, c in enumerate(d.crossings) if i not in wires)
-    return PlanarDiagram(remaining, tuple(new_arcs), loops)
+    return PlanarDiagram(remaining, arcs, d.loops + loops)
 
 
 def _strand_wires(crossing: Crossing) -> list[tuple[Port, Port]]:
@@ -233,53 +212,35 @@ def find_kink(d: PlanarDiagram) -> tuple[int, bool] | None:
     Returns (crossing index, positive) where positive means removal leaves
     the value unchanged (the other sign contributes a^-1).
     """
-    amap = d.arc_map()
+    amap = d.arc_map
     for idx, crossing in enumerate(d.crossings):
-        ports, over02 = crossing
+        ports, _ = crossing
         for i in range(4):
-            p, q = ports[i], ports[(i + 1) % 4]
-            if amap.get(p) == q:
-                first_is_over = (i % 2 == 0) == over02
-                return idx, not first_is_over
+            if amap[ports[i]] == ports[(i + 1) % 4]:
+                return idx, not _on_over(crossing, i)
     return None
 
 
 def find_parallel_pair(d: PlanarDiagram) -> tuple[int, int] | None:
     """Two crossings joined by two parallel arcs with one strand over both."""
-    amap = d.arc_map()
+    amap, slot = d.arc_map, d.slot
     for i, ci in enumerate(d.crossings):
         ports_i, _ = ci
         for k in range(4):
-            p, p2 = ports_i[k], ports_i[(k + 1) % 4]
-            q, q2 = amap[p], amap[p2]
-            if q in ports_i or q2 in ports_i:
+            j, kq = slot[amap[ports_i[k]]]
+            j2, kq2 = slot[amap[ports_i[(k + 1) % 4]]]
+            # both arcs end on one other crossing, bounding a disk on this side
+            if j == i or j2 != j or kq2 != (kq - 1) % 4:
                 continue
-            for j in range(len(d.crossings)):
-                if j == i:
-                    continue
-                ports_j, _ = d.crossings[j]
-                if q in ports_j and q2 in ports_j:
-                    kq = ports_j.index(q)
-                    if ports_j[(kq - 1) % 4] != q2:
-                        continue  # arcs not bounding a disk on this side
-                    over_i = p in _over_ports(ci)
-                    over_j = q in _over_ports(d.crossings[j])
-                    if over_i == over_j:
-                        return i, j
+            if _on_over(ci, k) == _on_over(d.crossings[j], kq):
+                return i, j
     return None
 
 
 def split_pieces(d: PlanarDiagram) -> list[PlanarDiagram]:
     """Connected components of the crossing graph (loops are dropped)."""
-    if not d.crossings:
-        return []
-    port_owner = {}
-    for idx, (ports, _) in enumerate(d.crossings):
-        for p in ports:
-            port_owner[p] = idx
-    amap = d.arc_map()
-    n = len(d.crossings)
-    parent = list(range(n))
+    slot = d.slot
+    parent = list(range(len(d.crossings)))
 
     def find(i):
         while parent[i] != i:
@@ -288,110 +249,98 @@ def split_pieces(d: PlanarDiagram) -> list[PlanarDiagram]:
         return i
 
     for p, q in d.arcs:
-        a, b = find(port_owner[p]), find(port_owner[q])
+        a, b = find(slot[p][0]), find(slot[q][0])
         if a != b:
             parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for idx in range(n):
-        groups.setdefault(find(idx), []).append(idx)
-    pieces = []
-    for members in groups.values():
-        members_set = set(members)
-        crossings = tuple(d.crossings[i] for i in members)
-        ports = {p for i in members for p in d.crossings[i][0]}
-        arcs = tuple((p, q) for p, q in d.arcs if p in ports)
-        pieces.append(PlanarDiagram(crossings, arcs, 0))
-    return pieces
+    groups: dict[int, tuple[list[Crossing], list[tuple[Port, Port]]]] = {}
+    for idx, crossing in enumerate(d.crossings):
+        groups.setdefault(find(idx), ([], []))[0].append(crossing)
+    for arc in d.arcs:
+        groups[find(slot[arc[0]][0])][1].append(arc)
+    return [PlanarDiagram(tuple(cs), tuple(arcs)) for cs, arcs in groups.values()]
 
 
-def _strand_walk(d: PlanarDiagram):
+def _strand_walk(d: PlanarDiagram, first: Port | None = None):
     """Deterministic walk along all strands.
 
-    Yields (entry_port, crossing_index, component_index) in walk order;
-    components start at the smallest unvisited port.  Each crossing is
-    reported exactly twice, once per strand through it.
+    Yields (entry port, crossing index, entry position, component index) in
+    walk order.  The first component starts at `first` (default: the
+    smallest port).  Each later one starts at the earliest-met crossing
+    passed only once so far, at the port ccw after the one it was entered
+    by; only a split diagram, where no such crossing is left, falls back to
+    the smallest unvisited port.  So on a connected diagram the walk from a
+    given start does not depend on port labels or on where each crossing's
+    port tuple begins.  Each crossing is reported exactly twice, once per
+    strand through it.
     """
-    amap = d.arc_map()
-    crossing_of = {}
-    for idx, (ports, _) in enumerate(d.crossings):
-        for p in ports:
-            crossing_of[p] = idx
-    seen: set[Port] = set()
-    comp = -1
-    for start in sorted(amap):
-        if start in seen:
-            continue
-        comp += 1
+    amap, slot, crossings = d.arc_map, d.slot, d.crossings
+    if not crossings:
+        return
+    met: dict[int, int] = {}  # crossing -> position first entered, in walk order
+    twice: set[int] = set()
+    start = next(iter(slot)) if first is None else first
+    comp = 0
+    while True:
         p = start
         while True:
-            seen.add(p)
             q = amap[p]
-            seen.add(q)
-            idx = crossing_of[q]
-            yield q, idx, comp
-            p = _opposite(d.crossings[idx], q)
+            idx, k = slot[q]
+            if idx not in met:
+                met[idx] = k
+            elif idx in twice:  # pragma: no cover - malformed diagram guard
+                raise RingError("strand walk met a crossing three times")
+            else:
+                twice.add(idx)
+            yield q, idx, k, comp
+            p = crossings[idx][0][(k + 2) % 4]
             if p == start:
                 break
-            if p in seen:  # pragma: no cover - malformed diagram guard
-                raise RingError("strand walk revisited a port")
+        if len(twice) == len(crossings):
+            return
+        comp += 1
+        # a crossing passed once still has its positions k + 1 and k + 3 free
+        start = next((crossings[idx][0][(k + 1) % 4] for idx, k in met.items() if idx not in twice),
+                     None)
+        if start is None:
+            start = next(p for p, (idx, _) in slot.items() if idx not in met)
 
 
 def canonical_code(d: PlanarDiagram):
-    """Representation-independent key: minimal relabeling over all starts."""
+    """Minimal relabeling over all starts: a complete key of the diagram that
+    does not depend on port labels when the diagram is connected, as the
+    evaluator's pieces are."""
     if not d.crossings:
         return ("empty", d.loops)
-    amap = d.arc_map()
-    crossing_of = {}
-    for idx, (ports, _) in enumerate(d.crossings):
-        for k, p in enumerate(ports):
-            crossing_of[p] = (idx, k)
-    all_ports = sorted(amap)
+    slot = d.slot
+    arc_slots = [(slot[p], slot[q]) for p, q in d.arcs]
     best = None
-    for first in all_ports:
-        label: dict[int, int] = {}
-        rotation: dict[int, int] = {}
-        order: list[int] = []
-        seen: set[Port] = set()
-        start_order = [first] + [p for p in all_ports if p != first]
-        for start in start_order:
-            if start in seen:
-                continue
-            p = start
-            while True:
-                seen.add(p)
-                q = amap[p]
-                seen.add(q)
-                idx, k = crossing_of[q]
-                if idx not in label:
-                    label[idx] = len(order)
-                    rotation[idx] = k
-                    order.append(idx)
-                p = _opposite(d.crossings[idx], q)
-                if p == start:
-                    break
-        flags = []
-        for idx in order:
-            _, over02 = d.crossings[idx]
-            flags.append(over02 if rotation[idx] % 2 == 0 else not over02)
+    for first in slot:
+        # crossing -> (label, rotation): walk order and entry position
+        relabel: dict[int, tuple[int, int]] = {}
+        for _, idx, k, _ in _strand_walk(d, first):
+            if idx not in relabel:
+                relabel[idx] = (len(relabel), k)
+        flags = tuple([d.crossings[idx][1] != (k % 2 == 1) for idx, (_, k) in relabel.items()])
         arc_codes = []
-        for p, q in d.arcs:
-            ip, kp = crossing_of[p]
-            iq, kq = crossing_of[q]
-            cp = (label[ip], (kp - rotation[ip]) % 4)
-            cq = (label[iq], (kq - rotation[iq]) % 4)
-            arc_codes.append((min(cp, cq), max(cp, cq)))
-        code = (tuple(flags), tuple(sorted(arc_codes)), d.loops)
+        for (ip, kp), (iq, kq) in arc_slots:
+            lp, rp = relabel[ip]
+            lq, rq = relabel[iq]
+            cp = (lp, (kp - rp) % 4)
+            cq = (lq, (kq - rq) % 4)
+            arc_codes.append((cp, cq) if cp < cq else (cq, cp))
+        arc_codes.sort()
+        code = (flags, tuple(arc_codes), d.loops)
         if best is None or code < best:
             best = code
     return best
 
 
 def _walk_components(d: PlanarDiagram):
-    """Per-crossing visit list [(entry port, component)] and component count."""
-    visits: dict[int, list[tuple[Port, int]]] = {i: [] for i in range(len(d.crossings))}
+    """Per-crossing visit list [(entry position, component)] and component count."""
+    visits: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(d.crossings))}
     ncomp = 0
-    for q, idx, comp in _strand_walk(d):
-        visits[idx].append((q, comp))
+    for _, idx, k, comp in _strand_walk(d):
+        visits[idx].append((k, comp))
         ncomp = max(ncomp, comp + 1)
     for idx, vs in visits.items():
         if len(vs) != 2:
@@ -402,11 +351,11 @@ def _walk_components(d: PlanarDiagram):
 def first_bad_crossing(d: PlanarDiagram) -> int | None:
     """First crossing met on its under-strand during the canonical walk."""
     visited: set[int] = set()
-    for q, idx, _ in _strand_walk(d):
+    for _, idx, k, _ in _strand_walk(d):
         if idx in visited:
             continue
         visited.add(idx)
-        if q not in _over_ports(d.crossings[idx]):
+        if not _on_over(d.crossings[idx], k):
             return idx
     return None
 
@@ -420,19 +369,15 @@ def _descending_value(d: PlanarDiagram, ring: "SkeinRing"):
     visits, m = _walk_components(d)
     w_self = 0
     for idx, crossing in enumerate(d.crossings):
-        (p_first, comp_first), (p_second, comp_second) = visits[idx]
+        (k_first, comp_first), (k_second, comp_second) = visits[idx]
         if comp_first != comp_second:
             continue
-        over = p_first if p_first in _over_ports(crossing) else p_second
-        under = p_second if over == p_first else p_first
-        ports, _ = crossing
-        sign = 1 if ports[(ports.index(over) + 1) % 4] == under else -1
-        w_self += sign
+        over, under = (k_first, k_second) if _on_over(crossing, k_first) else (k_second, k_first)
+        w_self += 1 if (over + 1) % 4 == under else -1
     total = len(d.crossings)
     if (total - w_self) % 2:
         raise RingError("crossing parity broken; diagram bookkeeping error")
-    value = ring.a_inv_power((total - w_self) // 2)
-    return value * ring.delta_power(m - 1)
+    return ring.a_inv ** ((total - w_self) // 2) * ring.delta ** (m - 1)
 
 
 # -- the evaluator --------------------------------------------------------------
@@ -450,18 +395,6 @@ class SkeinRing:
         self.a_inv = a_inv
         self.skein_mult = skein_mult
         self.delta = delta
-
-    def a_inv_power(self, k: int):
-        out = self.one
-        for _ in range(k):
-            out = out * self.a_inv
-        return out
-
-    def delta_power(self, k: int):
-        out = self.one
-        for _ in range(k):
-            out = out * self.delta
-        return out
 
     @classmethod
     def generic(cls, variant: str) -> "SkeinRing":
@@ -503,15 +436,12 @@ class KauffmanEvaluator:
 
     def value(self, d: PlanarDiagram):
         """The normalized invariant V(D)."""
-        ring = self.ring
-        factor = ring.one
-        d, extra = self._simplify(d)
-        factor = factor * extra
+        d, factor = self._simplify(d)
         pieces = split_pieces(d)
         total_circles = d.loops + len(pieces)
         if total_circles == 0:
             return factor  # empty diagram: normalized to 1
-        value = ring.delta_power(total_circles - 1)
+        value = self.ring.delta ** (total_circles - 1)
         for piece in pieces:
             value = value * self._piece_value(piece)
         return factor * value
@@ -575,18 +505,6 @@ class KauffmanEvaluator:
 ALPHA_Z = ("alpha", "z")
 
 
-def kauffman_eval(d: PlanarDiagram, variant: str, use_cache: bool = True,
-                  evaluator: KauffmanEvaluator | None = None) -> LaurentPolynomial:
-    """The regular-isotopy polynomial K(D) in the variables (alpha, z)."""
-    ev = evaluator or KauffmanEvaluator(variant, use_cache=use_cache)
-    v = ev.value(d)
-    alpha_inv_sq = LaurentPolynomial.var("alpha", ALPHA_Z, -2)
-    alpha_inv_z = (LaurentPolynomial.var("alpha", ALPHA_Z, -1)
-                   * LaurentPolynomial.var("z", ALPHA_Z))
-    az = v.substitute({"a": alpha_inv_sq, "x": alpha_inv_z}, ALPHA_Z)
-    return az * LaurentPolynomial.var("alpha", ALPHA_Z, -len(d.crossings))
-
-
 def rewrite_alpha_z(p: LaurentPolynomial) -> LaurentPolynomial:
     """Rewrite a polynomial in (alpha, z) into (a, x) via a = alpha^-2, x = alpha^-1 z.
 
@@ -606,33 +524,16 @@ def rewrite_alpha_z(p: LaurentPolynomial) -> LaurentPolynomial:
     return LaurentPolynomial(AX, terms)
 
 
-def markov_trace_pm(w: BraidWord, variant: str, use_cache: bool = True,
-                    evaluator: KauffmanEvaluator | None = None) -> LaurentPolynomial:
-    """alpha^writhe K(closure), rewritten exactly into Q[a,a^-1,x,x^-1]."""
-    d = diagram_from_closure(w)
-    k = kauffman_eval(d, variant, use_cache=use_cache, evaluator=evaluator)
-    alpha_w = LaurentPolynomial.var("alpha", ALPHA_Z, w.writhe())
-    return rewrite_alpha_z(k * alpha_w)
-
-
 def markov_trace_pm_fast(w: BraidWord, variant: str,
-                         evaluator: KauffmanEvaluator | None = None) -> LaurentPolynomial:
-    """Same value as `markov_trace_pm`, staying in (a, x) throughout."""
+                         evaluator: KauffmanEvaluator | None = None):
+    """The Markov trace a^(#negative letters) V(closure) = alpha^writhe K(closure).
+
+    Computed in the evaluator's ring: in Q[a, a^-1, x, x^-1] for the generic
+    ring (the default), a rational number for a numeric one.
+    """
     ev = evaluator or KauffmanEvaluator(variant)
-    v = ev.value(diagram_from_closure(w))
     neg = sum(1 for ltr in w.letters if ltr < 0)
-    return v * LaurentPolynomial.var("a", AX, neg)
-
-
-def kauffman_point_value(w: BraidWord, variant: str, a: Fraction, x: Fraction,
-                         cache: dict | None = None) -> Fraction:
-    ring = SkeinRing.numeric(variant, a, x)
-    ev = KauffmanEvaluator(variant, ring=ring)
-    if cache is not None:
-        ev._cache = cache
-    v = ev.value(diagram_from_closure(w))
-    neg = sum(1 for ltr in w.letters if ltr < 0)
-    return v * a ** neg
+    return ev.value(diagram_from_closure(w)) * ev.ring.a_inv ** -neg
 
 
 def kauffman_at_point(w: BraidWord, spec: QuotientSpec,
@@ -649,10 +550,12 @@ def kauffman_at_point(w: BraidWord, spec: QuotientSpec,
     x_plus, x_minus = x_qa.at(1), x_qa.at(-1)
     if x_plus == 0 or x_minus == 0:
         raise RingError("spec sends x outside the invertible locus")
-    cache_p, cache_m = caches if caches is not None else ({}, {})
-    v_plus = kauffman_point_value(w, "+", Fraction(1), x_plus, cache_p)
-    v_minus = kauffman_point_value(w, "-", Fraction(-1), x_minus, cache_m)
-    return QA.from_components(v_plus, v_minus)
+    values = []
+    for variant, a, x, cache in zip("+-", (1, -1), (x_plus, x_minus), caches or ({}, {})):
+        ev = KauffmanEvaluator(variant, SkeinRing.numeric(variant, Fraction(a), x))
+        ev._cache = cache
+        values.append(markov_trace_pm_fast(w, variant, ev))
+    return QA.from_components(*values)
 
 
 def alexander_det(w: BraidWord) -> int:

@@ -22,6 +22,13 @@ from cubictrace.knotdata import (
 from cubictrace.skein import alexander_det, markov_trace_pm_fast
 
 
+# `table --input` files that must be refused with one line, by name under tmp_path
+BAD_TABLES = {
+    "wrong_columns.tsv": "3_1\t2\t1 1 1\n",
+    "bad_strands.tsv": "3_1\ttwo\t1 1 1\t0\tknot\tsource=test\n",
+}
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out.strip()
@@ -67,9 +74,14 @@ class TestInvariantCommand:
         ["kauffman", "--braid", "1 x", "--strands", "2", "--variant", "+", "--at", "x2a"],
         ["invariant", "--which", "parity"],
         ["invariant", "--which", "hecke", "--braid", "1", "--strands", "2", "--at", "xa"],
+        ["table", "--input", "missing.tsv"],
+        ["table", "--input", "wrong_columns.tsv"],
+        ["table", "--input", "bad_strands.tsv"],
     ])
-    def test_bad_input_is_one_line_and_exit_2(self, args, capsys):
-        code = main(args)
+    def test_bad_input_is_one_line_and_exit_2(self, args, tmp_path, capsys):
+        for name, text in BAD_TABLES.items():
+            (tmp_path / name).write_text(text)
+        code = main([str(tmp_path / a) if a.endswith(".tsv") else a for a in args])
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("cubictrace: ")

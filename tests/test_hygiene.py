@@ -1,13 +1,17 @@
-"""Every module under src/cubictrace/ and scripts/ uses each name it imports."""
+"""Every module under src/cubictrace/ and scripts/ uses each name it imports,
+and every module-level function and class of src/cubictrace/ is used somewhere."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "cubictrace").glob("*.py") if p.name != "__init__.py")
-MODULES += sorted((ROOT / "scripts").glob("*.py"))
+LIBRARY = sorted(p for p in (ROOT / "src" / "cubictrace").glob("*.py") if p.name != "__init__.py")
+MODULES = LIBRARY + sorted((ROOT / "scripts").glob("*.py"))
+# every place a library name may be used from
+READERS = sorted(p for d in ("src", "scripts", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _annotation_names(node) -> set[str]:
@@ -47,3 +51,47 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _name_uses(tree) -> Counter:
+    """How often each name is read: as a name, an attribute, an imported name
+    or a string constant (a patch target given by name)."""
+    uses: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            uses[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            uses[node.value] += 1
+    return uses
+
+
+def orphan_definitions(library: dict[str, str], readers: list[str]) -> list[str]:
+    """Module-level def/class names of `library` (module name -> source) that
+    nothing in `readers` (sources, the library's included) uses outside the
+    definition itself."""
+    uses: Counter = Counter()
+    for source in readers:
+        uses += _name_uses(ast.parse(source))
+    orphans = []
+    for module, source in library.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if uses[node.name] == _name_uses(node)[node.name]:
+                    orphans.append(f"{module}.{node.name}")
+    return orphans
+
+
+def test_the_scan_finds_an_orphan_definition():
+    library = {"m": "def used():\n    return 1\n\n\ndef orphan(n):\n    return orphan(n - 1)\n"}
+    reader = "from m import used\n\nused()\n"
+    assert orphan_definitions(library, [*library.values(), reader]) == ["m.orphan"]
+
+
+def test_no_orphan_definitions():
+    library = {p.stem: p.read_text() for p in LIBRARY}
+    assert orphan_definitions(library, [p.read_text() for p in READERS]) == []

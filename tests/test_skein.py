@@ -12,13 +12,15 @@ from cubictrace.qa import QA
 from cubictrace.rings import AX, LaurentPolynomial, RingError, spec_ax_point
 from cubictrace.skein import (
     KauffmanEvaluator,
+    PlanarDiagram,
+    _switch,
     alexander_det,
     canonical_code,
     diagram_from_closure,
     kauffman_at_point,
-    markov_trace_pm,
     markov_trace_pm_fast,
     rewrite_alpha_z,
+    split_pieces,
     variant_sign_relation,
 )
 
@@ -27,6 +29,30 @@ ONE = LaurentPolynomial.one(AX)
 
 def t(word, n, variant, ev=None):
     return markov_trace_pm_fast(parse_braid(word, n), variant, ev)
+
+
+def random_braid(rng, strands, max_letters, min_letters=0):
+    gens = [i for i in range(1, strands)] + [-i for i in range(1, strands)]
+    return BraidWord(strands, tuple(rng.choice(gens)
+                                    for _ in range(rng.randint(min_letters, max_letters))))
+
+
+def relabeled(d, rng):
+    """The same diagram under a random bijection of port numbers, a cyclic
+    shift of each crossing's port tuple (an odd shift swaps which opposite
+    pair is `over02`) and a shuffle of the crossing and arc orders."""
+    ports = sorted(d.slot)
+    image = dict(zip(ports, rng.sample(range(1000, 1000 + 5 * len(ports)), len(ports))))
+    crossings = []
+    for ports4, over02 in d.crossings:
+        s = rng.randrange(4)
+        shifted = ports4[s:] + ports4[:s]
+        crossings.append((tuple(image[p] for p in shifted), over02 != (s % 2 == 1)))
+    arcs = [(image[p], image[q]) if rng.random() < 0.5 else (image[q], image[p])
+            for p, q in d.arcs]
+    rng.shuffle(crossings)
+    rng.shuffle(arcs)
+    return PlanarDiagram(tuple(crossings), tuple(arcs), d.loops)
 
 
 class TestDiagrams:
@@ -49,10 +75,7 @@ class TestDiagrams:
         from cubictrace.skein import _walk_components
 
         for _ in range(40):
-            n = rng.randint(2, 5)
-            letters = tuple(rng.choice([i for i in range(1, n)] + [-i for i in range(1, n)])
-                            for _ in range(rng.randint(1, 9)))
-            w = BraidWord(n, letters)
+            w = random_braid(rng, rng.randint(2, 5), 9, min_letters=1)
             d = diagram_from_closure(w)
             if d.crossings:
                 _, ncomp = _walk_components(d)
@@ -64,6 +87,19 @@ class TestDiagrams:
         # same closure built after a cyclic rotation of the word
         d2 = diagram_from_closure(parse_braid("-2 1 -2 1", 3))
         assert canonical_code(d1) == canonical_code(d2)
+        # the evaluator keys each connected piece, so compare piece codes
+        rng = random.Random(11)
+        for _ in range(30):
+            d = diagram_from_closure(random_braid(rng, rng.randint(2, 5), 10, min_letters=1))
+            moved = relabeled(d, rng)
+            moved.validate()
+            assert (sorted(map(canonical_code, split_pieces(moved)))
+                    == sorted(map(canonical_code, split_pieces(d))))
+            if len(split_pieces(d)) == 1:
+                assert canonical_code(moved) == canonical_code(d)
+        # a chiral pair: the trefoil and its mirror
+        assert (canonical_code(diagram_from_closure(parse_braid("1 1 1", 2)))
+                != canonical_code(diagram_from_closure(parse_braid("-1 -1 -1", 2))))
 
 
 class TestAnchors:
@@ -105,12 +141,6 @@ class TestAnchors:
             "x^3*(a^2+a) + x^2*(a^2+2*a+1) - x*(1+a) - (1+a+a^-1)", AX)
         assert flipped == printed
 
-    def test_alpha_z_route_agrees(self):
-        for word, n in (("1 1 1", 2), ("1 -2 1 -2", 3), ("1 2 -1 2", 3)):
-            w = parse_braid(word, n)
-            for v in "+-":
-                assert markov_trace_pm(w, v) == markov_trace_pm_fast(w, v)
-
     def test_rewrite_rejects_odd_degrees(self):
         alpha = LaurentPolynomial.var("alpha", ("alpha", "z"))
         with pytest.raises(RingError):
@@ -122,11 +152,8 @@ class TestInvariance:
         rng = random.Random(3)
         evs = {v: KauffmanEvaluator(v) for v in "+-"}
         for _ in range(100):
-            n = rng.randint(2, 4)
-            letters = tuple(rng.choice([i for i in range(1, n)] + [-i for i in range(1, n)])
-                            for _ in range(rng.randint(0, 10)))
-            w = BraidWord(n, letters)
-            g = BraidWord(n, (rng.choice([i for i in range(1, n)]),))
+            w = random_braid(rng, rng.randint(2, 4), 10)
+            g = BraidWord(w.strands, (rng.choice([i for i in range(1, w.strands)]),))
             for v in "+-":
                 base = markov_trace_pm_fast(w, v, evs[v])
                 assert markov_trace_pm_fast(conjugate(w, g), v, evs[v]) == base
@@ -134,11 +161,24 @@ class TestInvariance:
                 assert markov_trace_pm_fast(stabilize_neg(w), v, evs[v]) == base
 
     def test_memoization_transparency(self):
-        w = parse_braid("1 -2 1 -2 1 -2", 3)
+        # a canonical code that merged distinct diagrams would show here
+        rng = random.Random(5)
+        words = [parse_braid("1 -2 1 -2 1 -2", 3)]
+        words += [random_braid(rng, rng.randint(3, 4), 8) for _ in range(15)]
         for v in "+-":
-            with_cache = markov_trace_pm_fast(w, v, KauffmanEvaluator(v, use_cache=True))
-            without = markov_trace_pm_fast(w, v, KauffmanEvaluator(v, use_cache=False))
-            assert with_cache == without
+            cached = KauffmanEvaluator(v, use_cache=True)
+            for w in words:
+                without = markov_trace_pm_fast(w, v, KauffmanEvaluator(v, use_cache=False))
+                assert markov_trace_pm_fast(w, v, cached) == without, (w, v)
+        # a sharper probe: switching one crossing may keep the key only when
+        # the value is kept too (a code that dropped one flag fails here)
+        plain = KauffmanEvaluator("+", use_cache=False)
+        for w in words:
+            d = diagram_from_closure(w)
+            for i in range(len(d.crossings)):
+                switched = _switch(d, i)
+                if canonical_code(switched) == canonical_code(d):
+                    assert plain.value(switched) == plain.value(d), (w, i)
 
     def test_variant_sign_relation(self):
         for word, n in (("1 1 1", 2), ("1 1", 2), ("1 -2 1 -2", 3), ("", 3),
@@ -191,10 +231,7 @@ class TestAlexander:
     def test_invariance_under_markov_moves(self):
         rng = random.Random(8)
         for _ in range(30):
-            n = rng.randint(2, 4)
-            letters = tuple(rng.choice([i for i in range(1, n)] + [-i for i in range(1, n)])
-                            for _ in range(rng.randint(0, 8)))
-            w = BraidWord(n, letters)
+            w = random_braid(rng, rng.randint(2, 4), 8)
             d = alexander_det(w)
             assert alexander_det(stabilize_pos(w)) == d
             assert alexander_det(stabilize_neg(w)) == d
