@@ -37,7 +37,7 @@ from pathlib import Path
 from .braids import BraidWord, component_count, parse_braid
 from .hecke import OcneanuTrace, homfly_invariant
 from .qa import QA, parse_qa
-from .rings import LaurentPolynomial
+from .rings import LaurentPolynomial, RingError
 from .skein import KauffmanEvaluator, alexander_det, diagram_from_plat, markov_trace_pm_fast
 
 COLUMNS = ("name", "strands", "word", "expected_x2a", "kind", "provenance")
@@ -91,7 +91,11 @@ def parse_records(text: str) -> list[KnotRecord]:
             n = int(strands)
         except ValueError:
             raise DataError(f"line {lineno}: strands {strands!r} is not an integer") from None
-        expected_qa = None if expected.strip() == "unknown" else parse_qa(expected)
+        try:
+            expected_qa = None if expected.strip() == "unknown" else parse_qa(expected)
+        except (RingError, ZeroDivisionError) as exc:
+            raise DataError(f"line {lineno}: expected_x2a {expected!r} is not a polynomial in a: "
+                            f"{exc}") from None
         records.append(KnotRecord(
             name=name.strip(),
             strands=n,

@@ -25,7 +25,9 @@ every rule has coefficients in a and x alone (a = alpha^-2, x = alpha^-1 z):
 The recursion switches the first crossing met on its under-strand during a
 deterministic walk, so the switch branch strictly approaches a descending
 diagram and both smoothing branches lose a crossing.  Values are memoized
-on a canonical relabeling of the diagram.
+on a canonical relabeling of the diagram: the minimum code over all starts
+of the walk, where a start is dropped as soon as its crossing-flag prefix
+exceeds the best one so far.
 
 There is one trace function, `markov_trace_pm_fast`: t(beta) =
 a^(#negative letters) V(closure), computed in the evaluator's own ring (a
@@ -308,19 +310,42 @@ def _strand_walk(d: PlanarDiagram, first: Port | None = None):
 def canonical_code(d: PlanarDiagram):
     """Minimal relabeling over all starts: a complete key of the diagram that
     does not depend on port labels when the diagram is connected, as the
-    evaluator's pieces are."""
-    if not d.crossings:
+    evaluator's pieces are.
+
+    The code is (flags, sorted arc codes, loops), one flag per crossing in
+    walk order, so every start's flags have the same length and decide
+    first.  A start is dropped as soon as its flag prefix exceeds the best
+    one so far; arc codes are built only for starts whose flags tie or win.
+    The result is still the minimum over all starts.
+    """
+    crossings = d.crossings
+    if not crossings:
         return ("empty", d.loops)
+    n = len(crossings)
     slot = d.slot
     arc_slots = [(slot[p], slot[q]) for p, q in d.arcs]
-    best = None
+    best_flags: list[bool] = []
+    best_arcs: list = []
     for first in slot:
         # crossing -> (label, rotation): walk order and entry position
         relabel: dict[int, tuple[int, int]] = {}
+        flags: list[bool] = []
+        tied = bool(best_flags)  # flag prefix equal to the best one so far
         for _, idx, k, _ in _strand_walk(d, first):
-            if idx not in relabel:
-                relabel[idx] = (len(relabel), k)
-        flags = tuple([d.crossings[idx][1] != (k % 2 == 1) for idx, (_, k) in relabel.items()])
+            if idx in relabel:
+                continue
+            label = len(flags)
+            flag = crossings[idx][1] != (k % 2 == 1)
+            if tied and flag != best_flags[label]:
+                if flag:  # True > False: this start cannot win
+                    break
+                tied = False
+            relabel[idx] = (label, k)
+            flags.append(flag)
+            if label + 1 == n:
+                break
+        if len(flags) < n:
+            continue
         arc_codes = []
         for (ip, kp), (iq, kq) in arc_slots:
             lp, rp = relabel[ip]
@@ -329,10 +354,9 @@ def canonical_code(d: PlanarDiagram):
             cq = (lq, (kq - rq) % 4)
             arc_codes.append((cp, cq) if cp < cq else (cq, cp))
         arc_codes.sort()
-        code = (flags, tuple(arc_codes), d.loops)
-        if best is None or code < best:
-            best = code
-    return best
+        if not tied or arc_codes < best_arcs:
+            best_flags, best_arcs = flags, arc_codes
+    return (tuple(best_flags), tuple(best_arcs), d.loops)
 
 
 def _walk_components(d: PlanarDiagram):

@@ -2,6 +2,9 @@
 
 import functools
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from cubictrace.skein import alexander_det, markov_trace_pm_fast
 BAD_TABLES = {
     "wrong_columns.tsv": "3_1\t2\t1 1 1\n",
     "bad_strands.tsv": "3_1\ttwo\t1 1 1\t0\tknot\tsource=test\n",
+    "bad_expected.tsv": "3_1\t2\t1 1 1\tfoo bar\tknot\tsource=test\n",
 }
 
 
@@ -77,6 +81,7 @@ class TestInvariantCommand:
         ["table", "--input", "missing.tsv"],
         ["table", "--input", "wrong_columns.tsv"],
         ["table", "--input", "bad_strands.tsv"],
+        ["table", "--input", "bad_expected.tsv"],
     ])
     def test_bad_input_is_one_line_and_exit_2(self, args, tmp_path, capsys):
         for name, text in BAD_TABLES.items():
@@ -85,6 +90,17 @@ class TestInvariantCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("cubictrace: ")
+        if args[-1] in BAD_TABLES:
+            assert "line 1: " in err  # a bad row names its line
+
+    def test_python_dash_m_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "cubictrace", "invariant", "--which", "parity",
+                               "--braid", "1 1 1", "--strands", "2"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestVerifyCommand:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cubictrace import skein
 from cubictrace.braids import BraidWord, component_count, conjugate, parse_braid, \
     stabilize_neg, stabilize_pos
 from cubictrace.burau import reduced_burau_generator
@@ -13,6 +14,7 @@ from cubictrace.rings import AX, LaurentPolynomial, RingError, spec_ax_point
 from cubictrace.skein import (
     KauffmanEvaluator,
     PlanarDiagram,
+    _strand_walk,
     _switch,
     alexander_det,
     canonical_code,
@@ -53,6 +55,44 @@ def relabeled(d, rng):
     rng.shuffle(crossings)
     rng.shuffle(arcs)
     return PlanarDiagram(tuple(crossings), tuple(arcs), d.loops)
+
+
+def start_codes(d):
+    """The full code from every start, built without pruning."""
+    slot = d.slot
+    codes = []
+    for first in slot:
+        relabel = {}
+        for _, idx, k, _ in _strand_walk(d, first):
+            if idx not in relabel:
+                relabel[idx] = (len(relabel), k)
+        flags = tuple(d.crossings[idx][1] != (k % 2 == 1) for idx, (_, k) in relabel.items())
+        arc_codes = []
+        for p, q in d.arcs:
+            (ip, kp), (iq, kq) = slot[p], slot[q]
+            cp = (relabel[ip][0], (kp - relabel[ip][1]) % 4)
+            cq = (relabel[iq][0], (kq - relabel[iq][1]) % 4)
+            arc_codes.append((cp, cq) if cp < cq else (cq, cp))
+        codes.append((flags, tuple(sorted(arc_codes)), d.loops))
+    return codes
+
+
+def keyed_pieces(monkeypatch, words):
+    """Each distinct piece the evaluator keys while tracing `words` in the generic rings."""
+    pieces = []
+    real = canonical_code
+
+    def recorder(d):
+        pieces.append(d)
+        return real(d)
+
+    with monkeypatch.context() as m:
+        m.setattr(skein, "canonical_code", recorder)
+        for v in "+-":
+            ev = KauffmanEvaluator(v)
+            for w in words:
+                markov_trace_pm_fast(w, v, ev)
+    return list(dict.fromkeys(pieces))
 
 
 class TestDiagrams:
@@ -100,6 +140,35 @@ class TestDiagrams:
         # a chiral pair: the trefoil and its mirror
         assert (canonical_code(diagram_from_closure(parse_braid("1 1 1", 2)))
                 != canonical_code(diagram_from_closure(parse_braid("-1 -1 -1", 2))))
+
+    def test_pruned_code_is_the_exhaustive_minimum(self, monkeypatch):
+        rng = random.Random(17)
+        words = [random_braid(rng, rng.randint(2, 5), 10, min_letters=6) for _ in range(30)]
+        pieces = keyed_pieces(monkeypatch, words)
+        assert len(pieces) > 40
+        for d in pieces:
+            for moved in [d] + [relabeled(d, rng) for _ in range(3)]:
+                assert canonical_code(moved) == min(start_codes(moved))
+
+    @pytest.mark.parametrize("word,n", [
+        ("1 2 1 2 1 2 1 2", 3),
+        ("1 1 1 1 1 1", 2),
+        ("1 -2 1 -2 1 -2", 3),
+        ("1 2 3 1 2 3 1 2 3 1 2 3", 4),  # the full twist
+    ])
+    def test_symmetric_diagrams_where_flags_tie(self, word, n, monkeypatch):
+        w = parse_braid(word, n)
+        d = diagram_from_closure(w)
+        # many starts tie on the flags, so the arc codes decide
+        codes = start_codes(d)
+        best = min(codes)
+        assert sum(code[0] == best[0] for code in codes) > 1
+        assert canonical_code(d) == best
+        for piece in keyed_pieces(monkeypatch, [w]):
+            assert canonical_code(piece) == min(start_codes(piece))
+        for v in "+-":
+            assert (markov_trace_pm_fast(w, v, KauffmanEvaluator(v))
+                    == markov_trace_pm_fast(w, v, KauffmanEvaluator(v, use_cache=False)))
 
 
 class TestAnchors:
