@@ -8,8 +8,8 @@ split into a word on strands 1..k followed by one on strands k..n (whose
 closure is a connected sum).  A word whose permutation is an n-cycle then
 meets the catalog screens, cheapest first:
 
-  1. determinant, from the reduced Burau matrix at t = -1 + eps over the
-     dual numbers Z[eps]/(eps^2), carried along the search;
+  1. determinant, from the integer reduced Burau matrix at t = -1 carried
+     along the search, by the library's `burau.closure_determinant`;
   2. the tabulated Alexander polynomial;
   3. crossing-number screen on the Kauffman x-degree;
   4. for a rational or pretzel knot, its Kauffman polynomial against the
@@ -41,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from cubictrace.braids import BraidWord
-from cubictrace.burau import alexander_coefficients, reduced_burau_generator
+from cubictrace.burau import alexander_coefficients, burau_at_minus_one, closure_determinant
 from cubictrace.coxeter import T0Invariant
 from cubictrace.knotdata import (
     InvariantIndex,
@@ -59,89 +59,10 @@ from cubictrace.skein import markov_trace_pm_fast
 from curate_knot_data import CONWAY, KNOTS, PRETZEL
 
 
-# -- dual-number Burau determinant ---------------------------------------------------
-
-# A matrix over Z[eps]/(eps^2) is a pair (A, B) of integer matrices, A + eps B.
-
-
-def _mat_mul(p, q):
-    (a, b), (c, d) = p, q
-    size = len(a)
-    rng = range(size)
-    return (
-        tuple(tuple(sum(a[i][k] * c[k][j] for k in rng) for j in rng) for i in rng),
-        tuple(tuple(sum(a[i][k] * d[k][j] + b[i][k] * c[k][j] for k in rng) for j in rng)
-              for i in rng),
-    )
-
-
-def _at_minus_one(p) -> tuple[int, int]:
-    """(p(-1), p'(-1)) of a Laurent polynomial in t: its value at t = -1 + eps."""
-    value = slope = 0
-    for (e,), c in p.terms.items():
-        sign = -1 if e % 2 else 1
-        value += c * sign
-        slope -= c * e * sign
-    return int(value), int(slope)
-
-
-def burau_dual_letters(n: int) -> dict[int, tuple]:
-    """Reduced Burau images of s_i^(+-1) at t = -1 + eps, as (A, B) pairs."""
-    letters = {}
-    for letter in [i for i in range(1, n)] + [-i for i in range(1, n)]:
-        rows = reduced_burau_generator(letter, n).rows
-        pairs = [[_at_minus_one(p) for p in row] for row in rows]
-        letters[letter] = tuple(tuple(tuple(x[k] for x in row) for row in pairs) for k in (0, 1))
-    size = n - 1
-    one = tuple(tuple(int(r == c) for c in range(size)) for r in range(size))
-    zero = tuple(tuple(0 for _ in range(size)) for _ in range(size))
-    for i in range(1, n):
-        if _mat_mul(letters[i], letters[-i]) != (one, zero):
-            raise RuntimeError(f"bad dual inverse for generator {i}")
-    return letters
-
-
-def _dual_det(a, b) -> tuple[int, int]:
-    """det(A + eps B) = det A + eps tr(adj(A) B), by cofactor expansion."""
-    size = len(a)
-    if size == 1:
-        return a[0][0], b[0][0]
-    d0 = d1 = 0
-    for j in range(size):
-        minor = lambda m: tuple(tuple(m[r][c] for c in range(size) if c != j)
-                                for r in range(1, size))
-        s0, s1 = _dual_det(minor(a), minor(b))
-        sign = -1 if j % 2 else 1
-        d0 += sign * a[0][j] * s0
-        d1 += sign * (a[0][j] * s1 + b[0][j] * s0)
-    return d0, d1
-
-
-def dual_det(product, n: int) -> int | None:
-    """|Delta(-1)| of the closure from the Burau image `product` of the word.
-
-    det(B - I) = Delta(t) (1 + t + ... + t^(n-1)) up to a unit; at t = -1
-    the second factor is 1 for n odd, and for n even it vanishes, so Delta(-1)
-    is read off the eps coefficient, divided by P'(-1).
-    """
-    a, b = product
-    size = n - 1
-    shifted = tuple(tuple(a[i][j] - (i == j) for j in range(size)) for i in range(size))
-    d0, d1 = _dual_det(shifted, b)
-    if n % 2:
-        return abs(d0)
-    p_prime = sum(k * (-1) ** (k - 1) for k in range(1, n))
-    if d0 or d1 % p_prime:
-        return None
-    return abs(d1 // p_prime)
-
-
 # -- enumeration ----------------------------------------------------------------------
 
 
-def _follows(prev: int | None, letter: int) -> bool:
-    if prev is None:
-        return True
+def _follows(prev: int, letter: int) -> bool:
     if prev == -letter:
         return False
     # commuting neighbours appear in increasing generator order
@@ -179,13 +100,11 @@ def canonical(word: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def normal_words(n: int, length: int):
-    """Yield (word, dual Burau image) over the normal-form words on n strands."""
-    letters = burau_dual_letters(n)
-    size = n - 1
-    one = tuple(tuple(int(r == c) for c in range(size)) for r in range(size))
-    zero = tuple(tuple(0 for _ in range(size)) for _ in range(size))
+    """Yield (word, Burau image at t = -1) over the normal-form words of
+    length >= 1 on n strands."""
+    letters = burau_at_minus_one(n)
     alphabet = [i for i in range(1, n)] + [-i for i in range(1, n)]
-    stack = [((), (one, zero))]
+    stack = [((letter,), letters[letter]) for letter in alphabet]
     while stack:
         word, product = stack.pop()
         if len(word) == length:
@@ -194,10 +113,10 @@ def normal_words(n: int, length: int):
                     and not _splits(word, n)):
                 yield word, product
             continue
-        prev = word[-1] if word else None
+        prev = word[-1]
         for letter in alphabet:
             if _follows(prev, letter):
-                stack.append((word + (letter,), _mat_mul(product, letters[letter])))
+                stack.append((word + (letter,), product * letters[letter]))
 
 
 # -- screens --------------------------------------------------------------------------
@@ -220,7 +139,7 @@ def search(n: int, length: int, names: list[str], index: InvariantIndex,
     seen = set()
     checks = 0
     for word, product in normal_words(n, length):
-        candidates = by_det.get(dual_det(product, n))
+        candidates = by_det.get(closure_determinant(product, n))
         if not candidates:
             continue
         form = canonical(word, n)

@@ -1,10 +1,18 @@
-"""Alexander determinants via the reduced Burau representation.
+"""Alexander polynomials and link determinants via the reduced Burau representation.
 
 For a braid b on n strands, det(rho(b) - I) equals, up to a unit +-t^k,
 Delta(t) (1 + t + ... + t^(n-1)) where Delta is the Alexander polynomial
-of the closure.  The quotient by (1 - t^n)/(1 - t) is carried out by exact
-polynomial division *before* any evaluation, so t = -1 (where 1 - t^n
-vanishes for n even) is safe; the link determinant is then |Delta(-1)|.
+of the closure.  For Delta itself the quotient by (1 - t^n)/(1 - t) is
+carried out by exact polynomial division.
+
+The link determinant |Delta(-1)| needs no polynomials.  At t = -1 the
+Burau images are integer matrices, and for n odd the second factor is 1,
+so |Delta(-1)| = |det(rho(b)(-1) - I)|.  A braid on an even number n of
+strands is first stabilized by s_n, which closes to the same link on
+n + 1 strands.  `burau_at_minus_one` gives the integer letter images on
+that odd working strand count, `closure_determinant` takes the integer
+Bareiss determinant of a product of them, and `alexander_determinant` is
+the two composed.
 
 This pipeline shares no code with the skein evaluator, which is what makes
 the identity  t^K = a^(#L-1) det^2  at a^2 = y = 1, x = 2a a genuine
@@ -14,6 +22,8 @@ cross-check between two independent computations.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 
 from .braids import BraidWord
 from .linalg import Matrix, det_bareiss
@@ -82,13 +92,37 @@ def alexander_polynomial_normalized(w: BraidWord) -> LaurentPolynomial:
     return numerator.exact_div(denominator)
 
 
+@cache
+def burau_at_minus_one(n: int) -> MappingProxyType:
+    """Integer images at t = -1 of s_i^(+-1), 1 <= i < n, keyed by letter.
+
+    They act on the odd working strand count: n, or n + 1 when n is even,
+    so that `closure_determinant` can append s_n.  The mapping is cached
+    per n and read-only, since every caller shares it.
+    """
+    working = n | 1
+    at = lambda p: int(p.evaluate({"t": Fraction(-1)}))
+    return MappingProxyType({letter: reduced_burau_generator(letter, working).map(at)
+                             for i in range(1, n) for letter in (i, -i)})
+
+
+def closure_determinant(product: Matrix, n: int) -> int:
+    """|Delta(-1)| of the closure of a braid on n >= 2 strands, from the
+    product of its letters' images under `burau_at_minus_one(n)`."""
+    if n % 2 == 0:
+        product = product * burau_at_minus_one(n + 1)[n]
+    return abs(det_bareiss(product - Matrix.identity(product.nrows, 1, 0)))
+
+
 def alexander_determinant(w: BraidWord) -> int:
     """|Delta(-1)|, the determinant of the closure of w."""
-    delta = alexander_polynomial_normalized(w)
-    value = delta.evaluate({"t": Fraction(-1)})
-    if value.denominator != 1:
-        raise RingError("Alexander determinant should be an integer")
-    return abs(int(value))
+    if w.strands == 1:
+        return 1
+    letters = burau_at_minus_one(w.strands)
+    product = Matrix.identity((w.strands | 1) - 1, 1, 0)
+    for letter in w.letters:
+        product = product * letters[letter]
+    return closure_determinant(product, w.strands)
 
 
 def alexander_coefficients(w: BraidWord) -> tuple[int, ...]:

@@ -44,15 +44,6 @@ def _left_gen(w: Perm, i: int) -> Perm:
     return tuple(x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in w)
 
 
-def _length(w: Perm) -> int:
-    inv = 0
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] > w[j]:
-                inv += 1
-    return inv
-
-
 @dataclass(frozen=True)
 class HeckeRing:
     """Coefficient context: the generic ring or a specialization of it."""
@@ -106,13 +97,16 @@ def multiply_generator(elem: HeckeElement, i: int, sign: int, ring: HeckeRing,
 
     T_s T_w = T_{sw} when l(sw) > l(w), and x T_w - y T_{sw} otherwise
     (the quadratic relation T_s^2 = x T_s - y); on the right, read ws for
-    sw.  T_s^-1 = (x - T_s) y^-1 gives the inverse case.
+    sw.  T_s^-1 = (x - T_s) y^-1 gives the inverse case.  The length goes
+    up exactly when s_i does not undo an inversion: on the left when value
+    i stands before value i + 1, on the right when w[i] < w[i + 1].
     """
-    move = _left_gen if side == "left" else _right_gen
+    left = side == "left"
+    move = _left_gen if left else _right_gen
     terms = []
     for w, c in elem.coeffs.items():
         sw = move(w, i)
-        ascent = _length(sw) > _length(w)
+        ascent = w.index(i) < w.index(i + 1) if left else w[i] < w[i + 1]
         if sign > 0:
             if ascent:
                 terms.append((sw, c))

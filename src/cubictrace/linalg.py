@@ -1,11 +1,11 @@
 """Small exact matrices over any of the project's rings.
 
-Entries may be `LaurentPolynomial`, `QA`, or `Fraction`; the only
-requirements are +, -, * and (for determinants over a polynomial ring)
-`exact_div`.  There are two determinants: `det_bareiss`, fraction-free
-over Laurent polynomials, and `eliminate`, the one Gaussian elimination
-over Q, which also solves linear systems.  There is no inverse routine:
-the generators inverted elsewhere have closed-form inverses from their
+Entries may be `int`, `LaurentPolynomial`, `QA`, or `Fraction`; the only
+requirements are +, -, * and (for determinants) exact division.  There
+are two determinants: `det_bareiss`, fraction-free over Z and over
+Laurent polynomials, and `eliminate`, the one Gaussian elimination over
+Q, which also solves linear systems.  There is no inverse routine: the
+generators inverted elsewhere have closed-form inverses from their
 defining relations.  Everything here is tiny (24x24 at most), so the code
 favors clarity over asymptotics.
 """
@@ -146,34 +146,45 @@ def eliminate(m: Matrix, rhs: Sequence[Sequence] = ()) -> tuple[Fraction, list[l
     return det, solutions
 
 
-def det_bareiss(m: Matrix) -> LaurentPolynomial:
-    """Fraction-free determinant over a Laurent polynomial ring.
+def _exact_int_div(num: int, den: int) -> int:
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise RingError(f"{num} is not divisible by {den}")
+    return quotient
 
-    Bareiss' algorithm: all divisions are exact in an integral domain,
-    which `LaurentPolynomial.exact_div` verifies as it goes.
+
+def det_bareiss(m: Matrix):
+    """Fraction-free determinant over Z or over a Laurent polynomial ring.
+
+    Bareiss' algorithm: all divisions are exact in an integral domain, which
+    `LaurentPolynomial.exact_div`, or `divmod` with a zero remainder over Z,
+    verifies as it goes.
     """
     n = m.nrows
     if n != m.ncols:
         raise RingError("determinant of a non-square matrix")
     sample = m.rows[0][0]
-    if not isinstance(sample, LaurentPolynomial):
-        raise RingError("det_bareiss expects LaurentPolynomial entries")
-    variables = sample.variables
+    if isinstance(sample, LaurentPolynomial):
+        zero = LaurentPolynomial.zero(sample.variables)
+        one = LaurentPolynomial.one(sample.variables)
+        divide = LaurentPolynomial.exact_div
+    elif isinstance(sample, int):
+        zero, one, divide = 0, 1, _exact_int_div
+    else:
+        raise RingError("det_bareiss expects int or LaurentPolynomial entries")
     a = [list(row) for row in m.rows]
-    one = LaurentPolynomial.one(variables)
     sign = 1
     prev = one
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
+        if a[k][k] == zero:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != zero), None)
             if pivot is None:
-                return LaurentPolynomial.zero(variables)
+                return zero
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
+                a[i][j] = divide(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det

@@ -206,11 +206,9 @@ def suite_skein(seed: int = 5, markov_braids: int = 100) -> SuiteReport:
         ok = True
         for r in records:
             braid = r.braid()
-            if r.kind in ("knot", "composite") and len(braid.letters) <= 12:
-                ncomp = component_count(braid)
-                expected = QA.a_power(ncomp - 1) * QA(alexander_det(braid) ** 2)
-                if kauffman_at_point(braid, spec, caches) != expected:
-                    ok = False
+            expected = QA.a_power(component_count(braid) - 1) * QA(alexander_det(braid) ** 2)
+            if kauffman_at_point(braid, spec, caches) != expected:
+                ok = False
         return ok
 
     rep.run("skein/t^K = a^(#L-1) det^2 at the x = 2a point (independent Burau det)",

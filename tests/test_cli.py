@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import operator
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cubictrace.braids import BraidWord
 from cubictrace.cli import main
 from cubictrace.knotdata import (
     InvariantIndex,
@@ -179,7 +181,10 @@ class TestData:
             if det_field is not None:
                 assert alexander_det(record.braid()) == int(det_field), record.name
 
-    def test_search_script_dual_determinant(self):
+    def test_search_script_determinant_screen(self):
+        """The search script's first screen: Burau products at t = -1 built
+        letter by letter as its depth-first search builds them, then the
+        closure determinant, against the tabulated det of every knot row."""
         path = Path(__file__).resolve().parent.parent / "scripts" / "search_braid_words.py"
         spec = importlib.util.spec_from_file_location("search_braid_words", path)
         search = importlib.util.module_from_spec(spec)
@@ -189,12 +194,21 @@ class TestData:
             det_field = record.provenance_field("det")
             if record.kind == "link" or det_field is None:
                 continue
-            letters = search.burau_dual_letters(record.strands)
-            product = functools.reduce(search._mat_mul,
-                                       [letters[x] for x in record.braid().letters])
-            assert search.dual_det(product, record.strands) == int(det_field), record.name
+            letters = search.burau_at_minus_one(record.strands)
+            product = functools.reduce(operator.mul, [letters[x] for x in record.braid().letters])
+            assert search.closure_determinant(product, record.strands) == int(det_field), \
+                record.name
             checked += 1
         assert checked >= 84
+        # every word the enumeration yields carries the product of its letters
+        for n, length in ((2, 5), (3, 6), (4, 7)):
+            letters = search.burau_at_minus_one(n)
+            words = 0
+            for word, product in search.normal_words(n, length):
+                assert product == functools.reduce(operator.mul, [letters[x] for x in word])
+                assert search.closure_determinant(product, n) == alexander_det(BraidWord(n, word))
+                words += 1
+            assert words > 0, (n, length)
 
     def test_tsv_is_bit_exact_grammar(self):
         from importlib.resources import files

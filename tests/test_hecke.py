@@ -1,5 +1,6 @@
 """Hecke algebra normal forms and the Ocneanu trace."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from cubictrace.hecke import (
     HeckeRing,
     OcneanuTrace,
     hecke_normal_form,
+    HeckeElement,
     hecke_trace_qa,
     homfly_invariant,
+    multiply_generator,
     spec_hecke_parity_point,
 )
 from cubictrace.qa import QA
@@ -53,6 +56,22 @@ class TestNormalForm:
             total = sum((c.evaluate({"x": Fraction(2), "y": Fraction(1)})
                          for c in e.coeffs.values()), Fraction(0))
             assert total == 1
+
+    def test_ascent_rule_against_the_inversion_count(self):
+        def length(w):
+            return sum(w[p] > w[q] for p, q in itertools.combinations(range(len(w)), 2))
+
+        ring = HeckeRing.generic()
+        for n in range(2, 6):
+            for w in itertools.permutations(range(n)):
+                basis = HeckeElement({w: ring.one})
+                for i in range(n - 1):
+                    for side, sw in (("left", tuple(i + 1 if x == i else i if x == i + 1 else x
+                                                    for x in w)),
+                                     ("right", w[:i] + (w[i + 1], w[i]) + w[i + 2:])):
+                        product = multiply_generator(basis, i, 1, ring, side)
+                        ascent = dict(product.coeffs) == {sw: ring.one}
+                        assert ascent == (length(sw) > length(w)), (w, i, side)
 
 
 class TestOcneanuTrace:

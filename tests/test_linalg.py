@@ -1,11 +1,13 @@
-"""The one elimination over Q, against the fraction-free determinant."""
+"""The one elimination over Q, against the fraction-free determinant over Z
+and over Laurent polynomials."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from cubictrace.linalg import Matrix, det_bareiss, eliminate
-from cubictrace.rings import LaurentPolynomial
+from cubictrace.rings import LaurentPolynomial, RingError
 
 T = ("t",)
 
@@ -26,6 +28,7 @@ def test_determinant_and_solutions(n):
         rhs = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(3)]
         det, solutions = eliminate(Matrix(rows), rhs)
         assert LaurentPolynomial.constant(det, T) == _bareiss(rows)
+        assert det_bareiss(Matrix(rows)) == det
         if det == 0:
             assert solutions is None
             continue
@@ -44,3 +47,26 @@ def test_repeated_row_is_singular(n):
         det, solutions = eliminate(Matrix(rows), [[1] * n])
         assert det == 0 and solutions is None
         assert _bareiss(rows).is_zero()
+        assert det_bareiss(Matrix(rows)) == 0
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 0]],                       # zero leading pivot, row swap
+    [[0, 2, 1], [3, 1, 4], [1, 5, 9]],
+    [[0, 0, 1], [0, 2, 0], [3, 0, 0]],      # a swap at every step
+    [[0, 1, 2], [0, 3, 4], [5, 6, 7]],      # swap past two zero pivots
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],      # singular, nonzero entries
+    [[0, 1, 1], [0, 2, 2], [0, 3, 4]],      # singular: a zero column
+    [[2, 4], [1, 2]],                       # singular 2x2
+    [[-7]],
+])
+def test_integer_bareiss_against_elimination(rows):
+    det, _ = eliminate(Matrix(rows))
+    int_det = det_bareiss(Matrix(rows))
+    assert type(int_det) is int and int_det == det
+    assert LaurentPolynomial.constant(det, T) == _bareiss(rows)
+
+
+def test_bareiss_rejects_rational_entries():
+    with pytest.raises(RingError):
+        det_bareiss(Matrix([[Fraction(1, 2)]]))

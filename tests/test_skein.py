@@ -1,13 +1,15 @@
 """Kauffman/Dubrovnik evaluator: anchors, invariance, and cross-checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from cubictrace import skein
 from cubictrace.braids import BraidWord, component_count, conjugate, parse_braid, \
     stabilize_neg, stabilize_pos
-from cubictrace.burau import reduced_burau_generator
+from cubictrace.burau import alexander_determinant, alexander_polynomial_normalized, \
+    reduced_burau_generator
 from cubictrace.linalg import Matrix
 from cubictrace.qa import QA
 from cubictrace.rings import AX, LaurentPolynomial, RingError, spec_ax_point
@@ -304,6 +306,23 @@ class TestAlexander:
             d = alexander_det(w)
             assert alexander_det(stabilize_pos(w)) == d
             assert alexander_det(stabilize_neg(w)) == d
+
+    def test_integer_determinant_matches_the_polynomial(self):
+        """The integer path (stabilized to an odd strand count) against
+        |Delta(-1)| of the symbolic Burau pipeline."""
+        rng = random.Random(31)
+        braids = [BraidWord(1, ()), BraidWord(4, (1, 1, 1, 3, 3, 3)), BraidWord(6, (1, -2, 4))]
+        braids += [random_braid(rng, n, 12) for n in range(2, 8) for _ in range(25)]
+        seen = set()
+        for w in braids:
+            reference = alexander_polynomial_normalized(w).evaluate({"t": Fraction(-1)})
+            det = alexander_determinant(w)
+            assert det == abs(reference), w
+            ncomp = component_count(w)
+            seen.add(("knot" if ncomp == 1 else "link", w.strands % 2, det > 0))
+        # even- and odd-strand knots, links with nonzero det, split links (det 0)
+        assert {("knot", 0, True), ("knot", 1, True), ("link", 0, True), ("link", 1, True),
+                ("link", 0, False), ("link", 1, False)} <= seen
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_closed_form_generator_inverse(self, n):
