@@ -130,7 +130,11 @@ def tabulated(name: str) -> tuple[int, tuple[int, ...], int, bool]:
 
 
 def search(n: int, length: int, names: list[str], index: InvariantIndex,
-           inv: T0Invariant, found: dict[str, dict]) -> int:
+           unindexed: list[tuple[str, BraidWord]], inv: T0Invariant,
+           found: dict[str, dict]) -> int:
+    """Screen the normal words of one length; `unindexed` rows are added to
+    `index` (both generic traces of each, seconds in all) when the first
+    word reaches screen 5, and the list is emptied."""
     by_det: dict[int, list[str]] = {}
     for name in names:
         det, _, crossings, _ = tabulated(name)
@@ -161,6 +165,9 @@ def search(n: int, length: int, names: list[str], index: InvariantIndex,
                           trace, pretzel_plat(PRETZEL[name]), index.evaluator))]
         if not candidates:
             continue
+        for name, row_braid in unindexed:
+            index.add(name, row_braid)
+        unindexed.clear()
         pair = index.key(braid)
         if index.match(pair) or index.factor(pair):
             continue
@@ -186,9 +193,8 @@ def main() -> int:
     present = {r.name for r in records}
     names = args.names.split(",") if args.names else [k for k in KNOTS if k not in present]
     index = InvariantIndex()
-    for record in records:
-        if record.kind != "link" and record.name not in names:
-            index.add(record.name, record.braid())
+    unindexed = [(record.name, record.braid()) for record in records
+                 if record.kind != "link" and record.name not in names]
     inv = T0Invariant()
     found: dict[str, dict] = {}
     for length in map(int, args.lengths.split(",")):
@@ -197,7 +203,7 @@ def main() -> int:
                   file=sys.stderr)
             continue
         start = time.time()
-        checks = search(args.strands, length, names, index, inv, found)
+        checks = search(args.strands, length, names, index, unindexed, inv, found)
         print(f"# strands {args.strands} length {length}: {checks} full checks, "
               f"{time.time() - start:.1f}s", file=sys.stderr, flush=True)
 

@@ -7,28 +7,33 @@ Subcommands:
   verify     run the verification suites
 
 Exit code 0 means every strict comparison passed.  Bad braid or ring input,
-an unreadable `table --input` file or a malformed row in it exits with
-code 2 and a one-line message.
+an `--at` the chosen invariant does not take, an unreadable `table --input`
+file or a malformed row in it exits with code 2 and a one-line message.  A
+reader that closes the output pipe early (`| head`) ends the run quietly
+with code 141, as a shell reports a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
 from .braids import BraidError, BraidWord, parity_invariant, parse_braid
 from .coxeter import T0Invariant, ThmTraceConfig
-from .hecke import HeckeRing, OcneanuTrace, hecke_trace_qa
+from .hecke import OcneanuTrace, hecke_trace_qa, parity_tracers
 from .knotdata import DataError
-from .rings import RingError, spec_ax_point
+from .qa import A
+from .rings import RingError
 from .skein import kauffman_at_point, markov_trace_pm_fast
 from .verify import run_suite, table_report
 
-AT_SPECS = {
-    "x2a": "2*a",
-    "xa": "a",
-    "xm2a": "-2*a",
+# the image of x in Q[a]/(a^2-1) named by --at
+AT_POINTS = {
+    "x2a": 2 * A,
+    "xa": A,
+    "xm2a": -2 * A,
 }
 
 
@@ -41,6 +46,8 @@ def _braid_from_args(args) -> BraidWord:
 def cmd_invariant(args) -> int:
     braid = _braid_from_args(args)
     which = args.which
+    if which in ("t0x2a", "parity") and args.at is not None:
+        raise RingError(f"{which} takes no --at")
     if which == "t0x2a":
         value = T0Invariant(ThmTraceConfig(base=Fraction(args.base))).value(braid)
         print(value.render())
@@ -48,7 +55,7 @@ def cmd_invariant(args) -> int:
         if args.at is None:
             print(OcneanuTrace().of_braid(braid).render())
         elif args.at == "x2a":
-            print(hecke_trace_qa(braid, OcneanuTrace(HeckeRing.at_parity_point())).render())
+            print(hecke_trace_qa(braid, parity_tracers()).render())
         else:
             raise RingError("hecke supports --at x2a only")
     elif which in ("kauffman+", "kauffman-"):
@@ -56,7 +63,7 @@ def cmd_invariant(args) -> int:
         if args.at is None:
             print(markov_trace_pm_fast(braid, variant).render())
         else:
-            print(kauffman_at_point(braid, spec_ax_point(AT_SPECS[args.at])).render())
+            print(kauffman_at_point(braid, AT_POINTS[args.at]).render())
     else:  # parity
         print(parity_invariant(braid).render())
     return 0
@@ -65,7 +72,7 @@ def cmd_invariant(args) -> int:
 def cmd_kauffman(args) -> int:
     braid = _braid_from_args(args)
     if args.at is not None:
-        print(kauffman_at_point(braid, spec_ax_point(AT_SPECS[args.at])).render())
+        print(kauffman_at_point(braid, AT_POINTS[args.at]).render())
     else:
         print(markov_trace_pm_fast(braid, args.variant).render())
     return 0
@@ -94,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["t0x2a", "hecke", "kauffman+", "kauffman-", "parity"])
     inv.add_argument("--braid", help="whitespace-separated signed generator indices")
     inv.add_argument("--strands", type=int)
-    inv.add_argument("--at", choices=sorted(AT_SPECS), default=None)
+    inv.add_argument("--at", choices=sorted(AT_POINTS), default=None)
     inv.add_argument("--base", type=int, default=0,
                      help="base value of the theorem trace (provably irrelevant)")
     inv.set_defaults(func=cmd_invariant)
@@ -103,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     kau.add_argument("--braid", required=True)
     kau.add_argument("--strands", type=int, required=True)
     kau.add_argument("--variant", choices=["+", "-"], required=True)
-    kau.add_argument("--at", choices=sorted(AT_SPECS), default=None)
+    kau.add_argument("--at", choices=sorted(AT_POINTS), default=None)
     kau.set_defaults(func=cmd_kauffman)
 
     tab = sub.add_parser("table", help="recompute the x = 2a invariant catalog")
@@ -127,6 +134,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered nowhere, so that
+        # the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (BraidError, DataError, OSError, RingError) as exc:
         print(f"cubictrace: {exc}", file=sys.stderr)
         return 2

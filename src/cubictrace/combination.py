@@ -4,9 +4,10 @@ Every algebra here is a free module over a small coefficient ring: the
 extended (-1)-Hecke module on {E_w} + {C}, the Hecke algebra on {T_w}, the
 extended Temperley-Lieb algebra on normal words + {C}, and formal sums of
 braid words in H_3.  `Combination` is that module element.  It relies only
-on the coefficients' own `+`, `*` and `is_zero()`, so `QA` and
-`LaurentPolynomial` both serve, and it never learns which ring it holds:
-code that multiplies coefficients also reduces them (see `map`).
+on the coefficients' own `+`, `*` and truth value (false exactly at zero),
+so `int`, `Fraction`, `QA` and `LaurentPolynomial` all serve, and it never
+learns which ring it holds: code that multiplies coefficients also reduces
+them (see `map`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class Combination:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping):
-        object.__setattr__(self, "coeffs", {k: v for k, v in coeffs.items() if not v.is_zero()})
+        object.__setattr__(self, "coeffs", {k: v for k, v in coeffs.items() if v})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -17,17 +17,22 @@ Because 2 is invertible, Q[a]/(a^2-1) = Q x Q under u + v a -> (u + v,
 u - v), the values at a = 1 and a = -1.  An element is zero exactly when
 both values are, so computing at both points is exact, not a sample.  The
 action is therefore written once, in `_act_at`, at a fixed a = +-1 on
-plain dicts (integer coefficients on integer input); `act_word` splits a
-vector once, acts at both points and joins the results once, and
-`verify_braid_relations` never leaves the integers.
+plain dicts (integer coefficients on integer input).
+`verify_braid_relations` never leaves the integers, and the theorem trace
+below runs on `_act_at` at each point.  `act_word` splits an
+`ExtHeckeVector` into its two values and joins the results; it serves the
+callers that hold such a vector, not the trace.
 
 For W = S_n the tower carries a unique-per-normalization family of Markov
 traces with t_2(C) = 1; `ThmTraceEngine` computes it by the coset-peeling
-recursion.  Combining it with the Ocneanu and Kauffman traces specialized
-at y = 1, x = 2a (where those two degenerate to a^(#L-1) and
-a^(#L-1) det^2) yields the exotic link invariant `t0_invariant`, pinned by
-the 3-strand values t_3(1) = 1, t_3(s_1) = t_3(s_1 s_2) = 0 and provably
-independent of the free base value t_1(1) = lambda.
+recursion, at a = 1 and at a = -1 over int (Fraction for a fractional
+base value), and joins the two values once per braid.  Combining it with
+the Ocneanu and Kauffman traces specialized at y = 1, x = 2a (where those
+two degenerate to a^(#L-1) and a^(#L-1) det^2), each likewise computed at
+the two points and joined once, yields the exotic link invariant
+`t0_invariant`, pinned by the 3-strand values t_3(1) = 1,
+t_3(s_1) = t_3(s_1 s_2) = 0 and provably independent of the free base
+value t_1(1) = lambda.
 """
 
 from __future__ import annotations
@@ -37,12 +42,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .braids import BraidWord
-from .hecke import HeckeRing, OcneanuTrace, hecke_trace_qa
+from .hecke import _left_gen, coset_peel, hecke_trace_qa, parity_tracers
 from .combination import Combination
 from .linalg import Matrix, eliminate
 from .qa import QA
-from .rings import LaurentPolynomial, RingError, spec_ax_point
+from .rings import LaurentPolynomial, RingError
 from .skein import kauffman_at_point
+
+TWO_A = QA(0, 2)
 
 
 # -- Coxeter systems -----------------------------------------------------------
@@ -121,9 +128,7 @@ class SymmetricCoxeter(CoxeterSystem):
         return range(self.n - 1)
 
     def act(self, gen: int, w):
-        # left multiplication by the transposition of *values* gen, gen+1
-        a, b = gen, gen + 1
-        return tuple(b if x == a else (a if x == b else x) for x in w)
+        return _left_gen(w, gen)
 
     def length(self, w) -> int:
         return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
@@ -345,11 +350,15 @@ class ThmTraceEngine:
         switches the constant to a^(l(w)+n), which breaks the negative
         Markov move at a = -1; `trace_property_suite` arbitrates.
       * t_1(E_1) = lambda.
+
+    The recursion runs at a fixed a = +-1 on the dicts of `_act_at` and
+    is memoized per (n, w, a); `trace_braid` joins the two values.
     """
 
     def __init__(self, cfg: ThmTraceConfig | None = None):
         self.cfg = cfg or ThmTraceConfig()
-        self._memo: dict[tuple[int, tuple[int, ...]], QA] = {}
+        # (n, w, a) -> t_n(E_w) at a = +-1
+        self._memo: dict[tuple[int, tuple[int, ...], int], object] = {}
         self._cox: dict[int, SymmetricCoxeter] = {}
 
     def cox(self, n: int) -> SymmetricCoxeter:
@@ -358,52 +367,43 @@ class ThmTraceEngine:
         return self._cox[n]
 
     def trace_braid(self, w: BraidWord) -> QA:
-        return self.trace_vector(braid_to_vector(w, self.cox(w.strands)), w.strands)
+        n = w.strands
+        cox = self.cox(n)
+        start = {cox.steps.id(cox.identity()): 1}
+        return QA.from_components(*(self.trace_at(n, *_act_at(cox, w.letters, start, 0, a), a)
+                                    for a in (1, -1)))
 
-    def trace_vector(self, v: ExtHeckeVector, n: int) -> QA:
-        total = QA(0)
-        for key, coeff in v.coeffs.items():
-            if key == C_KEY:
-                cell = self._trace_c(n)
-            else:
-                cell = self._trace_basis(n, key)
-            total = total + coeff * cell
+    def trace_at(self, n: int, vec: dict, c, a: int):
+        """t_n(sum_i vec[i] E_w(i) + c C) at a = +-1, keys being element ids of
+        `self.cox(n).steps` (the output of `_act_at`)."""
+        if c and n < 2:
+            raise RingError("C does not exist on fewer than 2 strands")
+        elements = self.cox(n).steps.elements
+        total = c * a ** n
+        for i, x in vec.items():
+            total += x * self._trace_basis(n, elements[i], a)
         return total
 
-    def _trace_c(self, n: int) -> QA:
-        if n < 2:
-            raise RingError("C does not exist on fewer than 2 strands")
-        return QA.a_power(n)
-
-    def _trace_basis(self, n: int, w: tuple[int, ...]) -> QA:
+    def _trace_basis(self, n: int, w: tuple[int, ...], a: int):
         if n == 1:
-            return QA(self.cfg.base)
-        key = (n, w)
+            base = self.cfg.base
+            return base.numerator if base.denominator == 1 else base
+        key = (n, w, a)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        cox = self.cox(n)
-        top = n - 1
-        if w.index(top) == n - 1:
+        if w[n - 1] == n - 1:
             # w fixes the top strand: level descent
-            lower = w[:-1]
-            ell = cox.length(w)
-            shift = ell + n - 1
+            shift = self.cox(n).length(w) + n - 1
             if self.cfg.printed_exponent_variant:
                 shift += 1
-            value = QA.a_power(1) * self._trace_basis(n - 1, lower) + QA.a_power(shift)
+            value = a * self._trace_basis(n - 1, w[:-1], a) + a ** shift
         else:
-            # peel w = w' (s_{n-2} ... s_k) with k = w^-1(top), 0-indexed
-            k = w.index(top)
-            w_prime = list(w)
-            for j in range(k, n - 1):
-                w_prime[j] = w_prime[j + 1]
-            w_prime = tuple(w_prime[: n - 1])
-            lower_cox = self.cox(n - 1)
-            word = tuple(g + 1 for g in lower_cox.reduced_word(w_prime))
-            word += tuple(g + 1 for g in range(n - 3, k - 1, -1))
-            vec = act_word(word, ExtHeckeVector.basis(lower_cox.identity()), lower_cox)
-            value = self.trace_vector(vec, n - 1)
+            w_prime, run = coset_peel(w)
+            lower = self.cox(n - 1)
+            word = tuple(g + 1 for g in (*lower.reduced_word(w_prime), *run))
+            start = {lower.steps.id(lower.identity()): 1}
+            value = self.trace_at(n - 1, *_act_at(lower, word, start, 0, a), a)
         self._memo[key] = value
         return value
 
@@ -437,8 +437,7 @@ class T0Invariant:
 
     def __init__(self, cfg: ThmTraceConfig | None = None):
         self.engine = ThmTraceEngine(cfg)
-        self.hecke_tracer = OcneanuTrace(HeckeRing.at_parity_point())
-        self.spec = spec_ax_point("2*a")
+        self.hecke_tracers = parity_tracers()
         self._kauffman_caches = ({}, {})
         self.combination = self._solve_combination()
 
@@ -453,10 +452,10 @@ class T0Invariant:
         return self.engine.trace_braid(w)
 
     def _hecke(self, w: BraidWord) -> QA:
-        return hecke_trace_qa(w, self.hecke_tracer)
+        return hecke_trace_qa(w, self.hecke_tracers)
 
     def _kauffman(self, w: BraidWord) -> QA:
-        return kauffman_at_point(w, self.spec, self._kauffman_caches)
+        return kauffman_at_point(w, TWO_A, self._kauffman_caches)
 
     def _solve_combination(self) -> CombinedTrace:
         m = self._three_strand_matrix()

@@ -1,6 +1,7 @@
 """The Iwahori-Hecke algebra H_n(b,c) on the T_w basis, with the Ocneanu trace.
 
-Elements live over Q[x^+-1, y^+-1] (x = b + c, y = bc); the quadratic
+Elements live over Q[x^+-1, y^+-1] (x = b + c, y = bc), or over the
+rationals at one point (x, y) (`HeckeRing.numeric`); the quadratic
 relation s^2 = x s - y is baked into the multiplication, so products of
 basis elements are always basis combinations, never words.  Inverse braid
 letters use s^-1 = (x - s)/y.
@@ -8,8 +9,11 @@ letters use s^-1 = (x - s)/y.
 The Ocneanu Markov trace is normalized by t_1(1) = 1 and loop value
 delta_H = (y + 1)/x, which is the unique choice making both stabilizations
 trace-preserving: t(u s_n) = t(u s_n^-1) = t(u).  It is computed by the
-coset peeling w = w' (s_{n-1} ... s_k) read off from the last-strand image,
-with values memoized per (strands, permutation).
+coset peeling w = w' (s_{n-1} ... s_k) read off from the last-strand image
+(`coset_peel`), with values memoized per (strands, permutation).  Its value
+at y = 1, x = 2a in Q[a]/(a^2-1) (`hecke_trace_qa`) is joined from the two
+integer traces at (x, y) = (2, 1) and (-2, 1), the values at a = 1 and
+a = -1.
 
 Permutations are tuples in one-line notation on 0..n-1.
 """
@@ -17,11 +21,13 @@ Permutations are tuples in one-line notation on 0..n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
 
 from .braids import BraidWord
 from .combination import Combination
 from .qa import QA
-from .rings import LaurentPolynomial, QuotientSpec, RingError, fold_a
+from .rings import LaurentPolynomial, RingError
 
 XY = ("x", "y")
 
@@ -41,44 +47,55 @@ def _right_gen(w: Perm, i: int) -> Perm:
 
 def _left_gen(w: Perm, i: int) -> Perm:
     """Left multiplication by s_i (transposition of values i, i+1)."""
-    return tuple(x if x not in (i, i + 1) else (i + 1 if x == i else i) for x in w)
+    j = i + 1
+    return tuple(j if x == i else (i if x == j else x) for x in w)
+
+
+def coset_peel(w: Perm) -> tuple[Perm, range]:
+    """The Markov-move peel of a w in S_n that moves the top strand.
+
+    w = w' (s_{n-2} ... s_k) with k = w^-1(n-1) and w' in S_{n-1} (w with
+    the entry at place k removed); a Markov trace eats the top generator
+    s_{n-2}, leaving w' and the run s_{n-3} ... s_k, returned as the
+    0-based generator indices in product order.
+    """
+    n = len(w)
+    k = w.index(n - 1)
+    return w[:k] + w[k + 1:], range(n - 3, k - 1, -1)
 
 
 @dataclass(frozen=True)
 class HeckeRing:
-    """Coefficient context: the generic ring or a specialization of it."""
+    """Coefficient context: the generic ring, or numbers at one point (x, y).
 
-    variables: tuple[str, ...]
-    x: LaurentPolynomial
-    y: LaurentPolynomial
-    x_inv: LaurentPolynomial
-    y_inv: LaurentPolynomial
-    one: LaurentPolynomial
-    zero: LaurentPolynomial
+    `delta` is the loop value (y + 1)/x of the Ocneanu trace.
+    """
+
+    x: object
+    y: object
+    y_inv: object
+    delta: object
+    one: object
+    zero: object
 
     @classmethod
     def generic(cls) -> "HeckeRing":
         x = LaurentPolynomial.var("x", XY)
         y = LaurentPolynomial.var("y", XY)
-        return cls(XY, x, y, x.monomial_inverse(), y.monomial_inverse(),
-                   LaurentPolynomial.one(XY), LaurentPolynomial.zero(XY))
+        one = LaurentPolynomial.one(XY)
+        return cls(x, y, y.monomial_inverse(), (y + one) * x.monomial_inverse(),
+                   one, LaurentPolynomial.zero(XY))
 
     @classmethod
-    def at_parity_point(cls) -> "HeckeRing":
-        """y = 1, x = 2a over Q[a]/(a^2-1); x^-1 = a/2."""
-        av = ("a",)
-        x = LaurentPolynomial.parse("2*a", av)
-        one = LaurentPolynomial.one(av)
-        return cls(av, x, one, LaurentPolynomial.parse("1/2*a", av), one,
-                   one, LaurentPolynomial.zero(av))
-
-    def delta(self) -> LaurentPolynomial:
-        return (self.y + self.one) * self.x_inv
-
-    def reduce(self, p: LaurentPolynomial) -> LaurentPolynomial:
-        if self.variables == ("a",):
-            return fold_a(p)
-        return p
+    def numeric(cls, x, y) -> "HeckeRing":
+        """Rational x, y != 0; integral values stay `int`, so that y = 1,
+        x = +-2 (loop value +-1) computes over the integers."""
+        x, y = Fraction(x), Fraction(y)
+        if x == 0 or y == 0:
+            raise RingError("x and y must be invertible")
+        x, y, y_inv, delta = (v.numerator if v.denominator == 1 else v
+                              for v in (x, y, 1 / y, (y + 1) / x))
+        return cls(x, y, y_inv, delta, 1, 0)
 
 
 class HeckeElement(Combination):
@@ -121,7 +138,7 @@ def multiply_generator(elem: HeckeElement, i: int, sign: int, ring: HeckeRing,
             else:
                 # = y^-1 (x T_w - x T_w + y T_{sw}) = T_{sw}
                 terms.append((sw, c))
-    return HeckeElement.collect(terms).map(ring.reduce)
+    return HeckeElement.collect(terms)
 
 
 def hecke_normal_form(w: BraidWord, ring: HeckeRing | None = None) -> HeckeElement:
@@ -138,18 +155,18 @@ class OcneanuTrace:
 
     def __init__(self, ring: HeckeRing | None = None):
         self.ring = ring or HeckeRing.generic()
-        self._memo: dict[tuple[int, Perm], LaurentPolynomial] = {}
+        self._memo: dict[tuple[int, Perm], object] = {}
 
-    def of_element(self, elem: HeckeElement) -> LaurentPolynomial:
+    def of_element(self, elem: HeckeElement):
         total = self.ring.zero
         for w, c in elem.coeffs.items():
             total = total + c * self._basis_trace(len(w), w)
-        return self.ring.reduce(total)
+        return total
 
-    def of_braid(self, w: BraidWord) -> LaurentPolynomial:
+    def of_braid(self, w: BraidWord):
         return self.of_element(hecke_normal_form(w, self.ring))
 
-    def _basis_trace(self, n: int, w: Perm) -> LaurentPolynomial:
+    def _basis_trace(self, n: int, w: Perm):
         key = (n, w)
         hit = self._memo.get(key)
         if hit is not None:
@@ -158,22 +175,13 @@ class OcneanuTrace:
         if n == 1:
             value = ring.one
         elif w[n - 1] == n - 1:
-            value = ring.delta() * self._basis_trace(n - 1, w[: n - 1])
+            value = ring.delta * self._basis_trace(n - 1, w[: n - 1])
         else:
-            # Peel the canonical coset factor: w = w' (s_{n-2} ... s_k) with
-            # k = w^-1(n-1) and w' in S_{n-1}; the Markov move eats the top
-            # generator, leaving t_{n-1}(T_{w'} T_{s_{n-3}} ... T_{s_k}).
-            k = w.index(n - 1)
-            w_prime = list(w)
-            for j in range(k, n - 1):
-                w_prime[j] = w_prime[j + 1]
-            w_prime = tuple(w_prime[: n - 1])
-            value = self._right_fold_trace(w_prime, list(range(n - 3, k - 1, -1)))
-        value = ring.reduce(value)
+            value = self._right_fold_trace(*coset_peel(w))
         self._memo[key] = value
         return value
 
-    def _right_fold_trace(self, w: Perm, gens: list[int]) -> LaurentPolynomial:
+    def _right_fold_trace(self, w: Perm, gens: Sequence[int]):
         """t(T_w T_{s_{g1}} T_{s_{g2}} ...) for the descending run `gens`."""
         ring = self.ring
         elem = HeckeElement({w: ring.one})
@@ -182,48 +190,17 @@ class OcneanuTrace:
         return self.of_element(elem)
 
 
-def homfly_invariant(w: BraidWord, spec: QuotientSpec | None = None,
-                     tracer: OcneanuTrace | None = None):
-    """Ocneanu trace of a braid, optionally specialized.
+def parity_tracers() -> tuple[OcneanuTrace, OcneanuTrace]:
+    """Numeric Ocneanu traces at (x, y) = (2, 1) and (-2, 1): the point
+    y = 1, x = 2a at a = 1 and at a = -1."""
+    return OcneanuTrace(HeckeRing.numeric(2, 1)), OcneanuTrace(HeckeRing.numeric(-2, 1))
 
-    With spec sending y -> 1, x -> 2a (a^2 = 1) the value is a^(#L - 1).
-    A specialization must keep x invertible.
+
+def hecke_trace_qa(w: BraidWord, tracers: tuple[OcneanuTrace, OcneanuTrace]) -> QA:
+    """Trace at the y = 1, x = 2a point as an element of Q[a]/(a^2-1).
+
+    The values of the two `parity_tracers` at a = 1 and a = -1 are joined
+    once; that is exact because Q[a]/(a^2-1) = Q x Q.
     """
-    if tracer is not None:
-        return tracer.of_braid(w)
-    if spec is None:
-        return OcneanuTrace().of_braid(w)
-    x_image = spec.reduce(LaurentPolynomial.var("x", spec.source_variables))
-    y_image = spec.reduce(LaurentPolynomial.var("y", spec.source_variables))
-    if spec.target_variables == ("a",):
-        if y_image != LaurentPolynomial.one(("a",)):
-            raise RingError("only the y = 1 specializations are supported here")
-        x_qa = QA.from_poly(x_image)
-        if not x_qa.is_unit():
-            raise RingError("specialization kills x")
-        ring = HeckeRing(
-            ("a",), x_image, y_image, x_qa.inverse().to_poly(), y_image,
-            LaurentPolynomial.one(("a",)), LaurentPolynomial.zero(("a",)),
-        )
-        return QA.from_poly(OcneanuTrace(ring).of_braid(w))
-    generic = OcneanuTrace().of_braid(w)
-    return spec.reduce(generic)
-
-
-def hecke_trace_qa(w: BraidWord, tracer: OcneanuTrace) -> QA:
-    """Trace at the y=1, x=2a point as an element of Q[a]/(a^2-1)."""
-    return QA.from_poly(tracer.of_braid(w))
-
-
-def spec_hecke_parity_point() -> QuotientSpec:
-    """Q[x^-1+-, y^+-1] -> Q[a]/(a^2-1) with x -> 2a, y -> 1."""
-    from .rings import PowerReduce, Substitute
-    av = ("a",)
-    return QuotientSpec(
-        "xy->(2a,1)", ("x", "y", "a"),
-        (
-            Substitute("x", LaurentPolynomial.parse("2*a", av)),
-            Substitute("y", LaurentPolynomial.one(av)),
-            PowerReduce("a", 2, LaurentPolynomial.one(av)),
-        ),
-    )
+    plus, minus = tracers
+    return QA.from_components(plus.of_braid(w), minus.of_braid(w))

@@ -35,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .braids import BraidWord, component_count, parse_braid
-from .hecke import OcneanuTrace, homfly_invariant
+from .hecke import OcneanuTrace
 from .qa import QA, parse_qa
 from .rings import LaurentPolynomial, RingError
 from .skein import KauffmanEvaluator, alexander_det, diagram_from_plat, markov_trace_pm_fast
@@ -223,7 +223,7 @@ def invariant_key(braid: BraidWord, evaluator: KauffmanEvaluator | None = None,
                   tracer: OcneanuTrace | None = None
                   ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     """(HOMFLY, Kauffman `+` trace) of the closure."""
-    return homfly_invariant(braid, tracer=tracer), markov_trace_pm_fast(braid, "+", evaluator)
+    return (tracer or OcneanuTrace()).of_braid(braid), markov_trace_pm_fast(braid, "+", evaluator)
 
 
 class InvariantIndex:

@@ -2,9 +2,11 @@
 
 Elements are stored as pairs u + v*a of exact rationals.  This is the ring
 where parity-type traces, the exotic trace at x = 2a, and the specialized
-Kauffman/Ocneanu traces take their values.  A dedicated type keeps the hot
-paths (module actions on thousands of basis vectors, skein recursions)
-free of generic polynomial overhead.
+Kauffman/Ocneanu traces take their values.  Since 2 is invertible,
+Q[a]/(a^2-1) = Q x Q by the values at a = 1 and a = -1, so those traces
+are computed at the two points over the rationals and joined once
+(`QA.from_components`); `specialize` takes a Laurent polynomial in a and
+x into the ring the same way.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ class QA:
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
+    def __bool__(self) -> bool:
+        return self.u != 0 or self.v != 0
+
     def is_unit(self) -> bool:
         # Through Q[a]/(a^2-1) = Q x Q: both components u+v, u-v nonzero.
         return self.u + self.v != 0 and self.u - self.v != 0
@@ -94,18 +99,6 @@ class QA:
     def to_poly(self) -> LaurentPolynomial:
         return LaurentPolynomial(A_ONLY, {(0,): self.u, (1,): self.v})
 
-    @classmethod
-    def from_poly(cls, p: LaurentPolynomial) -> "QA":
-        if p.variables != A_ONLY:
-            raise RingError(f"expected a polynomial in a alone, got {p.variables}")
-        u = v = Fraction(0)
-        for (e,), c in p.terms.items():
-            if e % 2:
-                v += c
-            else:
-                u += c
-        return cls(u, v)
-
     def render(self) -> str:
         return self.to_poly().render()
 
@@ -128,5 +121,16 @@ ONE = QA(1)
 A = QA(0, 1)
 
 
+def specialize(p: LaurentPolynomial, x: QA) -> QA:
+    """The image in Q[a]/(a^2-1) of p in Q[a^+-1, x^+-1] when x is sent to the unit `x`.
+
+    p is evaluated at a = 1 and at a = -1 and the values are joined once,
+    which is exact because Q[a]/(a^2-1) = Q x Q.  A p in a alone ignores `x`.
+    """
+    if not x.is_unit():
+        raise RingError(f"x -> {x} is not a unit of Q[a]/(a^2-1)")
+    return QA.from_components(*(p.evaluate({"a": a, "x": x.at(a)}) for a in (1, -1)))
+
+
 def parse_qa(text: str) -> QA:
-    return QA.from_poly(LaurentPolynomial.parse(text, A_ONLY))
+    return specialize(LaurentPolynomial.parse(text, A_ONLY), ONE)

@@ -112,6 +112,9 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         z = tuple([0] * len(self.variables))
         return not self.terms or (len(self.terms) == 1 and z in self.terms)
@@ -782,15 +785,3 @@ def fold_a(p: LaurentPolynomial) -> LaurentPolynomial:
         out[mono] = out.get(mono, 0) + c
     return LaurentPolynomial(p.variables, out)
 
-
-def spec_ax_point(x_image_text: str) -> QuotientSpec:
-    """Quotient of Q[a,x,x^-1]/(a^2-1) sending x to a multiple of a power of a."""
-    a = ("a",)
-    return QuotientSpec(
-        f"x->{x_image_text}",
-        AX,
-        (
-            Substitute("x", LaurentPolynomial.parse(x_image_text, a)),
-            PowerReduce("a", 2, LaurentPolynomial.one(a)),
-        ),
-    )

@@ -33,8 +33,9 @@ There is one trace function, `markov_trace_pm_fast`: t(beta) =
 a^(#negative letters) V(closure), computed in the evaluator's own ring (a
 Laurent polynomial in a and x for the generic ring, a rational number for a
 numeric one).  `kauffman_at_point` is that function on the two numeric
-rings a = +1 and a = -1.  `rewrite_alpha_z` carries a polynomial written in
-(alpha, z) into (a, x).
+rings a = +1 and a = -1, at the values there of an image of x in
+Q[a]/(a^2-1) (such as 2a), joined into that ring once.  `rewrite_alpha_z`
+carries a polynomial written in (alpha, z) into (a, x).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Container, Mapping
 from .braids import BraidWord, component_count
 from .burau import alexander_determinant
 from .qa import QA
-from .rings import AX, LaurentPolynomial, QuotientSpec, RingError
+from .rings import AX, LaurentPolynomial, RingError
 
 Port = int
 Crossing = tuple[tuple[Port, Port, Port, Port], bool]  # ccw ports, over02
@@ -560,23 +561,18 @@ def markov_trace_pm_fast(w: BraidWord, variant: str,
     return ev.value(diagram_from_closure(w)) * ev.ring.a_inv ** -neg
 
 
-def kauffman_at_point(w: BraidWord, spec: QuotientSpec,
-                      caches: tuple[dict, dict] | None = None) -> QA:
+def kauffman_at_point(w: BraidWord, x: QA, caches: tuple[dict, dict] | None = None) -> QA:
     """The patched Kauffman trace at a point of the locus a^2 = y = 1.
 
-    The + variant is evaluated on the a = +1 component and the - variant on
-    a = -1; the two rational values are glued into Q[a]/(a^2-1).  `spec`
-    must reduce Q[a, x^+-1] by x -> (rational multiple of a or 1) together
-    with a^2 -> 1, e.g. `spec_ax_point("2*a")`.
+    `x` is the image of x in Q[a]/(a^2-1), a unit such as 2a.  The + variant
+    is evaluated on the a = +1 component and the - variant on a = -1, each
+    in a numeric ring; the two rational values are joined once.
     """
-    x_image = spec.reduce(LaurentPolynomial.var("x", AX))
-    x_qa = QA.from_poly(x_image)
-    x_plus, x_minus = x_qa.at(1), x_qa.at(-1)
-    if x_plus == 0 or x_minus == 0:
-        raise RingError("spec sends x outside the invertible locus")
+    if not x.is_unit():
+        raise RingError(f"x -> {x} is outside the invertible locus")
     values = []
-    for variant, a, x, cache in zip("+-", (1, -1), (x_plus, x_minus), caches or ({}, {})):
-        ev = KauffmanEvaluator(variant, SkeinRing.numeric(variant, Fraction(a), x))
+    for variant, a, cache in zip("+-", (1, -1), caches or ({}, {})):
+        ev = KauffmanEvaluator(variant, SkeinRing.numeric(variant, Fraction(a), x.at(a)))
         ev._cache = cache
         values.append(markov_trace_pm_fast(w, variant, ev))
     return QA.from_components(*values)

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combination import Combination
-from .qa import QA
-from .rings import AX, LaurentPolynomial, RingError, fold_a, spec_ax_point
+from .qa import A, QA, specialize
+from .rings import AX, LaurentPolynomial, RingError, fold_a
 
 Word = tuple[int, ...]
 C_WORD = "C"
@@ -311,10 +311,9 @@ def trace_xa(elem: TLElement | Word, n: int) -> QA:
     """The trace family at x = a: a^(k+n)(N - k) on words, -a^(n+1) on C."""
     if not isinstance(elem, TLElement):
         elem = TLElement.word(tuple(elem))
-    spec = spec_ax_point("a")
     total = QA(0)
     for k, coeff in elem.coeffs.items():
-        scalar = QA.from_poly(spec.reduce(coeff))
+        scalar = specialize(coeff, A)
         if k == C_WORD:
             cell = QA.a_power(n + 1) * QA(-1)
         else:
@@ -351,10 +350,9 @@ def trace_x2a(elem: TLElement | Word, n: int, cfg: TLTraceConfig | None = None) 
     cfg = cfg or TLTraceConfig()
     if not isinstance(elem, TLElement):
         elem = TLElement.word(tuple(elem))
-    spec = spec_ax_point("2*a")
     total = QA(0)
     for k, coeff in elem.coeffs.items():
-        scalar = QA.from_poly(spec.reduce(coeff))
+        scalar = specialize(coeff, 2 * A)
         if k == C_WORD:
             cell = cfg.u_at(n) * QA(-1)
         else:
@@ -458,10 +456,8 @@ def split_checks() -> SplitReport:
     generic_ok = all(cleared_substitution_zero(r) for r in residues)
 
     # x = 2a: the section e_i -> e_i + C
-    spec0 = spec_ax_point("2*a")
-
     def at0(p: LaurentPolynomial) -> QA:
-        return QA.from_poly(spec0.reduce(p))
+        return specialize(p, 2 * A)
 
     e1c, e2c, e3c = (TLElement.word((i,)) + TLElement.c(1) for i in range(3))
     x2a_ok = (
@@ -471,10 +467,8 @@ def split_checks() -> SplitReport:
     )
 
     # x = a: lambda is forced to 0 by (1), and then (5) leaves 2a/x C != 0
-    speca = spec_ax_point("a")
-
     def ata(p: LaurentPolynomial) -> QA:
-        return QA.from_poly(speca.reduce(p))
+        return specialize(p, A)
 
     # residue of (1) at x=a as a polynomial in L: (dt/x) L (1 + 2L(a-x)/x) C
     # = a L C, so lambda_i = 0; then (5) residue with lambda = 0:
@@ -484,20 +478,20 @@ def split_checks() -> SplitReport:
     xa_obstructed = sandwich.map(ata) == TLElement({C_WORD: QA(2)})  # 2a/x C at x=a is 2C
 
     # braid-extension obstruction Q(lambda) = x^4(1 + u dt + u^2 dt)
-    def q_is_unit(spec) -> bool:
+    def q_is_unit(x: QA) -> bool:
         lam = LaurentPolynomial.var("L", AXL)
         u = apl("2*a*(a-x)*x^-2").extend(AXL) * lam
         dt = DT.extend(AXL)
         q = (LaurentPolynomial.one(AXL) + u * dt + u * u * dt) * apl("x^4").extend(AXL)
-        reduced = Combination(_by_l(q)).map(lambda v: QA.from_poly(spec.reduce(v)))
+        reduced = Combination(_by_l(q)).map(lambda v: specialize(v, x))
         return set(reduced.coeffs) == {0} and reduced.coeffs[0].is_unit()
 
     return SplitReport(
         generic_section_works=generic_ok,
         x2a_section_works=x2a_ok,
         xa_obstructed=xa_obstructed,
-        braid_obstruction_unit_xa=q_is_unit(speca),
-        braid_obstruction_unit_x2a=q_is_unit(spec0),
+        braid_obstruction_unit_xa=q_is_unit(A),
+        braid_obstruction_unit_x2a=q_is_unit(2 * A),
     )
 
 
@@ -520,10 +514,9 @@ def retraction_check(n: int = 4) -> RetractionReport:
     """At x = -2a the assignment s_i, s_i^-1 -> -e_i - a, C -> C satisfies
     the braid-algebra relations inside the extended Temperley-Lieb algebra."""
     alg = ExtTL(n)
-    spec = spec_ax_point("-2*a")
 
     def at(p: LaurentPolynomial) -> QA:
-        return QA.from_poly(spec.reduce(p))
+        return specialize(p, -2 * A)
 
     def shat(i: int) -> TLElement:
         return TLElement.word((i,)).scale(-1) + TLElement({(): apl("-a")})

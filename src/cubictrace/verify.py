@@ -33,10 +33,10 @@ from .coxeter import (
     nonsplit_certificate,
     verify_braid_relations,
 )
-from .hecke import HeckeRing, OcneanuTrace, hecke_normal_form, hecke_trace_qa
+from .hecke import HeckeRing, OcneanuTrace, hecke_normal_form, hecke_trace_qa, parity_tracers
 from .knotdata import load_records
-from .qa import QA
-from .rings import AX, LaurentPolynomial, spec_ax_point
+from .qa import A, QA
+from .rings import AX, LaurentPolynomial
 from .report import SuiteReport
 from .skein import (
     KauffmanEvaluator,
@@ -199,7 +199,6 @@ def suite_skein(seed: int = 5, markov_braids: int = 100) -> SuiteReport:
             == markov_trace_pm_fast(w, "+", KauffmanEvaluator("+", use_cache=False)))
 
     records = load_records()
-    spec = spec_ax_point("2*a")
     caches = ({}, {})
 
     def det_squared() -> bool:
@@ -207,7 +206,7 @@ def suite_skein(seed: int = 5, markov_braids: int = 100) -> SuiteReport:
         for r in records:
             braid = r.braid()
             expected = QA.a_power(component_count(braid) - 1) * QA(alexander_det(braid) ** 2)
-            if kauffman_at_point(braid, spec, caches) != expected:
+            if kauffman_at_point(braid, 2 * A, caches) != expected:
                 ok = False
         return ok
 
@@ -257,9 +256,9 @@ def suite_hecke(seed: int = 7, pairs: int = 200) -> SuiteReport:
     rep.run("hecke/loop-value difference delta_H - delta_K = a/y",
             lambda: delta_h.extend(("x", "y", "a")) - delta_k
             == LaurentPolynomial.parse("a/y", ("x", "y", "a")))
-    parity_tracer = OcneanuTrace(HeckeRing.at_parity_point())
+    parity = parity_tracers()
     rep.run("hecke/value a^(#L-1) at y = 1, x = 2a on the whole table",
-            lambda: all(hecke_trace_qa(r.braid(), parity_tracer)
+            lambda: all(hecke_trace_qa(r.braid(), parity)
                         == QA.a_power(component_count(r.braid()) - 1)
                         for r in load_records()))
     rng2 = random.Random(seed + 1)

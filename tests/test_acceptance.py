@@ -34,7 +34,7 @@ from cubictrace.coxeter import (
     nonsplit_certificate,
     verify_braid_relations,
 )
-from cubictrace.hecke import HeckeRing, OcneanuTrace, hecke_trace_qa
+from cubictrace.hecke import hecke_trace_qa, parity_tracers
 from cubictrace.h3 import (
     character_and_module_checks,
     check_r1_images,
@@ -44,8 +44,8 @@ from cubictrace.h3 import (
     gram_determinant_at_points,
 )
 from cubictrace.knotdata import load_records
-from cubictrace.qa import QA
-from cubictrace.rings import AX, LaurentPolynomial, spec_ax_point
+from cubictrace.qa import A, QA
+from cubictrace.rings import AX, LaurentPolynomial
 from cubictrace.skein import (
     ALPHA_Z,
     KauffmanEvaluator,
@@ -199,7 +199,7 @@ def test_criterion_5_schur_gram_suite():
 
 def test_criterion_6_markov_property_suites(t0, evaluators):
     rng = random.Random(2026)
-    parity_tracer = OcneanuTrace(HeckeRing.at_parity_point())
+    parity_tracer = parity_tracers()
     lambdas = [T0Invariant(ThmTraceConfig(base=Fraction(b))) for b in (1, -1, 5)]
     bad = []
     for trial in range(300):
@@ -245,9 +245,8 @@ def test_criterion_7_unlink_series(t0):
 
 
 def test_criterion_8_cross_pipeline(records, evaluators):
-    spec = spec_ax_point("2*a")
     caches = ({}, {})
-    parity_tracer = OcneanuTrace(HeckeRing.at_parity_point())
+    parity_tracer = parity_tracers()
     det_ok = True
     hecke_ok = True
     sign_ok = True
@@ -261,7 +260,7 @@ def test_criterion_8_cross_pipeline(records, evaluators):
             sign_ok = False
         checked += 1
         expected = QA.a_power(ncomp - 1) * QA(alexander_det(braid) ** 2)
-        if kauffman_at_point(braid, spec, caches) != expected:
+        if kauffman_at_point(braid, 2 * A, caches) != expected:
             det_ok = False
     assert checked == len(records)
     ok = det_ok and hecke_ok and sign_ok

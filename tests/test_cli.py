@@ -35,6 +35,13 @@ BAD_TABLES = {
 }
 
 
+def cli_env() -> dict:
+    """The environment for a `python -m cubictrace` child: this checkout's src/ first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out.strip()
@@ -84,6 +91,8 @@ class TestInvariantCommand:
         ["table", "--input", "wrong_columns.tsv"],
         ["table", "--input", "bad_strands.tsv"],
         ["table", "--input", "bad_expected.tsv"],
+        ["invariant", "--which", "parity", "--braid", "1 1", "--strands", "2", "--at", "xa"],
+        ["invariant", "--which", "t0x2a", "--braid", "1 1", "--strands", "2", "--at", "x2a"],
     ])
     def test_bad_input_is_one_line_and_exit_2(self, args, tmp_path, capsys):
         for name, text in BAD_TABLES.items():
@@ -96,13 +105,30 @@ class TestInvariantCommand:
             assert "line 1: " in err  # a bad row names its line
 
     def test_python_dash_m_entry_point(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "cubictrace", "invariant", "--which", "parity",
                                "--braid", "1 1 1", "--strands", "2"],
-                              env=env, capture_output=True, text=True)
+                              env=cli_env(), capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    def test_closed_output_pipe_ends_quietly(self):
+        # as `cubictrace verify --suite braid | head -0`: nobody reads stdout
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "cubictrace", "verify", "--suite", "braid"],
+                                  env=cli_env(), stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert done.stderr == ""
+        assert done.returncode == 141
+
+
+class TestTableCommand:
+    def test_output_matches_the_golden_file(self, capsys):
+        # thm, hecke, kauffman and value of every catalog row, as first recorded
+        code, out = run_cli(["table"], capsys)
+        assert code == 0
+        assert out == (Path(__file__).resolve().parent / "golden" / "table.txt").read_text().strip()
 
 
 class TestVerifyCommand:

@@ -117,10 +117,12 @@ class TestBraidRelations:
 
 class TestThmTrace:
     def test_c_tower(self):
+        # t_n(C) = a^n at a = +-1, and C has no trace on one strand
         eng = ThmTraceEngine()
-        assert eng.trace_vector(ExtHeckeVector.c_vector(), 2) == QA(1)
-        assert eng.trace_vector(ExtHeckeVector.c_vector(), 3) == QA(0, 1)
-        assert eng.trace_vector(ExtHeckeVector.c_vector(), 4) == QA(1)
+        for n in (2, 3, 4):
+            assert QA.from_components(*(eng.trace_at(n, {}, 1, a) for a in (1, -1))) == QA.a_power(n)
+        with pytest.raises(RingError):
+            eng.trace_at(1, {}, 1, 1)
 
     def test_markov_peeling_example(self):
         # on three strands the element s1 s2 peels down to the base value

@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from cubictrace.braids import BraidWord, component_count, conjugate, parse_braid, \
     stabilize_neg, stabilize_pos
 from cubictrace.hecke import (
@@ -13,12 +15,12 @@ from cubictrace.hecke import (
     hecke_normal_form,
     HeckeElement,
     hecke_trace_qa,
-    homfly_invariant,
     multiply_generator,
-    spec_hecke_parity_point,
+    parity_tracers,
 )
+from cubictrace.knotdata import invariant_key
 from cubictrace.qa import QA
-from cubictrace.rings import LaurentPolynomial
+from cubictrace.rings import LaurentPolynomial, RingError
 
 
 def xy(text):
@@ -126,16 +128,34 @@ class TestOcneanuTrace:
 
 class TestParityPoint:
     def test_component_power_on_small_braids(self):
-        tracer = OcneanuTrace(HeckeRing.at_parity_point())
+        tracers = parity_tracers()
         for word, n in (("1 1 1", 2), ("1 1", 2), ("1 -2 1 -2", 3), ("", 3), ("", 4)):
             w = parse_braid(word, n)
-            assert hecke_trace_qa(w, tracer) == QA.a_power(component_count(w) - 1)
+            assert hecke_trace_qa(w, tracers) == QA.a_power(component_count(w) - 1)
 
     def test_homfly_invariant_specialized(self):
-        spec = spec_hecke_parity_point()
-        assert homfly_invariant(parse_braid("1 1 1", 2), spec) == QA(1)
-        assert homfly_invariant(parse_braid("1 1", 2), spec) == QA(0, 1)
+        tracers = parity_tracers()
+        assert hecke_trace_qa(parse_braid("1 1 1", 2), tracers) == QA(1)
+        assert hecke_trace_qa(parse_braid("1 1", 2), tracers) == QA(0, 1)
 
     def test_homfly_generic_matches_tracer(self):
+        # the HOMFLY half of the catalog screens' key is the generic trace
         w = parse_braid("1 -2 1 -2", 3)
-        assert homfly_invariant(w) == OcneanuTrace().of_braid(w)
+        assert invariant_key(w)[0] == OcneanuTrace().of_braid(w)
+
+    def test_numeric_trace_is_the_generic_one_at_the_point(self):
+        rng = random.Random(41)
+        generic = OcneanuTrace()
+        plus, minus = parity_tracers()
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            alphabet = [i for i in range(1, n)] + [-i for i in range(1, n)]
+            w = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 9) if alphabet else 0)))
+            value = generic.of_braid(w)
+            for tracer, x in ((plus, 2), (minus, -2)):
+                assert tracer.of_braid(w) == value.evaluate({"x": Fraction(x), "y": Fraction(1)})
+
+    def test_numeric_ring_rejects_a_zero_point(self):
+        for x, y in ((0, 1), (2, 0)):
+            with pytest.raises(RingError):
+                HeckeRing.numeric(x, y)

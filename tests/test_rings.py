@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubictrace.qa import A, QA, specialize
 from cubictrace.rings import (
     ABC,
     AX,
@@ -19,7 +20,6 @@ from cubictrace.rings import (
     pit_points,
     poly_abc,
     spec_a_squared_one,
-    spec_ax_point,
     spec_dagger_dagger,
     spec_r_plus,
 )
@@ -110,14 +110,20 @@ class TestQuotients:
 
     def test_kauffman_loop_value_vanishes_at_x2a(self):
         # numerator of (y^2 - a x + y)/(x y) at y = 1 is 2 - a x -> 0 at x = 2a
-        spec = spec_ax_point("2*a")
         numerator = LaurentPolynomial.parse("2 - a*x", AX)
-        assert spec.reduce(numerator).is_zero()
+        assert specialize(numerator, 2 * A).is_zero()
+        assert specialize(LaurentPolynomial.parse("x^-1 * (2 - a*x)", AX), 2 * A).is_zero()
 
     def test_extension_loop_value_vanishes_at_x2a(self):
-        spec = spec_ax_point("2*a")
-        assert spec.reduce(LaurentPolynomial.parse("2 - a*x", AX)).is_zero()
-        assert not spec_ax_point("a").reduce(LaurentPolynomial.parse("2 - a*x", AX)).is_zero()
+        dt = LaurentPolynomial.parse("2 - a*x", AX)
+        assert specialize(dt, 2 * A).is_zero()
+        assert specialize(dt, A) == QA(1)
+        # a x^-1 + x^2 at x = -2a: a (-a/2) + 4 a^2 = 7/2
+        assert specialize(LaurentPolynomial.parse("a*x^-1 + x^2", AX), -2 * A) == QA(Fraction(7, 2))
+        # x must be a unit of Q[a]/(a^2 - 1): zero at a = 1 or at a = -1 is refused
+        for x in (QA(0), QA(1, 1), QA(1, -1)):
+            with pytest.raises(RingError):
+                specialize(dt, x)
 
     def test_idempotence_and_multiplicativity(self):
         import random
