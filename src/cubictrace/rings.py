@@ -5,18 +5,15 @@ map from integer exponent vectors (negative entries allowed) to nonzero
 `Fraction` coefficients, over a fixed ordered tuple of variable names.
 There is no floating point anywhere.
 
-Quotient rings such as Q[a,b,c,(abc)^-1]/(a - bc) or Q[a,x,x^-1]/(a^2 - 1)
-are handled by `QuotientSpec`: an ordered list of substitution rules, each
-of which either eliminates a variable (``a -> b*c``) or reduces the powers
-of a variable modulo k (``a^2 -> 1``).  Rules are validated at construction
-so that a single left-to-right pass is a normal form (reduction terminates
-and is idempotent).
-
-`pit_equal` is probabilistic polynomial-identity testing (Schwartz-Zippel)
-for checks whose fully symbolic form is expensive, e.g. 24x24 Gram
-determinants.  It evaluates both sides at seeded rational points compatible
-with the active quotient and reports the one-sided error bound alongside
-the verdict.
+The quotients of R = Q[a,b,c,(abc)^-1] in which the H3 identities hold are
+ring maps, `Specialization`s: R/(a -+ bc) is the Laurent ring in b, c
+under a -> +-bc, and R/(bc - 1, a^2 - 1) is two copies of the Laurent ring
+in b, one under a -> 1 and one under a -> -1, both with c -> 1/b.  Each
+map is a substitution, so an image is canonical as computed and needs no
+reduction afterwards.  `Specialization.point` draws seeded rational points
+of the locus for the checks that evaluate instead of expanding, such as
+the 24x24 Gram determinants.  `fold_a` reduces a^2 -> 1 where
+coefficients stay in Q[a]/(a^2 - 1), as in the Temperley-Lieb algebras.
 """
 
 from __future__ import annotations
@@ -495,232 +492,6 @@ class _Parser:
         raise RingError(f"unexpected token {tok!r}")
 
 
-# -- quotient specifications ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Substitute:
-    """Eliminate `variable`, replacing it by `image` (over the target variables)."""
-
-    variable: str
-    image: LaurentPolynomial
-
-
-@dataclass(frozen=True)
-class PowerReduce:
-    """Reduce powers of `variable` modulo `modulus`: variable^modulus -> image."""
-
-    variable: str
-    modulus: int
-    image: LaurentPolynomial
-
-
-Rule = Substitute | PowerReduce
-
-
-@dataclass(frozen=True)
-class QuotientSpec:
-    """An ordered, single-pass-normalizing list of substitution rules.
-
-    The constructor rejects rule sets whose images mention eliminated
-    variables, which is what guarantees termination and idempotence of
-    `reduce` and makes reduction a ring homomorphism onto the target ring.
-    """
-
-    name: str
-    source_variables: tuple[str, ...]
-    rules: tuple[Rule, ...]
-
-    def __post_init__(self):
-        eliminated = {r.variable for r in self.rules if isinstance(r, Substitute)}
-        targets = tuple(v for v in self.source_variables if v not in eliminated)
-        for rule in self.rules:
-            if rule.variable not in self.source_variables:
-                raise RingError(f"rule variable {rule.variable!r} not among source variables")
-            if isinstance(rule, PowerReduce) and rule.modulus < 1:
-                raise RingError("PowerReduce modulus must be positive")
-            img_vars = rule.image.variables
-            if tuple(img_vars) != targets:
-                raise RingError(
-                    f"rule image for {rule.variable!r} must live over the target "
-                    f"variables {targets}, got {img_vars}"
-                )
-            reduced_mods = {r.variable: r.modulus for r in self.rules if isinstance(r, PowerReduce)}
-            for mono in rule.image.terms:
-                for v, e in zip(img_vars, mono):
-                    if v in eliminated and e != 0:
-                        raise RingError("rule image mentions an eliminated variable")
-                    if v in reduced_mods and not (0 <= e < reduced_mods[v]):
-                        raise RingError(
-                            "rule image carries an unreduced power; the rule set "
-                            "would not terminate"
-                        )
-        object.__setattr__(self, "_targets", targets)
-
-    @property
-    def target_variables(self) -> tuple[str, ...]:
-        return self._targets  # type: ignore[attr-defined]
-
-    def reduce(self, p: LaurentPolynomial) -> LaurentPolynomial:
-        """Canonical representative of p modulo the relations."""
-        if p.variables == self.source_variables:
-            pass
-        elif p.variables == self.target_variables:
-            p = p.extend(self.source_variables)
-        else:
-            raise RingError(
-                f"{self.name}: polynomial over {p.variables} does not match "
-                f"source {self.source_variables}"
-            )
-        targets = self.target_variables
-        substitutions: dict[str, LaurentPolynomial] = {}
-        reductions: dict[str, PowerReduce] = {}
-        for rule in self.rules:
-            if isinstance(rule, Substitute):
-                substitutions[rule.variable] = rule.image
-            else:
-                reductions[rule.variable] = rule
-        out = LaurentPolynomial.zero(targets)
-        pow_cache: dict[tuple[str, int], LaurentPolynomial] = {}
-        for mono, coeff in p.terms.items():
-            term = LaurentPolynomial.constant(coeff, targets)
-            for v, e in zip(p.variables, mono):
-                if e == 0:
-                    continue
-                if v in substitutions:
-                    key = (v, e)
-                    img = pow_cache.get(key)
-                    if img is None:
-                        img = substitutions[v] ** e
-                        pow_cache[key] = img
-                    term = term * img
-                elif v in reductions:
-                    rule = reductions[v]
-                    q, r = divmod(e, rule.modulus)
-                    img = LaurentPolynomial.var(v, targets, r) if r else LaurentPolynomial.one(targets)
-                    if q:
-                        key = (v, q * rule.modulus)
-                        pw = pow_cache.get(key)
-                        if pw is None:
-                            pw = rule.image ** q
-                            pow_cache[key] = pw
-                        img = img * pw
-                    term = term * img
-                else:
-                    term = term * LaurentPolynomial.var(v, targets, e)
-            out = out + term
-        # Substitution images may carry negative powers of a reduced
-        # variable (e.g. x^-1 -> a^-1/2 under x -> 2a, a^2 -> 1); one more
-        # pass settles those.  Rule validation keeps this terminating.
-        if self._needs_reduction(out, reductions):
-            return self.reduce(out)
-        return out
-
-    @staticmethod
-    def _needs_reduction(p: LaurentPolynomial, reductions: Mapping[str, PowerReduce]) -> bool:
-        for mono in p.terms:
-            for v, e in zip(p.variables, mono):
-                rule = reductions.get(v)
-                if rule is not None and not (0 <= e < rule.modulus):
-                    return True
-        return False
-
-    def compatible_point(self, rng: random.Random, low: int = 1, high: int = 10 ** 6) -> "RingPoint":
-        """A random rational point satisfying all relations.
-
-        Free variables are drawn uniformly from +-[low, high]; substituted
-        variables are computed from their images; power-reduced variables
-        with image 1 become random modulus-th roots of unity in Q (i.e. +-1
-        when the modulus is even).
-        """
-        assignment: dict[str, Fraction] = {}
-        reductions = {r.variable: r for r in self.rules if isinstance(r, PowerReduce)}
-        for v in self.target_variables:
-            if v in reductions:
-                rule = reductions[v]
-                img = rule.image
-                if img == LaurentPolynomial.one(img.variables) and rule.modulus % 2 == 0:
-                    assignment[v] = Fraction(rng.choice([-1, 1]))
-                elif img == LaurentPolynomial.one(img.variables):
-                    assignment[v] = Fraction(1)
-                else:
-                    raise RingError("cannot sample a point for a non-unit power relation")
-            else:
-                mag = Fraction(rng.randint(low, high))
-                assignment[v] = mag if rng.random() < 0.5 else -mag
-        for rule in reversed(self.rules):
-            if isinstance(rule, Substitute):
-                assignment[rule.variable] = rule.image.evaluate(assignment)
-        return RingPoint(assignment=assignment, spec=self)
-
-
-@dataclass(frozen=True)
-class RingPoint:
-    """A rational point; must satisfy the relations of the attached spec."""
-
-    assignment: Mapping[str, Fraction]
-    spec: QuotientSpec | None = None
-
-    def __post_init__(self):
-        if self.spec is not None:
-            for rule in self.spec.rules:
-                v = Fraction(self.assignment[rule.variable])
-                if isinstance(rule, Substitute):
-                    expected = rule.image.evaluate(self.assignment)
-                    ok = v == expected
-                else:
-                    ok = v ** rule.modulus == rule.image.evaluate(self.assignment)
-                if not ok:
-                    raise RingError(
-                        f"point violates relation on {rule.variable!r} of spec {self.spec.name!r}"
-                    )
-
-    def value(self, p: LaurentPolynomial) -> Fraction:
-        return p.evaluate(self.assignment)
-
-
-@dataclass(frozen=True)
-class PitResult:
-    equal: bool
-    points_used: int
-    error_bound: Fraction
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
-def pit_points(spec: QuotientSpec, count: int, seed: int) -> list[RingPoint]:
-    rng = random.Random(seed)
-    return [spec.compatible_point(rng) for _ in range(count)]
-
-
-def pit_equal(p: LaurentPolynomial, q: LaurentPolynomial,
-              points: Sequence[RingPoint] | None = None, seed: int = 0,
-              spec: QuotientSpec | None = None, count: int = 7) -> PitResult:
-    """Schwartz-Zippel identity test for p == q.
-
-    With d = total degree of p - q and points drawn coordinatewise from a
-    set of size >= 10^6, a nonzero difference evaluates to zero at one point
-    with probability <= d/10^6; the reported bound is (d/10^6)^k for k
-    independent points.  Equality of polynomials is never misreported.
-    """
-    if points is None:
-        if spec is None:
-            spec = QuotientSpec("free", p.variables, ())
-        if count < 5:
-            raise RingError("pit_equal needs at least 5 points")
-        points = pit_points(spec, count, seed)
-    if len(points) < 5:
-        raise RingError("pit_equal needs at least 5 points")
-    diff = p - q
-    degree = max(diff.total_degree(), 1)
-    bound = Fraction(min(degree, 10 ** 6), 10 ** 6) ** len(points)
-    for pt in points:
-        if pt.value(diff) != 0:
-            return PitResult(equal=False, points_used=len(points), error_bound=Fraction(0))
-    return PitResult(equal=True, points_used=len(points), error_bound=bound)
-
-
 # -- commonly used rings -----------------------------------------------------
 
 ABC = ("a", "b", "c")
@@ -732,51 +503,64 @@ def poly_abc(text: str) -> LaurentPolynomial:
     return LaurentPolynomial.parse(text, ABC)
 
 
-def spec_free_abc() -> QuotientSpec:
-    """R = Q[a,b,c,(abc)^-1] with no relations."""
-    return QuotientSpec("R", ABC, ())
+@dataclass(frozen=True)
+class Specialization:
+    """A ring map from R = Q[a,b,c,(abc)^-1] onto the Laurent ring over `variables`.
+
+    `images` sends some of a, b, c to polynomials over `variables`; the
+    others map to themselves.  Each quotient of R used here solves its
+    relations for unit monomials (a = +-bc, c = 1/b, a = +-1), so the
+    quotient is that Laurent ring, substitution is its canonical form, and
+    the image of p is zero exactly when p lies in the ideal.  The relation
+    a^2 = 1 is not of that shape: it is split, Q[a]/(a^2-1) = Q x Q, into
+    the two maps a -> 1 and a -> -1, and a claim holds there when it holds
+    under both.
+    """
+
+    name: str
+    variables: tuple[str, ...]
+    images: Mapping[str, LaurentPolynomial]
+
+    def __call__(self, p: LaurentPolynomial) -> LaurentPolynomial:
+        """The image of p, a polynomial over ABC."""
+        if not self.images:
+            return p
+        return p.substitute(self.images, self.variables)
+
+    def point(self, rng: random.Random, low: int = 1, high: int = 10 ** 6) -> dict[str, Fraction]:
+        """A random rational point of the locus, as the values of a, b and c.
+
+        Each target variable is drawn uniformly from +-[low, high]; the
+        mapped variables take the values of their images there.
+        """
+        point: dict[str, Fraction] = {}
+        for v in self.variables:
+            mag = Fraction(rng.randint(low, high))
+            point[v] = mag if rng.random() < 0.5 else -mag
+        for v, image in self.images.items():
+            point[v] = image.evaluate(point)
+        return point
 
 
-def spec_r_plus() -> QuotientSpec:
-    """R+ = R/(a - bc)."""
-    bc = ("b", "c")
-    return QuotientSpec("R+", ABC, (Substitute("a", LaurentPolynomial.parse("b*c", bc)),))
+_BC = ("b", "c")
+FREE = Specialization("R", ABC, {})
+R_PLUS = Specialization("R+", _BC, {"a": LaurentPolynomial.parse("b*c", _BC)})    # R/(a - bc)
+R_MINUS = Specialization("R-", _BC, {"a": LaurentPolynomial.parse("-b*c", _BC)})  # R/(a + bc)
 
 
-def spec_r_minus() -> QuotientSpec:
-    """R- = R/(a + bc)."""
-    bc = ("b", "c")
-    return QuotientSpec("R-", ABC, (Substitute("a", LaurentPolynomial.parse("-b*c", bc)),))
-
-
-def spec_dagger_dagger() -> QuotientSpec:
-    """S-dagger-dagger: y = bc -> 1 (i.e. c -> 1/b) and a^2 -> 1."""
-    ab = ("a", "b")
-    return QuotientSpec(
-        "Sdd",
-        ABC,
-        (
-            Substitute("c", LaurentPolynomial.var("b", ab, -1)),
-            PowerReduce("a", 2, LaurentPolynomial.one(ab)),
-        ),
-    )
-
-
-def spec_a_squared_one(variables: Sequence[str] = A_ONLY) -> QuotientSpec:
-    """Q[a]/(a^2-1) style reduction on any ring containing the variable a."""
-    variables = tuple(variables)
-    return QuotientSpec(
-        f"a2=1 over {variables}",
-        variables,
-        (PowerReduce("a", 2, LaurentPolynomial.one(variables)),),
-    )
+def dagger_dagger(a: int) -> Specialization:
+    """S-dagger-dagger = R/(bc - 1, a^2 - 1) at a = 1 or a = -1: c -> 1/b."""
+    if a not in (1, -1):
+        raise RingError(f"a^2 = 1 leaves a = 1 or a = -1, not {a}")
+    b = ("b",)
+    return Specialization(f"Sdd(a={a})", b, {"a": LaurentPolynomial.constant(a, b),
+                                             "c": LaurentPolynomial.var("b", b, -1)})
 
 
 def fold_a(p: LaurentPolynomial) -> LaurentPolynomial:
     """Reduce a^2 -> 1 on any variable tuple containing a.
 
-    The fast form of `spec_a_squared_one(p.variables).reduce(p)`: the
-    exponent of a is taken mod 2, the others are kept.
+    The exponent of a is taken mod 2, the others are kept.
     """
     i = p.variables.index("a")
     out: dict[Monomial, Fraction] = {}

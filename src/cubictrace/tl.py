@@ -19,7 +19,7 @@ The two trace families live at the special points:
     of circles in the diagrammatic trace closure (internal circles count),
     and t(C) = -a^(n+1);
   * x = 2a: t(1) = v_n, t(e_i) = u_n, t(C) = -u_n, t(longer words) = 0,
-    defaulting to u_n = -a^n, v_n = (n-2) a^(n+1).
+    with u_n = -a^n, v_n = (n-2) a^(n+1) and v_1 = 0.
 
 `split_checks` certifies when the central extension splits over the plain
 Temperley-Lieb algebra (x != a, with the explicit section; at x = 2a the
@@ -324,45 +324,27 @@ def trace_xa(elem: TLElement | Word, n: int) -> QA:
     return total
 
 
-@dataclass(frozen=True)
-class TLTraceConfig:
-    """Sequences for the x = 2a family; defaults are the values forced by
-    the tower normalization t_n(1) = (n-2) a^(n+1)."""
+def trace_x2a(elem: TLElement | Word, n: int) -> QA:
+    """The trace family at x = 2a: v_n, u_n, -u_n, 0 on 1, e_i, C, longer.
 
-    u: object = None  # u_n = -t_n(C)
-    v: object = None
-
-    def u_at(self, n: int) -> QA:
-        if self.u is not None:
-            return self.u(n)
-        return QA.a_power(n) * QA(-1)
-
-    def v_at(self, n: int) -> QA:
-        if self.v is not None:
-            return self.v(n)
-        if n == 1:
-            return QA(0)
-        return QA.a_power(n + 1) * QA(n - 2)
-
-
-def trace_x2a(elem: TLElement | Word, n: int, cfg: TLTraceConfig | None = None) -> QA:
-    """The trace family at x = 2a: v_n, u_n, -u_n, 0 on 1, e_i, C, longer."""
-    cfg = cfg or TLTraceConfig()
+    u_n = -a^n and v_n = (n-2) a^(n+1) (v_1 = 0), the values forced by the
+    tower normalization t_n(1) = (n-2) a^(n+1).
+    """
     if not isinstance(elem, TLElement):
         elem = TLElement.word(tuple(elem))
+    u = QA.a_power(n) * QA(-1)
+    v = QA(0) if n == 1 else QA.a_power(n + 1) * QA(n - 2)
     total = QA(0)
     for k, coeff in elem.coeffs.items():
         scalar = specialize(coeff, 2 * A)
         if k == C_WORD:
-            cell = cfg.u_at(n) * QA(-1)
+            cell = u * QA(-1)
+        elif len(k) == 0:
+            cell = v
+        elif len(k) == 1:
+            cell = u
         else:
-            word = tuple(k)
-            if len(word) == 0:
-                cell = cfg.v_at(n)
-            elif len(word) == 1:
-                cell = cfg.u_at(n)
-            else:
-                cell = QA(0)
+            cell = QA(0)
         total = total + scalar * cell
     return total
 

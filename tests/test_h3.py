@@ -22,15 +22,18 @@ from cubictrace.h3 import (
     verify_identity,
 )
 from cubictrace.rings import (
+    FREE,
+    R_MINUS,
+    R_PLUS,
     LaurentPolynomial,
-    QuotientSpec,
     RingError,
+    Specialization,
+    dagger_dagger,
     poly_abc,
-    spec_dagger_dagger,
-    spec_free_abc,
-    spec_r_minus,
-    spec_r_plus,
 )
+
+SPECIALIZATIONS = pytest.mark.parametrize(
+    "spec", [FREE, R_PLUS, R_MINUS, dagger_dagger(1), dagger_dagger(-1)], ids=lambda s: s.name)
 
 
 class TestMatrixModels:
@@ -48,22 +51,17 @@ class TestMatrixModels:
     def test_index_swap_is_half_twist_conjugation(self):
         assert check_r2_conjugation()
 
-    @pytest.mark.parametrize("spec", [spec_free_abc, spec_r_plus, spec_r_minus, spec_dagger_dagger])
+    @SPECIALIZATIONS
     def test_letter_inverses_from_the_cubic(self, spec):
-        model = H3Model(spec())
+        model = H3Model(spec)
         for i in (1, 2):
             assert model.word_image((i, -i)) == model.identity_image()
             assert model.word_image((-i, i)) == model.identity_image()
 
     def test_faithfulness_guard(self):
         # a specialization killing a Schur element must raise, not return False
-        bad = QuotientSpec(
-            "b=c", ("a", "b", "c"),
-            (  # sends b - c to 0, killing p_{U_bc}
-                __import__("cubictrace.rings", fromlist=["Substitute"]).Substitute(
-                    "b", LaurentPolynomial.parse("c", ("a", "c"))),
-            ),
-        )
+        # sends b - c to 0, killing p_{U_bc}
+        bad = Specialization("b=c", ("a", "c"), {"b": LaurentPolynomial.parse("c", ("a", "c"))})
         with pytest.raises(RingError):
             verify_identity(WordSum.word((1,)), WordSum.word((1,)), spec=bad)
 
@@ -109,6 +107,11 @@ class TestTraceEquations:
         assert rep.points_checked == 5
         assert rep.ok, rep
 
+    def test_no_sampled_check_passes_on_zero_points(self):
+        assert not trace_equations_check(points=0).ok
+        with pytest.raises(RingError):
+            gram_determinant_at_points("B0", count=0)
+
 
 class TestCharacterAndModule:
     def test_all(self):
@@ -123,8 +126,8 @@ class TestRelators:
         image = model.image(relator_r(1))
         assert not image.block("Sa").is_zero()
 
-    def test_relator_image_is_zero_in_quotient_reps(self):
-        spec = spec_dagger_dagger()
+    @SPECIALIZATIONS
+    def test_relator_image_is_zero_in_quotient_reps(self, spec):
         model = H3Model(spec)
         image = model.image(relator_r(1))
         for key in ("Sb", "Sc", "Ubc", "V"):

@@ -1,4 +1,4 @@
-"""Exact arithmetic, quotient reduction, rendering, and identity testing."""
+"""Exact arithmetic, the specializations of R, rendering and the a^2 = 1 fold."""
 
 from fractions import Fraction
 
@@ -10,18 +10,13 @@ from cubictrace.qa import A, QA, specialize
 from cubictrace.rings import (
     ABC,
     AX,
+    R_MINUS,
+    R_PLUS,
     LaurentPolynomial,
-    PowerReduce,
-    QuotientSpec,
     RingError,
-    Substitute,
+    dagger_dagger,
     fold_a,
-    pit_equal,
-    pit_points,
     poly_abc,
-    spec_a_squared_one,
-    spec_dagger_dagger,
-    spec_r_plus,
 )
 
 coeffs = st.integers(min_value=-9, max_value=9).map(Fraction)
@@ -101,12 +96,29 @@ class TestRendering:
         assert LaurentPolynomial.parse(p.render(), AX) == p
 
 
+def _is_a_fold(folded: LaurentPolynomial, p: LaurentPolynomial) -> bool:
+    """folded has a-exponents 0 or 1 and equals p at a = 1 and at a = -1."""
+    i = p.variables.index("a")
+    if any(mono[i] not in (0, 1) for mono in folded.terms):
+        return False
+    rest = tuple(v for v in p.variables if v != "a")
+    for a in (1, -1):
+        at = {"a": LaurentPolynomial.constant(a, rest)}
+        if folded.substitute(at, rest) != p.substitute(at, rest):
+            return False
+    return True
+
+
+SPECIALIZATIONS = [R_PLUS, R_MINUS, dagger_dagger(1), dagger_dagger(-1)]
+
+
 class TestQuotients:
     def test_a_squared_reduction(self):
-        spec = QuotientSpec("a2", ("a",), (PowerReduce("a", 2, LaurentPolynomial.one(("a",))),))
-        assert spec.reduce(LaurentPolynomial.parse("a^2", ("a",))) == LaurentPolynomial.one(("a",))
-        assert spec.reduce(LaurentPolynomial.parse("a^-1", ("a",))) == \
-            LaurentPolynomial.var("a", ("a",))
+        a_only = ("a",)
+        for text, folded in (("a^2", "1"), ("a^-1", "a"), ("a^3 - 2*a^-2", "a - 2")):
+            p = LaurentPolynomial.parse(text, a_only)
+            assert fold_a(p) == LaurentPolynomial.parse(folded, a_only)
+            assert _is_a_fold(fold_a(p), p)
 
     def test_kauffman_loop_value_vanishes_at_x2a(self):
         # numerator of (y^2 - a x + y)/(x y) at y = 1 is 2 - a x -> 0 at x = 2a
@@ -126,10 +138,10 @@ class TestQuotients:
                 specialize(dt, x)
 
     def test_idempotence_and_multiplicativity(self):
+        # each specialization is a ring map: additive and multiplicative
         import random
 
         rng = random.Random(0)
-        spec = spec_dagger_dagger()
         for _ in range(500):
             terms_p = {tuple(rng.randint(-3, 3) for _ in ABC): Fraction(rng.randint(-5, 5))
                        for _ in range(rng.randint(0, 4))}
@@ -137,70 +149,34 @@ class TestQuotients:
                        for _ in range(rng.randint(0, 4))}
             p = LaurentPolynomial(ABC, terms_p)
             q = LaurentPolynomial(ABC, terms_q)
-            rp = spec.reduce(p)
-            assert spec.reduce(rp) == rp
-            lhs = spec.reduce(p * q)
-            rhs = spec.reduce(spec.reduce(p).extend(ABC) * spec.reduce(q).extend(ABC))
-            assert lhs == rhs
+            for spec in SPECIALIZATIONS:
+                assert spec(p * q) == spec(p) * spec(q)
+                assert spec(p + q) == spec(p) + spec(q)
 
     @pytest.mark.parametrize("variables", [("a",), ("a", "x"), ("a", "x", "L")])
     def test_fold_a_matches_the_quotient_spec(self, variables):
         import random
 
         rng = random.Random(len(variables))
-        spec = spec_a_squared_one(variables)
         for _ in range(300):
             terms = {tuple(rng.randint(-5, 5) for _ in variables): Fraction(rng.randint(-5, 5))
                      for _ in range(rng.randint(0, 6))}
             p = LaurentPolynomial(variables, terms)
-            assert fold_a(p) == spec.reduce(p)
-
-    def test_nonterminating_rules_rejected(self):
-        with pytest.raises(RingError):
-            QuotientSpec("bad", ("a",),
-                         (PowerReduce("a", 2, LaurentPolynomial.parse("a^3", ("a",))),))
-
-    def test_rule_image_over_eliminated_variable_rejected(self):
-        with pytest.raises(RingError):
-            QuotientSpec("bad", ("a", "b"),
-                         (Substitute("a", LaurentPolynomial.parse("b", ("b",))),
-                          Substitute("b", LaurentPolynomial.parse("1", ("b",)))))
-
-
-class TestPit:
-    def test_syntactic_equality(self):
-        p = poly_abc("a*b - c")
-        assert pit_equal(p, p).equal
-
-    def test_algebraic_identity(self):
-        assert pit_equal(poly_abc("(a-b)*(a+b)"), poly_abc("a^2-b^2")).equal
-
-    def test_honest_disagreement(self):
-        res = pit_equal(poly_abc("a"), poly_abc("b"))
-        assert not res.equal
-        assert res.error_bound == 0
+            assert _is_a_fold(fold_a(p), p)
 
     def test_point_validation(self):
-        spec = spec_r_plus()
-        pts = pit_points(spec, 5, seed=1)
-        for pt in pts:
-            assert pt.assignment["a"] == pt.assignment["b"] * pt.assignment["c"]
-
-    def test_minimum_point_count_enforced(self):
-        with pytest.raises(RingError):
-            pit_equal(poly_abc("a"), poly_abc("a"), count=3)
-
-    def test_error_bound_reported(self):
-        res = pit_equal(poly_abc("a*b*c"), poly_abc("a*b*c"), count=5)
-        assert 0 < res.error_bound < Fraction(1, 10 ** 20)
-
-    def test_agrees_with_exact_equality_on_random_pairs(self):
         import random
 
-        rng = random.Random(4)
-        for _ in range(200):
-            terms_p = {tuple(rng.randint(-2, 2) for _ in ABC): Fraction(rng.randint(-4, 4))
-                       for _ in range(rng.randint(0, 3))}
-            p = LaurentPolynomial(ABC, terms_p)
-            q = p if rng.random() < 0.5 else p + poly_abc("a - 2*b")
-            assert pit_equal(p, q, seed=rng.randint(0, 10 ** 6)).equal == (p == q)
+        rng = random.Random(1)
+        for spec, sign in ((R_PLUS, 1), (R_MINUS, -1)):
+            for _ in range(5):
+                pt = spec.point(rng)
+                assert pt["a"] == sign * pt["b"] * pt["c"]
+        for a in (1, -1):
+            for _ in range(5):
+                pt = dagger_dagger(a).point(rng)
+                assert pt["a"] == a and pt["b"] * pt["c"] == 1
+
+    def test_dagger_dagger_takes_a_square_root_of_one(self):
+        with pytest.raises(RingError):
+            dagger_dagger(2)

@@ -1,5 +1,7 @@
 """The orchestrated verification suites all pass under their default seeds."""
 
+from pathlib import Path
+
 from cubictrace.report import SuiteReport
 from cubictrace.verify import (
     suite_braid,
@@ -18,7 +20,11 @@ def _assert_green(rep: SuiteReport):
 
 
 def test_h3_suite():
-    _assert_green(suite_h3())
+    # every check and its detail, down to the trace-equation scale, as first recorded
+    rep = suite_h3()
+    _assert_green(rep)
+    golden = Path(__file__).resolve().parent / "golden" / "verify_h3.txt"
+    assert rep.render() + "\n" == golden.read_text()
 
 
 def test_braid_suite():
