@@ -88,8 +88,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     if args.pit_points < 1:
         raise RingError(f"--pit-points must be at least 1, got {args.pit_points}")
-    rep = run_suite(args.suite, seed=args.seed, pit_points=args.pit_points,
-                    symbolic_gram=args.symbolic_gram)
+    rep = run_suite(args.suite, seed=args.seed, pit_points=args.pit_points)
     print(rep.render(timings=args.timings))
     return 0 if rep.ok else 1
 
@@ -126,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["h3", "braid", "skein", "hecke", "coxeter", "tl", "all"])
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--pit-points", type=int, default=7, dest="pit_points")
-    ver.add_argument("--symbolic-gram", action="store_true", dest="symbolic_gram",
-                     help="also run the fully symbolic Gram determinants "
-                          "(B1 alone did not finish in 25 min on a 2-vCPU host)")
     ver.add_argument("--timings", action="store_true")
     ver.set_defaults(func=cmd_verify)
     return ap

@@ -21,8 +21,7 @@ Checked here, exactly and symbolically unless noted:
 * the symmetric-difference identities relating e_1 s_2 e_1 - e_1 and its
   s_2^-1 and conjugated variants (in the ring with bc = 1, a^2 = 1);
 * the symmetrizing form: Gram matrices of both 24-element bases, with
-  determinants -(abc)^54 and -(abc)^2, at seeded rational points (a fully
-  symbolic form exists but does not finish in practical time);
+  determinants -(abc)^54 and -(abc)^2, at seeded rational points;
 * the Schur element table and the trace decomposition t_0 = sum tr/p;
 * the linear equations cutting out the 4-dimensional space of Markov
   trace restrictions, solved at random points with formal trace unknowns;
@@ -613,38 +612,6 @@ def gram_determinant_at_points(basis: str = "B0", count: int = 7, seed: int = 23
     return out
 
 
-def gram_determinant_symbolic(basis: str = "B1") -> bool:
-    """Fully symbolic Gram determinant via the coordinate matrix.
-
-    Writing the Gram matrix as M^T T M with M the coordinate matrix of the
-    basis in the 24-dimensional matrix model and T the block trace pairing
-    weighted by 1/p_chi, the claim det(Gram) = -(abc)^k becomes the
-    polynomial identity det(M)^2 = -(abc)^k * prod_chi p_chi^(d_chi^2)
-    (the product of the block-pairing signs is +1).  This is exact but far
-    too slow to use: on a 2-vCPU host B1 had not finished after 25 minutes,
-    and B0 is larger still.  The seeded-point check
-    `gram_determinant_at_points` is the one the suites run.
-    """
-    words = basis_b0() if basis == "B0" else basis_b1()
-    expected_exp = 54 if basis == "B0" else 2
-    model = H3Model()
-    columns = []
-    for w in words:
-        img = model.word_image(w)
-        col = []
-        for k in REP_KEYS:
-            m = img.block(k)
-            for row in m.rows:
-                col.extend(row)
-        columns.append(col)
-    m = Matrix(list(zip(*columns)))
-    det_m = det_bareiss(m)
-    rhs = poly_abc("-1") * poly_abc("a*b*c") ** expected_exp
-    for k, p in schur_elements().items():
-        rhs = rhs * p ** (REP_DIMS[k] ** 2)
-    return det_m * det_m == rhs
-
-
 # -- Markov-trace equations on three strands -----------------------------------
 
 
@@ -820,24 +787,21 @@ def _specialized_vector_check(which: str, seed: int) -> bool:
     r1 = relator_r(1)
     exprs = (r1, WordSum.word((-1,)) * r1)
     schur = schur_elements()
+    loci = (dagger_dagger(1), dagger_dagger(-1)) if which == "parity" else (R_PLUS, R_MINUS)
     done = 0
     attempts = 0
     while done < 3 and attempts < 40:
         attempts += 1
-        b = Fraction(rng.randint(2, 10 ** 6))
-        if which == "parity":
-            a = Fraction(rng.choice([1, -1]))
-            c = 1 / b
-        else:
-            c = Fraction(rng.randint(2, 10 ** 6))
-            a = (b * c) * rng.choice([1, -1])
-        pt = {"a": a, "b": b, "c": c}
+        pt = rng.choice(loci).point(rng, low=2)
         if any(p.evaluate(pt) == 0 for p in schur.values()):
             continue
+        a, b, c = pt["a"], pt["b"], pt["c"]
         x = b + c
         y = b * c
         if which == "parity":
             vec = [a ** 3, a ** 2, a]
+        elif x == 0:
+            continue  # delta_K has a pole at c = -b
         else:
             delta_k = (y * y - a * x + y) / (x * y)
             vec = [delta_k ** 2, delta_k, Fraction(1)]

@@ -1,8 +1,12 @@
-"""Exact multivariate Laurent arithmetic over arbitrary-precision rationals.
+"""Exact multivariate Laurent arithmetic over the rationals.
 
 Every ring element used in this project is a Laurent polynomial: a finite
 map from integer exponent vectors (negative entries allowed) to nonzero
-`Fraction` coefficients, over a fixed ordered tuple of variable names.
+rational coefficients, over a fixed ordered tuple of variable names.  A
+coefficient is stored in canonical form: an `int` when it is integral and a
+`Fraction` (denominator > 1) otherwise, so the integer polynomials that
+dominate the H3 checks never pay for `Fraction`.  Since 3 == Fraction(3)
+and both hash alike, equality, hashing and rendering see only the value.
 There is no floating point anywhere.
 
 The quotients of R = Q[a,b,c,(abc)^-1] in which the H3 identities hold are
@@ -22,36 +26,50 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
+Coefficient = int | Fraction
 
 
 class RingError(ValueError):
     pass
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _as_fraction(c) -> Coefficient:
+    """The canonical coefficient of c: an int if integral, else a Fraction."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)  # a bool becomes 0 or 1
+    if isinstance(c, Fraction):
+        return _canonical(c)
     raise RingError(f"coefficient must be an int or Fraction, got {type(c)!r}")
+
+
+def _canonical(c: Coefficient) -> Coefficient:
+    """Store an integral arithmetic result as an int."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 class LaurentPolynomial:
     """A Laurent polynomial with exact rational coefficients.
 
-    Terms are stored sparsely; zero coefficients are never kept.  Two
-    polynomials compare equal iff they have the same variable tuple and
-    bit-identical term maps, so the representation is canonical.
+    Terms are stored sparsely; zero coefficients are never kept, and each
+    coefficient is canonical (`int | Fraction`, see the module docstring).
+    Two polynomials compare equal iff they have the same variable tuple and
+    equal term maps, so the representation is canonical.
+
+    The public constructor validates: it checks exponent lengths, rejects
+    non-rational coefficients, canonicalizes and merges repeated monomials.
+    Arithmetic results are already canonical and go through `_trusted`,
+    which stores them as given.
     """
 
     __slots__ = ("variables", "terms", "_hash")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Fraction]):
+    def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Coefficient]):
         variables = tuple(variables)
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Coefficient] = {}
         nvars = len(variables)
         for mono, coeff in terms.items():
             mono = tuple(mono)
@@ -63,7 +81,7 @@ class LaurentPolynomial:
                 if acc is None:
                     clean[mono] = coeff
                 else:
-                    acc = acc + coeff
+                    acc = _canonical(acc + coeff)
                     if acc == 0:
                         del clean[mono]
                     else:
@@ -72,6 +90,17 @@ class LaurentPolynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...],
+                 terms: dict[Monomial, Coefficient]) -> "LaurentPolynomial":
+        """Wrap terms that are already clean: right-length exponent tuples,
+        nonzero canonical coefficients.  Skips `__init__`'s validation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("LaurentPolynomial is immutable")
 
@@ -79,14 +108,15 @@ class LaurentPolynomial:
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "LaurentPolynomial":
-        return cls(variables, {})
+        return cls._trusted(tuple(variables), {})
 
     @classmethod
     def constant(cls, c, variables: Sequence[str]) -> "LaurentPolynomial":
         c = _as_fraction(c)
+        variables = tuple(variables)
         if c == 0:
-            return cls.zero(variables)
-        return cls(variables, {tuple([0] * len(variables)): c})
+            return cls._trusted(variables, {})
+        return cls._trusted(variables, {(0,) * len(variables): c})
 
     @classmethod
     def one(cls, variables: Sequence[str]) -> "LaurentPolynomial":
@@ -98,7 +128,7 @@ class LaurentPolynomial:
         if name not in variables:
             raise RingError(f"{name!r} is not among variables {variables}")
         mono = tuple(power if v == name else 0 for v in variables)
-        return cls(variables, {mono: Fraction(1)})
+        return cls._trusted(variables, {mono: 1})
 
     @classmethod
     def monomial(cls, coeff, exponents: Monomial, variables: Sequence[str]) -> "LaurentPolynomial":
@@ -116,9 +146,9 @@ class LaurentPolynomial:
         z = tuple([0] * len(self.variables))
         return not self.terms or (len(self.terms) == 1 and z in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coefficient:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise RingError(f"{self} is not constant")
         return next(iter(self.terms.values()))
@@ -129,7 +159,7 @@ class LaurentPolynomial:
             return 0
         return max(sum(abs(e) for e in mono) for mono in self.terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
         return sorted(self.terms.items())
 
     # -- arithmetic ----------------------------------------------------
@@ -139,25 +169,31 @@ class LaurentPolynomial:
             raise RingError(f"mismatched variable lists {self.variables} vs {other.variables}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPolynomial):
             other = LaurentPolynomial.constant(other, self.variables)
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = terms.get(mono, Fraction(0)) + c
-            if acc == 0:
-                terms.pop(mono, None)
+        big, small = self.terms, other.terms
+        if len(small) > len(big):
+            big, small = small, big
+        terms = dict(big)
+        get = terms.get
+        for mono, c in small.items():
+            acc = get(mono, 0) + c
+            if not acc:
+                del terms[mono]
+            elif type(acc) is Fraction and acc.denominator == 1:  # `_canonical`, inlined
+                terms[mono] = acc.numerator
             else:
                 terms[mono] = acc
-        return LaurentPolynomial(self.variables, terms)
+        return LaurentPolynomial._trusted(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial(self.variables, {m: -c for m, c in self.terms.items()})
+        return LaurentPolynomial._trusted(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPolynomial):
             other = LaurentPolynomial.constant(other, self.variables)
         return self + (-other)
 
@@ -165,27 +201,24 @@ class LaurentPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPolynomial):
             c = _as_fraction(other)
             if c == 0:
                 return LaurentPolynomial.zero(self.variables)
-            return LaurentPolynomial(self.variables, {m: c * v for m, v in self.terms.items()})
+            return LaurentPolynomial._trusted(
+                self.variables, {m: _canonical(c * v) for m, v in self.terms.items()})
         self._check_compatible(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
+        get = out.get
+        items2 = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                acc = out.get(mono)
-                prod = c1 * c2
-                if acc is None:
-                    out[mono] = prod
-                else:
-                    acc = acc + prod
-                    if acc == 0:
-                        del out[mono]
-                    else:
-                        out[mono] = acc
-        return LaurentPolynomial(self.variables, out)
+            for m2, c2 in items2:
+                mono = tuple(map(add, m1, m2))
+                out[mono] = get(mono, 0) + c1 * c2
+        # drop the sums that cancelled; `_canonical`, inlined, on the rest
+        return LaurentPolynomial._trusted(self.variables, {
+            m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -209,13 +242,14 @@ class LaurentPolynomial:
         if len(self.terms) != 1:
             raise RingError(f"{self} is not a unit monomial")
         (mono, coeff), = self.terms.items()
-        return LaurentPolynomial(self.variables, {tuple(-e for e in mono): Fraction(1) / coeff})
+        return LaurentPolynomial._trusted(self.variables,
+                                          {tuple(-e for e in mono): _canonical(1 / Fraction(coeff))})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial.constant(other, self.variables)
         if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPolynomial.constant(other, self.variables)
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
@@ -290,7 +324,7 @@ class LaurentPolynomial:
             for pos, e in zip(idx, mono):
                 new[pos] = e
             terms[tuple(new)] = coeff
-        return LaurentPolynomial(variables, terms)
+        return LaurentPolynomial._trusted(variables, terms)
 
     # -- exact division --------------------------------------------------
 
@@ -310,7 +344,7 @@ class LaurentPolynomial:
                 shift[i] = min(shift[i], e)
         shift_t = tuple(shift)
 
-        def shifted(p: LaurentPolynomial) -> dict[Monomial, Fraction]:
+        def shifted(p: LaurentPolynomial) -> dict[Monomial, Coefficient]:
             return {tuple(e - s for e, s in zip(m, shift_t)): c for m, c in p.terms.items()}
 
         num = shifted(self)
@@ -324,17 +358,19 @@ class LaurentPolynomial:
         # the strictly lex-decreasing leads inside a finite box terminate.
         lo = [min(m[i] for m in num) for i in range(nvars)]
         hi = [max(m[i] for m in num) for i in range(nvars)]
-        quo: dict[Monomial, Fraction] = {}
+        quo: dict[Monomial, Coefficient] = {}
         while num:
             lead_n = max(num)
             if any(e < l or e > h for e, l, h in zip(lead_n, lo, hi)):
                 raise RingError("non-exact polynomial division")
             q_mono = tuple(en - ed for en, ed in zip(lead_n, lead_d))
-            q_coeff = num[lead_n] / lead_dc
-            quo[q_mono] = quo.get(q_mono, Fraction(0)) + q_coeff
+            # through Fraction: int / int would be a float
+            q_coeff = _canonical(Fraction(num[lead_n]) / lead_dc)
+            # the leads strictly decrease, so each quotient monomial is new
+            quo[q_mono] = q_coeff
             for m, c in den.items():
-                mono = tuple(e1 + e2 for e1, e2 in zip(q_mono, m))
-                acc = num.get(mono, Fraction(0)) - q_coeff * c
+                mono = tuple(map(add, q_mono, m))
+                acc = _canonical(num.get(mono, 0) - q_coeff * c)
                 if acc == 0:
                     num.pop(mono, None)
                 else:
@@ -343,7 +379,7 @@ class LaurentPolynomial:
                 raise RingError("non-exact polynomial division")
         # The numerator shift cancels the denominator shift exactly, so the
         # quotient needs no adjustment.
-        return LaurentPolynomial(self.variables, quo)
+        return LaurentPolynomial._trusted(self.variables, quo)
 
     # -- rendering / parsing ----------------------------------------------
 
@@ -486,7 +522,7 @@ class _Parser:
                 raise RingError("unbalanced parentheses")
             return value
         if tok.isdigit():
-            return LaurentPolynomial.constant(Fraction(int(tok)), self.variables)
+            return LaurentPolynomial.constant(int(tok), self.variables)
         if tok[0].isalpha():
             return LaurentPolynomial.var(tok, self.variables)
         raise RingError(f"unexpected token {tok!r}")
@@ -563,7 +599,7 @@ def fold_a(p: LaurentPolynomial) -> LaurentPolynomial:
     The exponent of a is taken mod 2, the others are kept.
     """
     i = p.variables.index("a")
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coefficient] = {}
     for mono, c in p.terms.items():
         mono = mono[:i] + (mono[i] % 2,) + mono[i + 1:]
         out[mono] = out.get(mono, 0) + c

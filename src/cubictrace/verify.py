@@ -70,7 +70,7 @@ def _random_letter(rng: random.Random, n: int) -> int:
 # -- suites --------------------------------------------------------------------
 
 
-def suite_h3(seed: int = 11, pit_points: int = 7, symbolic_gram: bool = False) -> SuiteReport:
+def suite_h3(seed: int = 11, pit_points: int = 7) -> SuiteReport:
     rep = SuiteReport("h3")
 
     def each(check) -> None:
@@ -96,11 +96,6 @@ def suite_h3(seed: int = 11, pit_points: int = 7, symbolic_gram: bool = False) -
                 lambda basis=basis, seed_shift=seed_shift: all(h3.gram_determinant_at_points(
                     basis, count=pit_points, seed=23 + seed_shift).values()),
                 f"det = -(abc)^{54 if basis == 'B0' else 2}")
-    if symbolic_gram:
-        rep.run("h3/gram determinant B1 fully symbolic",
-                lambda: h3.gram_determinant_symbolic("B1"))
-        rep.run("h3/gram determinant B0 fully symbolic",
-                lambda: h3.gram_determinant_symbolic("B0"))
 
     def trace_equations() -> tuple[bool, str]:
         trace_rep = h3.trace_equations_check(points=5, seed=97)
@@ -539,10 +534,9 @@ def table_report(path: str | None = None, base: Fraction = Fraction(0)) -> Suite
     return rep
 
 
-def run_suite(name: str, seed: int = 0, pit_points: int = 7,
-              symbolic_gram: bool = False) -> SuiteReport:
+def run_suite(name: str, seed: int = 0, pit_points: int = 7) -> SuiteReport:
     if name == "h3":
-        return suite_h3(seed=seed or 11, pit_points=pit_points, symbolic_gram=symbolic_gram)
+        return suite_h3(seed=seed or 11, pit_points=pit_points)
     if name == "braid":
         return suite_braid(seed=seed or 3)
     if name == "skein":
@@ -556,7 +550,6 @@ def run_suite(name: str, seed: int = 0, pit_points: int = 7,
     if name == "all":
         out = SuiteReport("all")
         for sub in ("h3", "braid", "skein", "hecke", "coxeter", "tl"):
-            out = out.merged(run_suite(sub, seed=seed, pit_points=pit_points,
-                                       symbolic_gram=symbolic_gram))
+            out = out.merged(run_suite(sub, seed=seed, pit_points=pit_points))
         return out
     raise ValueError(f"unknown suite {name!r}")

@@ -193,8 +193,7 @@ def test_criterion_5_schur_gram_suite():
     ok = all(schur.values()) and all(g0.values()) and all(g1.values())
     _verdict(5, ok,
              f"schur decomposition {sum(schur.values())}/24 words; Gram dets at 7 "
-             f"points: B0 -(abc)^54 {all(g0.values())}, B1 -(abc)^2 {all(g1.values())} "
-             "(fully symbolic mode available behind `cubictrace verify --symbolic-gram`)")
+             f"points: B0 -(abc)^54 {all(g0.values())}, B1 -(abc)^2 {all(g1.values())}")
 
 
 def test_criterion_6_markov_property_suites(t0, evaluators):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubictrace.braids import BraidWord
+from cubictrace.burau import alexander_coefficients
 from cubictrace.qa import A, QA, specialize
 from cubictrace.rings import (
     ABC,
@@ -78,6 +80,98 @@ class TestArithmetic:
     def test_negative_power_division_by_monomial(self):
         p = poly_abc("a^2*b - a*b^2")
         assert p * poly_abc("a*b").monomial_inverse() == poly_abc("a - b")
+
+
+# A mix of ints, proper fractions and integral Fractions such as 4/2.
+mixed_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=3)),
+)
+
+
+@st.composite
+def mixed_polys(draw, variables=("a", "b")):
+    n = draw(st.integers(min_value=0, max_value=4))
+    terms = {tuple(draw(exponents) for _ in variables): draw(mixed_coeffs) for _ in range(n)}
+    return LaurentPolynomial(variables, terms)
+
+
+def _canonical(p: LaurentPolynomial) -> bool:
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values())
+
+
+def _all_fractions(p: LaurentPolynomial) -> LaurentPolynomial:
+    """p with every coefficient stored as a Fraction, bypassing canonicalization."""
+    return LaurentPolynomial._trusted(p.variables, {m: Fraction(c) for m, c in p.terms.items()})
+
+
+class TestCanonicalCoefficients:
+    OPS = {
+        "add": lambda p, q, m, n: p + q,
+        "sub": lambda p, q, m, n: p - q,
+        "neg": lambda p, q, m, n: -p,
+        "mul": lambda p, q, m, n: p * q,
+        "scale": lambda p, q, m, n: p * Fraction(4, 2) - Fraction(1, 2) * q + 3,
+        "pow": lambda p, q, m, n: p ** n,
+        "exact_div": lambda p, q, m, n: (p * m * q).exact_div(m * q) if q else p,
+        "monomial_inverse": lambda p, q, m, n: m.monomial_inverse(),
+        "negative_pow": lambda p, q, m, n: m ** -n,
+        "substitute": lambda p, q, m, n: p.substitute({"a": m}, p.variables),
+        "fold_a": lambda p, q, m, n: fold_a(p * q),
+    }
+
+    @given(mixed_polys(), mixed_polys(), mixed_coeffs.filter(bool),
+           st.tuples(exponents, exponents), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=80, deadline=None)
+    def test_results_are_canonical_and_match_all_fraction_inputs(self, p, q, c, mono, n):
+        m = LaurentPolynomial.monomial(c, mono, p.variables)
+        assert _canonical(p) and _canonical(q) and _canonical(m)
+        fractions = [_all_fractions(x) for x in (p, q, m)]
+        for name, op in self.OPS.items():
+            got = op(p, q, m, n)
+            ref = op(*fractions, n)
+            assert _canonical(got), name
+            assert got == ref and hash(got) == hash(ref), name
+        assert self.OPS["exact_div"](p, q, m, n) == p
+
+    @given(mixed_polys(), mixed_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_arithmetic_agrees_with_evaluation(self, p, q):
+        point = {"a": Fraction(-2), "b": Fraction(3, 5)}
+        p_at, q_at = p.evaluate(point), q.evaluate(point)
+        assert (p + q).evaluate(point) == p_at + q_at
+        assert (p - q).evaluate(point) == p_at - q_at
+        assert (p * q).evaluate(point) == p_at * q_at
+
+    def test_constructor_canonicalizes_and_rejects_floats(self):
+        p = LaurentPolynomial(("a",), {(1,): Fraction(4, 2), (0,): True, (2,): Fraction(1, 3)})
+        assert [type(c) for _, c in p.sorted_terms()] == [int, int, Fraction]
+        assert p.render() == "1 + 2*a + 1/3*a^2"
+        with pytest.raises(RingError):
+            LaurentPolynomial(("a",), {(1,): 0.5})
+        with pytest.raises(RingError):
+            LaurentPolynomial.constant(2.0, ("a",))
+
+    def test_exact_division_over_the_integers_stays_integral(self):
+        a_only = ("a",)
+        two = LaurentPolynomial.constant(2, a_only)
+        for num, den, quo in (("2*a + 4", two, "a + 2"),
+                              ("a^2 - 1", LaurentPolynomial.parse("a - 1", a_only), "a + 1"),
+                              ("a^-1 - a^3", LaurentPolynomial.parse("a^-1 + a", a_only), "1 - a^2")):
+            got = LaurentPolynomial.parse(num, a_only).exact_div(den)
+            assert got == LaurentPolynomial.parse(quo, a_only)
+            assert all(type(c) is int for c in got.terms.values())
+        half = LaurentPolynomial.parse("a - 1", a_only).exact_div(two)
+        assert half.terms == {(1,): Fraction(1, 2), (0,): Fraction(-1, 2)}
+        with pytest.raises(RingError):
+            LaurentPolynomial.parse("a^2 + 1", a_only).exact_div(LaurentPolynomial.parse("a - 1", a_only))
+
+    def test_alexander_coefficients_of_two_knots(self):
+        # Bareiss over Z[t, t^-1] divides exactly at every step
+        assert alexander_coefficients(BraidWord(3, (1, -2, 1, -2))) == (1, -3, 1)
+        assert alexander_coefficients(BraidWord(2, (1, 1, 1))) == (1, -1, 1)
 
 
 class TestRendering:
