@@ -24,10 +24,18 @@ every rule has coefficients in a and x alone (a = alpha^-2, x = alpha^-1 z):
 
 The recursion switches the first crossing met on its under-strand during a
 deterministic walk, so the switch branch strictly approaches a descending
-diagram and both smoothing branches lose a crossing.  Values are memoized
-on a canonical relabeling of the diagram: the minimum code over all starts
-of the walk, where a start is dropped as soon as its crossing-flag prefix
-exceeds the best one so far.
+diagram and both smoothing branches lose a crossing.  None of that depends
+on the ring or the variant, so evaluation has two phases.  The resolution
+reduces a diagram to its a^-1 exponent from kinks and parallel pairs, its
+circle count and its connected pieces, and resolves each piece into a
+descending node or a skein node whose three children are resolved
+diagrams; it is memoized once per process, for both variants and every
+ring.  Each evaluator then walks the resolution with its ring's
+coefficients and memoizes piece values in its own `_cache`.  Both memos
+are keyed on a canonical relabeling of the piece: the minimum code over
+all starts of the walk, where a start is dropped as soon as its
+crossing-flag prefix exceeds the best one so far.  `use_cache=False`
+bypasses both memos.
 
 There is one trace function, `markov_trace_pm_fast`: t(beta) =
 a^(#negative letters) V(closure), computed in the evaluator's own ring (a
@@ -385,11 +393,10 @@ def first_bad_crossing(d: PlanarDiagram) -> int | None:
     return None
 
 
-def _descending_value(d: PlanarDiagram, ring: "SkeinRing"):
-    """Value of a layered descending diagram.
-
-    V = a^-(T - w)/2 * delta^(m-1) with T the crossing count, w the sum of
-    the self-crossing signs and m the number of strand components.
+def _descending_node(d: PlanarDiagram):
+    """Resolution of a layered descending diagram: ("desc", e, m), worth
+    V = a^-e delta^(m-1) with e = (T - w)/2, T the crossing count, w the sum
+    of the self-crossing signs and m the number of strand components.
     """
     visits, m = _walk_components(d)
     w_self = 0
@@ -402,7 +409,66 @@ def _descending_value(d: PlanarDiagram, ring: "SkeinRing"):
     total = len(d.crossings)
     if (total - w_self) % 2:
         raise RingError("crossing parity broken; diagram bookkeeping error")
-    return ring.a_inv ** ((total - w_self) // 2) * ring.delta ** (m - 1)
+    return ("desc", (total - w_self) // 2, m)
+
+
+# -- resolution: the ring-free half of the evaluator ------------------------------
+
+# canonical code of a connected piece -> its resolved node, shared by every
+# evaluator of the process
+_RESOLVED: dict = {}
+
+
+def _reduce(d: PlanarDiagram, memo: dict | None):
+    """Resolve a diagram into (e, circles, ((code, node), ...)), worth
+    a^-e delta^(circles - 1) times the values of its pieces (1 with no circle).
+
+    Kinks and parallel pairs are removed first; each remaining connected piece
+    is resolved through `memo`, or afresh with code None when `memo` is None.
+    """
+    exp = 0
+    while True:
+        kink = find_kink(d)
+        if kink is not None:
+            idx, positive = kink
+            if not positive:
+                exp += 1
+            d = _remove_crossings(d, {idx: _strand_wires(d.crossings[idx])})
+            continue
+        pair = find_parallel_pair(d)
+        if pair is None:
+            break
+        i, j = pair
+        exp += 1
+        d = _remove_crossings(d, {i: _strand_wires(d.crossings[i]),
+                                  j: _strand_wires(d.crossings[j])})
+    pieces = split_pieces(d)
+    return exp, d.loops + len(pieces), tuple(_resolve_piece(p, memo) for p in pieces)
+
+
+def _resolve_piece(d: PlanarDiagram, memo: dict | None):
+    if memo is None:
+        return None, _piece_node(d, None)
+    code = canonical_code(d)
+    node = memo.get(code)
+    if node is None:
+        # Switching may meet a piece isomorphic to one still being resolved
+        # further up; it is resolved afresh from its own diagram, so a node
+        # never reaches itself, and the first node stored for a code stays.
+        node = memo.setdefault(code, _piece_node(d, memo))
+    return code, node
+
+
+def _piece_node(d: PlanarDiagram, memo: dict | None):
+    """("desc", e, m), or ("skein", eps, switch, smoothing A, smoothing B) on
+    the first bad crossing, whose children are resolved diagrams."""
+    bad = first_bad_crossing(d)
+    if bad is None:
+        return _descending_node(d)
+    crossing = d.crossings[bad]
+    return ("skein", 1 if crossing[1] else -1, _reduce(_switch(d, bad), memo),
+            _reduce(_remove_crossings(d, {bad: _smoothing_wires(crossing, "A")}), memo),
+            _reduce(_remove_crossings(d, {bad: _smoothing_wires(crossing, "B")}), memo))
 
 
 # -- the evaluator --------------------------------------------------------------
@@ -449,7 +515,8 @@ class SkeinRing:
 
 
 class KauffmanEvaluator:
-    """Memoized skein evaluator for one variant over one coefficient ring."""
+    """Walks the shared resolution for one variant in one coefficient ring,
+    memoizing piece values by canonical code."""
 
     def __init__(self, variant: str, ring: SkeinRing | None = None, use_cache: bool = True):
         if variant not in ("+", "-"):
@@ -461,67 +528,39 @@ class KauffmanEvaluator:
 
     def value(self, d: PlanarDiagram):
         """The normalized invariant V(D)."""
-        d, factor = self._simplify(d)
-        pieces = split_pieces(d)
-        total_circles = d.loops + len(pieces)
-        if total_circles == 0:
-            return factor  # empty diagram: normalized to 1
-        value = self.ring.delta ** (total_circles - 1)
-        for piece in pieces:
-            value = value * self._piece_value(piece)
-        return factor * value
+        return self._reduced_value(_reduce(d, _RESOLVED if self.use_cache else None))
 
-    def _piece_value(self, d: PlanarDiagram):
-        key = canonical_code(d) if self.use_cache else None
-        if key is not None:
-            hit = self._cache.get(key)
+    def _reduced_value(self, reduced):
+        exp, circles, pieces = reduced
+        ring = self.ring
+        value = ring.a_inv ** exp if exp else ring.one  # the empty diagram is 1
+        if circles > 1:
+            value = value * ring.delta ** (circles - 1)
+        for code, node in pieces:
+            value = value * self._piece_value(code, node)
+        return value
+
+    def _piece_value(self, code, node):
+        if code is not None:
+            hit = self._cache.get(code)
             if hit is not None:
                 return hit
         ring = self.ring
-        bad = first_bad_crossing(d)
-        if bad is None:
-            out = _descending_value(d, ring)
+        if node[0] == "desc":
+            _, exp, m = node
+            out = ring.a_inv ** exp * ring.delta ** (m - 1)
         else:
-            crossing = d.crossings[bad]
-            switched = _switch(d, bad)
-            smooth_a = _remove_crossings(d, {bad: _smoothing_wires(crossing, "A")})
-            smooth_b = _remove_crossings(d, {bad: _smoothing_wires(crossing, "B")})
-            v_switch = self.value(switched)
-            v_a = self.value(smooth_a)
-            v_b = self.value(smooth_b)
+            _, eps, switched, smooth_a, smooth_b = node
+            v_switch = self._reduced_value(switched)
+            v_a = self._reduced_value(smooth_a)
+            v_b = self._reduced_value(smooth_b)
             if self.variant == "-":
-                eps = 1 if crossing[1] else -1
                 out = v_switch + (ring.skein_mult * (v_a - v_b)) * eps
             else:
                 out = (ring.skein_mult * (v_a + v_b)) - v_switch
-        if key is not None:
-            self._cache[key] = out
+        if code is not None:
+            self._cache[code] = out
         return out
-
-    def _simplify(self, d: PlanarDiagram):
-        ring = self.ring
-        factor = ring.one
-        changed = True
-        while changed:
-            changed = False
-            kink = find_kink(d)
-            if kink is not None:
-                idx, positive = kink
-                if not positive:
-                    factor = factor * ring.a_inv
-                d = _remove_crossings(d, {idx: _strand_wires(d.crossings[idx])})
-                changed = True
-                continue
-            pair = find_parallel_pair(d)
-            if pair is not None:
-                i, j = pair
-                factor = factor * ring.a_inv
-                d = _remove_crossings(d, {
-                    i: _strand_wires(d.crossings[i]),
-                    j: _strand_wires(d.crossings[j]),
-                })
-                changed = True
-        return d, factor
 
 
 # -- public trace interfaces -----------------------------------------------------

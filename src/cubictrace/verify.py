@@ -34,7 +34,7 @@ from .coxeter import (
     verify_braid_relations,
 )
 from .hecke import HeckeRing, OcneanuTrace, hecke_normal_form, hecke_trace_qa, parity_tracers
-from .knotdata import load_records
+from .knotdata import DataError, load_records
 from .qa import A, QA
 from .rings import AX, LaurentPolynomial
 from .report import SuiteReport
@@ -506,6 +506,8 @@ def table_report(path: str | None = None, base: Fraction = Fraction(0)) -> Suite
     from .knotdata import validate_record
 
     records = load_records(path)
+    if not records:
+        raise DataError(f"{path}: no catalog rows")
     inv = T0Invariant(ThmTraceConfig(base=base))
     rep = SuiteReport("table")
 

@@ -13,6 +13,7 @@ import pytest
 from cubictrace.braids import BraidWord
 from cubictrace.cli import main
 from cubictrace.knotdata import (
+    COLUMNS,
     InvariantIndex,
     crossing_number,
     crossing_screen,
@@ -104,6 +105,17 @@ class TestInvariantCommand:
         assert len(err.splitlines()) == 1 and err.startswith("cubictrace: ")
         if args[-1] in BAD_TABLES:
             assert "line 1: " in err  # a bad row names its line
+
+    @pytest.mark.parametrize("text", ["", "# comments only\n", "\t".join(COLUMNS) + "\n"],
+                             ids=["empty", "comments", "header"])
+    def test_table_input_without_rows_is_refused(self, text, tmp_path, capsys):
+        path = tmp_path / "rows.tsv"
+        path.write_text(text)
+        for source in (path, os.devnull):
+            code = main(["table", "--input", str(source)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"cubictrace: {source}: no catalog rows\n"
 
     def test_python_dash_m_entry_point(self):
         done = subprocess.run([sys.executable, "-m", "cubictrace", "invariant", "--which", "parity",

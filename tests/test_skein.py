@@ -16,6 +16,7 @@ from cubictrace.rings import AX, LaurentPolynomial, RingError
 from cubictrace.skein import (
     KauffmanEvaluator,
     PlanarDiagram,
+    SkeinRing,
     _strand_walk,
     _switch,
     alexander_det,
@@ -80,7 +81,8 @@ def start_codes(d):
 
 
 def keyed_pieces(monkeypatch, words):
-    """Each distinct piece the evaluator keys while tracing `words` in the generic rings."""
+    """Each distinct piece the evaluator keys while tracing `words` in the generic
+    rings, resolved from an empty memo so that earlier evaluations hide none."""
     pieces = []
     real = canonical_code
 
@@ -90,6 +92,7 @@ def keyed_pieces(monkeypatch, words):
 
     with monkeypatch.context() as m:
         m.setattr(skein, "canonical_code", recorder)
+        m.setattr(skein, "_RESOLVED", {})
         for v in "+-":
             ev = KauffmanEvaluator(v)
             for w in words:
@@ -170,6 +173,97 @@ class TestDiagrams:
             assert canonical_code(piece) == min(start_codes(piece))
         for v in "+-":
             assert (markov_trace_pm_fast(w, v, KauffmanEvaluator(v))
+                    == markov_trace_pm_fast(w, v, KauffmanEvaluator(v, use_cache=False)))
+
+
+def reaches_itself(reduced) -> bool:
+    """Whether some node of a resolved diagram lies below itself."""
+    on_path, done = set(), set()
+
+    def visit(reduced):
+        for _, node in reduced[2]:
+            if id(node) in on_path:
+                return True
+            if id(node) in done:
+                continue
+            on_path.add(id(node))
+            if node[0] == "skein" and any(visit(child) for child in node[2:]):
+                return True
+            on_path.discard(id(node))
+            done.add(id(node))
+        return False
+
+    return visit(reduced)
+
+
+def uncached_point_value(w, x):
+    """kauffman_at_point without either memo."""
+    return QA.from_components(*(
+        markov_trace_pm_fast(w, v, KauffmanEvaluator(
+            v, SkeinRing.numeric(v, Fraction(a), x.at(a)), use_cache=False))
+        for v, a in (("+", 1), ("-", -1))))
+
+
+class TestSharedResolution:
+    """Each piece is resolved once per process and evaluated in every ring."""
+
+    def test_later_rings_key_only_the_top_level_pieces(self, monkeypatch):
+        w = parse_braid("1 -2 3 1 -2 -3 2 1 3 -2", 4)
+        calls = []
+        real = canonical_code
+
+        def counter(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(skein, "_RESOLVED", {})
+        monkeypatch.setattr(skein, "canonical_code", counter)
+        plus = markov_trace_pm_fast(w, "+", KauffmanEvaluator("+"))
+        resolved = len(calls)
+        calls.clear()
+        top = len(skein._reduce(diagram_from_closure(w), skein._RESOLVED)[2])
+        assert top == len(calls) >= 1 and resolved > 10 * top
+        calls.clear()
+        minus = markov_trace_pm_fast(w, "-", KauffmanEvaluator("-"))
+        assert len(calls) == top
+        calls.clear()
+        point = kauffman_at_point(w, 2 * A)
+        assert len(calls) == 2 * top
+        for v, value in (("+", plus), ("-", minus)):
+            assert value == markov_trace_pm_fast(w, v, KauffmanEvaluator(v, use_cache=False))
+        assert point == uncached_point_value(w, 2 * A)
+
+    def test_uncached_evaluation_leaves_the_shared_memo_untouched(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(skein, "_RESOLVED", memo)
+        markov_trace_pm_fast(parse_braid("1 1 1", 2), "+")
+        before = dict(memo)
+        assert before
+        uncached_point_value(parse_braid("1 -2 1 -2 1 2", 3), A)
+        for v in "+-":
+            t("1 2 -1 2 -3 2 3", 4, v, KauffmanEvaluator(v, use_cache=False))
+        assert memo == before and all(memo[code] is before[code] for code in memo)
+
+    @pytest.mark.parametrize("word,n", [
+        ("1 2 3 1 2 3 1 2 3 1 2 3", 4),  # the full twist
+        ("1 2 1 2 1 2 1 2", 3),
+    ])
+    def test_fresh_resolution_has_no_self_reaching_node(self, word, n, monkeypatch):
+        w = parse_braid(word, n)
+        memo, resolved = {}, []
+        real = skein._piece_node
+
+        def counter(d, memo):
+            resolved.append(d)
+            return real(d, memo)
+
+        monkeypatch.setattr(skein, "_piece_node", counter)
+        reduced = skein._reduce(diagram_from_closure(w), memo)
+        assert not reaches_itself(reduced)
+        if n == 4:  # switching met a piece isomorphic to one still being resolved
+            assert len(resolved) > len(memo)
+        for v in "+-":  # positive words: the trace is V(closure)
+            assert (KauffmanEvaluator(v)._reduced_value(reduced)
                     == markov_trace_pm_fast(w, v, KauffmanEvaluator(v, use_cache=False)))
 
 
