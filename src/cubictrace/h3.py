@@ -21,8 +21,12 @@ Checked here, exactly and symbolically unless noted:
 * the symmetric-difference identities relating e_1 s_2 e_1 - e_1 and its
   s_2^-1 and conjugated variants (in the ring with bc = 1, a^2 = 1);
 * the symmetrizing form: Gram matrices of both 24-element bases, with
-  determinants -(abc)^54 and -(abc)^2, at seeded rational points;
-* the Schur element table and the trace decomposition t_0 = sum tr/p;
+  determinants -(abc)^54 and -(abc)^2, at seeded rational points; at each
+  point the Schur denominators are cleared once, by the lcm of the Schur
+  numerators, so every Gram entry is an integer dot product;
+* the Schur element table and the trace decomposition t_0 = sum tr/p,
+  cleared symbolically by Lambda, the product of the nine distinct Schur
+  factors, instead of the product of all seven Schur elements;
 * the linear equations cutting out the 4-dimensional space of Markov
   trace restrictions, solved at random points with formal trace unknowns;
 * the one-dimensional character s_i -> a and the 3-dimensional
@@ -34,6 +38,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .combination import Combination
@@ -484,25 +490,48 @@ def check_multiplicativity(pairs: int = 200, seed: int = 5, max_len: int = 5) ->
 # -- Schur elements and the symmetrizing form ----------------------------------
 
 
+# p_chi = sign * prod(factors) / denominator.  The nine distinct factors, up
+# to sign, are shared between the rows; their product is the common
+# multiple Lambda by which `check_schur_identity` clears all seven at once.
+SCHUR_TABLE: dict[str, tuple[int, tuple[str, ...], str]] = {
+    "Sa": (1, ("a-c", "a^2-a*c+c^2", "a-b", "a^2-a*b+b^2", "b*c+a^2"), "b^4*c^4"),
+    "Sb": (1, ("b-c", "b^2-b*c+c^2", "b-a", "b^2-a*b+a^2", "a*c+b^2"), "a^4*c^4"),
+    "Sc": (1, ("c-b", "c^2-b*c+b^2", "c-a", "c^2-a*c+a^2", "a*b+c^2"), "a^4*b^4"),
+    "Ubc": (-1, ("b^2+c^2-b*c", "a-c", "a-b", "b*c+a^2"), "a^4*b*c"),
+    "Uac": (-1, ("a^2+c^2-a*c", "b-c", "b-a", "a*c+b^2"), "b^4*a*c"),
+    "Uab": (-1, ("a^2+b^2-a*b", "c-b", "c-a", "a*b+c^2"), "c^4*a*b"),
+    "V": (1, ("b*c+a^2", "a*b+c^2", "a*c+b^2"), "a^2*b^2*c^2"),
+}
+
+
 def schur_elements() -> dict[str, LaurentPolynomial]:
     """The seven Schur elements of t_0; denominators are unit monomials.
 
     Three come from the explicit displays; the other four are their images
     under the variable permutations suggested by the representation labels,
-    and `check_schur_identity` certifies the whole table at once.
+    and `check_schur_identity` certifies the whole table at once.  Each is
+    built from its row of SCHUR_TABLE, as Lambda is.
     """
-    def over(num: str, den: str) -> LaurentPolynomial:
-        return poly_abc(num) * poly_abc(den).monomial_inverse()
+    out = {}
+    for key, (sign, factors, den) in SCHUR_TABLE.items():
+        p = LaurentPolynomial.constant(sign, ABC)
+        for f in factors:
+            p = p * poly_abc(f)
+        out[key] = p * poly_abc(den).monomial_inverse()
+    return out
 
-    return {
-        "Sa": over("(a-c)*(a^2-a*c+c^2)*(a-b)*(a^2-a*b+b^2)*(b*c+a^2)", "b^4*c^4"),
-        "Sb": over("(b-c)*(b^2-b*c+c^2)*(b-a)*(b^2-a*b+a^2)*(a*c+b^2)", "a^4*c^4"),
-        "Sc": over("(c-b)*(c^2-b*c+b^2)*(c-a)*(c^2-a*c+a^2)*(a*b+c^2)", "a^4*b^4"),
-        "Ubc": over("-(b^2+c^2-b*c)*(a-c)*(a-b)*(b*c+a^2)", "a^4*b*c"),
-        "Uac": over("-(a^2+c^2-a*c)*(b-c)*(b-a)*(a*c+b^2)", "b^4*a*c"),
-        "Uab": over("-(a^2+b^2-a*b)*(c-b)*(c-a)*(a*b+c^2)", "c^4*a*b"),
-        "V": over("(b*c+a^2)*(a*b+c^2)*(a*c+b^2)", "a^2*b^2*c^2"),
-    }
+
+def schur_common_multiple() -> LaurentPolynomial:
+    """Lambda: the product of the distinct factors, up to sign, of SCHUR_TABLE."""
+    distinct: list[LaurentPolynomial] = []
+    for _, factors, _ in SCHUR_TABLE.values():
+        for f in map(poly_abc, factors):
+            if f not in distinct and -f not in distinct:
+                distinct.append(f)
+    out = LaurentPolynomial.one(ABC)
+    for f in distinct:
+        out = out * f
+    return out
 
 
 def basis_b0() -> tuple[Word, ...]:
@@ -527,35 +556,25 @@ def basis_b1() -> tuple[Word, ...]:
 
 
 def check_schur_identity() -> dict[str, bool]:
-    """(prod p) t_0(g) = sum_chi (prod_{chi' != chi} p) tr_chi(g) on all of B_0.
+    """Lambda t_0(g) = sum_chi q_chi tr_chi(g) on all of B_0, q_chi = Lambda / p_chi.
 
-    t_0 is 1 on the empty word and 0 on the other 23 basis words; the check
-    runs in denominator-cleared polynomial form, fully symbolically.
+    t_0 is 1 on the empty word and 0 on the other 23 basis words.  Lambda
+    (`schur_common_multiple`) clears every denominator of t_0 = sum tr/p at
+    once; `exact_div` raises unless each cofactor q_chi is exact, which
+    certifies that Lambda is a common multiple.  Multiplying by a nonzero
+    common multiple keeps the identity equivalent, and the check stays
+    fully symbolic.
     """
     model = H3Model()
-    p = schur_elements()
-    keys = list(REP_KEYS)
-    # prefix/suffix products avoid any division
-    prods_before = {}
-    acc = LaurentPolynomial.one(ABC)
-    for k in keys:
-        prods_before[k] = acc
-        acc = acc * p[k]
-    total = acc
-    prods_after = {}
-    acc = LaurentPolynomial.one(ABC)
-    for k in reversed(keys):
-        prods_after[k] = acc
-        acc = acc * p[k]
-    complements = {k: prods_before[k] * prods_after[k] for k in keys}
-
+    common = schur_common_multiple()
+    cofactors = {k: common.exact_div(p) for k, p in schur_elements().items()}
     out = {}
     for idx, g in enumerate(basis_b0()):
         traces = model.word_image(g).traces()
         rhs = LaurentPolynomial.zero(ABC)
-        for k in keys:
-            rhs = rhs + complements[k] * traces[k]
-        lhs = total if idx == 0 else LaurentPolynomial.zero(ABC)
+        for k in REP_KEYS:
+            rhs = rhs + cofactors[k] * traces[k]
+        lhs = common if idx == 0 else LaurentPolynomial.zero(ABC)
         out[f"t0 decomposition on word {idx}"] = lhs == rhs
     return out
 
@@ -569,17 +588,55 @@ def _numeric_word_images(model: H3Model, words: Sequence[Word],
     return out
 
 
+def _gram_at(numeric: dict[Word, dict[str, Matrix]], words: Sequence[Word],
+             schur_at: dict[str, Fraction]) -> tuple[list[list[Fraction]], bool]:
+    """G[u][v] = sum_chi tr(u_chi v_chi) / p_chi at one point, and whether G is symmetric.
+
+    With p_chi = n_chi / d_chi and L = lcm |n_chi|, 1/p_chi = w_chi / L for
+    the integer weight w_chi = L d_chi / n_chi.  Each word's blocks are
+    flattened row-major (weighted) and column-major, both times D_u, the
+    lcm of their entry denominators, so both are integer vectors.  Since
+    tr(XY) = sum X_ij Y_ji, M[u][v] = left_u . col_v is an integer and
+    G[u][v] = M[u][v] / (L D_u D_v).  Both triangles of M are computed, and
+    the symmetry verdict compares them.
+    """
+    common = lcm(*(abs(p.numerator) for p in schur_at.values()))
+    weight = {k: common * p.denominator // p.numerator for k, p in schur_at.items()}
+    left, col, scale = [], [], []
+    for u in words:
+        rows = [(k, x) for k in REP_KEYS for row in numeric[u][k].rows for x in row]
+        cols = [x for k in REP_KEYS for c in zip(*numeric[u][k].rows) for x in c]
+        den = lcm(*(x.denominator for _, x in rows))
+        left.append([weight[k] * x.numerator * (den // x.denominator) for k, x in rows])
+        col.append([x.numerator * (den // x.denominator) for x in cols])
+        scale.append(den)
+    cleared = [[sum(map(mul, lu, cv)) for cv in col] for lu in left]
+    n = len(words)
+    symmetric = all(cleared[i][j] == cleared[j][i] for i in range(n) for j in range(i + 1, n))
+    gram = [[Fraction(cleared[i][j], common * scale[i] * scale[j]) for j in range(n)]
+            for i in range(n)]
+    return gram, symmetric
+
+
+GRAM_BASES = {"B0": (basis_b0, 54), "B1": (basis_b1, 2)}
+
+
 def gram_determinant_at_points(basis: str = "B0", count: int = 7, seed: int = 23) -> dict[str, bool]:
-    """Gram matrix symmetry and determinant, via seeded rational points.
+    """Gram matrix symmetry and determinant -(abc)^e, via seeded rational points.
 
     The points are drawn coordinatewise from +-[1, 10^6]; by Schwartz-Zippel
     a false identity of degree d (denominators cleared) holds at one such
-    point with probability at most d / (2 * 10^6).
+    point with probability at most d / (2 * 10^6).  At each point the Schur
+    denominators are cleared once, by the lcm of their numerators, so every
+    entry comes from an integer dot product (`_gram_at`); the determinant is
+    taken over Q by `eliminate`.
     """
+    if basis not in GRAM_BASES:
+        raise RingError(f"unknown basis {basis!r}; expected one of {', '.join(GRAM_BASES)}")
     if count < 1:
         raise RingError(f"the Gram check needs at least one point, got {count}")
-    words = basis_b0() if basis == "B0" else basis_b1()
-    expected_exp = 54 if basis == "B0" else 2
+    words_of, expected_exp = GRAM_BASES[basis]
+    words = words_of()
     model = H3Model()
     schur = schur_elements()
     rng = random.Random(seed)
@@ -590,22 +647,8 @@ def gram_determinant_at_points(basis: str = "B0", count: int = 7, seed: int = 23
         if any(v == 0 for v in schur_at.values()):
             out[f"{basis} point {idx} degenerate"] = False
             continue
-        numeric = _numeric_word_images(model, words, pt)
-        entries = [[None] * len(words) for _ in words]
-        for i, u in enumerate(words):
-            for j, v in enumerate(words):
-                if j < i:
-                    entries[i][j] = entries[j][i]
-                    continue
-                total = Fraction(0)
-                for k in REP_KEYS:
-                    total += Fraction((numeric[u][k] * numeric[v][k]).trace()) / schur_at[k]
-                entries[i][j] = total
-        gram = Matrix(entries)
-        symmetric = all(
-            entries[i][j] == entries[j][i] for i in range(len(words)) for j in range(len(words))
-        )
-        det, _ = eliminate(gram)
+        gram, symmetric = _gram_at(_numeric_word_images(model, words, pt), words, schur_at)
+        det, _ = eliminate(Matrix(gram))
         abc_val = pt["a"] * pt["b"] * pt["c"]
         out[f"{basis} Gram symmetric at point {idx}"] = symmetric
         out[f"{basis} Gram det at point {idx}"] = det == -(abc_val ** expected_exp)

@@ -1,7 +1,12 @@
 """The cubic algebra on three strands: matrix models and exact identities."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from cubictrace import h3
+from cubictrace.cli import main
 from cubictrace.h3 import (
     H3Model,
     WordSum,
@@ -99,6 +104,46 @@ class TestSchur:
     def test_gram_determinants_probabilistic(self):
         assert all(gram_determinant_at_points("B0", count=7, seed=23).values())
         assert all(gram_determinant_at_points("B1", count=7, seed=29).values())
+
+    @pytest.mark.parametrize("basis", ["B2", "b0"])
+    def test_unknown_basis_is_refused(self, basis):
+        with pytest.raises(RingError, match=repr(basis)):
+            gram_determinant_at_points(basis, count=1)
+
+    @pytest.mark.parametrize("basis, words, seed", [("B0", basis_b0(), 23), ("B1", basis_b1(), 29)])
+    def test_integer_gram_kernel_matches_the_trace_sum(self, basis, words, seed):
+        # the first point the Gram check draws, against sum_chi tr(u v) / p_chi over Fraction
+        pt = FREE.point(random.Random(seed))
+        schur_at = {k: p.evaluate(pt) for k, p in schur_elements().items()}
+        numeric = h3._numeric_word_images(H3Model(), words, pt)
+        gram, symmetric = h3._gram_at(numeric, words, schur_at)
+        assert symmetric
+        for i, j in ((0, 0), (1, 5), (5, 1), (7, 22), (22, 7), (23, 23)):
+            u, v = words[i], words[j]
+            want = sum((Fraction((numeric[u][k] * numeric[v][k]).trace()) / schur_at[k]
+                        for k in schur_at), Fraction(0))
+            assert gram[i][j] == want, (basis, i, j)
+
+    def test_wrong_schur_element_fails_both_checks(self, monkeypatch):
+        p = schur_elements()
+        monkeypatch.setattr(h3, "schur_elements", lambda: {**p, "V": p["V"] * 2})
+        assert not all(check_schur_identity().values())
+        gram = gram_determinant_at_points("B0", count=1, seed=23)
+        assert gram["B0 Gram det at point 0"] is False
+
+    def test_factor_missing_from_the_table_is_an_error(self, monkeypatch, capsys):
+        # Lambda is read from a table without a*b+c^2; the Schur elements keep it
+        p = schur_elements()
+        monkeypatch.setattr(h3, "schur_elements", lambda: p)
+        monkeypatch.setattr(h3, "SCHUR_TABLE", {
+            k: (sign, tuple(f for f in factors if f != "a*b+c^2"), den)
+            for k, (sign, factors, den) in h3.SCHUR_TABLE.items()})
+        with pytest.raises(RingError, match="non-exact"):
+            check_schur_identity()
+        assert main(["verify", "--suite", "h3", "--pit-points", "1"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1
+        assert "h3/schur decomposition" in failed[0] and "non-exact" in failed[0]
 
 
 class TestTraceEquations:
