@@ -1,13 +1,14 @@
 """Finite linear combinations of basis keys: the one sparse-module type.
 
-Every algebra here is a free module over a small coefficient ring: the
-extended (-1)-Hecke module on {E_w} + {C}, the Hecke algebra on {T_w}, the
-extended Temperley-Lieb algebra on normal words + {C}, and formal sums of
-braid words in H_3.  `Combination` is that module element.  It relies only
-on the coefficients' own `+`, `*` and truth value (false exactly at zero),
-so `int`, `Fraction`, `QA` and `LaurentPolynomial` all serve, and it never
-learns which ring it holds: code that multiplies coefficients also reduces
-them (see `map`).
+The algebras here are free modules over small coefficient rings: the
+Hecke algebra on {T_w}, the extended Temperley-Lieb algebra on normal
+words + {C}, and formal sums of braid words in H_3.  `Combination` is that
+module element.  (The extended (-1)-Hecke module of `coxeter` is acted on
+as plain dicts keyed by element ids.)  It relies only on the coefficients'
+own `+`, `*` and truth value (false exactly at zero), so `int`,
+`Fraction`, `QA` and `LaurentPolynomial` all serve, and it never learns
+which ring it holds: code that multiplies coefficients also reduces them
+(see `map`).
 """
 
 from __future__ import annotations

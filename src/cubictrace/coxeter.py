@@ -16,12 +16,11 @@ proves by showing (s + lambda C - a)^2 . E_1 = -2aC for every lambda.
 Because 2 is invertible, Q[a]/(a^2-1) = Q x Q under u + v a -> (u + v,
 u - v), the values at a = 1 and a = -1.  An element is zero exactly when
 both values are, so computing at both points is exact, not a sample.  The
-action is therefore written once, in `_act_at`, at a fixed a = +-1 on
-plain dicts (integer coefficients on integer input).
-`verify_braid_relations` never leaves the integers, and the theorem trace
-below runs on `_act_at` at each point.  `act_word` splits an
-`ExtHeckeVector` into its two values and joins the results; it serves the
-callers that hold such a vector, not the trace.
+action is written once, in `_act_at`, on plain dicts keyed by element ids.
+`act_word`, the public action, runs it once at a = A on `QA` coefficients
+(which `qa` stores as the two values).  `verify_braid_relations`, the
+theorem trace and `nonsplit_certificate` run it at a = 1 and at a = -1
+on integer (or Q[L]) coefficients and never leave them.
 
 For W = S_n the tower carries a unique-per-normalization family of Markov
 traces with t_2(C) = 1; `ThmTraceEngine` computes it by the coset-peeling
@@ -43,9 +42,8 @@ from typing import Iterable, Sequence
 
 from .braids import BraidWord
 from .hecke import _left_gen, coset_peel, hecke_trace_qa, parity_tracers
-from .combination import Combination
 from .linalg import Matrix, eliminate
-from .qa import QA
+from .qa import A, QA
 from .rings import LaurentPolynomial, RingError
 from .skein import kauffman_at_point
 
@@ -217,31 +215,16 @@ class DihedralCoxeter(CoxeterSystem):
 # -- the module ------------------------------------------------------------------
 
 
-C_KEY = "__C__"
-
-
-class ExtHeckeVector(Combination):
-    """Sparse vector over Q[a]/(a^2-1) in the basis {E_w} + {C}."""
-
-    __slots__ = ()
-
-    @classmethod
-    def basis(cls, w) -> "ExtHeckeVector":
-        return cls({w: QA(1)})
-
-    @classmethod
-    def c_vector(cls) -> "ExtHeckeVector":
-        return cls({C_KEY: QA(1)})
-
-
-def _act_at(cox: CoxeterSystem, word: Sequence[int], vec: dict, c, a: int) -> tuple[dict, object]:
-    """The action of a braid word on sum_i vec[i] E_w(i) + c C at a fixed a = +-1.
+def _act_at(cox: CoxeterSystem, word: Sequence[int], vec: dict, c, a) -> tuple[dict, object]:
+    """The action of a braid word on sum_i vec[i] E_w(i) + c C at a fixed a.
 
     The one place that writes the rule.  Keys are the element ids of
-    `cox.steps`; letters are 1-based, signed and act right to left;
-    coefficients are anything closed under + and * by an int (int,
-    Fraction, a Laurent polynomial).  Zero terms are dropped after every
-    letter.
+    `cox.steps`; letters are 1-based, signed and act right to left.  The
+    rule needs only a*c, 2*a*x, x != 0 and a^l(w) in {a, 1}, so `a` is
+    either the element A of Q[a]/(a^2-1) on `QA` coefficients (`act_word`)
+    or a fixed a = +-1 on coefficients closed under + and * by an int
+    (int, Fraction, a Laurent polynomial).  Zero terms are dropped after
+    every letter.
     """
     steps = cox.steps
     for letter in reversed(word):
@@ -266,46 +249,28 @@ def _act_at(cox: CoxeterSystem, word: Sequence[int], vec: dict, c, a: int) -> tu
     return vec, c
 
 
-def act_word(word: Sequence[int], v: ExtHeckeVector, cox: CoxeterSystem) -> ExtHeckeVector:
-    """Left action of a braid word (letters applied right to left).
+def act_word(cox: CoxeterSystem, word: Sequence[int], vec: dict, c: QA) -> tuple[dict, QA]:
+    """The action of a braid word on sum_w vec[w] E_w + c C over Q[a]/(a^2-1).
 
-    Splits v once into its values at a = 1 and a = -1, runs `_act_at` on
-    each, and joins the two results once.
+    `vec` maps group elements to `QA` coefficients; letters are 1-based,
+    signed and act right to left.  Returns the image as (vec, c).
     """
-    word = tuple(word)
     gens = cox.generators()
     for letter in word:
         if abs(letter) - 1 not in gens:
             raise RingError(f"generator index {letter} out of range")
-
-    def at(x: QA, a: int):
-        # integral values as int, so that the kernel does int arithmetic
-        y = x.at(a)
-        return y.numerator if y.denominator == 1 else y
-
     steps = cox.steps
-    basis = {steps.id(w): x for w, x in v.coeffs.items() if w != C_KEY}
-    c = v.coeffs.get(C_KEY, QA(0))
-    (plus, c_plus), (minus, c_minus) = (
-        _act_at(cox, word, {i: at(x, a) for i, x in basis.items()}, at(c, a), a)
-        for a in (1, -1)
-    )
-    coeffs = {steps.elements[i]: QA.from_components(plus.get(i, 0), minus.get(i, 0))
-              for i in plus | minus}
-    coeffs[C_KEY] = QA.from_components(c_plus, c_minus)
-    return ExtHeckeVector(coeffs)
+    out, c = _act_at(cox, word, {steps.id(w): x for w, x in vec.items()}, c, A)
+    return {steps.elements[i]: x for i, x in out.items()}, c
 
 
-def act_generator(index: int, v: ExtHeckeVector, cox: CoxeterSystem) -> ExtHeckeVector:
-    """Action of s_gen^(+-1); index is 1-based and signed like a braid letter."""
-    return act_word((index,), v, cox)
+def act_generator(cox: CoxeterSystem, letter: int, vec: dict, c: QA) -> tuple[dict, QA]:
+    """The action of s^(+-1), a one-letter `act_word`.
 
-
-def braid_to_vector(w: BraidWord, cox: SymmetricCoxeter | None = None) -> ExtHeckeVector:
-    cox = cox or SymmetricCoxeter(w.strands)
-    if cox.n != w.strands:
-        raise RingError("Coxeter rank does not match the braid")
-    return act_word(w.letters, ExtHeckeVector.basis(cox.identity()), cox)
+    Kept as its own function because perfbench counts its calls
+    (`coxeter.act_generator.calls`) until that counter moves to `_act_at`.
+    """
+    return act_word(cox, (letter,), vec, c)
 
 
 def verify_braid_relations(cox: CoxeterSystem) -> bool:

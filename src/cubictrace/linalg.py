@@ -1,13 +1,15 @@
 """Small exact matrices over any of the project's rings.
 
-Entries may be `int`, `LaurentPolynomial`, `QA`, or `Fraction`; the only
-requirements are +, -, * and (for determinants) exact division.  There
-are two determinants: `det_bareiss`, fraction-free over Z and over
-Laurent polynomials, and `eliminate`, the one Gaussian elimination over
-Q, which also solves linear systems.  There is no inverse routine: the
-generators inverted elsewhere have closed-form inverses from their
-defining relations.  Everything here is tiny (24x24 at most), so the code
-favors clarity over asymptotics.
+Entries may be `int`, `Fraction` or `LaurentPolynomial`; the only
+requirements are +, -, * and (for determinants) exact division.  A system
+over Q[a]/(a^2-1) is solved as one system over Q at a = 1 and one at
+a = -1, as the T0 pin in `coxeter` does.  There are two determinants:
+`det_bareiss`, fraction-free over Z and over Laurent polynomials, and
+`eliminate`, the one Gaussian elimination over Q, which also solves
+linear systems.  There is no inverse routine: the generators inverted
+elsewhere have closed-form inverses from their defining relations.
+Everything here is tiny (24x24 at most), so the code favors clarity over
+asymptotics.
 """
 
 from __future__ import annotations

@@ -298,8 +298,10 @@ class LaurentPolynomial:
         return out
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
+        """The value at an exact rational point (`int` or `Fraction` coordinates)."""
         total = Fraction(0)
-        vals = [Fraction(point[v]) for v in self.variables]
+        # the powers stay over Fraction: an int to a negative power is a float
+        vals = [Fraction(_as_fraction(point[v])) for v in self.variables]
         for mono, coeff in self.terms.items():
             acc = coeff
             for val, e in zip(vals, mono):

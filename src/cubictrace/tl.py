@@ -315,7 +315,7 @@ def trace_xa(elem: TLElement | Word, n: int) -> QA:
     for k, coeff in elem.coeffs.items():
         scalar = specialize(coeff, A)
         if k == C_WORD:
-            cell = QA.a_power(n + 1) * QA(-1)
+            cell = -QA.a_power(n + 1)
         else:
             word = tuple(k)
             ncomp = closure_components(word_to_diagram(word, n))
@@ -332,13 +332,13 @@ def trace_x2a(elem: TLElement | Word, n: int) -> QA:
     """
     if not isinstance(elem, TLElement):
         elem = TLElement.word(tuple(elem))
-    u = QA.a_power(n) * QA(-1)
+    u = -QA.a_power(n)
     v = QA(0) if n == 1 else QA.a_power(n + 1) * QA(n - 2)
     total = QA(0)
     for k, coeff in elem.coeffs.items():
         scalar = specialize(coeff, 2 * A)
         if k == C_WORD:
-            cell = u * QA(-1)
+            cell = -u
         elif len(k) == 0:
             cell = v
         elif len(k) == 1:

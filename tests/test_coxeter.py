@@ -7,16 +7,14 @@ import pytest
 
 from cubictrace.braids import BraidWord, conjugate, parse_braid, stabilize_neg, stabilize_pos
 from cubictrace.coxeter import (
-    C_KEY,
     DihedralCoxeter,
-    ExtHeckeVector,
     SymmetricCoxeter,
     T0Invariant,
     ThmTraceConfig,
     ThmTraceEngine,
+    _act_at,
     act_generator,
     act_word,
-    braid_to_vector,
     nonsplit_certificate,
     shifted_minus_a,
     t0_invariant,
@@ -29,58 +27,82 @@ from cubictrace.rings import RingError
 class TestModuleAction:
     def test_ascent(self):
         cox = SymmetricCoxeter(2)
-        v = act_generator(1, ExtHeckeVector.basis(cox.identity()), cox)
-        assert dict(v.coeffs) == {(1, 0): QA(1)}
+        assert act_generator(cox, 1, {cox.identity(): QA(1)}, QA(0)) == ({(1, 0): QA(1)}, 0)
 
     def test_descent_formula(self):
         cox = SymmetricCoxeter(2)
         s = (1, 0)
-        v = act_generator(1, ExtHeckeVector.basis(s), cox)
-        assert dict(v.coeffs) == {C_KEY: QA(0, -2), s: QA(0, 2), (0, 1): QA(-1)}
+        assert act_generator(cox, 1, {s: QA(1)}, QA(0)) == ({s: QA(0, 2), (0, 1): QA(-1)}, QA(0, -2))
 
     def test_inverse_round_trip(self):
         cox = SymmetricCoxeter(3)
         for word in ((1,), (2,), (1, 2), (2, 1, 1)):
-            v = ExtHeckeVector.basis(cox.identity())
-            forward = act_word(word, v, cox)
+            v = ({cox.identity(): QA(1)}, QA(0))
+            forward = act_word(cox, word, *v)
             inverse = tuple(-x for x in reversed(word))
-            assert act_word(inverse, forward, cox) == v
+            assert act_word(cox, inverse, *forward) == v
 
     def test_cube_of_generator(self):
-        v = braid_to_vector(parse_braid("1 1 1", 2))
-        assert dict(v.coeffs) == {C_KEY: QA(-6), (1, 0): QA(3), (0, 1): QA(0, -2)}
+        cox = SymmetricCoxeter(2)
+        v = act_word(cox, parse_braid("1 1 1", 2).letters, {cox.identity(): QA(1)}, QA(0))
+        assert v == ({(1, 0): QA(3), (0, 1): QA(0, -2)}, QA(-6))
 
     def test_square_of_generator(self):
-        v = braid_to_vector(parse_braid("1 1", 2))
-        assert dict(v.coeffs) == {C_KEY: QA(0, -2), (1, 0): QA(0, 2), (0, 1): QA(-1)}
+        cox = SymmetricCoxeter(2)
+        v = act_word(cox, parse_braid("1 1", 2).letters, {cox.identity(): QA(1)}, QA(0))
+        assert v == ({(1, 0): QA(0, 2), (0, 1): QA(-1)}, QA(0, -2))
 
     def test_c_is_scaled_by_a(self):
         cox = SymmetricCoxeter(3)
-        v = act_generator(2, ExtHeckeVector.c_vector(), cox)
-        assert dict(v.coeffs) == {C_KEY: QA(0, 1)}
+        assert act_generator(cox, 2, {}, QA(1)) == ({}, QA(0, 1))
 
     def test_out_of_range_letter(self):
         cox = SymmetricCoxeter(3)
         for letter in (0, 3, -3):
             with pytest.raises(RingError):
-                act_generator(letter, ExtHeckeVector.c_vector(), cox)
+                act_generator(cox, letter, {}, QA(1))
+
+    @staticmethod
+    def _start(cox):
+        # coefficients whose values at a = 1 and a = -1 differ and are not
+        # integers, so a lost or swapped half or a truncation shows
+        elements = list(cox.elements())
+        vec = {w: QA(Fraction(k, 3), Fraction(2, 5 + k)) for k, w in enumerate(elements[:4])}
+        return vec, QA(Fraction(1, 3), Fraction(2, 5))
+
+    @staticmethod
+    def _random_words(cox, seed):
+        rng = random.Random(seed)
+        letters = [g + 1 for g in cox.generators()]
+        letters += [-x for x in letters]
+        for _ in range(100):
+            yield tuple(rng.choice(letters) for _ in range(rng.randint(1, 8)))
 
     @pytest.mark.parametrize("cox", [SymmetricCoxeter(4), DihedralCoxeter(5)],
                              ids=["S4", "I2(5)"])
     def test_round_trip_with_non_integer_coefficients(self, cox):
-        # coefficients whose values at a = 1 and a = -1 differ and are not
-        # integers, so a lost or swapped half or a truncation shows
-        rng = random.Random(29)
-        elements = list(cox.elements())
-        letters = [g + 1 for g in cox.generators()]
-        letters += [-x for x in letters]
-        start = {w: QA(Fraction(k, 3), Fraction(2, 5 + k)) for k, w in enumerate(elements[:4])}
-        start[C_KEY] = QA(Fraction(1, 3), Fraction(2, 5))
-        v = ExtHeckeVector(start)
-        for _ in range(100):
-            word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+        vec, c = self._start(cox)
+        for word in self._random_words(cox, 29):
             inverse = tuple(-x for x in reversed(word))
-            assert act_word(inverse, act_word(word, v, cox), cox) == v
+            assert act_word(cox, inverse, *act_word(cox, word, vec, c)) == (vec, c)
+
+    @pytest.mark.parametrize("cox", [SymmetricCoxeter(4), DihedralCoxeter(5)],
+                             ids=["S4", "I2(5)"])
+    def test_action_at_a_equals_the_split_at_plus_minus_one(self, cox):
+        # the one action over Q[a]/(a^2-1) against the split that
+        # verify_braid_relations and the theorem trace rely on: _act_at at
+        # a = 1 and at a = -1 on the values, joined by QA.from_components
+        vec, c = self._start(cox)
+        steps = cox.steps
+        for word in self._random_words(cox, 31):
+            got_vec, got_c = act_word(cox, word, vec, c)
+            (plus, c_plus), (minus, c_minus) = (
+                _act_at(cox, word, {steps.id(w): x.at(a) for w, x in vec.items()}, c.at(a), a)
+                for a in (1, -1))
+            joined = {steps.elements[i]: QA.from_components(plus.get(i, 0), minus.get(i, 0))
+                      for i in plus.keys() | minus.keys()}
+            assert got_vec == joined
+            assert got_c == QA.from_components(c_plus, c_minus)
 
 
 class TestBraidRelations:
@@ -110,9 +132,10 @@ class TestBraidRelations:
         elements = list(cox.elements())
         for _ in range(100):
             w1, w2 = rng.sample(elements, 2)
-            b1 = BraidWord(5, tuple(g + 1 for g in cox.reduced_word(w1)))
-            b2 = BraidWord(5, tuple(g + 1 for g in cox.reduced_word(w2)))
-            assert braid_to_vector(b1, cox) != braid_to_vector(b2, cox)
+            v1, v2 = (act_word(cox, tuple(g + 1 for g in cox.reduced_word(w)),
+                               {cox.identity(): QA(1)}, QA(0))
+                      for w in (w1, w2))
+            assert v1 != v2
 
 
 class TestThmTrace:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cubictrace.braids import BraidWord
 from cubictrace.burau import alexander_coefficients
-from cubictrace.qa import A, QA, specialize
+from cubictrace.qa import A, QA, parse_qa, specialize
 from cubictrace.rings import (
     ABC,
     AX,
@@ -274,3 +274,74 @@ class TestQuotients:
     def test_dagger_dagger_takes_a_square_root_of_one(self):
         with pytest.raises(RingError):
             dagger_dagger(2)
+
+
+qa_elements = st.builds(QA, mixed_coeffs, mixed_coeffs)
+
+
+def _uv(x: QA) -> tuple[Fraction, Fraction]:
+    """(u, v) with x = u + v*a, read from `to_poly`."""
+    p = x.to_poly()
+    return Fraction(p.terms.get((0,), 0)), Fraction(p.terms.get((1,), 0))
+
+
+class TestQA:
+    """`QA`, stored as its values at a = +-1, against the u + v*a formulas."""
+
+    @given(mixed_coeffs, mixed_coeffs)
+    @settings(max_examples=80, deadline=None)
+    def test_constructor_round_trip_and_values(self, u, v):
+        x = QA(u, v)
+        assert _uv(x) == (u, v)
+        assert (x.at(1), x.at(-1)) == (u + v, u - v)
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                   for c in (x.at(1), x.at(-1)))
+
+    @given(qa_elements, qa_elements)
+    @settings(max_examples=80, deadline=None)
+    def test_sum_and_product(self, x, y):
+        (u, v), (s, t) = _uv(x), _uv(y)
+        assert _uv(x + y) == (u + s, v + t)
+        assert _uv(x - y) == (u - s, v - t)
+        assert _uv(x * y) == (u * s + v * t, u * t + v * s)
+
+    @given(qa_elements)
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_of_a_unit(self, x):
+        u, v = _uv(x)
+        norm = u * u - v * v  # (u + v a)(u - v a)
+        assert x.is_unit() == (norm != 0)
+        if norm:
+            assert _uv(x.inverse()) == (u / norm, -v / norm)
+        else:
+            with pytest.raises(RingError):
+                x.inverse()
+
+    @given(qa_elements)
+    @settings(max_examples=80, deadline=None)
+    def test_parse_of_str_is_the_identity(self, x):
+        assert parse_qa(str(x)) == x
+
+    def test_a_free_element_hashes_like_its_value(self):
+        for value in (3, 0, -1, Fraction(1, 2)):
+            assert QA(value) == value
+            assert hash(QA(value)) == hash(value)
+            assert len({QA(value), value}) == 1
+        assert len({QA(0, 1), QA(1, 0), QA(0, 1)}) == 2
+
+    def test_inexact_input_is_refused(self):
+        for bad in (0.1, "1/2", 1.0):
+            with pytest.raises(RingError):
+                QA(bad)
+            with pytest.raises(RingError):
+                QA(0, bad)
+            with pytest.raises(RingError):
+                QA(1) + bad
+        assert QA(True) == QA(1) and type(QA(True).at(1)) is int
+
+    def test_evaluate_refuses_an_inexact_point(self):
+        p = LaurentPolynomial.parse("a^-1 + 2*x", AX)
+        assert p.evaluate({"a": 2, "x": Fraction(1, 4)}) == 1
+        for bad in ({"a": 0.5, "x": 1}, {"a": 2, "x": "1/4"}):
+            with pytest.raises(RingError):
+                p.evaluate(bad)
