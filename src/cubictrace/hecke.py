@@ -27,7 +27,7 @@ from typing import Sequence
 from .braids import BraidWord
 from .combination import Combination
 from .qa import QA
-from .rings import LaurentPolynomial, RingError
+from .rings import LaurentPolynomial, RingError, _as_fraction
 
 XY = ("x", "y")
 
@@ -88,9 +88,10 @@ class HeckeRing:
 
     @classmethod
     def numeric(cls, x, y) -> "HeckeRing":
-        """Rational x, y != 0; integral values stay `int`, so that y = 1,
-        x = +-2 (loop value +-1) computes over the integers."""
-        x, y = Fraction(x), Fraction(y)
+        """Rational x, y != 0 (`int` or `Fraction`, else `RingError`);
+        integral values stay `int`, so that y = 1, x = +-2 (loop value +-1)
+        computes over the integers."""
+        x, y = Fraction(_as_fraction(x)), Fraction(_as_fraction(y))
         if x == 0 or y == 0:
             raise RingError("x and y must be invertible")
         x, y, y_inv, delta = (v.numerator if v.denominator == 1 else v

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rings import LaurentPolynomial, RingError
+from .rings import LaurentPolynomial, RingError, _as_fraction
 
 
 class Matrix:
@@ -117,12 +117,13 @@ def eliminate(m: Matrix, rhs: Sequence[Sequence] = ()) -> tuple[Fraction, list[l
 
     One forward Gaussian elimination with exact fractions carries the
     right-hand sides along; back-substitution then reads off the solutions.
-    They are None when m is singular (its determinant is then 0).
+    They are None when m is singular (its determinant is then 0).  Entries
+    must be `int` or `Fraction`; a float or a string raises `RingError`.
     """
     n = m.nrows
     if n != m.ncols:
         raise RingError("determinant of a non-square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in rhs]
+    a = [[Fraction(_as_fraction(x)) for x in row] + [Fraction(_as_fraction(b[i])) for b in rhs]
          for i, row in enumerate(m.rows)]
     det = Fraction(1)
     for col in range(n):

@@ -6,7 +6,8 @@ pair of opposite ports is the over-strand; arcs pair up ports; crossing-free
 circles are a separate counter.  Each diagram builds one port index (its arc
 map and each port's crossing and position) the first time it is asked; the
 strand walk, the canonical code and the Reidemeister-style reductions below
-are local rules on that index.
+are local rules on that index.  Removing crossings contracts only the arcs
+that touch them.
 
 The evaluator works with a twist-normalized value V(D) = alpha^{#crossings}
 K(D), where K is the regular-isotopy polynomial with the conventions pinned
@@ -33,7 +34,8 @@ diagrams; it is memoized once per process, for both variants and every
 ring.  Each evaluator then walks the resolution with its ring's
 coefficients and memoizes piece values in its own `_cache`.  Both memos
 are keyed on a canonical relabeling of the piece: the minimum code over
-all starts of the walk, where a start is dropped as soon as its
+all starts of the walk.  Only the starts that enter their first crossing
+on its under-strand can give it, and a start is dropped as soon as its
 crossing-flag prefix exceeds the best one so far.  `use_cache=False`
 bypasses both memos.
 
@@ -42,7 +44,8 @@ a^(#negative letters) V(closure), computed in the evaluator's own ring (a
 Laurent polynomial in a and x for the generic ring, a rational number for a
 numeric one).  `kauffman_at_point` is that function on the two numeric
 rings a = +1 and a = -1, at the values there of an image of x in
-Q[a]/(a^2-1) (such as 2a), joined into that ring once.  `rewrite_alpha_z`
+Q[a]/(a^2-1) (such as 2a): it resolves the closure once, walks that
+resolution in both rings and joins the two values once.  `rewrite_alpha_z`
 carries a polynomial written in (alpha, z) into (a, x).
 """
 
@@ -56,7 +59,7 @@ from typing import Container, Mapping
 from .braids import BraidWord, component_count
 from .burau import alexander_determinant
 from .qa import QA
-from .rings import AX, LaurentPolynomial, RingError
+from .rings import AX, LaurentPolynomial, RingError, _as_fraction
 
 Port = int
 Crossing = tuple[tuple[Port, Port, Port, Port], bool]  # ccw ports, over02
@@ -80,9 +83,9 @@ class PlanarDiagram:
 
     @cached_property
     def slot(self) -> dict[Port, tuple[int, int]]:
-        """Each port's (crossing index, position in its ccw tuple), by port."""
-        return dict(sorted((p, (idx, k)) for idx, (ports, _) in enumerate(self.crossings)
-                           for k, p in enumerate(ports)))
+        """Each port's (crossing index, position in its ccw tuple)."""
+        return {p: (idx, k) for idx, (ports, _) in enumerate(self.crossings)
+                for k, p in enumerate(ports)}
 
     def validate(self) -> None:
         if len(self.slot) != 4 * len(self.crossings):
@@ -185,17 +188,28 @@ def _remove_crossings(d: PlanarDiagram, wires: Mapping[int, list[tuple[Port, Por
 
     `wires[idx]` lists two port pairs of crossing `idx` that become direct
     connections (its strands for kink/parallel removal, the chosen pairing
-    for a smoothing).  Arcs are contracted; closed circles produced by the
-    contraction are added to the loop count.
+    for a smoothing).  The move is local: only the arcs that touch a removed
+    port are contracted with the wires, the others are kept as they are,
+    and closed circles produced by the contraction are added to the loop
+    count.  The arcs are returned sorted, so that on a diagram whose arcs
+    run from their smaller end (every diagram built here) the result equals
+    the contraction of all arcs and wires at once.
     """
-    removed_ports: set[Port] = set()
-    edges: list[tuple[Port, Port]] = list(d.arcs)
+    amap = d.arc_map
+    removed: set[Port] = set()
+    edges: list[tuple[Port, Port]] = []
     for idx, pairs in wires.items():
-        removed_ports.update(d.crossings[idx][0])
+        removed.update(d.crossings[idx][0])
         edges.extend(pairs)
-    arcs, loops = _contract(edges, removed_ports)
+    for p in removed:
+        q = amap[p]
+        if p < q or q not in removed:  # an arc between two removed ports once
+            edges.append((p, q))
+    joined, loops = _contract(edges, removed)
+    arcs = [arc for arc in d.arcs if arc[0] not in removed and arc[1] not in removed]
+    arcs.extend(joined)
     remaining = tuple(c for i, c in enumerate(d.crossings) if i not in wires)
-    return PlanarDiagram(remaining, arcs, d.loops + loops)
+    return PlanarDiagram(remaining, tuple(sorted(arcs)), d.loops + loops)
 
 
 def _strand_wires(crossing: Crossing) -> list[tuple[Port, Port]]:
@@ -276,20 +290,15 @@ def _strand_walk(d: PlanarDiagram, first: Port | None = None):
 
     Yields (entry port, crossing index, entry position, component index) in
     walk order.  The first component starts at `first` (default: the
-    smallest port).  Each later one starts at the earliest-met crossing
-    passed only once so far, at the port ccw after the one it was entered
-    by; only a split diagram, where no such crossing is left, falls back to
-    the smallest unvisited port.  So on a connected diagram the walk from a
-    given start does not depend on port labels or on where each crossing's
-    port tuple begins.  Each crossing is reported exactly twice, once per
-    strand through it.
+    smallest port) and each later one where `_next_start` says.  Each
+    crossing is reported exactly twice, once per strand through it.
     """
     amap, slot, crossings = d.arc_map, d.slot, d.crossings
     if not crossings:
         return
     met: dict[int, int] = {}  # crossing -> position first entered, in walk order
     twice: set[int] = set()
-    start = next(iter(slot)) if first is None else first
+    start = min(slot) if first is None else first
     comp = 0
     while True:
         p = start
@@ -309,11 +318,26 @@ def _strand_walk(d: PlanarDiagram, first: Port | None = None):
         if len(twice) == len(crossings):
             return
         comp += 1
-        # a crossing passed once still has its positions k + 1 and k + 3 free
-        start = next((crossings[idx][0][(k + 1) % 4] for idx, k in met.items() if idx not in twice),
-                     None)
-        if start is None:
-            start = next(p for p, (idx, _) in slot.items() if idx not in met)
+        start = _next_start(d, met, twice)
+
+
+def _next_start(d: PlanarDiagram, met: dict[int, int], twice: set[int]) -> Port:
+    """Where the walk's next component starts, once a strand has closed.
+
+    `met` maps each crossing met so far to the position it was first
+    entered by, in walk order, and `twice` holds those passed twice.  The
+    start is the port ccw after the entry of the earliest-met crossing
+    passed only once; only a split diagram, where no such crossing is left,
+    falls back to the smallest port of a crossing not met.  So on a
+    connected diagram the walk from a given start does not depend on port
+    labels or on where each crossing's port tuple begins.
+    """
+    crossings = d.crossings
+    for idx, k in met.items():
+        if idx not in twice:
+            # a crossing passed once still has its positions k + 1 and k + 3 free
+            return crossings[idx][0][(k + 1) % 4]
+    return min(p for p, (idx, _) in d.slot.items() if idx not in met)
 
 
 def canonical_code(d: PlanarDiagram):
@@ -322,39 +346,59 @@ def canonical_code(d: PlanarDiagram):
     evaluator's pieces are.
 
     The code is (flags, sorted arc codes, loops), one flag per crossing in
-    walk order, so every start's flags have the same length and decide
-    first.  A start is dropped as soon as its flag prefix exceeds the best
-    one so far; arc codes are built only for starts whose flags tie or win.
-    The result is still the minimum over all starts.
+    walk order (True when the walk first enters it on its over-strand), so
+    every start's flags have the same length and decide first.  Half of
+    the 4n starts enter their first crossing on the under-strand and so
+    begin with False; any of them beats every start that begins with True,
+    so only those 2n starts are walked.  A start is dropped as soon as its
+    flag prefix exceeds the best one so far; arc codes are built only for
+    starts whose flags tie or win.  The result is still the minimum over
+    all starts of `_strand_walk`, whose component rule each walk follows
+    through `_next_start`.
     """
     crossings = d.crossings
     if not crossings:
         return ("empty", d.loops)
     n = len(crossings)
-    slot = d.slot
+    amap, slot = d.arc_map, d.slot
+    # port -> the walk's step from it: (crossing, entry position, exit port, flag)
+    steps = {}
+    for p, q in amap.items():
+        idx, k = slot[q]
+        ports, over02 = crossings[idx]
+        steps[p] = (idx, k, ports[(k + 2) % 4], over02 != (k % 2 == 1))
     arc_slots = [(slot[p], slot[q]) for p, q in d.arcs]
     best_flags: list[bool] = []
     best_arcs: list = []
-    for first in slot:
-        # crossing -> (label, rotation): walk order and entry position
-        relabel: dict[int, tuple[int, int]] = {}
-        flags: list[bool] = []
-        tied = bool(best_flags)  # flag prefix equal to the best one so far
-        for _, idx, k, _ in _strand_walk(d, first):
-            if idx in relabel:
-                continue
-            label = len(flags)
-            flag = crossings[idx][1] != (k % 2 == 1)
-            if tied and flag != best_flags[label]:
-                if flag:  # True > False: this start cannot win
-                    break
-                tied = False
-            relabel[idx] = (label, k)
-            flags.append(flag)
-            if label + 1 == n:
-                break
-        if len(flags) < n:
+    for first, (_, _, _, over) in steps.items():
+        if over:
             continue
+        met: dict[int, int] = {}  # crossing -> entry position, in walk order
+        twice: set[int] = set()
+        flags: list[bool] = []
+        label = 0
+        tied = bool(best_flags)  # flag prefix equal to the best one so far
+        start = p = first
+        while True:
+            idx, k, p, flag = steps[p]
+            if idx in met:
+                twice.add(idx)
+            else:
+                if tied and flag != best_flags[label]:
+                    if flag:  # True > False: this start cannot win
+                        break
+                    tied = False
+                met[idx] = k
+                flags.append(flag)
+                label += 1
+                if label == n:
+                    break
+            if p == start:
+                start = p = _next_start(d, met, twice)
+        if label < n:
+            continue
+        # crossing -> (label, rotation): walk order and entry position
+        relabel = {idx: (lab, k) for lab, (idx, k) in enumerate(met.items())}
         arc_codes = []
         for (ip, kp), (iq, kq) in arc_slots:
             lp, rp = relabel[ip]
@@ -504,7 +548,8 @@ class SkeinRing:
 
     @classmethod
     def numeric(cls, variant: str, a: Fraction, x: Fraction) -> "SkeinRing":
-        a, x = Fraction(a), Fraction(x)
+        """Rational a, x != 0 (`int` or `Fraction`, else `RingError`)."""
+        a, x = Fraction(_as_fraction(a)), Fraction(_as_fraction(x))
         if a == 0 or x == 0:
             raise RingError("a and x must be invertible")
         if variant == "+":
@@ -596,24 +641,30 @@ def markov_trace_pm_fast(w: BraidWord, variant: str,
     ring (the default), a rational number for a numeric one.
     """
     ev = evaluator or KauffmanEvaluator(variant)
-    neg = sum(1 for ltr in w.letters if ltr < 0)
-    return ev.value(diagram_from_closure(w)) * ev.ring.a_inv ** -neg
+    return ev.value(diagram_from_closure(w)) * _negative_letters_factor(w, ev.ring)
+
+
+def _negative_letters_factor(w: BraidWord, ring: SkeinRing):
+    """a^(#negative letters of w) in `ring`."""
+    return ring.a_inv ** -sum(1 for ltr in w.letters if ltr < 0)
 
 
 def kauffman_at_point(w: BraidWord, x: QA, caches: tuple[dict, dict] | None = None) -> QA:
     """The patched Kauffman trace at a point of the locus a^2 = y = 1.
 
-    `x` is the image of x in Q[a]/(a^2-1), a unit such as 2a.  The + variant
-    is evaluated on the a = +1 component and the - variant on a = -1, each
-    in a numeric ring; the two rational values are joined once.
+    `x` is the image of x in Q[a]/(a^2-1), a unit such as 2a.  The closure
+    is resolved once; the + variant walks that resolution on the a = +1
+    component and the - variant on a = -1, each in a numeric ring, and the
+    two rational values are joined once.
     """
     if not x.is_unit():
         raise RingError(f"x -> {x} is outside the invertible locus")
+    reduced = _reduce(diagram_from_closure(w), _RESOLVED)
     values = []
     for variant, a, cache in zip("+-", (1, -1), caches or ({}, {})):
         ev = KauffmanEvaluator(variant, SkeinRing.numeric(variant, Fraction(a), x.at(a)))
         ev._cache = cache
-        values.append(markov_trace_pm_fast(w, variant, ev))
+        values.append(ev._reduced_value(reduced) * _negative_letters_factor(w, ev.ring))
     return QA.from_components(*values)
 
 

@@ -159,3 +159,9 @@ class TestParityPoint:
         for x, y in ((0, 1), (2, 0)):
             with pytest.raises(RingError):
                 HeckeRing.numeric(x, y)
+
+    def test_numeric_ring_rejects_inexact_values(self):
+        for x, y in ((0.5, 1), (2, "1"), ("2", 1)):
+            with pytest.raises(RingError):
+                HeckeRing.numeric(x, y)
+        assert HeckeRing.numeric(Fraction(4, 2), 1).x == 2

@@ -70,3 +70,13 @@ def test_integer_bareiss_against_elimination(rows):
 def test_bareiss_rejects_rational_entries():
     with pytest.raises(RingError):
         det_bareiss(Matrix([[Fraction(1, 2)]]))
+
+
+@pytest.mark.parametrize("rows,rhs", [
+    ([[0.1, 1], [2, Fraction(1, 3)]], ()),
+    ([[1, 1], [2, "1/3"]], ()),
+    ([[1, 0], [0, 1]], [(1, 0.5)]),
+])
+def test_elimination_rejects_inexact_entries(rows, rhs):
+    with pytest.raises(RingError):
+        eliminate(Matrix(rows), rhs)

@@ -16,15 +16,24 @@ import pytest
 from cubictrace.braids import BraidWord
 from cubictrace.knotdata import load_records, validate_record
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("workloads")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
 
 
 def test_inner_spans_are_reached_through_their_attributes(workloads, monkeypatch):
@@ -49,6 +58,20 @@ def test_counted_functions_have_code_objects(workloads):
     for name, fn in workloads.COUNTED.items():
         code = fn.__code__
         assert code.co_filename and code.co_name, name
+
+
+def test_profiled_pass_counts_the_skein_engine(workloads, tracing, monkeypatch):
+    # a counted function that the program no longer calls by that code object
+    # would read 0 without failing the run
+    catalog = workloads.WORKLOADS["catalog"]
+    inv = catalog.start_pass()
+    monkeypatch.setattr(workloads.skein, "_RESOLVED", {})
+    record = catalog.items()[0]
+    names = ("skein.canonical_code.calls", "skein.piece_value.calls")
+    counts = tracing.profiled_calls(
+        lambda: catalog.run_item(inv, record, tracing.NullTracer()),
+        {name: workloads.COUNTED[name] for name in names})
+    assert all(counts[name] > 0 for name in names), counts
 
 
 def test_counters_read_the_engines(workloads):

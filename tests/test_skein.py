@@ -19,9 +19,11 @@ from cubictrace.skein import (
     SkeinRing,
     _strand_walk,
     _switch,
+    _walk_components,
     alexander_det,
     canonical_code,
     diagram_from_closure,
+    diagram_from_plat,
     kauffman_at_point,
     markov_trace_pm_fast,
     rewrite_alpha_z,
@@ -40,6 +42,20 @@ def random_braid(rng, strands, max_letters, min_letters=0):
     gens = [i for i in range(1, strands)] + [-i for i in range(1, strands)]
     return BraidWord(strands, tuple(rng.choice(gens)
                                     for _ in range(rng.randint(min_letters, max_letters))))
+
+
+def pure_braid(rng, strands, blocks):
+    """A product of `blocks` random pure generators s_i^(+-2), some conjugated by
+    a neighbouring letter; its closure has one component per strand."""
+    letters = []
+    for _ in range(blocks):
+        i = rng.randint(1, strands - 1)
+        block = [rng.choice((i, -i))] * 2
+        if strands > 2 and rng.random() < 0.5:
+            j = rng.choice([g for g in (i - 1, i + 1) if 0 < g < strands]) * rng.choice((1, -1))
+            block = [j] + block + [-j]
+        letters += block
+    return BraidWord(strands, tuple(letters))
 
 
 def relabeled(d, rng):
@@ -80,9 +96,10 @@ def start_codes(d):
     return codes
 
 
-def keyed_pieces(monkeypatch, words):
-    """Each distinct piece the evaluator keys while tracing `words` in the generic
-    rings, resolved from an empty memo so that earlier evaluations hide none."""
+def keyed_pieces(monkeypatch, diagrams):
+    """Each distinct piece the evaluator keys while evaluating `diagrams` in the
+    generic rings, resolved from an empty memo so that earlier evaluations hide
+    none."""
     pieces = []
     real = canonical_code
 
@@ -95,9 +112,17 @@ def keyed_pieces(monkeypatch, words):
         m.setattr(skein, "_RESOLVED", {})
         for v in "+-":
             ev = KauffmanEvaluator(v)
-            for w in words:
-                markov_trace_pm_fast(w, v, ev)
+            for d in diagrams:
+                ev.value(d)
     return list(dict.fromkeys(pieces))
+
+
+def contracted_at_once(d, wires):
+    """`_remove_crossings` by one contraction of every arc and wire."""
+    removed = {p for idx in wires for p in d.crossings[idx][0]}
+    edges = list(d.arcs) + [pair for pairs in wires.values() for pair in pairs]
+    arcs, loops = skein._contract(edges, removed)
+    return arcs, d.loops + loops
 
 
 class TestDiagrams:
@@ -117,14 +142,36 @@ class TestDiagrams:
 
     def test_component_structure_matches_braid(self):
         rng = random.Random(1)
-        from cubictrace.skein import _walk_components
-
         for _ in range(40):
             w = random_braid(rng, rng.randint(2, 5), 9, min_letters=1)
             d = diagram_from_closure(w)
             if d.crossings:
                 _, ncomp = _walk_components(d)
                 assert ncomp + d.loops == component_count(w)
+
+    def test_local_contraction_is_the_contraction_at_once(self, monkeypatch):
+        rng = random.Random(23)
+        diagrams = [diagram_from_closure(parse_braid("1", 2))]  # every removal closes a circle
+        diagrams += [diagram_from_closure(random_braid(rng, rng.randint(2, 5), 9)) for _ in range(25)]
+        diagrams += [diagram_from_plat(random_braid(rng, rng.choice((2, 4, 6)), 9)) for _ in range(15)]
+        diagrams += keyed_pieces(monkeypatch, diagrams[:12])
+        closed = kinks = parallel = 0
+        for d in diagrams:
+            strands = [skein._strand_wires(c) for c in d.crossings]
+            cases = [{i: wires} for i, wires in enumerate(strands)]
+            cases += [{i: skein._smoothing_wires(c, kind)}
+                      for i, c in enumerate(d.crossings) for kind in "AB"]
+            cases += [{i: strands[i], j: strands[j]}
+                      for i in range(len(strands)) for j in range(i + 1, len(strands))]
+            kinks += skein.find_kink(d) is not None
+            parallel += skein.find_parallel_pair(d) is not None
+            for wires in cases:
+                got = skein._remove_crossings(d, wires)
+                arcs, loops = contracted_at_once(d, wires)
+                assert (got.arcs, got.loops) == (arcs, loops)
+                assert got.crossings == tuple(c for i, c in enumerate(d.crossings) if i not in wires)
+                closed += loops > d.loops
+        assert closed and kinks and parallel
 
     def test_canonical_code_is_relabeling_invariant(self):
         w = parse_braid("1 -2 1 -2", 3)
@@ -149,8 +196,15 @@ class TestDiagrams:
     def test_pruned_code_is_the_exhaustive_minimum(self, monkeypatch):
         rng = random.Random(17)
         words = [random_braid(rng, rng.randint(2, 5), 10, min_letters=6) for _ in range(30)]
-        pieces = keyed_pieces(monkeypatch, words)
-        assert len(pieces) > 40
+        plats = [random_braid(rng, rng.choice((4, 6)), 12, min_letters=8) for _ in range(12)]
+        # links of 3 to 5 components: the walk of a piece may restart several times
+        links = [pure_braid(rng, rng.randint(3, 5), rng.randint(3, 5)) for _ in range(8)]
+        assert all(component_count(w) >= 3 for w in links)
+        diagrams = ([diagram_from_closure(w) for w in words + links]
+                    + [diagram_from_plat(w) for w in plats])
+        pieces = keyed_pieces(monkeypatch, diagrams)
+        assert len(pieces) > 200
+        assert sum(_walk_components(d)[1] >= 3 for d in pieces) > 50
         for d in pieces:
             for moved in [d] + [relabeled(d, rng) for _ in range(3)]:
                 assert canonical_code(moved) == min(start_codes(moved))
@@ -169,7 +223,7 @@ class TestDiagrams:
         best = min(codes)
         assert sum(code[0] == best[0] for code in codes) > 1
         assert canonical_code(d) == best
-        for piece in keyed_pieces(monkeypatch, [w]):
+        for piece in keyed_pieces(monkeypatch, [d]):
             assert canonical_code(piece) == min(start_codes(piece))
         for v in "+-":
             assert (markov_trace_pm_fast(w, v, KauffmanEvaluator(v))
@@ -227,8 +281,8 @@ class TestSharedResolution:
         minus = markov_trace_pm_fast(w, "-", KauffmanEvaluator("-"))
         assert len(calls) == top
         calls.clear()
-        point = kauffman_at_point(w, 2 * A)
-        assert len(calls) == 2 * top
+        point = kauffman_at_point(w, 2 * A)  # one resolution walked in both rings
+        assert len(calls) == top
         for v, value in (("+", plus), ("-", minus)):
             assert value == markov_trace_pm_fast(w, v, KauffmanEvaluator(v, use_cache=False))
         assert point == uncached_point_value(w, 2 * A)
@@ -373,6 +427,12 @@ class TestPointEvaluation:
         for x in (QA(0), QA(1, 1)):
             with pytest.raises(RingError):
                 kauffman_at_point(parse_braid("1 1 1", 2), x)
+
+    def test_numeric_ring_rejects_inexact_values(self):
+        for a, x in ((0.1, 2), (1, "2"), (Fraction(1), 2.0)):
+            with pytest.raises(RingError):
+                SkeinRing.numeric("+", a, x)
+        assert SkeinRing.numeric("+", 1, Fraction(4, 2)).skein_mult == 2
 
 
 class TestAlexander:
