@@ -7,11 +7,12 @@ Subcommands:
   verify     run the verification suites
 
 Exit code 0 means every strict comparison passed.  Bad braid or ring input,
-an `--at` the chosen invariant does not take, a `--pit-points` below 1, an
-unreadable `table --input` file, one without catalog rows or a malformed row
-in it exits with code 2 and a one-line message.  A reader that closes the
-output pipe early (`| head`) ends the run quietly with code 141, as a shell
-reports a process killed by SIGPIPE.
+an `--at` the chosen invariant does not take, more strands than the Hecke
+and theorem-trace engines take (`hecke.MAX_STRANDS`), a `--pit-points`
+below 1, an unreadable `table --input` file, one without catalog rows or a
+malformed row in it exits with code 2 and a one-line message.  A reader
+that closes the output pipe early (`| head`) ends the run quietly with
+code 141, as a shell reports a process killed by SIGPIPE.
 """
 
 from __future__ import annotations

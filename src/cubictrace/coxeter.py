@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .braids import BraidWord
-from .hecke import _left_gen, coset_peel, hecke_trace_qa, parity_tracers
+from .hecke import _left_gen, check_strands, coset_peel, hecke_trace_qa, parity_tracers
 from .linalg import Matrix, eliminate
 from .qa import A, QA
 from .rings import LaurentPolynomial, RingError
@@ -54,10 +54,12 @@ TWO_A = QA(0, 2)
 
 
 class _StepTable(dict):
-    """Element ids, and per id the row of (id of s w, l(s w) > l(w), l(w) odd) over s.
+    """Element ids and lengths, and per id the row of (id of s w, l(s w) > l(w), l(w) odd) over s.
 
     Ids and rows are assigned on first use, so acting on a sparse vector
-    never enumerates the group.
+    never enumerates the group.  A row decides each ascent by `cox.ascent`
+    and gives s w the length l(w) +- 1, so lengths are computed only for
+    the elements handed to `id` from outside the table.
     """
 
     def __init__(self, cox: "CoxeterSystem"):
@@ -65,21 +67,23 @@ class _StepTable(dict):
         self.cox = cox
         self.ids: dict = {}
         self.elements: list = []
+        self.lengths: list[int] = []
 
-    def id(self, w) -> int:
-        if w not in self.ids:
-            self.ids[w] = len(self.elements)
+    def id(self, w, length: int | None = None) -> int:
+        i = self.ids.get(w)
+        if i is None:
+            i = self.ids[w] = len(self.elements)
             self.elements.append(w)
-        return self.ids[w]
+            self.lengths.append(self.cox.length(w) if length is None else length)
+        return i
 
     def __missing__(self, i: int):
         cox = self.cox
-        w = self.elements[i]
-        ell = cox.length(w)
+        w, ell = self.elements[i], self.lengths[i]
         row = []
         for g in cox.generators():
-            sw = cox.act(g, w)
-            row.append((self.id(sw), cox.length(sw) > ell, ell % 2 == 1))
+            up = cox.ascent(g, w)
+            row.append((self.id(cox.act(g, w), ell + 1 if up else ell - 1), up, ell % 2 == 1))
         self[i] = row = tuple(row)
         return row
 
@@ -103,6 +107,10 @@ class CoxeterSystem:
     def length(self, w) -> int:
         raise NotImplementedError
 
+    def ascent(self, gen: int, w) -> bool:
+        """Whether l(s_gen * w) > l(w)."""
+        raise NotImplementedError
+
     def elements(self) -> Iterable:
         raise NotImplementedError
 
@@ -116,6 +124,7 @@ class SymmetricCoxeter(CoxeterSystem):
     def __init__(self, n: int):
         if n < 1:
             raise RingError("need at least one strand")
+        check_strands(n)
         super().__init__()
         self.n = n
 
@@ -130,6 +139,10 @@ class SymmetricCoxeter(CoxeterSystem):
 
     def length(self, w) -> int:
         return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+    def ascent(self, gen: int, w) -> bool:
+        # s_gen swaps the values gen and gen + 1, adding an inversion when gen stands first
+        return w.index(gen) < w.index(gen + 1)
 
     def elements(self):
         import itertools
@@ -198,6 +211,9 @@ class DihedralCoxeter(CoxeterSystem):
 
     def length(self, w) -> int:
         return w[0]
+
+    def ascent(self, gen: int, w) -> bool:
+        return w[0] < self.m and w[1] != gen
 
     def elements(self):
         yield (0, None)
@@ -343,13 +359,14 @@ class ThmTraceEngine:
         `self.cox(n).steps` (the output of `_act_at`)."""
         if c and n < 2:
             raise RingError("C does not exist on fewer than 2 strands")
-        elements = self.cox(n).steps.elements
+        steps = self.cox(n).steps
         total = c * a ** n
         for i, x in vec.items():
-            total += x * self._trace_basis(n, elements[i], a)
+            total += x * self._trace_basis(n, steps.elements[i], steps.lengths[i], a)
         return total
 
-    def _trace_basis(self, n: int, w: tuple[int, ...], a: int):
+    def _trace_basis(self, n: int, w: tuple[int, ...], length: int, a: int):
+        """t_n(E_w) at a = +-1, `length` being l(w)."""
         if n == 1:
             base = self.cfg.base
             return base.numerator if base.denominator == 1 else base
@@ -358,11 +375,11 @@ class ThmTraceEngine:
         if hit is not None:
             return hit
         if w[n - 1] == n - 1:
-            # w fixes the top strand: level descent
-            shift = self.cox(n).length(w) + n - 1
+            # w fixes the top strand: level descent, which keeps l(w)
+            shift = length + n - 1
             if self.cfg.printed_exponent_variant:
                 shift += 1
-            value = a * self._trace_basis(n - 1, w[:-1], a) + a ** shift
+            value = a * self._trace_basis(n - 1, w[:-1], length, a) + a ** shift
         else:
             w_prime, run = coset_peel(w)
             lower = self.cox(n - 1)
@@ -489,8 +506,7 @@ def shifted_minus_a(cox: CoxeterSystem, letter: int, vec: dict, c, a: int, lam=0
     s acts through `_act_at`; C E_w = a^l(w) C, and C C = 0.
     """
     out, c_out = _act_at(cox, (letter,), vec, c, a)
-    elements = cox.steps.elements
-    c_out = c_out - a * c + lam * sum(x * a ** cox.length(elements[i]) for i, x in vec.items())
+    c_out = c_out - a * c + lam * sum(x * a ** cox.steps.lengths[i] for i, x in vec.items())
     for i, x in vec.items():
         out[i] = out.get(i, 0) - a * x
     return {i: x for i, x in out.items() if x != 0}, c_out

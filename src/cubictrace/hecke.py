@@ -33,6 +33,18 @@ XY = ("x", "y")
 
 Perm = tuple[int, ...]
 
+# The n!-sized engines (this Hecke algebra, and the extended algebra and
+# theorem trace of `coxeter`) recurse once per strand, so many strands end
+# in a RecursionError or a run of minutes.  The largest real use is 7 (A6
+# in `verify`; catalog rows have at most 6), so 32 leaves ample room.
+MAX_STRANDS = 32
+
+
+def check_strands(n: int) -> None:
+    if n > MAX_STRANDS:
+        raise RingError(f"{n} strands: the Hecke and theorem-trace engines take "
+                        f"at most {MAX_STRANDS}")
+
 
 def _identity(n: int) -> Perm:
     return tuple(range(n))
@@ -144,6 +156,7 @@ def multiply_generator(elem: HeckeElement, i: int, sign: int, ring: HeckeRing,
 
 def hecke_normal_form(w: BraidWord, ring: HeckeRing | None = None) -> HeckeElement:
     """Image of a braid word on the T_w basis."""
+    check_strands(w.strands)
     ring = ring or HeckeRing.generic()
     elem = unit(w.strands, ring)
     for letter in reversed(w.letters):

@@ -153,12 +153,6 @@ class LaurentPolynomial:
             raise RingError(f"{self} is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        """Max over terms of the sum of |exponents| (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(sum(abs(e) for e in mono) for mono in self.terms)
-
     def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
         return sorted(self.terms.items())
 

@@ -1,13 +1,15 @@
 """Regular-isotopy Kauffman and Dubrovnik polynomials on braid closures.
 
-Diagrams are abstract 4-valent graphs with a rotation system: each crossing
-carries its four ports in counterclockwise order plus a flag saying which
-pair of opposite ports is the over-strand; arcs pair up ports; crossing-free
-circles are a separate counter.  Each diagram builds one port index (its arc
-map and each port's crossing and position) the first time it is asked; the
-strand walk, the canonical code and the Reidemeister-style reductions below
-are local rules on that index.  Removing crossings contracts only the arcs
-that touch them.
+Diagrams are abstract 4-valent graphs with a rotation system, stored as
+flat arrays: crossing i owns the ports 4i..4i+3 in counterclockwise order,
+`nbr[p]` is the port joined to p by an arc, one flag per crossing says which
+pair of opposite ports is the over-strand, and crossing-free circles are a
+separate counter.  A port's crossing and position are p >> 2 and p & 3, the
+strand through an entry port q leaves at q ^ 2, and the port ccw after p is
+(p & ~3) | ((p + 1) & 3), so the strand walk, the canonical code and the
+Reidemeister-style reductions below are index arithmetic.  Removing
+crossings follows only the arcs that touch them and renumbers the others
+in their old order.
 
 The evaluator works with a twist-normalized value V(D) = alpha^{#crossings}
 K(D), where K is the regular-isotopy polynomial with the conventions pinned
@@ -36,8 +38,8 @@ coefficients and memoizes piece values in its own `_cache`.  Both memos
 are keyed on a canonical relabeling of the piece: the minimum code over
 all starts of the walk.  Only the starts that enter their first crossing
 on its under-strand can give it, and a start is dropped as soon as its
-crossing-flag prefix exceeds the best one so far.  `use_cache=False`
-bypasses both memos.
+crossing-flag prefix exceeds the best one so far, or its arc codes the
+best ones when the flags tie.  `use_cache=False` bypasses both memos.
 
 There is one trace function, `markov_trace_pm_fast`: t(beta) =
 a^(#negative letters) V(closure), computed in the evaluator's own ring (a
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Container, Mapping
 
 from .braids import BraidWord, component_count
@@ -62,43 +63,38 @@ from .qa import QA
 from .rings import AX, LaurentPolynomial, RingError, _as_fraction
 
 Port = int
-Crossing = tuple[tuple[Port, Port, Port, Port], bool]  # ccw ports, over02
+Wires = tuple[tuple[int, int], tuple[int, int]]  # two position pairs of one crossing
+_STRANDS: Wires = ((0, 2), (1, 3))
+_SMOOTHING_A: Wires = ((0, 1), (2, 3))
+_SMOOTHING_B: Wires = ((0, 3), (1, 2))
+_TURNS = tuple(tuple((k + pos) & 3 for pos in range(4)) for k in range(4))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarDiagram:
-    """Immutable unoriented diagram: crossings, arcs (port pairing), circles."""
+    """Immutable unoriented diagram: crossing i owns the ports 4i..4i+3 in
+    counterclockwise order, `nbr[p]` is the port joined to p by an arc,
+    `over[i]` says that positions 0 and 2 of crossing i are its over-strand,
+    and `loops` counts crossing-free circles."""
 
-    crossings: tuple[Crossing, ...]
-    arcs: tuple[tuple[Port, Port], ...]
+    nbr: tuple[Port, ...]
+    over: tuple[bool, ...]
     loops: int = 0
 
-    @cached_property
-    def arc_map(self) -> dict[Port, Port]:
-        out: dict[Port, Port] = {}
-        for p, q in self.arcs:
-            out[p] = q
-            out[q] = p
-        return out
-
-    @cached_property
-    def slot(self) -> dict[Port, tuple[int, int]]:
-        """Each port's (crossing index, position in its ccw tuple)."""
-        return {p: (idx, k) for idx, (ports, _) in enumerate(self.crossings)
-                for k, p in enumerate(ports)}
-
     def validate(self) -> None:
-        if len(self.slot) != 4 * len(self.crossings):
-            raise RingError("duplicate ports")
-        if self.arc_map.keys() != self.slot.keys():
-            raise RingError("every port must appear in exactly one arc")
+        nbr = self.nbr
+        if len(nbr) != 4 * len(self.over):
+            raise RingError("a diagram has four ports per crossing")
+        for p, q in enumerate(nbr):
+            if not 0 <= q < len(nbr) or q == p or nbr[q] != p:
+                raise RingError("every port must be joined to exactly one other port")
 
 
 def diagram_from_closure(w: BraidWord) -> PlanarDiagram:
     """Trace closure of a braid; one crossing per letter.
 
     Positive letters put the strand arriving from the lower-left on top.
-    Ports are numbered 4k..4k+3 counterclockwise from the lower-left.
+    Crossing k's ports 4k..4k+3 run counterclockwise from the lower-left.
     """
     return _braid_diagram(w, plat=False)
 
@@ -118,14 +114,11 @@ def _braid_diagram(w: BraidWord, plat: bool) -> PlanarDiagram:
     dangling = [-(i + 1) for i in range(n)]
     bottoms = list(dangling)
     joints: list[tuple[int, int]] = []
-    crossings: list[Crossing] = []
     for k, letter in enumerate(w.letters):
         i = abs(letter) - 1
-        base = 4 * k
-        sw, se, ne, nw = base, base + 1, base + 2, base + 3
+        sw, se, ne, nw = range(4 * k, 4 * k + 4)
         joints.append((dangling[i], sw))
         joints.append((dangling[i + 1], se))
-        crossings.append(((sw, se, ne, nw), letter > 0))
         dangling[i] = nw
         dangling[i + 1] = ne
     if plat:
@@ -134,7 +127,10 @@ def _braid_diagram(w: BraidWord, plat: bool) -> PlanarDiagram:
     else:
         joints.extend((dangling[i], bottoms[i]) for i in range(n))
     arcs, loops = _contract(joints, range(-n, 0))
-    d = PlanarDiagram(tuple(crossings), arcs, loops)
+    nbr = [0] * (4 * len(w.letters))
+    for p, q in arcs:
+        nbr[p], nbr[q] = q, p
+    d = PlanarDiagram(tuple(nbr), tuple(letter > 0 for letter in w.letters), loops)
     d.validate()
     return d
 
@@ -178,57 +174,54 @@ def _contract(edges: list[tuple[int, int]], internal: Container[int]):
 # -- local moves ---------------------------------------------------------------
 
 
-def _on_over(crossing: Crossing, k: int) -> bool:
-    """Whether position k of the crossing lies on its over-strand."""
-    return (k % 2 == 0) == crossing[1]
+def _on_over(d: PlanarDiagram, p: Port) -> bool:
+    """Whether port p lies on the over-strand of its crossing."""
+    return d.over[p >> 2] != (p & 1)
 
 
-def _remove_crossings(d: PlanarDiagram, wires: Mapping[int, list[tuple[Port, Port]]]) -> PlanarDiagram:
+def _remove_crossings(d: PlanarDiagram, wires: Mapping[int, Wires]) -> PlanarDiagram:
     """Delete the crossings in `wires`, reconnecting through the given pairs.
 
-    `wires[idx]` lists two port pairs of crossing `idx` that become direct
+    `wires[i]` gives two pairs of positions of crossing i that become direct
     connections (its strands for kink/parallel removal, the chosen pairing
-    for a smoothing).  The move is local: only the arcs that touch a removed
-    port are contracted with the wires, the others are kept as they are,
-    and closed circles produced by the contraction are added to the loop
-    count.  The arcs are returned sorted, so that on a diagram whose arcs
-    run from their smaller end (every diagram built here) the result equals
-    the contraction of all arcs and wires at once.
+    for a smoothing).  The surviving crossings keep their order and are
+    renumbered from 0.  Each arc that ends at a removed port is followed
+    through the wires to the surviving port at its other end, and the
+    closed circles left among the wires are added to the loop count.
     """
-    amap = d.arc_map
-    removed: set[Port] = set()
-    edges: list[tuple[Port, Port]] = []
-    for idx, pairs in wires.items():
-        removed.update(d.crossings[idx][0])
-        edges.extend(pairs)
-    for p in removed:
-        q = amap[p]
-        if p < q or q not in removed:  # an arc between two removed ports once
-            edges.append((p, q))
-    joined, loops = _contract(edges, removed)
-    arcs = [arc for arc in d.arcs if arc[0] not in removed and arc[1] not in removed]
-    arcs.extend(joined)
-    remaining = tuple(c for i, c in enumerate(d.crossings) if i not in wires)
-    return PlanarDiagram(remaining, tuple(sorted(arcs)), d.loops + loops)
+    nbr = d.nbr
+    through: dict[Port, Port] = {}  # removed port -> its wire partner
+    for i, pairs in wires.items():
+        for a, b in pairs:
+            through[4 * i + a], through[4 * i + b] = 4 * i + b, 4 * i + a
+    keep = [i for i in range(len(d.over)) if i not in wires]
+    shift = [0] * len(d.over)  # shift[i]: ports removed before a kept crossing i
+    for j, i in enumerate(keep):
+        shift[i] = 4 * (i - j)
+    # the entries of ports joined to a removed port are rewritten below
+    out = [q - shift[q >> 2] for i in keep for q in nbr[4 * i:4 * i + 4]]
+    seen: set[Port] = set()
+    for r in through:
+        if nbr[r] not in through:  # follow the arc from a kept port through the wires
+            q = r
+            while q in through:
+                seen.update((q, through[q]))
+                q = nbr[through[q]]
+            p = nbr[r]
+            out[p - shift[p >> 2]] = q - shift[q >> 2]
+    loops = d.loops
+    for r in through:
+        if r not in seen:  # a closed circle made of wires and arcs
+            loops += 1
+            while r not in seen:
+                seen.update((r, through[r]))
+                r = nbr[through[r]]
+    return PlanarDiagram(tuple(out), tuple(d.over[i] for i in keep), loops)
 
 
-def _strand_wires(crossing: Crossing) -> list[tuple[Port, Port]]:
-    ports, _ = crossing
-    return [(ports[0], ports[2]), (ports[1], ports[3])]
-
-
-def _smoothing_wires(crossing: Crossing, kind: str) -> list[tuple[Port, Port]]:
-    ports, _ = crossing
-    if kind == "A":
-        return [(ports[0], ports[1]), (ports[2], ports[3])]
-    return [(ports[0], ports[3]), (ports[1], ports[2])]
-
-
-def _switch(d: PlanarDiagram, idx: int) -> PlanarDiagram:
-    crossings = list(d.crossings)
-    ports, over02 = crossings[idx]
-    crossings[idx] = (ports, not over02)
-    return PlanarDiagram(tuple(crossings), d.arcs, d.loops)
+def _switch(d: PlanarDiagram, i: int) -> PlanarDiagram:
+    over = d.over
+    return PlanarDiagram(d.nbr, over[:i] + (not over[i],) + over[i + 1:], d.loops)
 
 
 def find_kink(d: PlanarDiagram) -> tuple[int, bool] | None:
@@ -237,85 +230,84 @@ def find_kink(d: PlanarDiagram) -> tuple[int, bool] | None:
     Returns (crossing index, positive) where positive means removal leaves
     the value unchanged (the other sign contributes a^-1).
     """
-    amap = d.arc_map
-    for idx, crossing in enumerate(d.crossings):
-        ports, _ = crossing
-        for i in range(4):
-            if amap[ports[i]] == ports[(i + 1) % 4]:
-                return idx, not _on_over(crossing, i)
+    for p, q in enumerate(d.nbr):
+        if q == (p & ~3) | ((p + 1) & 3):
+            return p >> 2, not _on_over(d, p)
     return None
 
 
 def find_parallel_pair(d: PlanarDiagram) -> tuple[int, int] | None:
     """Two crossings joined by two parallel arcs with one strand over both."""
-    amap, slot = d.arc_map, d.slot
-    for i, ci in enumerate(d.crossings):
-        ports_i, _ = ci
-        for k in range(4):
-            j, kq = slot[amap[ports_i[k]]]
-            j2, kq2 = slot[amap[ports_i[(k + 1) % 4]]]
-            # both arcs end on one other crossing, bounding a disk on this side
-            if j == i or j2 != j or kq2 != (kq - 1) % 4:
-                continue
-            if _on_over(ci, k) == _on_over(d.crossings[j], kq):
-                return i, j
+    nbr = d.nbr
+    for p, q in enumerate(nbr):
+        # the arcs from p and from the port ccw after it end on one other
+        # crossing, at q and the port ccw before q: they bound a disk
+        if (p >> 2 != q >> 2 and nbr[(p & ~3) | ((p + 1) & 3)] == (q & ~3) | ((q - 1) & 3)
+                and _on_over(d, p) == _on_over(d, q)):
+            return p >> 2, q >> 2
     return None
 
 
 def split_pieces(d: PlanarDiagram) -> list[PlanarDiagram]:
-    """Connected components of the crossing graph (loops are dropped)."""
-    slot = d.slot
-    parent = list(range(len(d.crossings)))
+    """Connected components of the crossing graph (loops are dropped), each
+    with its crossings renumbered in their old order."""
+    nbr, over = d.nbr, d.over
+    piece = [-1] * len(over)
+    groups: list[list[int]] = []
+    for s in range(len(over)):
+        if piece[s] >= 0:
+            continue
+        piece[s] = len(groups)
+        members, stack = [], [s]
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for q in nbr[4 * i:4 * i + 4]:
+                if piece[q >> 2] < 0:
+                    piece[q >> 2] = piece[s]
+                    stack.append(q >> 2)
+        groups.append(sorted(members))
+    if len(groups) == 1:
+        return [PlanarDiagram(nbr, over)]
+    pieces = []
+    for members in groups:
+        base = {i: 4 * k for k, i in enumerate(members)}
+        pieces.append(PlanarDiagram(
+            tuple(base[q >> 2] | (q & 3) for i in members for q in nbr[4 * i:4 * i + 4]),
+            tuple(over[i] for i in members)))
+    return pieces
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for p, q in d.arcs:
-        a, b = find(slot[p][0]), find(slot[q][0])
-        if a != b:
-            parent[a] = b
-    groups: dict[int, tuple[list[Crossing], list[tuple[Port, Port]]]] = {}
-    for idx, crossing in enumerate(d.crossings):
-        groups.setdefault(find(idx), ([], []))[0].append(crossing)
-    for arc in d.arcs:
-        groups[find(slot[arc[0]][0])][1].append(arc)
-    return [PlanarDiagram(tuple(cs), tuple(arcs)) for cs, arcs in groups.values()]
-
-
-def _strand_walk(d: PlanarDiagram, first: Port | None = None):
+def _strand_walk(d: PlanarDiagram, first: Port = 0):
     """Deterministic walk along all strands.
 
-    Yields (entry port, crossing index, entry position, component index) in
-    walk order.  The first component starts at `first` (default: the
-    smallest port) and each later one where `_next_start` says.  Each
-    crossing is reported exactly twice, once per strand through it.
+    Yields (entry port, component index) in walk order.  The first
+    component starts at `first` and each later one where `_next_start`
+    says.  Each crossing is entered exactly twice, once per strand through
+    it.
     """
-    amap, slot, crossings = d.arc_map, d.slot, d.crossings
-    if not crossings:
+    nbr, n = d.nbr, len(d.over)
+    if not n:
         return
     met: dict[int, int] = {}  # crossing -> position first entered, in walk order
     twice: set[int] = set()
-    start = min(slot) if first is None else first
-    comp = 0
+    start, comp = first, 0
     while True:
         p = start
         while True:
-            q = amap[p]
-            idx, k = slot[q]
-            if idx not in met:
-                met[idx] = k
-            elif idx in twice:  # pragma: no cover - malformed diagram guard
+            q = nbr[p]
+            i = q >> 2
+            if i not in met:
+                met[i] = q & 3
+            elif i in twice:  # pragma: no cover - malformed diagram guard
                 raise RingError("strand walk met a crossing three times")
             else:
-                twice.add(idx)
-            yield q, idx, k, comp
-            p = crossings[idx][0][(k + 2) % 4]
+                twice.add(i)
+            yield q, comp
+            p = q ^ 2
             if p == start:
                 break
-        if len(twice) == len(crossings):
+        if len(twice) == n:
             return
         comp += 1
         start = _next_start(d, met, twice)
@@ -328,22 +320,21 @@ def _next_start(d: PlanarDiagram, met: dict[int, int], twice: set[int]) -> Port:
     entered by, in walk order, and `twice` holds those passed twice.  The
     start is the port ccw after the entry of the earliest-met crossing
     passed only once; only a split diagram, where no such crossing is left,
-    falls back to the smallest port of a crossing not met.  So on a
-    connected diagram the walk from a given start does not depend on port
-    labels or on where each crossing's port tuple begins.
+    falls back to port 0 of the first crossing not met.  So on a connected
+    diagram the walk from a given start does not depend on the crossing
+    order or on where each crossing's ports begin.
     """
-    crossings = d.crossings
-    for idx, k in met.items():
-        if idx not in twice:
+    for i, k in met.items():
+        if i not in twice:
             # a crossing passed once still has its positions k + 1 and k + 3 free
-            return crossings[idx][0][(k + 1) % 4]
-    return min(p for p, (idx, _) in d.slot.items() if idx not in met)
+            return 4 * i + ((k + 1) & 3)
+    return 4 * next(i for i in range(len(d.over)) if i not in met)
 
 
 def canonical_code(d: PlanarDiagram):
     """Minimal relabeling over all starts: a complete key of the diagram that
-    does not depend on port labels when the diagram is connected, as the
-    evaluator's pieces are.
+    does not depend on crossing order or port rotation when the diagram is
+    connected, as the evaluator's pieces are.
 
     The code is (flags, sorted arc codes, loops), one flag per crossing in
     walk order (True when the walk first enters it on its over-strand), so
@@ -351,27 +342,23 @@ def canonical_code(d: PlanarDiagram):
     the 4n starts enter their first crossing on the under-strand and so
     begin with False; any of them beats every start that begins with True,
     so only those 2n starts are walked.  A start is dropped as soon as its
-    flag prefix exceeds the best one so far; arc codes are built only for
-    starts whose flags tie or win.  The result is still the minimum over
-    all starts of `_strand_walk`, whose component rule each walk follows
-    through `_next_start`.
+    flag prefix exceeds the best one so far.  Where the flags tie, its arc
+    codes come out sorted (each end belongs to exactly one arc) and are
+    compared with the best ones as one list.  The result is still the
+    minimum over all starts of `_strand_walk`, whose component rule each
+    walk follows through `_next_start`.
     """
-    crossings = d.crossings
-    if not crossings:
+    over = d.over
+    n = len(over)
+    if not n:
         return ("empty", d.loops)
-    n = len(crossings)
-    amap, slot = d.arc_map, d.slot
-    # port -> the walk's step from it: (crossing, entry position, exit port, flag)
-    steps = {}
-    for p, q in amap.items():
-        idx, k = slot[q]
-        ports, over02 = crossings[idx]
-        steps[p] = (idx, k, ports[(k + 2) % 4], over02 != (k % 2 == 1))
-    arc_slots = [(slot[p], slot[q]) for p, q in d.arcs]
+    nbr, m = d.nbr, 4 * n
+    entry_flag = [over[q >> 2] != (q & 1) for q in range(m)]  # entry on the over-strand
+    code = [0] * m
     best_flags: list[bool] = []
-    best_arcs: list = []
-    for first, (_, _, _, over) in steps.items():
-        if over:
+    best_arcs: list[int] = []
+    for first, q in enumerate(nbr):
+        if entry_flag[q]:
             continue
         met: dict[int, int] = {}  # crossing -> entry position, in walk order
         twice: set[int] = set()
@@ -380,60 +367,50 @@ def canonical_code(d: PlanarDiagram):
         tied = bool(best_flags)  # flag prefix equal to the best one so far
         start = p = first
         while True:
-            idx, k, p, flag = steps[p]
-            if idx in met:
-                twice.add(idx)
+            q = nbr[p]
+            i = q >> 2
+            if i in met:
+                twice.add(i)
             else:
+                flag = entry_flag[q]
                 if tied and flag != best_flags[label]:
                     if flag:  # True > False: this start cannot win
                         break
                     tied = False
-                met[idx] = k
+                met[i] = q & 3
                 flags.append(flag)
                 label += 1
                 if label == n:
                     break
+            p = q ^ 2
             if p == start:
                 start = p = _next_start(d, met, twice)
         if label < n:
             continue
-        # crossing -> (label, rotation): walk order and entry position
-        relabel = {idx: (lab, k) for lab, (idx, k) in enumerate(met.items())}
-        arc_codes = []
-        for (ip, kp), (iq, kq) in arc_slots:
-            lp, rp = relabel[ip]
-            lq, rq = relabel[iq]
-            cp = (lp, (kp - rp) % 4)
-            cq = (lq, (kq - rq) % 4)
-            arc_codes.append((cp, cq) if cp < cq else (cq, cp))
-        arc_codes.sort()
-        if not tied or arc_codes < best_arcs:
-            best_flags, best_arcs = flags, arc_codes
-    return (tuple(best_flags), tuple(best_arcs), d.loops)
-
-
-def _walk_components(d: PlanarDiagram):
-    """Per-crossing visit list [(entry position, component)] and component count."""
-    visits: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(d.crossings))}
-    ncomp = 0
-    for _, idx, k, comp in _strand_walk(d):
-        visits[idx].append((k, comp))
-        ncomp = max(ncomp, comp + 1)
-    for idx, vs in visits.items():
-        if len(vs) != 2:
-            raise RingError("crossing not traversed exactly twice")
-    return visits, ncomp
+        # port code: 4 * label + position relative to the entry, the label
+        # being the crossing's place in walk order
+        ports = [4 * i + r for i, k in met.items() for r in _TURNS[k]]  # code -> port
+        for c, p in enumerate(ports):
+            code[p] = c
+        # arc from its smaller end u to v: u * 4n + v, listed from each end
+        # in code order where it is the smaller one, so sorted without a sort
+        arcs = [c * m + v for c, p in enumerate(ports) if c < (v := code[nbr[p]])]
+        if not tied or arcs < best_arcs:
+            best_flags, best_arcs = flags, arcs
+    pairs = [divmod(c, m) for c in best_arcs]
+    return (tuple(best_flags), tuple([((u >> 2, u & 3), (v >> 2, v & 3)) for u, v in pairs]),
+            d.loops)
 
 
 def first_bad_crossing(d: PlanarDiagram) -> int | None:
     """First crossing met on its under-strand during the canonical walk."""
     visited: set[int] = set()
-    for _, idx, k, _ in _strand_walk(d):
-        if idx in visited:
-            continue
-        visited.add(idx)
-        if not _on_over(d.crossings[idx], k):
-            return idx
+    for q, _ in _strand_walk(d):
+        i = q >> 2
+        if i not in visited:
+            if not _on_over(d, q):
+                return i
+            visited.add(i)
     return None
 
 
@@ -442,15 +419,16 @@ def _descending_node(d: PlanarDiagram):
     V = a^-e delta^(m-1) with e = (T - w)/2, T the crossing count, w the sum
     of the self-crossing signs and m the number of strand components.
     """
-    visits, m = _walk_components(d)
-    w_self = 0
-    for idx, crossing in enumerate(d.crossings):
-        (k_first, comp_first), (k_second, comp_second) = visits[idx]
-        if comp_first != comp_second:
-            continue
-        over, under = (k_first, k_second) if _on_over(crossing, k_first) else (k_second, k_first)
-        w_self += 1 if (over + 1) % 4 == under else -1
-    total = len(d.crossings)
+    first: dict[int, tuple[Port, int]] = {}  # crossing -> first entry port, component
+    w_self = m = 0
+    for q, comp in _strand_walk(d):
+        i, m = q >> 2, comp + 1
+        if i not in first:
+            first[i] = (q, comp)
+        elif first[i][1] == comp:  # a self-crossing: its sign from the two entries
+            over, under = (first[i][0], q) if _on_over(d, first[i][0]) else (q, first[i][0])
+            w_self += 1 if (over + 1) & 3 == under & 3 else -1
+    total = len(d.over)
     if (total - w_self) % 2:
         raise RingError("crossing parity broken; diagram bookkeeping error")
     return ("desc", (total - w_self) // 2, m)
@@ -474,18 +452,17 @@ def _reduce(d: PlanarDiagram, memo: dict | None):
     while True:
         kink = find_kink(d)
         if kink is not None:
-            idx, positive = kink
+            i, positive = kink
             if not positive:
                 exp += 1
-            d = _remove_crossings(d, {idx: _strand_wires(d.crossings[idx])})
+            d = _remove_crossings(d, {i: _STRANDS})
             continue
         pair = find_parallel_pair(d)
         if pair is None:
             break
         i, j = pair
         exp += 1
-        d = _remove_crossings(d, {i: _strand_wires(d.crossings[i]),
-                                  j: _strand_wires(d.crossings[j])})
+        d = _remove_crossings(d, {i: _STRANDS, j: _STRANDS})
     pieces = split_pieces(d)
     return exp, d.loops + len(pieces), tuple(_resolve_piece(p, memo) for p in pieces)
 
@@ -509,10 +486,9 @@ def _piece_node(d: PlanarDiagram, memo: dict | None):
     bad = first_bad_crossing(d)
     if bad is None:
         return _descending_node(d)
-    crossing = d.crossings[bad]
-    return ("skein", 1 if crossing[1] else -1, _reduce(_switch(d, bad), memo),
-            _reduce(_remove_crossings(d, {bad: _smoothing_wires(crossing, "A")}), memo),
-            _reduce(_remove_crossings(d, {bad: _smoothing_wires(crossing, "B")}), memo))
+    return ("skein", 1 if d.over[bad] else -1, _reduce(_switch(d, bad), memo),
+            _reduce(_remove_crossings(d, {bad: _SMOOTHING_A}), memo),
+            _reduce(_remove_crossings(d, {bad: _SMOOTHING_B}), memo))
 
 
 # -- the evaluator --------------------------------------------------------------

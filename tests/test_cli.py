@@ -95,6 +95,10 @@ class TestInvariantCommand:
         ["invariant", "--which", "parity", "--braid", "1 1", "--strands", "2", "--at", "xa"],
         ["invariant", "--which", "t0x2a", "--braid", "1 1", "--strands", "2", "--at", "x2a"],
         ["verify", "--suite", "h3", "--pit-points", "0"],
+        # strand counts past the cap of the n!-sized engines
+        ["invariant", "--which", "hecke", "--braid", "1", "--strands", "1200"],
+        ["invariant", "--which", "hecke", "--braid", "1", "--strands", "1200", "--at", "x2a"],
+        ["invariant", "--which", "t0x2a", "--braid", "1", "--strands", "1200"],
     ])
     def test_bad_input_is_one_line_and_exit_2(self, args, tmp_path, capsys):
         for name, text in BAD_TABLES.items():

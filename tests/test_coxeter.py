@@ -20,6 +20,7 @@ from cubictrace.coxeter import (
     t0_invariant,
     verify_braid_relations,
 )
+from cubictrace.hecke import MAX_STRANDS
 from cubictrace.qa import QA
 from cubictrace.rings import RingError
 
@@ -138,7 +139,37 @@ class TestBraidRelations:
             assert v1 != v2
 
 
+class TestStepTable:
+    @pytest.mark.parametrize("cox", [SymmetricCoxeter(5), DihedralCoxeter(5), DihedralCoxeter(2)],
+                             ids=["S5", "I2(5)", "I2(2)"])
+    def test_rows_and_carried_lengths(self, cox):
+        # fill every row reachable from the identity: the lengths carried
+        # along the rows and the ascents decided by position are the true ones
+        steps = cox.steps
+        steps.id(cox.identity())
+        i = 0
+        while i < len(steps.elements):
+            w = steps.elements[i]
+            for g, (j, up, odd) in zip(cox.generators(), steps[i]):
+                assert steps.elements[j] == cox.act(g, w)
+                assert up == (cox.length(cox.act(g, w)) > cox.length(w))
+                assert odd == (cox.length(w) % 2 == 1)
+            i += 1
+        assert sorted(steps.elements, key=str) == sorted(cox.elements(), key=str)
+        assert steps.lengths == [cox.length(w) for w in steps.elements]
+
+
 class TestThmTrace:
+    def test_strand_cap_fires_before_any_work(self):
+        eng = ThmTraceEngine()
+        with pytest.raises(RingError):
+            eng.trace_braid(BraidWord(MAX_STRANDS + 1, (1,)))
+        with pytest.raises(RingError):
+            SymmetricCoxeter(MAX_STRANDS + 1)
+        assert not eng._cox and not eng._memo
+        below = BraidWord(MAX_STRANDS - 1, (1,))  # the Markov move up to the cap
+        assert eng.trace_braid(stabilize_pos(below)) == eng.trace_braid(below)
+
     def test_c_tower(self):
         # t_n(C) = a^n at a = +-1, and C has no trace on one strand
         eng = ThmTraceEngine()

@@ -9,6 +9,7 @@ import pytest
 from cubictrace.braids import BraidWord, component_count, conjugate, parse_braid, \
     stabilize_neg, stabilize_pos
 from cubictrace.hecke import (
+    MAX_STRANDS,
     XY,
     HeckeRing,
     OcneanuTrace,
@@ -159,6 +160,17 @@ class TestParityPoint:
         for x, y in ((0, 1), (2, 0)):
             with pytest.raises(RingError):
                 HeckeRing.numeric(x, y)
+
+    def test_strand_cap_fires_before_any_work(self):
+        over = BraidWord(MAX_STRANDS + 1, (1,))
+        generic, tracers = OcneanuTrace(), parity_tracers()
+        with pytest.raises(RingError):
+            generic.of_braid(over)
+        with pytest.raises(RingError):
+            hecke_trace_qa(over, tracers)
+        assert not generic._memo and not any(tr._memo for tr in tracers)
+        at_cap = BraidWord(MAX_STRANDS, (1,))
+        assert hecke_trace_qa(at_cap, tracers) == QA.a_power(component_count(at_cap) - 1)
 
     def test_numeric_ring_rejects_inexact_values(self):
         for x, y in ((0.5, 1), (2, "1"), ("2", 1)):

@@ -1,7 +1,9 @@
 """Kauffman/Dubrovnik evaluator: anchors, invariance, and cross-checks."""
 
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from cubictrace.braids import BraidWord, component_count, conjugate, parse_braid
     stabilize_neg, stabilize_pos
 from cubictrace.burau import alexander_determinant, alexander_polynomial_normalized, \
     reduced_burau_generator
+from cubictrace.knotdata import load_records
 from cubictrace.linalg import Matrix
 from cubictrace.qa import A, QA
 from cubictrace.rings import AX, LaurentPolynomial, RingError
@@ -19,7 +22,6 @@ from cubictrace.skein import (
     SkeinRing,
     _strand_walk,
     _switch,
-    _walk_components,
     alexander_det,
     canonical_code,
     diagram_from_closure,
@@ -32,6 +34,7 @@ from cubictrace.skein import (
 )
 
 ONE = LaurentPolynomial.one(AX)
+GOLDEN_RESOLUTION = Path(__file__).resolve().parent / "golden" / "skein_resolution.sha256"
 
 
 def t(word, n, variant, ev=None):
@@ -58,37 +61,48 @@ def pure_braid(rng, strands, blocks):
     return BraidWord(strands, tuple(letters))
 
 
+def walk_components(d):
+    """The number of strand components of the walk."""
+    return 1 + max(comp for _, comp in _strand_walk(d))
+
+
+def arcs(d):
+    """The port pairs joined by arcs, each from its smaller end, in order."""
+    return tuple((p, q) for p, q in enumerate(d.nbr) if p < q)
+
+
 def relabeled(d, rng):
-    """The same diagram under a random bijection of port numbers, a cyclic
-    shift of each crossing's port tuple (an odd shift swaps which opposite
-    pair is `over02`) and a shuffle of the crossing and arc orders."""
-    ports = sorted(d.slot)
-    image = dict(zip(ports, rng.sample(range(1000, 1000 + 5 * len(ports)), len(ports))))
-    crossings = []
-    for ports4, over02 in d.crossings:
-        s = rng.randrange(4)
-        shifted = ports4[s:] + ports4[:s]
-        crossings.append((tuple(image[p] for p in shifted), over02 != (s % 2 == 1)))
-    arcs = [(image[p], image[q]) if rng.random() < 0.5 else (image[q], image[p])
-            for p, q in d.arcs]
-    rng.shuffle(crossings)
-    rng.shuffle(arcs)
-    return PlanarDiagram(tuple(crossings), tuple(arcs), d.loops)
+    """The same diagram under a random permutation of its crossings and a
+    random rotation of each crossing's ports (an odd rotation swaps which
+    opposite pair is the over-strand)."""
+    n = len(d.over)
+    order = rng.sample(range(n), n)  # old crossing -> new index
+    turn = [rng.randrange(4) for _ in range(n)]  # old position k -> new (k - turn) % 4
+
+    def moved(p):
+        return 4 * order[p // 4] + (p % 4 - turn[p // 4]) % 4
+
+    nbr, over = [0] * (4 * n), [False] * n
+    for p, q in enumerate(d.nbr):
+        nbr[moved(p)] = moved(q)
+    for i, o in enumerate(d.over):
+        over[order[i]] = o != (turn[i] % 2 == 1)
+    return PlanarDiagram(tuple(nbr), tuple(over), d.loops)
 
 
 def start_codes(d):
     """The full code from every start, built without pruning."""
-    slot = d.slot
     codes = []
-    for first in slot:
+    for first in range(len(d.nbr)):
         relabel = {}
-        for _, idx, k, _ in _strand_walk(d, first):
+        for q, _ in _strand_walk(d, first):
+            idx, k = divmod(q, 4)
             if idx not in relabel:
                 relabel[idx] = (len(relabel), k)
-        flags = tuple(d.crossings[idx][1] != (k % 2 == 1) for idx, (_, k) in relabel.items())
+        flags = tuple(d.over[idx] != (k % 2 == 1) for idx, (_, k) in relabel.items())
         arc_codes = []
-        for p, q in d.arcs:
-            (ip, kp), (iq, kq) = slot[p], slot[q]
+        for p, q in arcs(d):
+            (ip, kp), (iq, kq) = divmod(p, 4), divmod(q, 4)
             cp = (relabel[ip][0], (kp - relabel[ip][1]) % 4)
             cq = (relabel[iq][0], (kq - relabel[iq][1]) % 4)
             arc_codes.append((cp, cq) if cp < cq else (cq, cp))
@@ -118,36 +132,64 @@ def keyed_pieces(monkeypatch, diagrams):
 
 
 def contracted_at_once(d, wires):
-    """`_remove_crossings` by one contraction of every arc and wire."""
-    removed = {p for idx in wires for p in d.crossings[idx][0]}
-    edges = list(d.arcs) + [pair for pairs in wires.values() for pair in pairs]
-    arcs, loops = skein._contract(edges, removed)
-    return arcs, d.loops + loops
+    """`_remove_crossings` by one contraction of every arc and wire, then a
+    renumbering of the surviving crossings in their old order."""
+    removed = {4 * idx + k for idx in wires for k in range(4)}
+    edges = list(arcs(d)) + [(4 * idx + a, 4 * idx + b)
+                             for idx, pairs in wires.items() for a, b in pairs]
+    joined, loops = skein._contract(edges, removed)
+    kept = [i for i in range(len(d.over)) if i not in wires]
+    new = {4 * i + k: 4 * j + k for j, i in enumerate(kept) for k in range(4)}
+    nbr = [None] * (4 * len(kept))
+    for p, q in joined:
+        nbr[new[p]], nbr[new[q]] = new[q], new[p]
+    return tuple(nbr), d.loops + loops
+
+
+def resolution_lines(memo):
+    """One line per memo entry (code, node), sorted, with each child piece
+    given by its code: expanding the children would repeat shared subtrees."""
+    def entry(code, node):
+        if node[0] == "skein":
+            node = node[:2] + tuple((e, c, tuple(k for k, _ in pieces))
+                                    for e, c, pieces in node[2:])
+        return repr((code, node))
+
+    return sorted(entry(code, node) for code, node in memo.items())
 
 
 class TestDiagrams:
     def test_identity_braid_gives_free_loops(self):
         d = diagram_from_closure(BraidWord(1, ()))
-        assert not d.crossings and d.loops == 1
+        assert not d.over and not d.nbr and d.loops == 1
 
     def test_single_crossing(self):
         d = diagram_from_closure(BraidWord(2, (1,)))
-        assert len(d.crossings) == 1
+        assert len(d.over) == 1 and len(d.nbr) == 4
         d.validate()
 
     def test_trefoil_diagram(self):
         d = diagram_from_closure(parse_braid("1 1 1", 2))
-        assert len(d.crossings) == 3
+        assert len(d.over) == 3
         d.validate()
+
+    def test_validate_rejects_malformed_pairings(self):
+        PlanarDiagram((1, 0, 3, 2), (True,)).validate()  # two kinks on one crossing
+        for nbr, over in (((0, 2, 1, 3), (True,)),  # ports 0 and 3 joined to themselves
+                          ((1, 2, 3, 0), (True,)),  # 0 -> 1 but 1 -> 2
+                          ((1, 0, 3, 7), (True,)),  # a port outside the diagram
+                          ((1, 0, 3, 2), (True, False)),  # eight ports needed
+                          ((1, 0, 3, 2, 5, 4), (True,))):  # four ports needed
+            with pytest.raises(RingError):
+                PlanarDiagram(nbr, over).validate()
 
     def test_component_structure_matches_braid(self):
         rng = random.Random(1)
         for _ in range(40):
             w = random_braid(rng, rng.randint(2, 5), 9, min_letters=1)
             d = diagram_from_closure(w)
-            if d.crossings:
-                _, ncomp = _walk_components(d)
-                assert ncomp + d.loops == component_count(w)
+            if d.over:
+                assert walk_components(d) + d.loops == component_count(w)
 
     def test_local_contraction_is_the_contraction_at_once(self, monkeypatch):
         rng = random.Random(23)
@@ -157,19 +199,20 @@ class TestDiagrams:
         diagrams += keyed_pieces(monkeypatch, diagrams[:12])
         closed = kinks = parallel = 0
         for d in diagrams:
-            strands = [skein._strand_wires(c) for c in d.crossings]
-            cases = [{i: wires} for i, wires in enumerate(strands)]
-            cases += [{i: skein._smoothing_wires(c, kind)}
-                      for i, c in enumerate(d.crossings) for kind in "AB"]
-            cases += [{i: strands[i], j: strands[j]}
-                      for i in range(len(strands)) for j in range(i + 1, len(strands))]
+            n = len(d.over)
+            cases = [{i: skein._STRANDS} for i in range(n)]
+            cases += [{i: wires} for i in range(n)
+                      for wires in (skein._SMOOTHING_A, skein._SMOOTHING_B)]
+            cases += [{i: skein._STRANDS, j: skein._STRANDS}
+                      for i in range(n) for j in range(i + 1, n)]
             kinks += skein.find_kink(d) is not None
             parallel += skein.find_parallel_pair(d) is not None
             for wires in cases:
                 got = skein._remove_crossings(d, wires)
-                arcs, loops = contracted_at_once(d, wires)
-                assert (got.arcs, got.loops) == (arcs, loops)
-                assert got.crossings == tuple(c for i, c in enumerate(d.crossings) if i not in wires)
+                nbr, loops = contracted_at_once(d, wires)
+                assert (got.nbr, got.loops) == (nbr, loops)
+                assert got.over == tuple(o for i, o in enumerate(d.over) if i not in wires)
+                got.validate()
                 closed += loops > d.loops
         assert closed and kinks and parallel
 
@@ -204,7 +247,7 @@ class TestDiagrams:
                     + [diagram_from_plat(w) for w in plats])
         pieces = keyed_pieces(monkeypatch, diagrams)
         assert len(pieces) > 200
-        assert sum(_walk_components(d)[1] >= 3 for d in pieces) > 50
+        assert sum(walk_components(d) >= 3 for d in pieces) > 50
         for d in pieces:
             for moved in [d] + [relabeled(d, rng) for _ in range(3)]:
                 assert canonical_code(moved) == min(start_codes(moved))
@@ -228,6 +271,19 @@ class TestDiagrams:
         for v in "+-":
             assert (markov_trace_pm_fast(w, v, KauffmanEvaluator(v))
                     == markov_trace_pm_fast(w, v, KauffmanEvaluator(v, use_cache=False)))
+
+
+class TestGoldenResolution:
+    def test_catalog_resolution_matches_the_recorded_digest(self, monkeypatch):
+        """Every catalog closure, resolved from an empty memo, gives the codes
+        and nodes recorded with the dict-indexed diagram that preceded the
+        flat port arrays."""
+        memo = {}
+        monkeypatch.setattr(skein, "_RESOLVED", memo)
+        for record in load_records():
+            skein._reduce(diagram_from_closure(record.braid()), memo)
+        digest = hashlib.sha256("\n".join(resolution_lines(memo)).encode()).hexdigest()
+        assert digest == GOLDEN_RESOLUTION.read_text().strip()
 
 
 def reaches_itself(reduced) -> bool:
@@ -394,7 +450,7 @@ class TestInvariance:
         plain = KauffmanEvaluator("+", use_cache=False)
         for w in words:
             d = diagram_from_closure(w)
-            for i in range(len(d.crossings)):
+            for i in range(len(d.over)):
                 switched = _switch(d, i)
                 if canonical_code(switched) == canonical_code(d):
                     assert plain.value(switched) == plain.value(d), (w, i)
