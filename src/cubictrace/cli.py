@@ -7,10 +7,11 @@ Subcommands:
   verify     run the verification suites
 
 Exit code 0 means every strict comparison passed.  Bad braid or ring input,
-an `--at` the chosen invariant does not take, more strands than the Hecke
-and theorem-trace engines take (`hecke.MAX_STRANDS`), a `--pit-points`
-below 1, an unreadable `table --input` file, one without catalog rows or a
-malformed row in it exits with code 2 and a one-line message.  A reader
+an `--at` or `--base` the chosen invariant does not take, more strands than
+the Hecke and theorem-trace engines take (`hecke.MAX_STRANDS`), a
+`--pit-points` below 1, an unreadable `table --input` file, one without
+catalog rows or a malformed row in it exits with code 2 and a one-line
+message.  A reader
 that closes the output pipe early (`| head`) ends the run quietly with
 code 141, as a shell reports a process killed by SIGPIPE.
 """
@@ -50,8 +51,10 @@ def cmd_invariant(args) -> int:
     which = args.which
     if which in ("t0x2a", "parity") and args.at is not None:
         raise RingError(f"{which} takes no --at")
+    if which != "t0x2a" and args.base is not None:
+        raise RingError(f"{which} takes no --base")
     if which == "t0x2a":
-        value = T0Invariant(ThmTraceConfig(base=Fraction(args.base))).value(braid)
+        value = T0Invariant(ThmTraceConfig(base=Fraction(args.base or 0))).value(braid)
         print(value.render())
     elif which == "hecke":
         if args.at is None:
@@ -105,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--braid", help="whitespace-separated signed generator indices")
     inv.add_argument("--strands", type=int)
     inv.add_argument("--at", choices=sorted(AT_POINTS), default=None)
-    inv.add_argument("--base", type=int, default=0,
-                     help="base value of the theorem trace (provably irrelevant)")
+    inv.add_argument("--base", type=int, default=None,
+                     help="t0x2a only: base value of the theorem trace, default 0 "
+                          "(provably irrelevant)")
     inv.set_defaults(func=cmd_invariant)
 
     kau = sub.add_parser("kauffman", help="two-variable Kauffman/Dubrovnik trace")

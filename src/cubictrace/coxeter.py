@@ -15,9 +15,12 @@ proves by showing (s + lambda C - a)^2 . E_1 = -2aC for every lambda.
 
 Because 2 is invertible, Q[a]/(a^2-1) = Q x Q under u + v a -> (u + v,
 u - v), the values at a = 1 and a = -1.  An element is zero exactly when
-both values are, so computing at both points is exact, not a sample.  The
-action is written once, in `_act_at`, on plain dicts keyed by element ids.
-`act_word`, the public action, runs it once at a = A on `QA` coefficients
+both values are, so computing at both points is exact, not a sample.  Mod
+C this is the Hecke algebra at (x, y) = (2a, 1), so both have one action,
+`hecke._act_at` on dicts keyed by step-table ids, which the extension
+calls with its `a` and C coefficient.  Type A and the step table live in
+`hecke`, I2(m) here.  `act_word`, the public action, runs it once at
+a = A on `QA` coefficients
 (which `qa` stores as the two values).  `verify_braid_relations`, the
 theorem trace and `nonsplit_certificate` run it at a = 1 and at a = -1
 on integer (or Q[L]) coefficients and never leave them.
@@ -25,7 +28,10 @@ on integer (or Q[L]) coefficients and never leave them.
 For W = S_n the tower carries a unique-per-normalization family of Markov
 traces with t_2(C) = 1; `ThmTraceEngine` computes it by the coset-peeling
 recursion, at a = 1 and at a = -1 over int (Fraction for a fractional
-base value), and joins the two values once per braid.  Combining it with
+base value), and joins the two values once per braid.  Like the Ocneanu
+trace, it peels a w that moves the top strand into one word on n-1
+strands (`coset_peel`), acts with it from the identity, and keys its memo
+by (strands, step-table id).  Combining it with
 the Ocneanu and Kauffman traces specialized at y = 1, x = 2a (where those
 two degenerate to a^(#L-1) and a^(#L-1) det^2), each likewise computed at
 the two points and joined once, yields the exotic link invariant
@@ -38,10 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .braids import BraidWord
-from .hecke import _left_gen, check_strands, coset_peel, hecke_trace_qa, parity_tracers
+from .hecke import (CoxeterSystem, SymmetricCoxeter, _act_at, coset_peel, hecke_trace_qa,
+                    parity_tracers, symmetric)
 from .linalg import Matrix, eliminate
 from .qa import A, QA
 from .rings import LaurentPolynomial, RingError
@@ -50,131 +57,7 @@ from .skein import kauffman_at_point
 TWO_A = QA(0, 2)
 
 
-# -- Coxeter systems -----------------------------------------------------------
-
-
-class _StepTable(dict):
-    """Element ids and lengths, and per id the row of (id of s w, l(s w) > l(w), l(w) odd) over s.
-
-    Ids and rows are assigned on first use, so acting on a sparse vector
-    never enumerates the group.  A row decides each ascent by `cox.ascent`
-    and gives s w the length l(w) +- 1, so lengths are computed only for
-    the elements handed to `id` from outside the table.
-    """
-
-    def __init__(self, cox: "CoxeterSystem"):
-        super().__init__()
-        self.cox = cox
-        self.ids: dict = {}
-        self.elements: list = []
-        self.lengths: list[int] = []
-
-    def id(self, w, length: int | None = None) -> int:
-        i = self.ids.get(w)
-        if i is None:
-            i = self.ids[w] = len(self.elements)
-            self.elements.append(w)
-            self.lengths.append(self.cox.length(w) if length is None else length)
-        return i
-
-    def __missing__(self, i: int):
-        cox = self.cox
-        w, ell = self.elements[i], self.lengths[i]
-        row = []
-        for g in cox.generators():
-            up = cox.ascent(g, w)
-            row.append((self.id(cox.act(g, w), ell + 1 if up else ell - 1), up, ell % 2 == 1))
-        self[i] = row = tuple(row)
-        return row
-
-
-class CoxeterSystem:
-    """Type A (symmetric group) or dihedral I2(m), with the step table of the module action."""
-
-    def __init__(self):
-        self.steps = _StepTable(self)
-
-    def identity(self):
-        raise NotImplementedError
-
-    def generators(self) -> Sequence[int]:
-        raise NotImplementedError
-
-    def act(self, gen: int, w):
-        """Left multiplication s_gen * w."""
-        raise NotImplementedError
-
-    def length(self, w) -> int:
-        raise NotImplementedError
-
-    def ascent(self, gen: int, w) -> bool:
-        """Whether l(s_gen * w) > l(w)."""
-        raise NotImplementedError
-
-    def elements(self) -> Iterable:
-        raise NotImplementedError
-
-    def braid_relations(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        raise NotImplementedError
-
-
-class SymmetricCoxeter(CoxeterSystem):
-    """S_n with elements as one-line tuples on 0..n-1; length = inversions."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise RingError("need at least one strand")
-        check_strands(n)
-        super().__init__()
-        self.n = n
-
-    def identity(self):
-        return tuple(range(self.n))
-
-    def generators(self):
-        return range(self.n - 1)
-
-    def act(self, gen: int, w):
-        return _left_gen(w, gen)
-
-    def length(self, w) -> int:
-        return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-
-    def ascent(self, gen: int, w) -> bool:
-        # s_gen swaps the values gen and gen + 1, adding an inversion when gen stands first
-        return w.index(gen) < w.index(gen + 1)
-
-    def elements(self):
-        import itertools
-
-        return itertools.permutations(range(self.n))
-
-    def braid_relations(self):
-        rels = []
-        for i in self.generators():
-            for j in self.generators():
-                if i < j:
-                    if j - i == 1:
-                        rels.append(((i, j, i), (j, i, j)))
-                    else:
-                        rels.append(((i, j), (j, i)))
-        return rels
-
-    def reduced_word(self, w) -> tuple[int, ...]:
-        """A reduced word for w in product order (left descents peeled)."""
-        word = []
-        w = list(w)
-        while True:
-            for i in range(self.n - 1):
-                # left descent: value i appears after value i+1
-                if w.index(i) > w.index(i + 1):
-                    word.append(i)
-                    a, b = w.index(i), w.index(i + 1)
-                    w[a], w[b] = w[b], w[a]
-                    break
-            else:
-                break
-        return tuple(word)
+# -- the dihedral Coxeter systems (type A and the step table are in `hecke`) ------
 
 
 class DihedralCoxeter(CoxeterSystem):
@@ -231,40 +114,6 @@ class DihedralCoxeter(CoxeterSystem):
 # -- the module ------------------------------------------------------------------
 
 
-def _act_at(cox: CoxeterSystem, word: Sequence[int], vec: dict, c, a) -> tuple[dict, object]:
-    """The action of a braid word on sum_i vec[i] E_w(i) + c C at a fixed a.
-
-    The one place that writes the rule.  Keys are the element ids of
-    `cox.steps`; letters are 1-based, signed and act right to left.  The
-    rule needs only a*c, 2*a*x, x != 0 and a^l(w) in {a, 1}, so `a` is
-    either the element A of Q[a]/(a^2-1) on `QA` coefficients (`act_word`)
-    or a fixed a = +-1 on coefficients closed under + and * by an int
-    (int, Fraction, a Laurent polynomial).  Zero terms are dropped after
-    every letter.
-    """
-    steps = cox.steps
-    for letter in reversed(word):
-        gen, positive = abs(letter) - 1, letter > 0
-        c = a * c
-        out: dict = {}
-        get = out.get
-        for w, x in vec.items():
-            sw, ascent, odd = steps[w][gen]
-            if ascent == positive:
-                # s E_w = E_{sw} on an ascent; on a descent the C-terms of
-                # s^-1 = 2a - 2C - s cancel against the expansion of s E_w,
-                # leaving s^-1 E_w = E_{sw} exactly
-                out[sw] = get(sw, 0) + x
-            else:
-                # s E_w on a descent, and s^-1 E_w on an ascent (through
-                # s^-1 = 2a - 2C - s): 2a E_w - 2 a^l(w) C - E_{sw}
-                out[w] = get(w, 0) + 2 * a * x
-                out[sw] = get(sw, 0) - x
-                c = c - (2 * a * x if odd else 2 * x)
-        vec = {w: x for w, x in out.items() if x != 0}
-    return vec, c
-
-
 def act_word(cox: CoxeterSystem, word: Sequence[int], vec: dict, c: QA) -> tuple[dict, QA]:
     """The action of a braid word on sum_w vec[w] E_w + c C over Q[a]/(a^2-1).
 
@@ -276,7 +125,7 @@ def act_word(cox: CoxeterSystem, word: Sequence[int], vec: dict, c: QA) -> tuple
         if abs(letter) - 1 not in gens:
             raise RingError(f"generator index {letter} out of range")
     steps = cox.steps
-    out, c = _act_at(cox, word, {steps.id(w): x for w, x in vec.items()}, c, A)
+    out, c = _act_at(cox, word, {steps.id(w): x for w, x in vec.items()}, TWO_A, 1, 1, A, c)
     return {steps.elements[i]: x for i, x in out.items()}, c
 
 
@@ -284,7 +133,7 @@ def act_generator(cox: CoxeterSystem, letter: int, vec: dict, c: QA) -> tuple[di
     """The action of s^(+-1), a one-letter `act_word`.
 
     Kept as its own function because perfbench counts its calls
-    (`coxeter.act_generator.calls`) until that counter moves to `_act_at`.
+    (`coxeter.act_generator.calls`) until that counter moves to `hecke._act_at`.
     """
     return act_word(cox, (letter,), vec, c)
 
@@ -300,8 +149,10 @@ def verify_braid_relations(cox: CoxeterSystem) -> bool:
         lhs_word = tuple(g + 1 for g in lhs)
         rhs_word = tuple(g + 1 for g in rhs)
         for a in (1, -1):
+            x = 2 * a
             for vec, c in starts:
-                if _act_at(cox, lhs_word, vec, c, a) != _act_at(cox, rhs_word, vec, c, a):
+                if (_act_at(cox, lhs_word, vec, x, 1, 1, a, c)
+                        != _act_at(cox, rhs_word, vec, x, 1, 1, a, c)):
                     return False
     return True
 
@@ -312,7 +163,7 @@ def verify_braid_relations(cox: CoxeterSystem) -> bool:
 @dataclass(frozen=True)
 class ThmTraceConfig:
     """Base value lambda = t_1(1), the normalization t_2(C) = 1, and the
-    level-descent variant (see `level_constant`)."""
+    level-descent variant (see `ThmTraceEngine`)."""
 
     base: Fraction = Fraction(0)
     printed_exponent_variant: bool = False
@@ -332,60 +183,55 @@ class ThmTraceEngine:
         Markov move at a = -1; `trace_property_suite` arbitrates.
       * t_1(E_1) = lambda.
 
-    The recursion runs at a fixed a = +-1 on the dicts of `_act_at` and
-    is memoized per (n, w, a); `trace_braid` joins the two values.
+    The recursion runs at a fixed a = +-1 on the dicts of `_act_at` over
+    the step table of `hecke.symmetric(n)`, and is memoized per (n, step-table
+    id, a); `trace_braid` joins the two values.
     """
 
     def __init__(self, cfg: ThmTraceConfig | None = None):
         self.cfg = cfg or ThmTraceConfig()
-        # (n, w, a) -> t_n(E_w) at a = +-1
-        self._memo: dict[tuple[int, tuple[int, ...], int], object] = {}
-        self._cox: dict[int, SymmetricCoxeter] = {}
-
-    def cox(self, n: int) -> SymmetricCoxeter:
-        if n not in self._cox:
-            self._cox[n] = SymmetricCoxeter(n)
-        return self._cox[n]
+        # (n, id of w, a) -> t_n(E_w) at a = +-1
+        self._memo: dict[tuple[int, int, int], object] = {}
 
     def trace_braid(self, w: BraidWord) -> QA:
-        n = w.strands
-        cox = self.cox(n)
-        start = {cox.steps.id(cox.identity()): 1}
-        return QA.from_components(*(self.trace_at(n, *_act_at(cox, w.letters, start, 0, a), a)
-                                    for a in (1, -1)))
+        return QA.from_components(*(self._word_trace(w.strands, w.letters, a) for a in (1, -1)))
+
+    def _word_trace(self, n: int, word: Sequence[int], a: int):
+        """t_n of the image of `word` on n strands at a = +-1."""
+        cox = symmetric(n)
+        start = {cox.steps.id(cox.identity(), 0): 1}
+        return self.trace_at(n, *_act_at(cox, word, start, 2 * a, 1, 1, a, 0), a)
 
     def trace_at(self, n: int, vec: dict, c, a: int):
         """t_n(sum_i vec[i] E_w(i) + c C) at a = +-1, keys being element ids of
-        `self.cox(n).steps` (the output of `_act_at`)."""
+        `hecke.symmetric(n).steps` (the output of `_act_at`)."""
         if c and n < 2:
             raise RingError("C does not exist on fewer than 2 strands")
-        steps = self.cox(n).steps
         total = c * a ** n
         for i, x in vec.items():
-            total += x * self._trace_basis(n, steps.elements[i], steps.lengths[i], a)
+            total += x * self._trace_basis(n, i, a)
         return total
 
-    def _trace_basis(self, n: int, w: tuple[int, ...], length: int, a: int):
-        """t_n(E_w) at a = +-1, `length` being l(w)."""
+    def _trace_basis(self, n: int, i: int, a: int):
+        """t_n(E_w) at a = +-1, w having the id i in `symmetric(n).steps`."""
         if n == 1:
             base = self.cfg.base
             return base.numerator if base.denominator == 1 else base
-        key = (n, w, a)
+        key = (n, i, a)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        steps = symmetric(n).steps
+        w, length = steps.elements[i], steps.lengths[i]
         if w[n - 1] == n - 1:
             # w fixes the top strand: level descent, which keeps l(w)
             shift = length + n - 1
             if self.cfg.printed_exponent_variant:
                 shift += 1
-            value = a * self._trace_basis(n - 1, w[:-1], length, a) + a ** shift
+            lower = symmetric(n - 1).steps.id(w[:-1], length)
+            value = a * self._trace_basis(n - 1, lower, a) + a ** shift
         else:
-            w_prime, run = coset_peel(w)
-            lower = self.cox(n - 1)
-            word = tuple(g + 1 for g in (*lower.reduced_word(w_prime), *run))
-            start = {lower.steps.id(lower.identity()): 1}
-            value = self.trace_at(n - 1, *_act_at(lower, word, start, 0, a), a)
+            value = self._word_trace(n - 1, coset_peel(w), a)
         self._memo[key] = value
         return value
 
@@ -505,7 +351,7 @@ def shifted_minus_a(cox: CoxeterSystem, letter: int, vec: dict, c, a: int, lam=0
 
     s acts through `_act_at`; C E_w = a^l(w) C, and C C = 0.
     """
-    out, c_out = _act_at(cox, (letter,), vec, c, a)
+    out, c_out = _act_at(cox, (letter,), vec, 2 * a, 1, 1, a, c)
     c_out = c_out - a * c + lam * sum(x * a ** cox.steps.lengths[i] for i, x in vec.items())
     for i, x in vec.items():
         out[i] = out.get(i, 0) - a * x

@@ -1,16 +1,21 @@
 """The Iwahori-Hecke algebra H_n(b,c) on the T_w basis, with the Ocneanu trace.
 
 Elements live over Q[x^+-1, y^+-1] (x = b + c, y = bc), or over the
-rationals at one point (x, y) (`HeckeRing.numeric`); the quadratic
-relation s^2 = x s - y is baked into the multiplication, so products of
-basis elements are always basis combinations, never words.  Inverse braid
-letters use s^-1 = (x - s)/y.
+rationals at one point (x, y) (`HeckeRing.numeric`).  The quadratic
+relation T_s^2 = x T_s - y is written once, in the module action `_act_at`
+on sparse dicts keyed by the element ids of a Coxeter system's step table
+(`_StepTable`).  It is also the action of the central extension of
+`coxeter`, at (x, y) = (2a, 1) with a C-term that only the extension
+switches on.  There is one `SymmetricCoxeter` per strand count per process
+(`symmetric`), so the Ocneanu trace here and the theorem trace of
+`coxeter` both key their memos by (strands, step-table id).
 
 The Ocneanu Markov trace is normalized by t_1(1) = 1 and loop value
 delta_H = (y + 1)/x, which is the unique choice making both stabilizations
-trace-preserving: t(u s_n) = t(u s_n^-1) = t(u).  It is computed by the
-coset peeling w = w' (s_{n-1} ... s_k) read off from the last-strand image
-(`coset_peel`), with values memoized per (strands, permutation).  Its value
+trace-preserving: t(u s_n) = t(u s_n^-1) = t(u).  A w in S_n that moves the
+top strand is w' (s_{n-2} ... s_k); the Markov move eats s_{n-2} and
+leaves one word on n-1 strands, a reduced word of w' and then the run
+s_{n-3} ... s_k (`coset_peel`), which acts from the identity.  The value
 at y = 1, x = 2a in Q[a]/(a^2-1) (`hecke_trace_qa`) is joined from the two
 integer traces at (x, y) = (2, 1) and (-2, 1), the values at a = 1 and
 a = -1.
@@ -20,9 +25,10 @@ Permutations are tuples in one-line notation on 0..n-1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .braids import BraidWord
 from .combination import Combination
@@ -40,40 +46,194 @@ Perm = tuple[int, ...]
 MAX_STRANDS = 32
 
 
-def check_strands(n: int) -> None:
-    if n > MAX_STRANDS:
-        raise RingError(f"{n} strands: the Hecke and theorem-trace engines take "
-                        f"at most {MAX_STRANDS}")
+# -- Coxeter systems and the module action ----------------------------------------
 
 
-def _identity(n: int) -> Perm:
-    return tuple(range(n))
+class _StepTable(dict):
+    """Element ids and lengths, and per id the row of (id of s w, l(s w) > l(w), l(w) odd) over s.
+
+    Ids and rows are assigned on first use, so acting on a sparse vector
+    never enumerates the group.  A row decides each ascent by `cox.ascent`
+    and gives s w the length l(w) +- 1, so lengths are computed only for
+    the elements handed to `id` from outside the table.
+    """
+
+    def __init__(self, cox: "CoxeterSystem"):
+        super().__init__()
+        self.cox = cox
+        self.ids: dict = {}
+        self.elements: list = []
+        self.lengths: list[int] = []
+
+    def id(self, w, length: int | None = None) -> int:
+        i = self.ids.get(w)
+        if i is None:
+            i = self.ids[w] = len(self.elements)
+            self.elements.append(w)
+            self.lengths.append(self.cox.length(w) if length is None else length)
+        return i
+
+    def __missing__(self, i: int):
+        cox = self.cox
+        w, ell = self.elements[i], self.lengths[i]
+        row = []
+        for g in cox.generators():
+            up = cox.ascent(g, w)
+            row.append((self.id(cox.act(g, w), ell + 1 if up else ell - 1), up, ell % 2 == 1))
+        self[i] = row = tuple(row)
+        return row
 
 
-def _right_gen(w: Perm, i: int) -> Perm:
-    """Right multiplication by s_i (transposition of places i, i+1)."""
-    lst = list(w)
-    lst[i], lst[i + 1] = lst[i + 1], lst[i]
-    return tuple(lst)
+class CoxeterSystem:
+    """Type A (symmetric group) or dihedral I2(m), with the step table of the module action."""
+
+    def __init__(self):
+        self.steps = _StepTable(self)
+
+    def identity(self):
+        raise NotImplementedError
+
+    def generators(self) -> Sequence[int]:
+        raise NotImplementedError
+
+    def act(self, gen: int, w):
+        """Left multiplication s_gen * w."""
+        raise NotImplementedError
+
+    def length(self, w) -> int:
+        raise NotImplementedError
+
+    def ascent(self, gen: int, w) -> bool:
+        """Whether l(s_gen * w) > l(w)."""
+        raise NotImplementedError
+
+    def elements(self) -> Iterable:
+        raise NotImplementedError
+
+    def braid_relations(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        raise NotImplementedError
 
 
-def _left_gen(w: Perm, i: int) -> Perm:
-    """Left multiplication by s_i (transposition of values i, i+1)."""
-    j = i + 1
-    return tuple(j if x == i else (i if x == j else x) for x in w)
+class SymmetricCoxeter(CoxeterSystem):
+    """S_n with elements as one-line tuples on 0..n-1; length = inversions."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise RingError("need at least one strand")
+        if n > MAX_STRANDS:
+            raise RingError(f"{n} strands: the Hecke and theorem-trace engines take "
+                            f"at most {MAX_STRANDS}")
+        super().__init__()
+        self.n = n
+
+    def identity(self):
+        return tuple(range(self.n))
+
+    def generators(self):
+        return range(self.n - 1)
+
+    def act(self, gen: int, w):
+        # s_gen swaps the values gen and gen + 1
+        j = gen + 1
+        return tuple(j if x == gen else (gen if x == j else x) for x in w)
+
+    def length(self, w) -> int:
+        return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+    def ascent(self, gen: int, w) -> bool:
+        # an inversion is added when gen stands before gen + 1
+        return w.index(gen) < w.index(gen + 1)
+
+    def elements(self):
+        return itertools.permutations(range(self.n))
+
+    def braid_relations(self):
+        return [((i, j, i), (j, i, j)) if j == i + 1 else ((i, j), (j, i))
+                for i in self.generators() for j in self.generators() if i < j]
 
 
-def coset_peel(w: Perm) -> tuple[Perm, range]:
-    """The Markov-move peel of a w in S_n that moves the top strand.
+# strand count -> the S_n whose step-table ids key the trace memos, shared by
+# every engine of the process
+_SYMMETRIC: dict[int, SymmetricCoxeter] = {}
+
+
+def symmetric(n: int) -> SymmetricCoxeter:
+    cox = _SYMMETRIC.get(n)
+    if cox is None:
+        cox = _SYMMETRIC[n] = SymmetricCoxeter(n)
+    return cox
+
+
+def reduced_word(w: Perm) -> tuple[int, ...]:
+    """A reduced word of w, as 1-based letters in product order.
 
     w = w' (s_{n-2} ... s_k) with k = w^-1(n-1) and w' in S_{n-1} (w with
-    the entry at place k removed); a Markov trace eats the top generator
-    s_{n-2}, leaving w' and the run s_{n-3} ... s_k, returned as the
-    0-based generator indices in product order.
+    the entry at place k removed), and l(w) = l(w') + n-1-k; w' is peeled
+    the same way.
+    """
+    word: tuple[int, ...] = ()
+    while len(w) > 1:
+        n, k = len(w), w.index(len(w) - 1)
+        word = tuple(range(n - 1, k, -1)) + word
+        w = w[:k] + w[k + 1:]
+    return word
+
+
+def coset_peel(w: Perm) -> tuple[int, ...]:
+    """The Markov-move peel of a w in S_n that moves the top strand.
+
+    A Markov trace eats the top generator s_{n-2} of w = w' (s_{n-2} ...
+    s_k) (see `reduced_word`), leaving one word on n-1 strands: a reduced
+    word of w', then the run s_{n-3} ... s_k, as 1-based letters.
     """
     n = len(w)
     k = w.index(n - 1)
-    return w[:k] + w[k + 1:], range(n - 3, k - 1, -1)
+    return reduced_word(w[:k] + w[k + 1:]) + tuple(range(n - 2, k, -1))
+
+
+def _act_at(cox: CoxeterSystem, word: Sequence[int], vec: dict, x, y, y_inv,
+            a=None, c=None) -> tuple[dict, object]:
+    """The action of a braid word on sum_i vec[i] T_w(i) (+ c C), as (vec, c).
+
+    The one place that writes the rule:
+        T_s T_w    = T_sw if l(sw) > l(w), else x T_w - y T_sw;
+        T_s^-1 T_w = T_sw if l(sw) < l(w), else x y^-1 T_w - y^-1 T_sw.
+    Keys are the element ids of `cox.steps`; letters are 1-based, signed
+    and act right to left; zero terms are dropped after every letter.  The
+    extension of `coxeter` passes (x, y) = (2a, 1), `a` and c: s C = a C,
+    and each two-term line adds -2 a^l(w) v C (-x v C, or -a x v C for even
+    l(w)); on a descent the C-terms of s^-1 = 2a - 2C - s cancel.  That
+    needs only a^2 = 1: `a` is the A of Q[a]/(a^2-1) on `QA` coefficients
+    or a = +-1 on int-closed ones.
+    """
+    steps = cox.steps
+    extended = c is not None
+    xy_inv = x * y_inv
+    for letter in reversed(word):
+        positive = letter > 0
+        if positive:
+            gen, p, q = letter - 1, x, y
+        else:
+            gen, p, q = -letter - 1, xy_inv, y_inv
+        if extended:
+            c = a * c
+        out: dict = {}
+        get = out.get
+        for w, v in vec.items():
+            sw, ascent, odd = steps[w][gen]
+            if ascent == positive:
+                out[sw] = get(sw, 0) + v
+            else:
+                pv = p * v
+                out[w] = get(w, 0) + pv
+                out[sw] = get(sw, 0) - q * v
+                if extended:
+                    c = c - (pv if odd else a * pv)
+        vec = {w: v for w, v in out.items() if v}
+    return vec, c
+
+
+# -- the Hecke algebra and its Ocneanu trace ----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -117,91 +277,53 @@ class HeckeElement(Combination):
     __slots__ = ()
 
 
-def unit(n: int, ring: HeckeRing) -> HeckeElement:
-    return HeckeElement({_identity(n): ring.one})
-
-
-def multiply_generator(elem: HeckeElement, i: int, sign: int, ring: HeckeRing,
-                       side: str = "left") -> HeckeElement:
-    """Multiply by T_{s_i} (sign=+1) or by T_{s_i}^-1 (sign=-1) on one side.
-
-    T_s T_w = T_{sw} when l(sw) > l(w), and x T_w - y T_{sw} otherwise
-    (the quadratic relation T_s^2 = x T_s - y); on the right, read ws for
-    sw.  T_s^-1 = (x - T_s) y^-1 gives the inverse case.  The length goes
-    up exactly when s_i does not undo an inversion: on the left when value
-    i stands before value i + 1, on the right when w[i] < w[i + 1].
-    """
-    left = side == "left"
-    move = _left_gen if left else _right_gen
-    terms = []
-    for w, c in elem.coeffs.items():
-        sw = move(w, i)
-        ascent = w.index(i) < w.index(i + 1) if left else w[i] < w[i + 1]
-        if sign > 0:
-            if ascent:
-                terms.append((sw, c))
-            else:
-                terms.append((w, c * ring.x))
-                terms.append((sw, -1 * (c * ring.y)))
-        else:
-            # T_s^-1 T_w = y^-1 (x T_w - T_s T_w)
-            if ascent:
-                terms.append((w, c * ring.x * ring.y_inv))
-                terms.append((sw, -1 * (c * ring.y_inv)))
-            else:
-                # = y^-1 (x T_w - x T_w + y T_{sw}) = T_{sw}
-                terms.append((sw, c))
-    return HeckeElement.collect(terms)
+def _image(n: int, word: Sequence[int], ring: HeckeRing) -> tuple[_StepTable, dict]:
+    """The image of a word on n strands, keyed by the step-table ids of `symmetric(n)`."""
+    cox = symmetric(n)
+    start = {cox.steps.id(cox.identity(), 0): ring.one}
+    return cox.steps, _act_at(cox, word, start, ring.x, ring.y, ring.y_inv)[0]
 
 
 def hecke_normal_form(w: BraidWord, ring: HeckeRing | None = None) -> HeckeElement:
     """Image of a braid word on the T_w basis."""
-    check_strands(w.strands)
-    ring = ring or HeckeRing.generic()
-    elem = unit(w.strands, ring)
-    for letter in reversed(w.letters):
-        elem = multiply_generator(elem, abs(letter) - 1, 1 if letter > 0 else -1, ring)
-    return elem
+    steps, vec = _image(w.strands, w.letters, ring or HeckeRing.generic())
+    return HeckeElement({steps.elements[i]: v for i, v in vec.items()})
 
 
 class OcneanuTrace:
-    """The Markov trace with t_1(1) = 1, memoized per (strands, permutation)."""
+    """The Markov trace with t_1(1) = 1, memoized per (strands, step-table id)."""
 
     def __init__(self, ring: HeckeRing | None = None):
         self.ring = ring or HeckeRing.generic()
-        self._memo: dict[tuple[int, Perm], object] = {}
-
-    def of_element(self, elem: HeckeElement):
-        total = self.ring.zero
-        for w, c in elem.coeffs.items():
-            total = total + c * self._basis_trace(len(w), w)
-        return total
+        self._memo: dict[tuple[int, int], object] = {}
 
     def of_braid(self, w: BraidWord):
-        return self.of_element(hecke_normal_form(w, self.ring))
+        return self._word_trace(w.strands, w.letters)
 
-    def _basis_trace(self, n: int, w: Perm):
-        key = (n, w)
+    def _word_trace(self, n: int, word: Sequence[int]):
+        """t_n of the image of `word` on n strands."""
+        total = self.ring.zero
+        for i, v in _image(n, word, self.ring)[1].items():
+            total = total + v * self._basis_trace(n, i)
+        return total
+
+    def _basis_trace(self, n: int, i: int):
+        key = (n, i)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         ring = self.ring
+        steps = symmetric(n).steps
+        w = steps.elements[i]
         if n == 1:
             value = ring.one
         elif w[n - 1] == n - 1:
-            value = ring.delta * self._basis_trace(n - 1, w[: n - 1])
+            lower = symmetric(n - 1).steps.id(w[:-1], steps.lengths[i])
+            value = ring.delta * self._basis_trace(n - 1, lower)
         else:
-            value = self._right_fold_trace(*coset_peel(w))
+            value = self._word_trace(n - 1, coset_peel(w))
         self._memo[key] = value
         return value
-
-    def _right_fold_trace(self, w: Perm, gens: Sequence[int]):
-        """t(T_w T_{s_{g1}} T_{s_{g2}} ...) for the descending run `gens`."""
-        ring = self.ring
-        elem = HeckeElement({w: ring.one})
-        for i in gens:
-            elem = multiply_generator(elem, i, 1, ring, side="right")
-        return self.of_element(elem)
 
 
 def parity_tracers() -> tuple[OcneanuTrace, OcneanuTrace]:

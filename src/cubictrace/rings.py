@@ -164,6 +164,8 @@ class LaurentPolynomial:
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
+            if type(other) is int and not other:  # the int 0 that starts a sum
+                return self
             other = LaurentPolynomial.constant(other, self.variables)
         self._check_compatible(other)
         big, small = self.terms, other.terms

@@ -33,7 +33,8 @@ from .coxeter import (
     nonsplit_certificate,
     verify_braid_relations,
 )
-from .hecke import HeckeRing, OcneanuTrace, hecke_normal_form, hecke_trace_qa, parity_tracers
+from .hecke import (HeckeRing, OcneanuTrace, hecke_normal_form, hecke_trace_qa, parity_tracers,
+                    reduced_word)
 from .knotdata import DataError, load_records
 from .qa import A, QA
 from .rings import AX, LaurentPolynomial
@@ -331,7 +332,7 @@ def suite_coxeter(seed: int = 7, markov_braids: int = 300) -> SuiteReport:
         start = {cox.identity(): QA(1)}
         for _ in range(100):
             w1, w2 = rng.sample(elements, 2)
-            v1, v2 = (act_word(cox, tuple(g + 1 for g in cox.reduced_word(w)), start, QA(0))
+            v1, v2 = (act_word(cox, reduced_word(w), start, QA(0))
                       for w in (w1, w2))
             if v1 == v2:
                 ok = False

@@ -99,6 +99,14 @@ class TestInvariantCommand:
         ["invariant", "--which", "hecke", "--braid", "1", "--strands", "1200"],
         ["invariant", "--which", "hecke", "--braid", "1", "--strands", "1200", "--at", "x2a"],
         ["invariant", "--which", "t0x2a", "--braid", "1", "--strands", "1200"],
+        # --base belongs to t0x2a alone
+        ["invariant", "--which", "parity", "--braid", "1", "--strands", "2", "--base", "3"],
+        ["invariant", "--which", "hecke", "--braid", "1", "--strands", "2", "--base", "3"],
+        ["invariant", "--which", "hecke", "--braid", "1", "--strands", "2", "--at", "x2a",
+         "--base", "0"],
+        ["invariant", "--which", "kauffman+", "--braid", "1", "--strands", "2", "--base", "3"],
+        ["invariant", "--which", "kauffman-", "--braid", "1", "--strands", "2", "--at", "x2a",
+         "--base", "3"],
     ])
     def test_bad_input_is_one_line_and_exit_2(self, args, tmp_path, capsys):
         for name, text in BAD_TABLES.items():

@@ -20,7 +20,7 @@ from cubictrace.coxeter import (
     t0_invariant,
     verify_braid_relations,
 )
-from cubictrace.hecke import MAX_STRANDS
+from cubictrace.hecke import _SYMMETRIC, MAX_STRANDS, reduced_word
 from cubictrace.qa import QA
 from cubictrace.rings import RingError
 
@@ -98,7 +98,8 @@ class TestModuleAction:
         for word in self._random_words(cox, 31):
             got_vec, got_c = act_word(cox, word, vec, c)
             (plus, c_plus), (minus, c_minus) = (
-                _act_at(cox, word, {steps.id(w): x.at(a) for w, x in vec.items()}, c.at(a), a)
+                _act_at(cox, word, {steps.id(w): x.at(a) for w, x in vec.items()}, 2 * a, 1, 1, a,
+                        c.at(a))
                 for a in (1, -1))
             joined = {steps.elements[i]: QA.from_components(plus.get(i, 0), minus.get(i, 0))
                       for i in plus.keys() | minus.keys()}
@@ -133,8 +134,7 @@ class TestBraidRelations:
         elements = list(cox.elements())
         for _ in range(100):
             w1, w2 = rng.sample(elements, 2)
-            v1, v2 = (act_word(cox, tuple(g + 1 for g in cox.reduced_word(w)),
-                               {cox.identity(): QA(1)}, QA(0))
+            v1, v2 = (act_word(cox, reduced_word(w), {cox.identity(): QA(1)}, QA(0))
                       for w in (w1, w2))
             assert v1 != v2
 
@@ -166,7 +166,7 @@ class TestThmTrace:
             eng.trace_braid(BraidWord(MAX_STRANDS + 1, (1,)))
         with pytest.raises(RingError):
             SymmetricCoxeter(MAX_STRANDS + 1)
-        assert not eng._cox and not eng._memo
+        assert MAX_STRANDS + 1 not in _SYMMETRIC and not eng._memo
         below = BraidWord(MAX_STRANDS - 1, (1,))  # the Markov move up to the cap
         assert eng.trace_braid(stabilize_pos(below)) == eng.trace_braid(below)
 

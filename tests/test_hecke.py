@@ -14,10 +14,12 @@ from cubictrace.hecke import (
     HeckeRing,
     OcneanuTrace,
     hecke_normal_form,
-    HeckeElement,
+    SymmetricCoxeter,
+    _act_at,
+    coset_peel,
     hecke_trace_qa,
-    multiply_generator,
     parity_tracers,
+    reduced_word,
 )
 from cubictrace.knotdata import invariant_key
 from cubictrace.qa import QA
@@ -60,21 +62,51 @@ class TestNormalForm:
                          for c in e.coeffs.values()), Fraction(0))
             assert total == 1
 
-    def test_ascent_rule_against_the_inversion_count(self):
+    def test_quadratic_rule_on_every_basis_element(self):
+        # the one module action against the four lines of its rule, in the
+        # generic ring: s w by swapping values, the ascent by inversion counts
         def length(w):
             return sum(w[p] > w[q] for p, q in itertools.combinations(range(len(w)), 2))
 
         ring = HeckeRing.generic()
+        one, x, y, x_over_y, y_inv = (xy(t) for t in ("1", "x", "y", "x/y", "1/y"))
         for n in range(2, 6):
+            cox = SymmetricCoxeter(n)
+            steps = cox.steps
             for w in itertools.permutations(range(n)):
-                basis = HeckeElement({w: ring.one})
                 for i in range(n - 1):
-                    for side, sw in (("left", tuple(i + 1 if x == i else i if x == i + 1 else x
-                                                    for x in w)),
-                                     ("right", w[:i] + (w[i + 1], w[i]) + w[i + 2:])):
-                        product = multiply_generator(basis, i, 1, ring, side)
-                        ascent = dict(product.coeffs) == {sw: ring.one}
-                        assert ascent == (length(sw) > length(w)), (w, i, side)
+                    sw = tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
+                    ascent = length(sw) > length(w)
+                    for sign in (1, -1):
+                        vec, c = _act_at(cox, (sign * (i + 1),), {steps.id(w): ring.one},
+                                         ring.x, ring.y, ring.y_inv)
+                        if ascent == (sign > 0):
+                            want = {sw: one}  # T_s T_w on an ascent, T_s^-1 T_w on a descent
+                        elif sign > 0:
+                            want = {w: x, sw: -y}
+                        else:
+                            want = {w: x_over_y, sw: -y_inv}
+                        got = {steps.elements[k]: v for k, v in vec.items()}
+                        assert got == want and c is None, (w, i, sign)
+
+
+    def test_reduced_word_and_coset_peel(self):
+        # a reduced word of w has l(w) letters and multiplies out to T_w; the
+        # peel is a word on n-1 strands that gives T_w again once the top
+        # generator s_{n-1} goes back in front of the run s_{n-2} ... s_{k+1}
+        ring = HeckeRing.generic()
+        for n in range(1, 6):
+            cox = SymmetricCoxeter(n)
+            for w in itertools.permutations(range(n)):
+                word = reduced_word(w)
+                assert len(word) == cox.length(w)
+                assert dict(hecke_normal_form(BraidWord(n, word)).coeffs) == {w: ring.one}
+                if n > 1 and w[-1] != n - 1:
+                    peel = coset_peel(w)
+                    assert all(0 < x < n - 1 for x in peel)
+                    split = len(peel) - (n - 2 - w.index(n - 1))
+                    whole = peel[:split] + (n - 1,) + peel[split:]
+                    assert dict(hecke_normal_form(BraidWord(n, whole)).coeffs) == {w: ring.one}
 
 
 class TestOcneanuTrace:

@@ -1,5 +1,6 @@
 """Every module under src/cubictrace/ and scripts/ uses each name it imports,
-and every module-level function and class there is used somewhere."""
+and every module-level function and class there, and every method of such a
+class but the dunders, is used somewhere."""
 
 import ast
 from collections import Counter
@@ -70,26 +71,44 @@ def _name_uses(tree) -> Counter:
     return uses
 
 
+def _definitions(module: str, source: str):
+    """(qualified name, node) of each module-level def/class and of each
+    method of a module-level class, dunders left out."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(source).body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, functions) and not (
+                        method.name.startswith("__") and method.name.endswith("__")):
+                    yield f"{module}.{node.name}.{method.name}", method
+
+
 def orphan_definitions(library: dict[str, str], readers: list[str]) -> list[str]:
-    """Module-level def/class names of `library` (module name -> source) that
-    nothing in `readers` (sources, the library's included) uses outside the
-    definition itself."""
+    """The definitions of `library` (module name -> source; see `_definitions`)
+    whose name nothing in `readers` (sources, the library's included) uses
+    outside the definition itself."""
     uses: Counter = Counter()
     for source in readers:
         uses += _name_uses(ast.parse(source))
-    orphans = []
-    for module, source in library.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if uses[node.name] == _name_uses(node)[node.name]:
-                    orphans.append(f"{module}.{node.name}")
-    return orphans
+    return [name for module, source in library.items()
+            for name, node in _definitions(module, source)
+            if uses[node.name] == _name_uses(node)[node.name]]
 
 
 def test_the_scan_finds_an_orphan_definition():
     library = {"m": "def used():\n    return 1\n\n\ndef orphan(n):\n    return orphan(n - 1)\n"}
     reader = "from m import used\n\nused()\n"
     assert orphan_definitions(library, [*library.values(), reader]) == ["m.orphan"]
+
+
+def test_the_scan_finds_an_orphan_method():
+    library = {"m": "class K:\n    def __init__(self):\n        self.used()\n\n"
+                    "    def used(self):\n        return 1\n\n"
+                    "    def orphan(self):\n        return self.orphan()\n"}
+    reader = "from m import K\n\nK()\n"
+    assert orphan_definitions(library, [*library.values(), reader]) == ["m.K.orphan"]
 
 
 def test_no_orphan_definitions():

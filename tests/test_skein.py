@@ -273,6 +273,38 @@ class TestDiagrams:
                     == markov_trace_pm_fast(w, v, KauffmanEvaluator(v, use_cache=False)))
 
 
+class TestSplitDiagrams:
+    # the closure of s1 s4 s1 s6 s2^-1 s4 on 7 strands has three pieces,
+    # read off the strands each letter joins: crossings 0, 2, 4 (strands
+    # 1-3), 1, 5 (strands 4-5) and 3 (strands 6-7); the search from
+    # crossing 0 meets crossing 4 before crossing 2
+    WORD = BraidWord(7, (1, 4, 1, 6, -2, 4))
+    PIECES = ((0, 2, 4), (1, 5), (3,))
+
+    def test_pieces_keep_the_old_crossing_order(self):
+        d = diagram_from_closure(self.WORD)
+        pieces = split_pieces(d)
+        assert len(pieces) == len(self.PIECES)
+        for piece, members in zip(pieces, self.PIECES):
+            new = {old: k for k, old in enumerate(members)}
+            assert piece.nbr == tuple(4 * new[q >> 2] + (q & 3)
+                                      for i in members for q in d.nbr[4 * i:4 * i + 4])
+            assert piece.over == tuple(d.over[i] for i in members)
+            assert piece.loops == 0
+            piece.validate()
+
+    def test_walk_takes_the_pieces_in_turn_from_their_first_crossings(self):
+        # a strand that closes with no crossing passed only once falls back to
+        # port 0 of the first crossing not met, so the pieces come in the
+        # order of their lowest crossings
+        walk = list(_strand_walk(diagram_from_closure(self.WORD)))
+        assert walk == [(11, 0), (2, 0), (3, 1), (19, 1), (18, 1), (10, 1),
+                        (23, 2), (6, 2), (7, 3), (22, 3), (15, 4), (14, 4)]
+        piece_of = {i: k for k, members in enumerate(self.PIECES) for i in members}
+        order = [piece_of[q >> 2] for q, _ in walk]
+        assert order == sorted(order)
+
+
 class TestGoldenResolution:
     def test_catalog_resolution_matches_the_recorded_digest(self, monkeypatch):
         """Every catalog closure, resolved from an empty memo, gives the codes
