@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Build and validate the embedded braid-word catalog.
+"""Re-screen the embedded braid-word catalog and rewrite its derived fields.
 
-Every prime-knot row is identified by screens that do not use the x = 2a
-value the row asserts:
+`src/cubictrace/data/knots.tsv` is the only copy of the curated data: each
+row's word, its source (`src`), and the tabulated determinant (`det`),
+Alexander polynomial (`alexander`), Conway notation (`conway`), pretzel
+twists (`pretzel`), documentation-only x = a value (`xa`), notes and
+x = 2a value.  This script reads the rows and identifies every prime-knot
+row by `knotdata.screen_chain`, which never uses the x = 2a value:
   * components: the closure has one component;
   * det: the determinant (reduced Burau pipeline) is the tabulated one;
   * alexander: the Alexander polynomial is the tabulated one (so its span
@@ -11,39 +15,45 @@ value the row asserts:
     the Kauffman polynomial, is c - 1 on an alternating knot of crossing
     number c and below c - 1 on a prime non-alternating one
     (Thistlethwaite 1988);
-  * rational: for a 2-bridge knot, the Kauffman polynomial is that of the
-    4-plat of its tabulated Conway notation (CONWAY), mirrors included;
-  * pretzel: for a pretzel knot in PRETZEL, the Kauffman polynomial is that
+  * rational: for a row with a Conway notation, the Kauffman polynomial is
+    that of the 4-plat of the notation, mirrors included;
+  * pretzel: for a row with pretzel twists, the Kauffman polynomial is that
     of the 6-plat of its twists, mirrors included;
   * prime: the (HOMFLY, Kauffman) pair is not the product of two rows'
     pairs (both are multiplicative under connected sum);
-  * distinct: no two one-component rows agree in (HOMFLY, Kauffman), each
-    row compared with the other word and with its mirror image.
+and the distinctness certificate: no two one-component rows agree in
+(HOMFLY, Kauffman), each row compared with the other word and with its
+mirror image.  Composite and other knot rows must close to one component
+with an odd determinant (the tabulated one, where there is one), and link
+rows to two or more components.
 The rational and pretzel screens pin a row outright.  The other screens
 identify a row among the prime knots through 9 crossings up to the
 unpinned rows sharing its Alexander polynomial, crossing number and
 alternation; such rows carry `screen=value` and name the group in
 `ambiguous`.  No screen and no value separates the words of such a group
-(9_28 and 9_29 both assert 2544), so which word carries which name, and
-with it the documentation-only x = a value, is arbitrary there.  The
-x = 2a value is then computed and compared with the tabulated one; a
+(the README names the one pair; both rows assert the same value), so which
+word carries which name, and with it the documentation-only x = a value,
+is arbitrary there.  The
+derived fields `xdeg`, `screens`, `screen=value` and `ambiguous` are
+recomputed; on a curated catalog the output is the input, byte for byte.
+The x = 2a value is then computed and compared with the tabulated one; a
 disagreement is reported and the tabulated value kept.
-A row that fails a screen stops the run before anything is written; a
-knot with no word is reported as missing and makes the exit code 1.
+A row that fails a screen stops the run before anything is written.
 
 The `src=catalog` words are the original catalog's; the `src=braid-table`
 words are standard braid representatives (in the style of Jones's 1987
 table and KnotInfo's braid notation), entered by hand; the
 `src=screened-search` words were found by `scripts/search_braid_words.py`,
-which screens words the same way, and are the shortest it met for the row
-(3 strands up to length 12, 4 strands up to length 11).  Two sources are
-not in the repository and cannot be rerun from it: the
+which screens words by the same chain, and are the shortest it met for the
+row (3 strands up to length 12, 4 strands up to length 11).  Two sources
+are not in the repository and cannot be rerun from it: the
 `src=vectorized-search` words (5 strands, lengths 10 and 12) were found by
 a numpy-vectorized form of the same enumeration, too large for the
-pure-Python search; the `src=pretzel-search` word of 9_35 = P(3,3,3) was
-found among 5-strand words A(s1, s2) B(s2, s3) C(s3, s4) D(s2, s3) of
-length 14 by comparing with the pretzel diagram.  Every word, whatever its
-source, is screened here, 9_35 by the pretzel screen among the others.
+pure-Python search; the `src=pretzel-search` word of the one row with
+pretzel twists was found among 5-strand words A(s1, s2) B(s2, s3)
+C(s3, s4) D(s2, s3) of length 14 by comparing with the pretzel diagram.
+Every word, whatever its source, is screened here, that row by the pretzel
+screen among the others.
 The tabulated Alexander polynomials and Conway notations are Rolfsen's.
 
 Run:  python3 scripts/curate_knot_data.py [--out src/cubictrace/data/knots.tsv]
@@ -52,307 +62,105 @@ Run:  python3 scripts/curate_knot_data.py [--out src/cubictrace/data/knots.tsv]
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cubictrace.braids import component_count, parse_braid
-from cubictrace.burau import alexander_coefficients
 from cubictrace.coxeter import T0Invariant
 from cubictrace.knotdata import (
+    COLUMNS,
     NON_ALTERNATING,
+    SCREENS,
     InvariantIndex,
+    KnotRecord,
     crossing_number,
-    crossing_screen,
-    plat_screen,
-    pretzel_plat,
-    rational_plat,
-    x_degree,
+    load_records,
+    screen_chain,
+    validate_record,
 )
-from cubictrace.qa import parse_qa
-from cubictrace.skein import alexander_det
-
-SCREENS = "components,det,alexander,xdeg,prime,distinct"
-
-# pretzel knots P(p1, p2, p3) pinned by the pretzel screen
-PRETZEL = {"9_35": (3, 3, 3)}
-
-# name: (strands, word, source of the word, det, Alexander polynomial, x2a, xa);
-# the determinant, the coefficients of the Alexander polynomial (lowest degree
-# first), the x = 2a value and the documentation-only x = a value are tabulated;
-# strands and word are None where no word is known
-KNOTS = {
-    "3_1": (2, "1 1 1", "catalog", 3, "1 -1 1", "0", "4"),
-    "4_1": (3, "1 -2 1 -2", "catalog", 5, "1 -3 1", "16", "10"),
-    "5_1": (2, "1 1 1 1 1", "catalog", 5, "1 -1 1 -1 1", "0", "1"),
-    "5_2": (3, "1 1 1 2 -1 2", "catalog", 7, "2 -3 2", "48", "13"),
-    "6_1": (4, "1 1 2 -1 -3 2 -3", "catalog", 9, "2 -5 2", "80", "7"),
-    "6_2": (3, "1 1 1 -2 1 -2", "catalog", 11, "1 -3 3 -3 1", "96", "13"),
-    "6_3": (3, "1 1 -2 1 -2 -2", "catalog", 13, "1 -3 5 -3 1", "144", "25"),
-    "7_1": (2, "1 1 1 1 1 1 1", "catalog", 7, "1 -1 1 -1 1 -1 1", "0", "1"),
-    "7_2": (4, "1 1 1 2 -1 2 3 -2 3", "braid-table", 11, "3 -5 3", "112", "-2"),
-    "7_3": (3, "1 1 1 1 1 2 -1 2", "braid-table", 13, "2 -3 3 -3 2", "160", "10"),
-    "7_4": (4, "1 1 2 -1 2 2 3 -2 3", "catalog", 15, "4 -7 4", "224", "7"),
-    "7_5": (3, "1 1 1 1 2 -1 2 2", "catalog", 17, "2 -4 5 -4 2", "288", "25"),
-    "7_6": (4, "1 1 -2 1 3 -2 3", "catalog", 19, "1 -5 7 -5 1", "336", "25"),
-    "7_7": (4, "1 -2 1 -2 3 -2 3", "catalog", 21, "1 -5 9 -5 1", "416", "31"),
-    "8_1": (5, "1 1 2 -1 2 3 -2 -4 3 -4", "braid-table", 13, "3 -7 3", "160", "-2"),
-    "8_2": (3, "1 1 1 1 1 -2 1 -2", "catalog", 17, "1 -3 3 -3 3 -3 1", "240", "1"),
-    "8_3": (5, "1 1 2 -1 -3 2 -4 3 -4 -3", "vectorized-search", 17, "4 -9 4", "288", "13"),
-    "8_4": (4, "1 1 1 2 -3 -2 1 -2 -3", "screened-search", 19, "2 -5 5 -5 2", "352", "-2"),
-    "8_5": (3, "1 1 1 -2 1 1 1 -2", "catalog", 21, "1 -3 4 -5 4 -3 1", "384", "-8"),
-    "8_6": (4, "1 1 1 1 2 -3 -1 2 -3", "screened-search", 23, "2 -6 7 -6 2", "528", "25"),
-    "8_7": (3, "1 1 1 1 -2 1 -2 -2", "catalog", 23, "1 -3 5 -5 5 -3 1", "480", "13"),
-    "8_8": (4, "1 1 1 2 -3 -1 2 -3 -3", "screened-search", 25, "2 -6 9 -6 2", "624", "13"),
-    "8_9": (3, "1 1 1 -2 1 -2 -2 -2", "catalog", 25, "1 -3 5 -7 5 -3 1", "576", "25"),
-    "8_10": (3, "1 1 1 -2 1 1 -2 -2", "catalog", 27, "1 -3 6 -7 6 -3 1", "672", "16"),
-    "8_11": (4, "1 1 2 -1 2 2 -3 2 -3", "catalog", 27, "2 -7 9 -7 2", "720", "28"),
-    "8_12": (5, "1 -2 1 3 -2 -4 3 -4", "catalog", 29, "1 -7 13 -7 1", "816", "37"),
-    "8_13": (4, "1 1 2 -1 2 -3 2 -3 -3", "screened-search", 29, "2 -7 11 -7 2", "832", "22"),
-    "8_14": (4, "1 1 1 2 -1 2 -3 2 -3", "screened-search", 31, "2 -8 11 -8 2", "960", "37"),
-    "8_15": (4, "1 1 -2 1 3 2 2 2 3", "braid-table", 33, "3 -8 11 -8 3", "1104", "40"),
-    "8_16": (3, "1 1 -2 1 1 -2 1 -2", "catalog", 35, "1 -4 8 -9 8 -4 1", "1152", "25"),
-    "8_17": (3, "1 1 -2 1 -2 1 -2 -2", "catalog", 37, "1 -4 8 -11 8 -4 1", "1296", "49"),
-    "8_18": (3, "1 -2 1 -2 1 -2 1 -2", "catalog", 45, "1 -5 10 -13 10 -5 1", "1936", "64"),
-    "8_19": (3, "1 2 1 2 1 2 1 2", "catalog", 3, "1 -1 0 1 0 -1 1", "-48", "-8"),
-    "8_20": (3, "1 1 1 -2 -1 -1 -1 -2", "catalog", 9, "1 -2 3 -2 1", "96", "-8"),
-    "8_21": (3, "1 1 1 2 -1 -1 2 2", "braid-table", 15, "1 -4 5 -4 1", "240", "16"),
-    "9_1": (2, "1 1 1 1 1 1 1 1 1", "catalog", 9, "1 -1 1 -1 1 -1 1 -1 1", "0", "4"),
-    "9_2": (5, "1 1 1 2 -1 2 3 -2 3 4 -3 4", "vectorized-search", 15, "4 -7 4", "224", "7"),
-    "9_3": (3, "1 1 1 1 1 1 1 2 -1 2", "screened-search", 19, "2 -3 3 -3 3 -3 2", "336", "1"),
-    "9_4": (4, "1 1 1 1 1 2 3 3 -1 2 -3", "screened-search", 21, "3 -5 5 -5 3", "416", "7"),
-    "9_5": (5, "1 1 2 -1 2 2 3 -2 3 4 -3 4", "vectorized-search", 23, "6 -11 6", "528", "1"),
-    "9_6": (3, "1 1 1 1 1 1 2 -1 2 2", "screened-search", 27, "2 -4 5 -5 5 -4 2", "720", "4"),
-    "9_7": (4, "1 1 1 1 2 2 3 3 -1 2 -3", "screened-search", 29, "3 -7 9 -7 3", "816", "13"),
-    "9_8": (5, "1 1 -2 1 3 -2 4 -3 4 -3", "vectorized-search", 31, "2 -8 11 -8 2", "960", "1"),
-    "9_9": (3, "1 1 1 1 1 2 -1 2 2 2", "screened-search", 31, "2 -4 6 -7 6 -4 2", "960", "13"),
-    "9_10": (4, "1 1 2 -1 3 -2 3 2 2 2 2", "screened-search", 33, "4 -8 9 -8 4", "1088", "31"),
-    "9_11": (4, "1 1 1 1 -2 1 3 -2 3", "catalog", 33, "1 -5 7 -7 7 -5 1", "1040", "7"),
-    "9_12": (5, "1 1 -2 1 3 4 -3 4 -2 3", "vectorized-search", 35, "2 -9 13 -9 2", "1216", "22"),
-    "9_13": (4, "1 1 1 1 2 -1 3 -2 3 2 2", "screened-search", 37, "4 -9 11 -9 4", "1360", "22"),
-    "9_14": (5, "1 2 -3 4 -3 4 2 -3 1 -2", "vectorized-search", 37, "2 -9 15 -9 2", "1360", "10"),
-    "9_15": (5, "1 1 2 4 -3 4 2 -3 1 -2", "vectorized-search", 39, "2 -10 15 -10 2", "1520", "31"),
-    "9_16": (3, "1 1 1 1 2 2 -1 2 2 2", "screened-search", 39, "2 -5 8 -9 8 -5 2", "1536", "16"),
-    "9_17": (4, "-1 2 -1 2 2 -3 2 -3 2", "screened-search", 39, "1 -5 9 -9 9 -5 1", "1472", "7"),
-    "9_18": (4, "1 1 1 2 -1 3 -2 3 2 2 2", "screened-search", 41, "4 -10 13 -10 4", "1680", "37"),
-    "9_19": (5, "1 -2 1 -2 -2 4 -3 4 2 -3", "vectorized-search", 41, "2 -10 17 -10 2", "1680", "25"),
-    "9_20": (4, "1 1 1 -2 3 1 -2 3 3", "screened-search", 41, "1 -5 9 -11 9 -5 1", "1632", "13"),
-    "9_21": (5, "1 2 2 4 -3 4 2 -3 1 -2", "vectorized-search", 43, "2 -11 17 -11 2", "1840", "34"),
-    "9_22": (4, "-1 2 -1 2 -3 2 2 2 -3", "screened-search", 43, "1 -5 10 -11 10 -5 1", "1792", "10"),
-    "9_23": (4, "1 1 1 2 2 3 3 2 -1 2 -3", "screened-search", 45, "4 -11 15 -11 4", "2016", "28"),
-    "9_24": (4, "1 1 -2 3 1 -2 -2 -2 3", "screened-search", 45, "1 -5 10 -13 10 -5 1", "1968", "40"),
-    "9_25": (5, "1 2 2 2 1 3 -2 -4 3 -4", "vectorized-search", 47, "3 -12 17 -12 3", "2224", "34"),
-    "9_26": (4, "1 1 1 -2 1 -2 3 -2 3", "screened-search", 47, "1 -5 11 -13 11 -5 1", "2160", "37"),
-    "9_27": (4, "1 1 -2 1 -2 3 -2 3 -2", "screened-search", 49, "1 -5 11 -15 11 -5 1", "2352", "37"),
-    "9_28": (4, "1 1 -2 -2 3 1 -2 3 3", "screened-search", 51, "1 -5 12 -15 12 -5 1", "2544", "40"),
-    "9_29": (4, "-1 2 2 -3 2 -1 2 -3 2", "screened-search", 51, "1 -5 12 -15 12 -5 1", "2544", "4"),
-    "9_30": (4, "1 1 -2 3 -2 1 -2 -2 3", "screened-search", 53, "1 -5 12 -17 12 -5 1", "2752", "46"),
-    "9_31": (4, "1 1 -2 1 -2 3 3 -2 3", "screened-search", 55, "1 -5 13 -17 13 -5 1", "2976", "49"),
-    "9_32": (4, "1 1 -2 1 -2 3 1 -2 3", "screened-search", 59, "1 -6 14 -17 14 -6 1", "3408", "49"),
-    "9_33": (4, "1 -2 1 -2 -2 3 1 -2 3", "screened-search", 61, "1 -6 14 -19 14 -6 1", "3648", "61"),
-    "9_34": (4, "1 -2 1 -2 3 -2 1 -2 3", "screened-search", 69, "1 -6 16 -23 16 -6 1", "4688", "67"),
-    "9_35": (5, "1 2 2 2 3 2 4 -3 4 -2 -2 3 1 -2", "pretzel-search", 27, "7 -13 7", "720", "-14"),
-    "9_36": (4, "1 1 1 -2 1 1 3 -2 3", "catalog", 37, "1 -5 8 -9 8 -5 1", "1312", "-2"),
-    "9_37": (5, "1 1 2 2 3 -2 -1 -4 -3 2 -3 -4", "vectorized-search", 45, "2 -11 19 -11 2", "2016", "34"),
-    "9_38": (4, "1 1 2 2 3 3 2 -1 2 -3 2", "screened-search", 57, "5 -14 19 -14 5", "3264", "52"),
-    "9_39": (5, "1 2 -4 3 -4 2 -3 2 3 3 1 -2", "vectorized-search", 55, "3 -14 21 -14 3", "3040", "46"),
-    "9_40": (4, "1 -2 3 1 -2 3 1 -2 3", "screened-search", 75, "1 -7 18 -23 18 -7 1", "5536", "70"),
-    "9_41": (5, "1 2 4 -3 4 -2 -2 3 -2 3 1 -2", "vectorized-search", 49, "3 -12 19 -12 3", "2416", "-2"),
-    "9_42": (4, "1 1 1 -2 3 -1 -1 -2 3", "screened-search", 7, "1 -2 1 -2 1", "64", "-14"),
-    "9_43": (4, "1 1 1 2 -3 1 1 2 -3", "screened-search", 13, "1 -3 2 -1 2 -3 1", "112", "-14"),
-    "9_44": (4, "1 1 1 2 -3 -1 -1 2 -3", "screened-search", 17, "1 -4 7 -4 1", "304", "-2"),
-    "9_45": (4, "1 1 2 2 1 -2 3 -2 3", "screened-search", 23, "1 -6 9 -6 1", "544", "10"),
-    "9_46": (4, "1 2 2 3 -2 1 -2 3 -2", "screened-search", 9, "2 -5 2", "80", "-11"),
-    "9_47": (4, "1 2 -3 1 2 -3 1 2 -3", "screened-search", 27, "1 -4 6 -5 6 -4 1", "656", "13"),
-    "9_48": (4, "1 1 2 2 1 -2 -3 2 -1 2 -3", "screened-search", 27, "1 -7 11 -7 1", "704", "37"),
-    "9_49": (4, "1 1 2 2 1 1 2 3 -1 -2 3", "screened-search", 25, "3 -6 7 -6 3", "640", "34"),
-}
-
-# Conway notation of the rational (2-bridge) knots
-CONWAY = {
-    "3_1": "3", "4_1": "22", "5_1": "5", "5_2": "32", "6_1": "42", "6_2": "312",
-    "6_3": "2112", "7_1": "7", "7_2": "52", "7_3": "43", "7_4": "313", "7_5": "322",
-    "7_6": "2212", "7_7": "21112", "8_1": "62", "8_2": "512", "8_3": "44", "8_4": "413",
-    "8_6": "332", "8_7": "4112", "8_8": "2312", "8_9": "3113", "8_11": "3212",
-    "8_12": "2222", "8_13": "31112", "8_14": "22112", "9_1": "9", "9_2": "72",
-    "9_3": "63", "9_4": "54", "9_5": "513", "9_6": "522", "9_7": "342", "9_8": "2412",
-    "9_9": "423", "9_10": "333", "9_11": "4122", "9_12": "4212", "9_13": "3213",
-    "9_14": "41112", "9_15": "2322", "9_17": "21312", "9_18": "3222", "9_19": "23112",
-    "9_20": "31212", "9_21": "31122", "9_23": "22122", "9_26": "311112",
-    "9_27": "212112", "9_31": "2111112",
-}
-
-COMPOSITES = {
-    "3_1#3_1": (3, "1 1 1 2 2 2", 9, "64", "16"),
-    "3_1#4_1": (4, "1 1 1 2 -3 2 -3", 15, "208", "22"),
-    "4_1#4_1": (5, "1 -2 1 -2 3 -4 3 -4", 25, "608", "28"),
-    "3_1#3_1#3_1": (4, "1 1 1 2 2 2 3 3 3", 27, "704", "10"),
-    "3_1#3_1#3_1#3_1": (5, "1 1 1 2 2 2 3 3 3 4 4 4", 81, "6528", "40"),
-}
-
-ELEVEN = {
-    "11n_distinct_pair_a": (5, "1 1 2 -1 2 -3 -2 1 -2 -2 3 -4 3 -4", None, "22176", "85"),
-    "11n_distinct_pair_b": (4, "-1 -1 2 2 -1 2 -1 2 -3 2 -3", None, "22048", "82"),
-    "11n_alexander_partner_of_8_2": (5, "-1 2 -1 2 -3 -3 -4 2 2 3 -4 -4", None, "unknown", "unknown"),
-}
-
-LINKS = {
-    "L2a1": (2, "-1 -1", "0", "3*a", "hopf link"),
-    "L4a1": (4, "3 -2 1 -2 -3 -2 -1 -2", "16*a", "6*a", "solomon link"),
-    "L5a1": (3, "-2 1 -2 1 -2", "48*a", "15*a", "whitehead link"),
-    "L6a1_632": (4, "3 -2 1 -2 3 -2 -1 -2", "128*a", "21*a", ""),
-    "L7_713": (4, "3 -2 -1 2 3 -2 1 -2 3", "9", "9", ""),
-    "L6a4_borromean": (3, "2 -1 2 -1 2 -1", "225", "33", "borromean rings"),
-    "L6_633": (3, "2 -1 2 1 -2 1", "21", "-3", ""),
-    "L8_814": (6, "5 -4 -3 2 1 -4 3 2 -4 3 -4 -5 -4 -3 -2 -1 -2 3 -4", "61", "6", ""),
-    "L8_824": (6, "5 4 -3 2 1 4 3 2 4 3 -4 -5 -4 -3 -2 -1 -2 3 4", "-3", "0", ""),
-}
 
 
+def curate(records: list[KnotRecord]) -> tuple[list[str], list[str]]:
+    """Screen the rows; returns the catalog's TSV lines, header first, with
+    the derived fields of every prime-knot row recomputed, and the
+    failures."""
+    index = InvariantIndex()
+    failures = []
+    for record in records:
+        if record.kind != "link":
+            other = index.match(index.add(record.name, record.braid()))
+            if other != record.name:
+                failures.append(f"{other} and {record.name} agree in (HOMFLY, Kauffman)")
 
-def screen_knots(index: InvariantIndex, keys: dict[str, tuple]
-                 ) -> tuple[list[tuple], list[str], list[str]]:
-    """Screen every tabulated knot with a word; `keys` holds the (HOMFLY,
-    Kauffman) pair of each word, as indexed.
+    def is_prime(record: KnotRecord) -> bool:
+        return record.kind == "knot" and crossing_number(record.name) is not None
 
-    Returns the TSV rows, the screen failures and the names with no word.
-    """
+    def signature(record: KnotRecord) -> tuple:
+        return record.alexander, crossing_number(record.name), record.name in NON_ALTERNATING
+
+    unpinned = [r for r in records if is_prime(r) and not r.plats]
     inv = T0Invariant()
-    signature = {name: (alexander, crossing_number(name), name in NON_ALTERNATING)
-                 for name, (_, _, _, _, alexander, _, _) in KNOTS.items()}
-    groups: dict[tuple, list[str]] = {}
-    for name, sig in signature.items():
-        if name not in CONWAY and name not in PRETZEL:
-            groups.setdefault(sig, []).append(name)
-    rows, failures, missing = [], [], []
-    for name, (strands, word, src, det, alexander, value_text, xa) in KNOTS.items():
-        if word is None:
-            missing.append(name)
-            continue
-        braid = parse_braid(word, strands)
-        trace = keys[name][1]
-        xdeg = x_degree(trace)
-        if component_count(braid) != 1:
-            failed = "components"
-        elif alexander_det(braid) != det:
-            failed = "det"
-        elif alexander_coefficients(braid) != tuple(map(int, alexander.split())):
-            failed = "alexander"
-        elif not crossing_screen(name, xdeg):
-            failed = "xdeg"
-        elif name in CONWAY and not plat_screen(trace, rational_plat(CONWAY[name]),
-                                                index.evaluator):
-            failed = "rational"
-        elif name in PRETZEL and not plat_screen(trace, pretzel_plat(PRETZEL[name]),
-                                                 index.evaluator):
-            failed = "pretzel"
-        elif factors := index.factor(keys[name]):
-            failed = f"prime ({'#'.join(factors)})"
+    lines = ["\t".join(COLUMNS)]
+    for record in records:
+        provenance = record.provenance
+        if is_prime(record):
+            screening = screen_chain(record.braid(), [record], index)
+            if screening.failed:
+                failures.append(f"{record.name}: fails {screening.failed} "
+                                f"(word {record.word!r})")
+                continue
+            # a rational or pretzel row is pinned by its diagram; the others
+            # up to the unpinned rows sharing their signature
+            rivals = [] if record.plats else [
+                r.name for r in unpinned if r is not record and signature(r) == signature(record)]
+            provenance = _provenance(record, screening.xdeg, rivals)
         else:
-            failed = None
-        if failed:
-            failures.append(f"{name}: fails {failed} (word {word!r})")
-            continue
-        value = inv.value(braid)
-        if value != parse_qa(value_text):
-            print(f"{name}: VALUE DISAGREES: computed {value.render()}, tabulated "
-                  f"{value_text}; the row keeps the tabulated value")
-        pin = "rational" if name in CONWAY else "pretzel" if name in PRETZEL else None
-        screens = SCREENS.replace("xdeg,", f"xdeg,{pin},") if pin else SCREENS
-        prov = (f"src={src};det={det};alexander={alexander.replace(' ', ',')};xdeg={xdeg};"
-                f"screens={screens}")
-        if name in CONWAY:
-            prov += f";conway={CONWAY[name]}"
-        if name in PRETZEL:
-            prov += f";pretzel={','.join(map(str, PRETZEL[name]))}"
-        # a rational or pretzel row is pinned by its diagram; the others up
-        # to the unpinned rows sharing their Alexander polynomial, crossing
-        # number and alternation
-        rivals = [] if pin else [
-            other for other in groups[signature[name]] if other != name]
-        if rivals:
-            prov += f";screen=value;ambiguous={'/'.join([name] + rivals)}"
-        rows.append((name, strands, word, value_text, "knot", f"{prov};xa={xa}"))
-    return rows, failures, missing
+            validation = validate_record(record)
+            if not validation.ok or record.det not in (None, validation.det):
+                failures.append(f"{record.name}: fails components/det (word {record.word!r})")
+        if record.expected_x2a is not None:
+            value = inv.value(record.braid())
+            if value != record.expected_x2a:
+                print(f"{record.name}: VALUE DISAGREES: computed {value.render()}, tabulated "
+                      f"{record.expected_x2a.render()}; the row keeps the tabulated value")
+        expected = "unknown" if record.expected_x2a is None else record.expected_x2a.render()
+        lines.append("\t".join((record.name, str(record.strands), record.word, expected,
+                                record.kind, provenance)))
+    return lines, failures
 
 
-def main() -> int:
+def _provenance(record: KnotRecord, xdeg: int, rivals: list[str]) -> str:
+    """A prime-knot row's provenance with its derived fields rewritten."""
+    field = record.provenance_field
+    screens = [s for s in SCREENS if s not in ("rational", "pretzel") or s in record.plats]
+    text = (f"src={field('src')};det={field('det')};alexander={field('alexander')};"
+            f"xdeg={xdeg};screens={','.join(screens)},distinct")
+    for key in ("conway", "pretzel"):
+        if field(key):
+            text += f";{key}={field(key)}"
+    if rivals:
+        text += f";screen=value;ambiguous={'/'.join([record.name] + rivals)}"
+    return f"{text};xa={field('xa')}"
+
+
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
                                          / "src" / "cubictrace" / "data" / "knots.tsv"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    index = InvariantIndex()
-    keys = {}
-    failures = []
-    one_component = [(name, entry[0], entry[1])
-                     for table in (KNOTS, COMPOSITES, ELEVEN) for name, entry in table.items()]
-    for name, strands, word in one_component:
-        if word is None:
-            continue
-        keys[name] = index.add(name, parse_braid(word, strands))
-        other = index.match(keys[name])
-        if other != name:
-            failures.append(f"{other} and {name} agree in (HOMFLY, Kauffman)")
-
-    rows, knot_failures, missing = screen_knots(index, keys)
-    failures += knot_failures
-    inv = T0Invariant()
-    for name, (strands, word, det, value_text, xa) in COMPOSITES.items():
-        braid = parse_braid(word, strands)
-        if component_count(braid) != 1 or alexander_det(braid) != det:
-            failures.append(f"{name}: fails components/det (word {word!r})")
-        elif inv.value(braid) != parse_qa(value_text):
-            print(f"{name}: VALUE DISAGREES with tabulated {value_text}")
-        rows.append((name, strands, word, value_text, "composite",
-                     f"src=torus-sum;det={det};xa={xa}"))
-    for name, (strands, word, det, value_text, xa) in ELEVEN.items():
-        braid = parse_braid(word, strands)
-        if component_count(braid) != 1:
-            failures.append(f"{name}: fails components (word {word!r})")
-        if value_text == "unknown":
-            rows.append((name, strands, word, "unknown", "knot",
-                         f"src=source-braid;optional;xa={xa}"))
-            continue
-        if inv.value(braid) != parse_qa(value_text):
-            print(f"{name}: VALUE DISAGREES with tabulated {value_text}")
-        rows.append((name, strands, word, value_text, "knot", f"src=source-braid;xa={xa}"))
-    for name, (strands, word, value_text, xa, note) in LINKS.items():
-        braid = parse_braid(word, strands)
-        got = inv.value(braid)
-        print(f"{name:16s} components={component_count(braid)} t0={got.render()} "
-              f"expected={value_text}")
-        prov = f"src=source-braid;xa={xa}" + (f";note={note}" if note else "")
-        rows.append((name, strands, word, value_text, "link", prov))
-
+    lines, failures = curate(load_records())
     if failures:
         for failure in failures:
             print(f"FAILED {failure}")
         print(f"{len(failures)} rows fail their screens; nothing written")
         return 1
-
-    order = {"knot": 0, "composite": 1, "link": 2}
-    rows.sort(key=lambda r: (order[r[4]], _sort_key(r[0])))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w") as fh:
-        fh.write("\t".join(("name", "strands", "word", "expected_x2a", "kind", "provenance")) + "\n")
-        for name, strands, word, value_text, kind, prov in rows:
-            fh.write(f"{name}\t{strands}\t{word}\t{value_text}\t{kind}\t{prov}\n")
-    print(f"\nwrote {len(rows)} rows to {out_path}")
-    if missing:
-        print(f"MISSING: no braid word for {', '.join(missing)}")
-        return 1
+    out_path.write_text("".join(line + "\n" for line in lines))
+    print(f"wrote {len(lines) - 1} rows to {out_path}")
     return 0
-
-
-def _sort_key(name: str):
-    m = re.match(r"(\d+)_(\d+)", name)
-    if m:
-        return (int(m.group(1)), int(m.group(2)), name)
-    return (99, 0, name)
 
 
 if __name__ == "__main__":

@@ -6,16 +6,18 @@ reduced, commuting neighbours in increasing generator order (one word per
 commutation class), every generator used at least twice, and no cyclic
 split into a word on strands 1..k followed by one on strands k..n (whose
 closure is a connected sum).  A word whose permutation is an n-cycle then
-meets the catalog screens, cheapest first:
+meets the screens of the target rows named by `--names`, which read each
+row's tabulated data from the catalog:
 
   1. determinant, from the integer reduced Burau matrix at t = -1 carried
      along the search, by the library's `burau.closure_determinant`;
-  2. the tabulated Alexander polynomial;
-  3. crossing-number screen on the Kauffman x-degree;
-  4. for a rational or pretzel knot, its Kauffman polynomial against the
-     plat of the tabulated Conway notation or twists;
-  5. prime screen and distinctness from every catalog row (HOMFLY and
-     Kauffman, mirrors included).
+  2. the rest of `knotdata.screen_chain`, cheapest first: the tabulated
+     Alexander polynomial, the crossing-number screen on the Kauffman
+     x-degree, for a rational or pretzel knot its Kauffman polynomial
+     against the plat of the tabulated Conway notation or twists, and the
+     prime screen;
+  3. distinctness from every other catalog row (HOMFLY and Kauffman,
+     mirrors included).
 
 The words are deduplicated up to rotation, reversal, mirror image and the
 flip s_i -> s_(n-i).  Every word passing all screens is printed with its
@@ -23,11 +25,8 @@ x = 2a value for the record; the value never accepts or rejects a word.
 When one row meets several distinct knots at its shortest length, the
 screens leave the choice to the value, and the summary says so.
 
-By default the targets are the tabulated knots with no row in the data
-file.
-
 Run:  python3 scripts/search_braid_words.py --strands 4 --lengths 9,11 \\
-          [--names 9_45,9_49]
+          --names NAME[,NAME...]
 """
 
 from __future__ import annotations
@@ -38,25 +37,17 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from cubictrace.braids import BraidWord
-from cubictrace.burau import alexander_coefficients, burau_at_minus_one, closure_determinant
+from cubictrace.burau import burau_at_minus_one, closure_determinant
 from cubictrace.coxeter import T0Invariant
 from cubictrace.knotdata import (
     InvariantIndex,
-    NON_ALTERNATING,
+    KnotRecord,
     crossing_number,
-    crossing_screen,
     load_records,
-    plat_screen,
-    pretzel_plat,
-    rational_plat,
-    x_degree,
+    screen_chain,
 )
-from cubictrace.skein import markov_trace_pm_fast
-
-from curate_knot_data import CONWAY, KNOTS, PRETZEL
 
 
 # -- enumeration ----------------------------------------------------------------------
@@ -119,66 +110,40 @@ def normal_words(n: int, length: int):
                 stack.append((word + (letter,), product * letters[letter]))
 
 
-# -- screens --------------------------------------------------------------------------
+# -- search ---------------------------------------------------------------------------
 
 
-def tabulated(name: str) -> tuple[int, tuple[int, ...], int, bool]:
-    """(det, Alexander coefficients, crossing number, alternating) from the curation table."""
-    _, _, _, det, alexander, _, _ = KNOTS[name]
-    return (det, tuple(map(int, alexander.split())), crossing_number(name),
-            name not in NON_ALTERNATING)
-
-
-def search(n: int, length: int, names: list[str], index: InvariantIndex,
-           unindexed: list[tuple[str, BraidWord]], inv: T0Invariant,
-           found: dict[str, dict]) -> int:
-    """Screen the normal words of one length; `unindexed` rows are added to
-    `index` (both generic traces of each, seconds in all) when the first
-    word reaches screen 5, and the list is emptied."""
-    by_det: dict[int, list[str]] = {}
-    for name in names:
-        det, _, crossings, _ = tabulated(name)
-        if crossings <= length:
-            by_det.setdefault(det, []).append(name)
+def search(n: int, length: int, targets: list[KnotRecord], index: InvariantIndex,
+           inv: T0Invariant, found: dict[str, dict]) -> int:
+    """Screen the normal words of one length against the target rows;
+    returns the number of words that reached the Kauffman trace."""
+    by_det: dict[int, list[KnotRecord]] = {}
+    for row in targets:
+        if crossing_number(row.name) <= length:
+            by_det.setdefault(row.det, []).append(row)
     seen = set()
     checks = 0
     for word, product in normal_words(n, length):
-        candidates = by_det.get(closure_determinant(product, n))
-        if not candidates:
+        det = closure_determinant(product, n)
+        if det not in by_det:
             continue
         form = canonical(word, n)
         if form in seen:
             continue
         seen.add(form)
         braid = BraidWord(n, word)
-        alexander = alexander_coefficients(braid)
-        candidates = [name for name in candidates if tabulated(name)[1] == alexander]
-        if not candidates:
+        screening = screen_chain(braid, by_det[det], index)
+        checks += screening.xdeg is not None
+        if screening.failed or index.match(screening.key):
             continue
-        checks += 1
-        trace = markov_trace_pm_fast(braid, "+", index.evaluator)
-        xdeg = x_degree(trace)
-        candidates = [name for name in candidates if crossing_screen(name, xdeg)
-                      and (name not in CONWAY or plat_screen(
-                          trace, rational_plat(CONWAY[name]), index.evaluator))
-                      and (name not in PRETZEL or plat_screen(
-                          trace, pretzel_plat(PRETZEL[name]), index.evaluator))]
-        if not candidates:
-            continue
-        for name, row_braid in unindexed:
-            index.add(name, row_braid)
-        unindexed.clear()
-        pair = index.key(braid)
-        if index.match(pair) or index.factor(pair):
-            continue
-        key = frozenset((pair, index.key(braid.mirror())))
-        for name in candidates:
-            knots = found.setdefault(name, {})
+        key = frozenset((screening.key, index.key(braid.mirror())))
+        for row in screening.rows:
+            knots = found.setdefault(row.name, {})
             if key in knots:
                 continue
             knots[key] = (n, word)
-            print(f"HIT {name}: ({n}, {' '.join(map(str, word))!r})  xdeg={xdeg} "
-                  f"x2a={inv.value(braid).render()}", flush=True)
+            print(f"HIT {row.name}: ({n}, {' '.join(map(str, word))!r})  "
+                  f"xdeg={screening.xdeg} x2a={inv.value(braid).render()}", flush=True)
     return checks
 
 
@@ -186,15 +151,20 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--strands", type=int, required=True)
     ap.add_argument("--lengths", required=True, help="comma-separated word lengths")
-    ap.add_argument("--names", help="comma-separated rows (default: rows missing a word)")
+    ap.add_argument("--names", required=True, help="comma-separated prime-knot rows")
     args = ap.parse_args()
 
     records = load_records()
-    present = {r.name for r in records}
-    names = args.names.split(",") if args.names else [k for k in KNOTS if k not in present]
+    rows = {r.name: r for r in records
+            if r.kind == "knot" and crossing_number(r.name) is not None}
+    names = args.names.split(",")
+    unknown = [name for name in names if name not in rows]
+    if unknown:
+        ap.error(f"no prime-knot row named {', '.join(unknown)}")
     index = InvariantIndex()
-    unindexed = [(record.name, record.braid()) for record in records
-                 if record.kind != "link" and record.name not in names]
+    for record in records:
+        if record.kind != "link" and record.name not in names:
+            index.defer(record.name, record.braid())
     inv = T0Invariant()
     found: dict[str, dict] = {}
     for length in map(int, args.lengths.split(",")):
@@ -203,7 +173,7 @@ def main() -> int:
                   file=sys.stderr)
             continue
         start = time.time()
-        checks = search(args.strands, length, names, index, unindexed, inv, found)
+        checks = search(args.strands, length, [rows[name] for name in names], index, inv, found)
         print(f"# strands {args.strands} length {length}: {checks} full checks, "
               f"{time.time() - start:.1f}s", file=sys.stderr, flush=True)
 

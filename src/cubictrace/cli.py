@@ -2,7 +2,6 @@
 
 Subcommands:
   invariant  evaluate one invariant of one braid closure
-  kauffman   the two-variable Kauffman/Dubrovnik trace of a braid closure
   table      recompute the x = 2a invariant over the embedded catalog
   verify     run the verification suites
 
@@ -74,15 +73,6 @@ def cmd_invariant(args) -> int:
     return 0
 
 
-def cmd_kauffman(args) -> int:
-    braid = _braid_from_args(args)
-    if args.at is not None:
-        print(kauffman_at_point(braid, AT_POINTS[args.at]).render())
-    else:
-        print(markov_trace_pm_fast(braid, args.variant).render())
-    return 0
-
-
 def cmd_table(args) -> int:
     rep = table_report(path=args.input)
     print(rep.render(timings=args.timings))
@@ -112,13 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="t0x2a only: base value of the theorem trace, default 0 "
                           "(provably irrelevant)")
     inv.set_defaults(func=cmd_invariant)
-
-    kau = sub.add_parser("kauffman", help="two-variable Kauffman/Dubrovnik trace")
-    kau.add_argument("--braid", required=True)
-    kau.add_argument("--strands", type=int, required=True)
-    kau.add_argument("--variant", choices=["+", "-"], required=True)
-    kau.add_argument("--at", choices=sorted(AT_POINTS), default=None)
-    kau.set_defaults(func=cmd_kauffman)
 
     tab = sub.add_parser("table", help="recompute the x = 2a invariant catalog")
     tab.add_argument("--input", default=None, help="alternate TSV path")

@@ -35,7 +35,7 @@ by (strands, step-table id).  Combining it with
 the Ocneanu and Kauffman traces specialized at y = 1, x = 2a (where those
 two degenerate to a^(#L-1) and a^(#L-1) det^2), each likewise computed at
 the two points and joined once, yields the exotic link invariant
-`t0_invariant`, pinned by the 3-strand values t_3(1) = 1,
+`T0Invariant`, pinned by the 3-strand values t_3(1) = 1,
 t_3(s_1) = t_3(s_1 s_2) = 0 and provably independent of the free base
 value t_1(1) = lambda.
 """
@@ -319,17 +319,6 @@ class T0Invariant:
 
     def value(self, w: BraidWord) -> QA:
         return self.components(w).value
-
-
-_DEFAULT_T0: dict[Fraction, T0Invariant] = {}
-
-
-def t0_invariant(w: BraidWord, base: Fraction = Fraction(0)) -> QA:
-    inv = _DEFAULT_T0.get(base)
-    if inv is None:
-        inv = T0Invariant(ThmTraceConfig(base=base))
-        _DEFAULT_T0[base] = inv
-    return inv.value(w)
 
 
 # -- non-splitting certificate -----------------------------------------------------

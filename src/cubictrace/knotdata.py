@@ -12,15 +12,15 @@ semicolons (tabulated "det" and "alexander" coefficients, the Kauffman
 "xdeg", the passed "screens", the Conway notation of a rational knot, the
 twists of a pretzel knot, the documentation-only x = a value as "xa=..").
 
-A prime-knot row is identified without the value it asserts: its closure
-has one component, its determinant and Alexander polynomial match the
-tabulated ones, the x-degree of its Kauffman trace passes the crossing-number
-screen, a rational knot's Kauffman polynomial is that of the 4-plat of its
-Conway notation and a pretzel knot's that of the 6-plat of its twists, its
-(HOMFLY, Kauffman) pair is not a product of two rows', and the
-distinctness certificate separates it from every other row.  Rows that
-these screens leave open carry "screen=value" and name the alternatives in
-"ambiguous".
+A prime-knot row is identified without the value it asserts, by
+`screen_chain`: its closure has one component, its determinant and
+Alexander polynomial match the tabulated ones, the x-degree of its Kauffman
+trace passes the crossing-number screen, a rational knot's Kauffman
+polynomial is that of the 4-plat of its Conway notation and a pretzel
+knot's that of the 6-plat of its twists, and its (HOMFLY, Kauffman) pair is
+not a product of two rows'.  The distinctness certificate (`InvariantIndex`)
+separates it from every other row.  Rows that these screens leave open
+carry "screen=value" and name the alternatives in "ambiguous".
 
 Row validation is a data-integrity screen, not an assertion of the table:
 words must parse, knots must close to one component, and knot determinants
@@ -35,6 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .braids import BraidWord, component_count, parse_braid
+from .burau import alexander_coefficients
 from .hecke import OcneanuTrace
 from .qa import QA, parse_qa
 from .rings import LaurentPolynomial, RingError
@@ -67,6 +68,29 @@ class KnotRecord:
             if k.strip() == key:
                 return v.strip()
         return None
+
+    @property
+    def det(self) -> int | None:
+        """The tabulated determinant."""
+        det = self.provenance_field("det")
+        return None if det is None else int(det)
+
+    @property
+    def alexander(self) -> tuple[int, ...] | None:
+        """The tabulated Alexander coefficients, lowest degree first."""
+        alexander = self.provenance_field("alexander")
+        return None if alexander is None else tuple(map(int, alexander.split(",")))
+
+    @property
+    def plats(self) -> dict[str, BraidWord]:
+        """The plats that pin the row, by screen: "rational" for a tabulated
+        Conway notation, "pretzel" for tabulated pretzel twists."""
+        plats = {}
+        if (conway := self.provenance_field("conway")) is not None:
+            plats["rational"] = rational_plat(conway)
+        if (twists := self.provenance_field("pretzel")) is not None:
+            plats["pretzel"] = pretzel_plat(tuple(map(int, twists.split(","))))
+        return plats
 
 
 class DataError(ValueError):
@@ -246,6 +270,7 @@ class InvariantIndex:
         self.tracer = OcneanuTrace()
         self._names: dict[tuple[LaurentPolynomial, LaurentPolynomial], str] = {}
         self._keys: list[tuple[str, tuple[LaurentPolynomial, LaurentPolynomial], Fraction]] = []
+        self._deferred: list[tuple[str, BraidWord]] = []
 
     def key(self, braid: BraidWord) -> tuple[LaurentPolynomial, LaurentPolynomial]:
         return invariant_key(braid, self.evaluator, self.tracer)
@@ -258,10 +283,22 @@ class InvariantIndex:
             self._keys.append((name, key, key[0].evaluate(self.POINT)))
         return keys[0]
 
+    def defer(self, name: str, braid: BraidWord) -> None:
+        """`add` the closure when `match` or `factor` first needs it (both
+        traces of it and of its mirror image cost far more than a lookup)."""
+        self._deferred.append((name, braid))
+
+    def _add_deferred(self) -> None:
+        for name, braid in self._deferred:
+            self.add(name, braid)
+        self._deferred.clear()
+
     def match(self, key: tuple[LaurentPolynomial, LaurentPolynomial]) -> str | None:
+        self._add_deferred()
         return self._names.get(key)
 
     def factor(self, key: tuple[LaurentPolynomial, LaurentPolynomial]) -> tuple[str, str] | None:
+        self._add_deferred()
         homfly, kauffman = key
         value = homfly.evaluate(self.POINT)
         by_value: dict[Fraction, list[tuple[str, tuple]]] = {}
@@ -277,3 +314,53 @@ class InvariantIndex:
                 if homfly_a * homfly_b == homfly and kauffman_a * kauffman_b == kauffman:
                     return name_a, name_b
         return None
+
+
+# The screens of `screen_chain`, in the order it runs them.
+SCREENS = ("components", "det", "alexander", "xdeg", "rational", "pretzel", "prime")
+
+
+@dataclass
+class Screening:
+    """Where a closure left `screen_chain`."""
+
+    failed: str | None  # the screen that ruled out the last candidate row; None if none did
+    rows: list[KnotRecord]  # the candidate rows that passed every screen
+    xdeg: int | None = None  # the Kauffman x-degree, once the trace was taken
+    key: tuple[LaurentPolynomial, LaurentPolynomial] | None = None  # once the prime screen ran
+
+
+def screen_chain(braid: BraidWord, rows: list[KnotRecord], index: InvariantIndex) -> Screening:
+    """Screen a closure against the tabulated data of candidate knot rows,
+    never their x = 2a values, cheapest screen first (`SCREENS`).
+
+    Each screen drops the rows it rules out; components and prime judge
+    the closure alone.  The Kauffman trace is taken only for a closure that
+    passes the Alexander screen, and the HOMFLY trace only for one that
+    passes the plat screens.
+    """
+    if component_count(braid) != 1:
+        return Screening("components", [])
+    det = alexander_det(braid)
+    rows = [row for row in rows if row.det == det]
+    if not rows:
+        return Screening("det", [])
+    alexander = alexander_coefficients(braid)
+    rows = [row for row in rows if row.alexander == alexander]
+    if not rows:
+        return Screening("alexander", [])
+    trace = markov_trace_pm_fast(braid, "+", index.evaluator)
+    xdeg = x_degree(trace)
+
+    rows = [row for row in rows if crossing_screen(row.name, xdeg)]
+    if not rows:
+        return Screening("xdeg", [], xdeg)
+    for screen in ("rational", "pretzel"):
+        rows = [row for row in rows if (plat := row.plats.get(screen)) is None
+                or plat_screen(trace, plat, index.evaluator)]
+        if not rows:
+            return Screening(screen, [], xdeg)
+    key = index.key(braid)
+    if index.factor(key):
+        return Screening("prime", [], xdeg, key)
+    return Screening(None, rows, xdeg, key)

@@ -130,10 +130,6 @@ class LaurentPolynomial:
         mono = tuple(power if v == name else 0 for v in variables)
         return cls._trusted(variables, {mono: 1})
 
-    @classmethod
-    def monomial(cls, coeff, exponents: Monomial, variables: Sequence[str]) -> "LaurentPolynomial":
-        return cls(variables, {tuple(exponents): _as_fraction(coeff)})
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -561,15 +557,15 @@ class Specialization:
             return p
         return p.substitute(self.images, self.variables)
 
-    def point(self, rng: random.Random, low: int = 1, high: int = 10 ** 6) -> dict[str, Fraction]:
+    def point(self, rng: random.Random, low: int = 1) -> dict[str, Fraction]:
         """A random rational point of the locus, as the values of a, b and c.
 
-        Each target variable is drawn uniformly from +-[low, high]; the
+        Each target variable is drawn uniformly from +-[low, 10^6]; the
         mapped variables take the values of their images there.
         """
         point: dict[str, Fraction] = {}
         for v in self.variables:
-            mag = Fraction(rng.randint(low, high))
+            mag = Fraction(rng.randint(low, 10 ** 6))
             point[v] = mag if rng.random() < 0.5 else -mag
         for v, image in self.images.items():
             point[v] = image.evaluate(point)

@@ -492,10 +492,11 @@ class RetractionReport:
                 and self.sandwich and self.c_central)
 
 
-def retraction_check(n: int = 4) -> RetractionReport:
+def retraction_check() -> RetractionReport:
     """At x = -2a the assignment s_i, s_i^-1 -> -e_i - a, C -> C satisfies
-    the braid-algebra relations inside the extended Temperley-Lieb algebra."""
-    alg = ExtTL(n)
+    the braid-algebra relations inside the extended Temperley-Lieb algebra
+    of rank 4."""
+    alg = ExtTL(4)
 
     def at(p: LaurentPolynomial) -> QA:
         return specialize(p, -2 * A)

@@ -53,9 +53,9 @@ from . import tl as tlmod
 
 
 def _random_braid(rng: random.Random, max_strands: int, max_len: int,
-                  min_strands: int = 2, min_len: int = 0) -> BraidWord:
+                  min_strands: int = 2) -> BraidWord:
     n = rng.randint(min_strands, max_strands)
-    length = rng.randint(min_len, max_len)
+    length = rng.randint(0, max_len)
     letters = []
     for _ in range(length):
         i = rng.randint(1, n - 1)
@@ -106,7 +106,8 @@ def suite_h3(seed: int = 11, pit_points: int = 7) -> SuiteReport:
     return rep
 
 
-def suite_braid(seed: int = 3, samples: int = 500) -> SuiteReport:
+def suite_braid(seed: int = 3) -> SuiteReport:
+    samples = 500
     rep = SuiteReport("braid")
     rng = random.Random(seed)
     pairs = []  # (w, w after three random Markov moves)
@@ -139,7 +140,8 @@ def suite_braid(seed: int = 3, samples: int = 500) -> SuiteReport:
     return rep
 
 
-def suite_skein(seed: int = 5, markov_braids: int = 100) -> SuiteReport:
+def suite_skein(seed: int = 5) -> SuiteReport:
+    markov_braids = 100
     rep = SuiteReport("skein")
     one = LaurentPolynomial.one(AX)
     evs = {v: KauffmanEvaluator(v) for v in "+-"}
@@ -214,7 +216,8 @@ def suite_skein(seed: int = 5, markov_braids: int = 100) -> SuiteReport:
     return rep
 
 
-def suite_hecke(seed: int = 7, pairs: int = 200) -> SuiteReport:
+def suite_hecke(seed: int = 7) -> SuiteReport:
+    pairs = 200
     rep = SuiteReport("hecke")
     ring = HeckeRing.generic()
     tracer = OcneanuTrace(ring)
@@ -273,7 +276,8 @@ def suite_hecke(seed: int = 7, pairs: int = 200) -> SuiteReport:
     return rep
 
 
-def suite_coxeter(seed: int = 7, markov_braids: int = 300) -> SuiteReport:
+def suite_coxeter(seed: int = 7) -> SuiteReport:
+    markov_braids = 300
     rep = SuiteReport("coxeter")
     for n in (3, 4, 5, 6, 7):
         rep.run(f"coxeter/braid relations A{n - 1}",
@@ -353,7 +357,8 @@ def suite_coxeter(seed: int = 7, markov_braids: int = 300) -> SuiteReport:
     return rep
 
 
-def suite_tl(seed: int = 13, pairs: int = 200) -> SuiteReport:
+def suite_tl(seed: int = 13) -> SuiteReport:
+    pairs = 200
     rep = SuiteReport("tl")
     rng = random.Random(seed)
 
@@ -431,7 +436,7 @@ def suite_tl(seed: int = 13, pairs: int = 200) -> SuiteReport:
 
     rep.run(f"tl/associativity on {pairs} random triples at rank 4", associativity)
     rep.run("tl/splitting certificates", lambda: tlmod.split_checks().ok)
-    rep.run("tl/retraction at x = -2a", lambda: tlmod.retraction_check(4).ok)
+    rep.run("tl/retraction at x = -2a", lambda: tlmod.retraction_check().ok)
 
     def rank3_witness() -> bool:
         alg3 = tlmod.ExtTL(3)

@@ -310,7 +310,7 @@ def test_criterion_10_extended_tl():
             if trace_xa(s, n) != QA(0) or trace_x2a(s, n) != QA(0):
                 rel_ok = False
     split = split_checks()
-    retract = retraction_check(4)
+    retract = retraction_check()
     ok = cyc_ok and rel_ok and split.ok and retract.ok
     _verdict(10, ok,
              f"cyclicity {cyc_ok} and relator compatibility {rel_ok} on 200+200 seeded "

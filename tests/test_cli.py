@@ -1,29 +1,30 @@
 """CLI surface and catalog data integrity."""
 
+import dataclasses
 import functools
 import importlib.util
 import operator
 import os
 import subprocess
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
 from cubictrace.braids import BraidWord
 from cubictrace.cli import main
+from cubictrace.coxeter import T0Invariant
 from cubictrace.knotdata import (
     COLUMNS,
     InvariantIndex,
     crossing_number,
-    crossing_screen,
     load_records,
     parse_records,
     plat_screen,
     pretzel_plat,
-    rational_plat,
+    screen_chain,
     validate_record,
-    x_degree,
 )
 from cubictrace.skein import alexander_det, markov_trace_pm_fast
 
@@ -41,6 +42,15 @@ def cli_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def load_script(name: str):
+    """A module of scripts/, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cli(args, capsys):
@@ -71,8 +81,8 @@ class TestInvariantCommand:
         assert code == 0 and out == "16"
 
     def test_kauffman_at_point(self, capsys):
-        code, out = run_cli(["kauffman", "--braid", "1 1 1", "--strands", "2",
-                             "--variant", "+", "--at", "x2a"], capsys)
+        code, out = run_cli(["invariant", "--which", "kauffman+", "--braid", "1 1 1",
+                             "--strands", "2", "--at", "x2a"], capsys)
         assert code == 0 and out == "9"
 
     def test_base_flag_is_irrelevant(self, capsys):
@@ -85,7 +95,7 @@ class TestInvariantCommand:
 
     @pytest.mark.parametrize("args", [
         ["invariant", "--which", "parity", "--braid", "1 5", "--strands", "3"],
-        ["kauffman", "--braid", "1 x", "--strands", "2", "--variant", "+", "--at", "x2a"],
+        ["invariant", "--which", "kauffman+", "--braid", "1 x", "--strands", "2", "--at", "x2a"],
         ["invariant", "--which", "parity"],
         ["invariant", "--which", "hecke", "--braid", "1", "--strands", "2", "--at", "xa"],
         ["table", "--input", "missing.tsv"],
@@ -185,37 +195,47 @@ class TestData:
                 assert f"{c}_{k}" in records, f"{c}_{k} missing"
 
     def test_rows_are_identified_without_their_value(self):
-        """Distinctness certificate and the crossing-number, rational, pretzel and prime screens."""
+        """Distinctness certificate and the whole screen chain on every prime-knot row."""
         records = load_records()
         index = InvariantIndex()
-        keys = {}
         for record in records:
             if record.kind == "link":
                 continue
-            keys[record.name] = index.add(record.name, record.braid())
-            assert index.match(keys[record.name]) == record.name, \
-                (record.name, index.match(keys[record.name]))
+            key = index.add(record.name, record.braid())
+            assert index.match(key) == record.name, (record.name, index.match(key))
         for record in records:
             if record.kind != "knot" or crossing_number(record.name) is None:
                 continue
-            trace = keys[record.name][1]
-            assert crossing_screen(record.name, x_degree(trace)), record.name
-            assert index.factor(keys[record.name]) is None, \
-                (record.name, index.factor(keys[record.name]))
+            screening = screen_chain(record.braid(), [record], index)
+            assert screening.failed is None and screening.rows == [record], \
+                (record.name, screening.failed)
             screens = record.provenance_field("screens").split(",")
             assert {"det", "alexander", "xdeg", "prime", "distinct"} <= set(screens), record.name
             assert "value" not in screens, record.name
-            conway = record.provenance_field("conway")
-            if conway is not None:
-                assert "rational" in screens
-                assert plat_screen(trace, rational_plat(conway), index.evaluator), record.name
-            pretzel = record.provenance_field("pretzel")
-            if pretzel is not None:
-                assert "pretzel" in screens
-                twists = tuple(map(int, pretzel.split(",")))
-                assert plat_screen(trace, pretzel_plat(twists), index.evaluator), record.name
+            assert ("rational" in screens) == (record.provenance_field("conway") is not None)
+            assert ("pretzel" in screens) == (record.provenance_field("pretzel") is not None)
             if record.provenance_field("screen") == "value":
                 assert record.name in record.provenance_field("ambiguous").split("/")
+
+    def test_screen_chain_stops_at_the_first_failing_screen(self):
+        records = {r.name: r for r in load_records()}
+        index = InvariantIndex()
+        for name in ("3_1", "4_1", "5_2"):
+            index.add(name, records[name].braid())
+        not_5_1 = dataclasses.replace(records["5_2"], provenance=records["5_2"].provenance
+                                      .replace("conway=32", "conway=5"))
+        for word, row, failed in (("L2a1", records["3_1"], "components"),
+                                  ("4_1", records["5_2"], "det"),
+                                  ("8_20", records["6_1"], "alexander"),
+                                  ("9_46", records["6_1"], "xdeg"),
+                                  ("5_2", not_5_1, "rational"),
+                                  ("3_1#3_1", records["8_20"], "prime")):
+            screening = screen_chain(records[word].braid(), [row], index)
+            assert (screening.failed, screening.rows) == (failed, []), (word, row.name)
+        screening = screen_chain(records["4_1"].braid(), [records["3_1"], records["4_1"]],
+                                 index)
+        assert screening.failed is None and screening.rows == [records["4_1"]]
+        assert screening.xdeg == 3 and index.match(screening.key) == "4_1"
 
     def test_pretzel_plat_closes_to_known_knots(self):
         records = {r.name: r for r in load_records()}
@@ -236,10 +256,7 @@ class TestData:
         """The search script's first screen: Burau products at t = -1 built
         letter by letter as its depth-first search builds them, then the
         closure determinant, against the tabulated det of every knot row."""
-        path = Path(__file__).resolve().parent.parent / "scripts" / "search_braid_words.py"
-        spec = importlib.util.spec_from_file_location("search_braid_words", path)
-        search = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(search)
+        search = load_script("search_braid_words")
         checked = 0
         for record in load_records():
             det_field = record.provenance_field("det")
@@ -261,9 +278,49 @@ class TestData:
                 words += 1
             assert words > 0, (n, length)
 
-    def test_tsv_is_bit_exact_grammar(self):
-        from importlib.resources import files
+    def test_search_script_screens_against_catalog_rows(self, capsys):
+        """The search takes its targets' tabulated data from the catalog rows,
+        and its distinctness index adds the deferred rows at the first lookup."""
+        search = load_script("search_braid_words")
+        records = {r.name: r for r in load_records()}
+        index = InvariantIndex()
+        for name in ("3_1", "5_2"):
+            index.defer(name, records[name].braid())
+        found = {}
+        # three words reach the Kauffman trace; 5_2's own word is an indexed row's, not a hit
+        assert search.search(3, 6, [records["4_1"], records["5_2"]], index,
+                             T0Invariant(), found) == 3
+        assert list(found) == ["4_1"]
+        assert capsys.readouterr().out == "HIT 4_1: (3, '-2 -2 -1 2 1 1')  xdeg=3 x2a=16\n"
+        assert index.match(index.key(records["5_2"].braid())) == "5_2"
 
+    def test_curation_is_a_fixed_point(self, tmp_path, capsys):
+        """The curation re-screens the packaged catalog and writes it back unchanged."""
+        out = tmp_path / "knots.tsv"
+        assert load_script("curate_knot_data").main(["--out", str(out)]) == 0
+        assert "DISAGREES" not in capsys.readouterr().out
+        packaged = files("cubictrace") / "data" / "knots.tsv"
+        assert out.read_bytes() == packaged.read_bytes()
+
+    def test_curation_screens_and_rewrites_a_sub_catalog(self, tmp_path, monkeypatch, capsys):
+        curate = load_script("curate_knot_data")
+        lines = (files("cubictrace") / "data" / "knots.tsv").read_text().splitlines()
+        sub = [line for line in lines[1:] if line.split("\t")[0] in
+               ("3_1", "4_1", "5_2", "3_1#3_1", "L2a1")]
+        out = tmp_path / "knots.tsv"
+        wrong_det = [line.replace("det=5;", "det=7;") for line in sub]
+        monkeypatch.setattr(curate, "load_records", lambda: parse_records("\n".join(wrong_det)))
+        assert curate.main(["--out", str(out)]) == 1
+        assert "FAILED 4_1: fails det" in capsys.readouterr().out
+        assert not out.exists()
+        stale = [line.replace("xdeg=4;screens=components,det,", "xdeg=9;screens=")
+                 for line in sub]
+        assert stale != sub
+        monkeypatch.setattr(curate, "load_records", lambda: parse_records("\n".join(stale)))
+        assert curate.main(["--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [lines[0]] + sub
+
+    def test_tsv_is_bit_exact_grammar(self):
         text = (files("cubictrace") / "data" / "knots.tsv").read_text()
         header, *rows = [l for l in text.splitlines() if l.strip()]
         assert header.split("\t") == ["name", "strands", "word", "expected_x2a",

@@ -17,7 +17,6 @@ from cubictrace.coxeter import (
     act_word,
     nonsplit_certificate,
     shifted_minus_a,
-    t0_invariant,
     verify_braid_relations,
 )
 from cubictrace.hecke import _SYMMETRIC, MAX_STRANDS, reduced_word
@@ -226,9 +225,10 @@ class TestT0Invariant:
         assert inv.value(BraidWord(3, (1, 2))) == QA(0)
 
     def test_table_anchors(self):
-        assert t0_invariant(parse_braid("1 1 1", 2)) == QA(0)
-        assert t0_invariant(parse_braid("1 -2 1 -2", 3)) == QA(16)
-        assert t0_invariant(parse_braid("1 1 1 2 2 2", 3)) == QA(64)
+        inv = T0Invariant()
+        assert inv.value(parse_braid("1 1 1", 2)) == QA(0)
+        assert inv.value(parse_braid("1 -2 1 -2", 3)) == QA(16)
+        assert inv.value(parse_braid("1 1 1 2 2 2", 3)) == QA(64)
 
     def test_unlink_series(self):
         inv = T0Invariant()
@@ -263,7 +263,7 @@ class TestT0Invariant:
             assert inv.value(w.reverse()) == base
 
     def test_hopf_link_value(self):
-        assert t0_invariant(parse_braid("-1 -1", 2)) == QA(0)
+        assert T0Invariant().value(parse_braid("-1 -1", 2)) == QA(0)
 
     def test_components_exposed_for_diagnostics(self):
         inv = T0Invariant()

@@ -1,6 +1,7 @@
-"""Every module under src/cubictrace/ and scripts/ uses each name it imports,
-and every module-level function and class there, and every method of such a
-class but the dunders, is used somewhere."""
+"""Every module under src/cubictrace/, scripts/ and tests/ uses each name it
+imports, and every module-level function and class under src/cubictrace/
+and scripts/, and every method of such a class but the dunders, is used
+somewhere."""
 
 import ast
 from collections import Counter
@@ -11,6 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted(p for p in (ROOT / "src" / "cubictrace").glob("*.py") if p.name != "__init__.py")
 MODULES = LIBRARY + sorted((ROOT / "scripts").glob("*.py"))
+# perfbench/ is left out: its worker imports modules only to warm them
+IMPORTERS = MODULES + sorted((ROOT / "tests").glob("*.py"))
 # every place a library name may be used from
 READERS = sorted(p for d in ("src", "scripts", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
@@ -49,7 +52,7 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -65,7 +65,7 @@ class TestArithmetic:
         items = sorted(p.terms.items(), reverse=True)
         rebuilt = LaurentPolynomial(p.variables, {})
         for mono, c in items:
-            rebuilt = rebuilt + LaurentPolynomial.monomial(c, mono, p.variables)
+            rebuilt = rebuilt + LaurentPolynomial(p.variables, {mono: c})
         assert rebuilt == p
         assert hash(rebuilt) == hash(p)
         assert rebuilt.render() == p.render()
@@ -126,7 +126,7 @@ class TestCanonicalCoefficients:
            st.tuples(exponents, exponents), st.integers(min_value=0, max_value=3))
     @settings(max_examples=80, deadline=None)
     def test_results_are_canonical_and_match_all_fraction_inputs(self, p, q, c, mono, n):
-        m = LaurentPolynomial.monomial(c, mono, p.variables)
+        m = LaurentPolynomial(p.variables, {mono: c})
         assert _canonical(p) and _canonical(q) and _canonical(m)
         fractions = [_all_fractions(x) for x in (p, q, m)]
         for name, op in self.OPS.items():

@@ -170,5 +170,5 @@ class TestCertificates:
         assert rep.braid_obstruction_unit_x2a
 
     def test_retraction(self):
-        rep = retraction_check(4)
+        rep = retraction_check()
         assert rep.ok, rep
