@@ -5,6 +5,10 @@ Subcommands:
   table      recompute the x = 2a invariant over the embedded catalog
   verify     run the verification suites
 
+`kauffman+ --at P` prints the point value of `skein.kauffman_at_point`:
+the `+` trace at a = 1 and the `-` (Dubrovnik) trace at a = -1, joined
+in Q[a]/(a^2-1); `kauffman-` takes no `--at`.
+
 Exit code 0 means every strict comparison passed.  Bad braid or ring input,
 an `--at` or `--base` the chosen invariant does not take, more strands than
 the Hecke and theorem-trace engines take (`hecke.MAX_STRANDS`), a
@@ -48,7 +52,7 @@ def _braid_from_args(args) -> BraidWord:
 def cmd_invariant(args) -> int:
     braid = _braid_from_args(args)
     which = args.which
-    if which in ("t0x2a", "parity") and args.at is not None:
+    if which in ("t0x2a", "parity", "kauffman-") and args.at is not None:
         raise RingError(f"{which} takes no --at")
     if which != "t0x2a" and args.base is not None:
         raise RingError(f"{which} takes no --base")
@@ -63,9 +67,8 @@ def cmd_invariant(args) -> int:
         else:
             raise RingError("hecke supports --at x2a only")
     elif which in ("kauffman+", "kauffman-"):
-        variant = which[-1]
         if args.at is None:
-            print(markov_trace_pm_fast(braid, variant).render())
+            print(markov_trace_pm_fast(braid, which[-1]).render())
         else:
             print(kauffman_at_point(braid, AT_POINTS[args.at]).render())
     else:  # parity
@@ -97,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["t0x2a", "hecke", "kauffman+", "kauffman-", "parity"])
     inv.add_argument("--braid", help="whitespace-separated signed generator indices")
     inv.add_argument("--strands", type=int)
-    inv.add_argument("--at", choices=sorted(AT_POINTS), default=None)
+    inv.add_argument("--at", choices=sorted(AT_POINTS), default=None,
+                     help="the image of x in Q[a]/(a^2-1); kauffman+ then joins + at "
+                          "a = 1 with - at a = -1")
     inv.add_argument("--base", type=int, default=None,
                      help="t0x2a only: base value of the theorem trace, default 0 "
                           "(provably irrelevant)")

@@ -26,12 +26,10 @@ theorem trace and `nonsplit_certificate` run it at a = 1 and at a = -1
 on integer (or Q[L]) coefficients and never leave them.
 
 For W = S_n the tower carries a unique-per-normalization family of Markov
-traces with t_2(C) = 1; `ThmTraceEngine` computes it by the coset-peeling
-recursion, at a = 1 and at a = -1 over int (Fraction for a fractional
-base value), and joins the two values once per braid.  Like the Ocneanu
-trace, it peels a w that moves the top strand into one word on n-1
-strands (`coset_peel`), acts with it from the identity, and keys its memo
-by (strands, step-table id).  Combining it with
+traces with t_2(C) = 1; `ThmTraceEngine` is two `hecke.TowerTrace`s, the
+recursion the Ocneanu trace runs too, at a = 1 and at a = -1 over int
+(Fraction for a fractional base value), with the C-term on and its own
+level-descent rule, and joins the two values once per braid.  Combining it with
 the Ocneanu and Kauffman traces specialized at y = 1, x = 2a (where those
 two degenerate to a^(#L-1) and a^(#L-1) det^2), each likewise computed at
 the two points and joined once, yields the exotic link invariant
@@ -47,8 +45,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .braids import BraidWord
-from .hecke import (CoxeterSystem, SymmetricCoxeter, _act_at, coset_peel, hecke_trace_qa,
-                    parity_tracers, symmetric)
+from .hecke import (CoxeterSystem, HeckeRing, SymmetricCoxeter, TowerTrace, _act_at,
+                    hecke_trace_qa, parity_tracers)
 from .linalg import Matrix, eliminate
 from .qa import A, QA
 from .rings import LaurentPolynomial, RingError
@@ -174,66 +172,31 @@ class ThmTraceEngine:
 
     On basis cells:
       * t_n(C) = a^n for n >= 2 (forced by t_2(C) = 1 and the Markov move);
-      * if w uses the top strand, peel w = w' (s_{n-1} ... s_k): the Markov
-        move drops s_{n-1} and the trace recurses on the level-(n-1) vector
-        of the word w' (s_{n-2} ... s_k);
+      * if w uses the top strand, the Markov move peels it (`coset_peel`);
       * otherwise descend a level: t_n(E_w) = a t_{n-1}(E_w) + a^(l(w)+n-1),
         which is what 1 = (a/2)(s + s^-1) + aC forces.  The variant flag
         switches the constant to a^(l(w)+n), which breaks the negative
         Markov move at a = -1; `trace_property_suite` arbitrates.
       * t_1(E_1) = lambda.
 
-    The recursion runs at a fixed a = +-1 on the dicts of `_act_at` over
-    the step table of `hecke.symmetric(n)`, and is memoized per (n, step-table
-    id, a); `trace_braid` joins the two values.
+    These are two `hecke.TowerTrace`s, at (x, y) = (2a, 1) with the C-term
+    for a = 1 and for a = -1, over int (Fraction for a fractional lambda),
+    sharing one memo; `trace_braid` joins their two values.
     """
 
     def __init__(self, cfg: ThmTraceConfig | None = None):
-        self.cfg = cfg or ThmTraceConfig()
+        self.cfg = cfg = cfg or ThmTraceConfig()
+        base = cfg.base.numerator if cfg.base.denominator == 1 else cfg.base
+        shift = 0 if cfg.printed_exponent_variant else -1
         # (n, id of w, a) -> t_n(E_w) at a = +-1
         self._memo: dict[tuple[int, int, int], object] = {}
+        self.towers = tuple(
+            TowerTrace(HeckeRing.numeric(2 * a, 1), base,
+                       lambda t, length, n, a=a: a * t + a ** (length + n + shift), a, self._memo)
+            for a in (1, -1))
 
     def trace_braid(self, w: BraidWord) -> QA:
-        return QA.from_components(*(self._word_trace(w.strands, w.letters, a) for a in (1, -1)))
-
-    def _word_trace(self, n: int, word: Sequence[int], a: int):
-        """t_n of the image of `word` on n strands at a = +-1."""
-        cox = symmetric(n)
-        start = {cox.steps.id(cox.identity(), 0): 1}
-        return self.trace_at(n, *_act_at(cox, word, start, 2 * a, 1, 1, a, 0), a)
-
-    def trace_at(self, n: int, vec: dict, c, a: int):
-        """t_n(sum_i vec[i] E_w(i) + c C) at a = +-1, keys being element ids of
-        `hecke.symmetric(n).steps` (the output of `_act_at`)."""
-        if c and n < 2:
-            raise RingError("C does not exist on fewer than 2 strands")
-        total = c * a ** n
-        for i, x in vec.items():
-            total += x * self._trace_basis(n, i, a)
-        return total
-
-    def _trace_basis(self, n: int, i: int, a: int):
-        """t_n(E_w) at a = +-1, w having the id i in `symmetric(n).steps`."""
-        if n == 1:
-            base = self.cfg.base
-            return base.numerator if base.denominator == 1 else base
-        key = (n, i, a)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        steps = symmetric(n).steps
-        w, length = steps.elements[i], steps.lengths[i]
-        if w[n - 1] == n - 1:
-            # w fixes the top strand: level descent, which keeps l(w)
-            shift = length + n - 1
-            if self.cfg.printed_exponent_variant:
-                shift += 1
-            lower = symmetric(n - 1).steps.id(w[:-1], length)
-            value = a * self._trace_basis(n - 1, lower, a) + a ** shift
-        else:
-            value = self._word_trace(n - 1, coset_peel(w), a)
-        self._memo[key] = value
-        return value
+        return QA.from_components(*(tower.of_braid(w) for tower in self.towers))
 
 
 # -- the combined invariant at x = 2a ----------------------------------------------

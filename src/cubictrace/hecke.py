@@ -1,4 +1,4 @@
-"""The Iwahori-Hecke algebra H_n(b,c) on the T_w basis, with the Ocneanu trace.
+"""The Iwahori-Hecke algebra H_n(b,c) on the T_w basis, and the Markov traces on its tower.
 
 Elements live over Q[x^+-1, y^+-1] (x = b + c, y = bc), or over the
 rationals at one point (x, y) (`HeckeRing.numeric`).  The quadratic
@@ -7,18 +7,21 @@ on sparse dicts keyed by the element ids of a Coxeter system's step table
 (`_StepTable`).  It is also the action of the central extension of
 `coxeter`, at (x, y) = (2a, 1) with a C-term that only the extension
 switches on.  There is one `SymmetricCoxeter` per strand count per process
-(`symmetric`), so the Ocneanu trace here and the theorem trace of
-`coxeter` both key their memos by (strands, step-table id).
+(`symmetric`).
 
-The Ocneanu Markov trace is normalized by t_1(1) = 1 and loop value
-delta_H = (y + 1)/x, which is the unique choice making both stabilizations
-trace-preserving: t(u s_n) = t(u s_n^-1) = t(u).  A w in S_n that moves the
-top strand is w' (s_{n-2} ... s_k); the Markov move eats s_{n-2} and
-leaves one word on n-1 strands, a reduced word of w' and then the run
-s_{n-3} ... s_k (`coset_peel`), which acts from the identity.  The value
-at y = 1, x = 2a in Q[a]/(a^2-1) (`hecke_trace_qa`) is joined from the two
-integer traces at (x, y) = (2, 1) and (-2, 1), the values at a = 1 and
-a = -1.
+`TowerTrace` is the one recursion of a Markov trace on the tower S_1,
+S_2, ...: a w in S_n that moves the top strand is w' (s_{n-2} ... s_k);
+the Markov move eats s_{n-2} and leaves one word on n-1 strands, a
+reduced word of w' and then the run s_{n-3} ... s_k (`coset_peel`), which
+acts from the identity; a w that fixes the top strand descends a level by
+a rule the trace supplies.  It memoizes per (strands, step-table id, a).
+The Ocneanu trace (`OcneanuTrace`) is the tower with t_1(1) = 1 and the
+rule t_n(T_w) = delta_H t_{n-1}(T_w), delta_H = (y + 1)/x, the unique
+choice making both stabilizations trace-preserving: t(u s_n) =
+t(u s_n^-1) = t(u).  The theorem trace of `coxeter` is two towers at
+(x, y) = (2a, 1) with the C-term on.  The Ocneanu value at y = 1, x = 2a
+in Q[a]/(a^2-1) (`hecke_trace_qa`) is joined from the two integer traces
+at (x, y) = (2, 1) and (-2, 1), the values at a = 1 and a = -1.
 
 Permutations are tuples in one-line notation on 0..n-1.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .braids import BraidWord
 from .combination import Combination
@@ -277,53 +280,82 @@ class HeckeElement(Combination):
     __slots__ = ()
 
 
-def _image(n: int, word: Sequence[int], ring: HeckeRing) -> tuple[_StepTable, dict]:
-    """The image of a word on n strands, keyed by the step-table ids of `symmetric(n)`."""
+def _image(n: int, word: Sequence[int], ring: HeckeRing, a=None, c=None
+           ) -> tuple[_StepTable, dict, object]:
+    """The image of a word on n strands, acting from the identity, as
+    (steps, vec, c): `vec` is keyed by the step-table ids of `symmetric(n)`,
+    and c is the C coefficient when `a` and a start c are given (else None)."""
     cox = symmetric(n)
     start = {cox.steps.id(cox.identity(), 0): ring.one}
-    return cox.steps, _act_at(cox, word, start, ring.x, ring.y, ring.y_inv)[0]
+    return (cox.steps, *_act_at(cox, word, start, ring.x, ring.y, ring.y_inv, a, c))
 
 
 def hecke_normal_form(w: BraidWord, ring: HeckeRing | None = None) -> HeckeElement:
     """Image of a braid word on the T_w basis."""
-    steps, vec = _image(w.strands, w.letters, ring or HeckeRing.generic())
+    steps, vec, _ = _image(w.strands, w.letters, ring or HeckeRing.generic())
     return HeckeElement({steps.elements[i]: v for i, v in vec.items()})
 
 
-class OcneanuTrace:
-    """The Markov trace with t_1(1) = 1, memoized per (strands, step-table id)."""
+class TowerTrace:
+    """A Markov trace on the tower of S_n, memoized per (strands, step-table id, a).
 
-    def __init__(self, ring: HeckeRing | None = None):
-        self.ring = ring or HeckeRing.generic()
-        self._memo: dict[tuple[int, int], object] = {}
+    t_n of a word acts with it from the identity (`_act_at` over `ring`, and
+    with the C-term of the extension when `a` is set, t_n(C) = a^n) and
+    sums the traces of the basis elements T_w:
+      * t_1(T_1) = `base`;
+      * a w that moves the top strand is peeled by the Markov move into
+        one word on n-1 strands (`coset_peel`);
+      * a w that fixes it descends a level:
+        t_n(T_w) = descend(t_{n-1}(T_w), l(w), n).
+    Traces differ only in this data; towers that differ in `a` may share
+    one `memo`.
+    """
+
+    def __init__(self, ring: HeckeRing, base, descend: Callable, a=None,
+                 memo: dict | None = None):
+        self.ring, self.base, self.descend, self.a = ring, base, descend, a
+        self._c = None if a is None else ring.zero
+        self._memo: dict[tuple[int, int, object], object] = {} if memo is None else memo
 
     def of_braid(self, w: BraidWord):
         return self._word_trace(w.strands, w.letters)
 
     def _word_trace(self, n: int, word: Sequence[int]):
         """t_n of the image of `word` on n strands."""
-        total = self.ring.zero
-        for i, v in _image(n, word, self.ring)[1].items():
+        _, vec, c = _image(n, word, self.ring, self.a, self._c)
+        total = self.ring.zero if c is None else c * self.a ** n
+        for i, v in vec.items():
             total = total + v * self._basis_trace(n, i)
         return total
 
     def _basis_trace(self, n: int, i: int):
-        key = (n, i)
+        """t_n(T_w), w having the id i in `symmetric(n).steps`."""
+        if n == 1:
+            return self.base
+        key = (n, i, self.a)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        ring = self.ring
         steps = symmetric(n).steps
         w = steps.elements[i]
-        if n == 1:
-            value = ring.one
-        elif w[n - 1] == n - 1:
-            lower = symmetric(n - 1).steps.id(w[:-1], steps.lengths[i])
-            value = ring.delta * self._basis_trace(n - 1, lower)
+        if w[n - 1] == n - 1:
+            length = steps.lengths[i]
+            lower = symmetric(n - 1).steps.id(w[:-1], length)
+            value = self.descend(self._basis_trace(n - 1, lower), length, n)
         else:
             value = self._word_trace(n - 1, coset_peel(w))
         self._memo[key] = value
         return value
+
+
+class OcneanuTrace(TowerTrace):
+    """The Markov trace with t_1(1) = 1 and t_n(T_w) = delta t_{n-1}(T_w)
+    for a w that fixes the top strand."""
+
+    def __init__(self, ring: HeckeRing | None = None):
+        ring = ring or HeckeRing.generic()
+        delta = ring.delta
+        super().__init__(ring, ring.one, lambda t, length, n: delta * t)
 
 
 def parity_tracers() -> tuple[OcneanuTrace, OcneanuTrace]:

@@ -271,9 +271,14 @@ class InvariantIndex:
         self._names: dict[tuple[LaurentPolynomial, LaurentPolynomial], str] = {}
         self._keys: list[tuple[str, tuple[LaurentPolynomial, LaurentPolynomial], Fraction]] = []
         self._deferred: list[tuple[str, BraidWord]] = []
+        self._pairs: dict[BraidWord, tuple[LaurentPolynomial, LaurentPolynomial]] = {}
 
     def key(self, braid: BraidWord) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-        return invariant_key(braid, self.evaluator, self.tracer)
+        """`invariant_key` of the closure, computed once per braid word."""
+        pair = self._pairs.get(braid)
+        if pair is None:
+            pair = self._pairs[braid] = invariant_key(braid, self.evaluator, self.tracer)
+        return pair
 
     def add(self, name: str, braid: BraidWord) -> tuple[LaurentPolynomial, LaurentPolynomial]:
         """Index the closure and its mirror image; returns the closure's pair."""

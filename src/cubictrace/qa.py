@@ -129,7 +129,6 @@ def _coerce(x) -> QA:
     return QA.from_components(x, x)
 
 
-ZERO = QA(0)
 ONE = QA(1)
 A = QA(0, 1)
 

@@ -126,7 +126,7 @@ def _braid_diagram(w: BraidWord, plat: bool) -> PlanarDiagram:
         joints.extend((dangling[i], dangling[i + 1]) for i in range(0, n, 2))
     else:
         joints.extend((dangling[i], bottoms[i]) for i in range(n))
-    arcs, loops = _contract(joints, range(-n, 0))
+    arcs, loops = contract(joints, range(-n, 0))
     nbr = [0] * (4 * len(w.letters))
     for p, q in arcs:
         nbr[p], nbr[q] = q, p
@@ -135,11 +135,13 @@ def _braid_diagram(w: BraidWord, plat: bool) -> PlanarDiagram:
     return d
 
 
-def _contract(edges: list[tuple[int, int]], internal: Container[int]):
+def contract(edges: list[tuple[int, int]], internal: Container[int]):
     """Join `edges` through the `internal` nodes, each on exactly two edges.
 
     Returns the arcs between the remaining ports, each walked from its
     smaller end, and the number of closed circles made of internal nodes.
+    Braid closures and plats are built with it, and `tl.closure_circles`
+    counts a Temperley-Lieb closure with every node internal.
     """
     adj: dict[int, list[int]] = {}
     for p, q in edges:

@@ -16,7 +16,8 @@ than proved by a confluence argument.
 
 The two trace families live at the special points:
   * x = a:  t(word of length k) = a^(k+n) (N(word) - k) with N the number
-    of circles in the diagrammatic trace closure (internal circles count),
+    of circles in the diagrammatic trace closure (internal circles count;
+    `closure_circles` counts them with the contraction `skein.contract`),
     and t(C) = -a^(n+1);
   * x = 2a: t(1) = v_n, t(e_i) = u_n, t(C) = -u_n, t(longer words) = 0,
     with u_n = -a^n, v_n = (n-2) a^(n+1) and v_1 = 0.
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from .combination import Combination
 from .qa import A, QA, specialize
 from .rings import AX, LaurentPolynomial, RingError, fold_a
+from .skein import contract
 
 Word = tuple[int, ...]
 C_WORD = "C"
@@ -196,112 +198,25 @@ def normalize_commutation_class(word: Word) -> Word:
     return tuple(w)
 
 
-# -- diagrams and closures -------------------------------------------------------
+# -- closures --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TLDiagram:
-    """Planar pairing of n top and n bottom points, plus closed circles.
+def closure_circles(word: Word, n: int) -> int:
+    """Circles of the trace closure of a word (0-indexed letters) on n strands.
 
-    Points are labeled 0..n-1 (top) and n..2n-1 (bottom).
+    Level k holds the points k n .. k n + n-1; letter k joins level k to
+    level k+1 (a cap at k n + i, k n + i+1 and a cup at the next level
+    for e_{i+1}, straight strands elsewhere), and the closure joins the
+    top level back to level 0.  Every point is internal to `contract`.
     """
-
-    n: int
-    pairing: tuple[tuple[int, int], ...]
-    circles: int = 0
-
-    def partner(self) -> dict[int, int]:
-        out = {}
-        for p, q in self.pairing:
-            out[p] = q
-            out[q] = p
-        return out
-
-    @classmethod
-    def identity(cls, n: int) -> "TLDiagram":
-        return cls(n, tuple((i, n + i) for i in range(n)))
-
-    @classmethod
-    def generator(cls, n: int, i: int) -> "TLDiagram":
-        """e_{i+1} in 0-indexed form: cup at top (i, i+1), cap at bottom."""
-        pairs = [(i, i + 1), (n + i, n + i + 1)]
-        for j in range(n):
-            if j not in (i, i + 1):
-                pairs.append((j, n + j))
-        return cls(n, tuple(sorted(tuple(sorted(p)) for p in pairs)))
-
-    def stack(self, lower: "TLDiagram") -> "TLDiagram":
-        """self on top of `lower`: bottom points of self glue to lower's top."""
-        if self.n != lower.n:
-            raise RingError("rank mismatch")
-        n = self.n
-        # relabel: self top 0..n-1 stay; interface nodes 2n..3n-1;
-        # lower bottom n..2n-1 stay.
-        up = {}
-        for p, q in self.pairing:
-            def m_up(t):
-                return t if t < n else t + n
-            up.setdefault(m_up(p), []).append(m_up(q))
-            up.setdefault(m_up(q), []).append(m_up(p))
-        for p, q in lower.pairing:
-            def m_dn(t):
-                return t + 2 * n if t < n else t
-            up.setdefault(m_dn(p), []).append(m_dn(q))
-            up.setdefault(m_dn(q), []).append(m_dn(p))
-        ends = [t for t in up if t < 2 * n]
-        seen = set()
-        pairs = []
-        for start in ends:
-            if start in seen:
-                continue
-            seen.add(start)
-            prev, node = start, up[start][0]
-            while node >= 2 * n:
-                seen.add(node)
-                nbrs = up[node]
-                node, prev = (nbrs[0] if nbrs[0] != prev else nbrs[1]), node
-            seen.add(node)
-            pairs.append(tuple(sorted((start, node))))
-        circles = self.circles + lower.circles
-        for node in up:
-            if node >= 2 * n and node not in seen:
-                cur, prev = node, None
-                while cur not in seen:
-                    seen.add(cur)
-                    nbrs = up[cur]
-                    cur, prev = (nbrs[0] if nbrs[0] != prev else nbrs[1]), cur
-                circles += 1
-        return TLDiagram(n, tuple(sorted(set(pairs))), circles)
-
-
-def word_to_diagram(word: Word, n: int) -> TLDiagram:
-    """Stacked composition of the generator diagrams (0-indexed letters)."""
-    d = TLDiagram.identity(n)
-    for i in word:
-        d = d.stack(TLDiagram.generator(n, i))
-    return d
-
-
-def closure_components(d: TLDiagram) -> int:
-    """Circles of the trace closure (top i joined to bottom i), plus the
-    internal circles already recorded on the diagram."""
-    n = d.n
-    partner = d.partner()
-    seen = set()
-    circles = d.circles
-    for start in range(2 * n):
-        if start in seen:
-            continue
-        circles += 1
-        node = start
-        while node not in seen:
-            seen.add(node)
-            node = partner[node]
-            if node in seen:
-                break
-            seen.add(node)
-            node = node + n if node < n else node - n  # closure hop
-    return circles
+    edges: list[tuple[int, int]] = []
+    for k, i in enumerate(word):
+        low, high = k * n, (k + 1) * n
+        edges += [(low + i, low + i + 1), (high + i, high + i + 1)]
+        edges += [(low + j, high + j) for j in range(n) if j != i and j != i + 1]
+    top = len(word) * n
+    edges += [(top + j, j) for j in range(n)]
+    return contract(edges, range(top + n))[1]
 
 
 # -- the two trace families -------------------------------------------------------
@@ -318,8 +233,7 @@ def trace_xa(elem: TLElement | Word, n: int) -> QA:
             cell = -QA.a_power(n + 1)
         else:
             word = tuple(k)
-            ncomp = closure_components(word_to_diagram(word, n))
-            cell = QA.a_power(len(word) + n) * QA(ncomp - len(word))
+            cell = QA.a_power(len(word) + n) * QA(closure_circles(word, n) - len(word))
         total = total + scalar * cell
     return total
 

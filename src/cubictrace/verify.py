@@ -414,10 +414,10 @@ def suite_tl(seed: int = 13) -> SuiteReport:
             word = random_word(n, 6)
             if not word:
                 continue
-            ncomp = tlmod.closure_components(tlmod.word_to_diagram(word, n))
+            ncomp = tlmod.closure_circles(word, n)
             k = rng.randrange(len(word))
             rotated = word[k:] + word[:k]
-            if tlmod.closure_components(tlmod.word_to_diagram(rotated, n)) != ncomp:
+            if tlmod.closure_circles(rotated, n) != ncomp:
                 ok = False
         return ok
 

@@ -103,6 +103,9 @@ class TestInvariantCommand:
         ["table", "--input", "bad_strands.tsv"],
         ["table", "--input", "bad_expected.tsv"],
         ["invariant", "--which", "parity", "--braid", "1 1", "--strands", "2", "--at", "xa"],
+        # the point value joins both variants, so it is kauffman+'s alone
+        ["invariant", "--which", "kauffman-", "--braid", "1 -2 1 -2", "--strands", "3",
+         "--at", "x2a"],
         ["invariant", "--which", "t0x2a", "--braid", "1 1", "--strands", "2", "--at", "x2a"],
         ["verify", "--suite", "h3", "--pit-points", "0"],
         # strand counts past the cap of the n!-sized engines

@@ -170,12 +170,13 @@ class TestThmTrace:
         assert eng.trace_braid(stabilize_pos(below)) == eng.trace_braid(below)
 
     def test_c_tower(self):
-        # t_n(C) = a^n at a = +-1, and C has no trace on one strand
-        eng = ThmTraceEngine()
-        for n in (2, 3, 4):
-            assert QA.from_components(*(eng.trace_at(n, {}, 1, a) for a in (1, -1))) == QA.a_power(n)
-        with pytest.raises(RingError):
-            eng.trace_at(1, {}, 1, 1)
+        # t_n(C) = a^n, read through C = a - (s_1 + s_1^-1)/2, for any base value
+        half = QA(Fraction(1, 2))
+        for base in (Fraction(0), Fraction(5), Fraction(-2, 3)):
+            eng = ThmTraceEngine(ThmTraceConfig(base=base))
+            for n in (2, 3, 4, 5):
+                one, up, down = (eng.trace_braid(BraidWord(n, w)) for w in ((), (1,), (-1,)))
+                assert QA(0, 1) * one - (up + down) * half == QA.a_power(n)
 
     def test_markov_peeling_example(self):
         # on three strands the element s1 s2 peels down to the base value

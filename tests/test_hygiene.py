@@ -1,7 +1,7 @@
 """Every module under src/cubictrace/, scripts/ and tests/ uses each name it
-imports, and every module-level function and class under src/cubictrace/
-and scripts/, and every method of such a class but the dunders, is used
-somewhere."""
+imports, and every module-level function, class and constant under
+src/cubictrace/ and scripts/, and every method of such a class but the
+dunders, is used somewhere."""
 
 import ast
 from collections import Counter
@@ -74,18 +74,25 @@ def _name_uses(tree) -> Counter:
     return uses
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(module: str, source: str):
-    """(qualified name, node) of each module-level def/class and of each
-    method of a module-level class, dunders left out."""
+    """(qualified name, name, node) of each module-level def, class and
+    constant and of each method of a module-level class, dunders left out."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.parse(source).body:
         if isinstance(node, (*functions, ast.ClassDef)):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not _is_dunder(target.id):
+                    yield f"{module}.{target.id}", target.id, node
         if isinstance(node, ast.ClassDef):
             for method in node.body:
-                if isinstance(method, functions) and not (
-                        method.name.startswith("__") and method.name.endswith("__")):
-                    yield f"{module}.{node.name}.{method.name}", method
+                if isinstance(method, functions) and not _is_dunder(method.name):
+                    yield f"{module}.{node.name}.{method.name}", method.name, method
 
 
 def orphan_definitions(library: dict[str, str], readers: list[str]) -> list[str]:
@@ -95,15 +102,22 @@ def orphan_definitions(library: dict[str, str], readers: list[str]) -> list[str]
     uses: Counter = Counter()
     for source in readers:
         uses += _name_uses(ast.parse(source))
-    return [name for module, source in library.items()
-            for name, node in _definitions(module, source)
-            if uses[node.name] == _name_uses(node)[node.name]]
+    return [qualified for module, source in library.items()
+            for qualified, name, node in _definitions(module, source)
+            if uses[name] == _name_uses(node)[name]]
 
 
 def test_the_scan_finds_an_orphan_definition():
     library = {"m": "def used():\n    return 1\n\n\ndef orphan(n):\n    return orphan(n - 1)\n"}
     reader = "from m import used\n\nused()\n"
     assert orphan_definitions(library, [*library.values(), reader]) == ["m.orphan"]
+
+
+def test_the_scan_finds_an_orphan_constant():
+    library = {"m": "__all__ = ['used']\nUSED: int = 1\nORPHAN = 2\n\n\n"
+                    "def used():\n    return USED\n"}
+    reader = "from m import used\n\nused()\n"
+    assert orphan_definitions(library, [*library.values(), reader]) == ["m.ORPHAN"]
 
 
 def test_the_scan_finds_an_orphan_method():

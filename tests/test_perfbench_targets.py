@@ -89,3 +89,13 @@ def test_counters_read_the_engines(workloads):
     ctx = stream.start_pass()
     ctx["t0"].components(w)
     assert all(value > 0 for value in stream.counters(ctx).values())
+
+
+def test_one_braid_stream_item_runs_and_checks(workloads, tracing):
+    # run_item calls the generic Ocneanu trace, both Kauffman traces and the
+    # Burau determinant by name, and checks them against the T0 components
+    stream = workloads.WORKLOADS["braid-stream"]
+    w = stream.items()[0]
+    line, bad = stream.run_item(stream.start_pass(), w, tracing.NullTracer())
+    assert bad == []
+    assert line.startswith(f"{w.strands}:{w.render()}\t") and "\thomfly=" in line

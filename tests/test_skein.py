@@ -137,7 +137,7 @@ def contracted_at_once(d, wires):
     removed = {4 * idx + k for idx in wires for k in range(4)}
     edges = list(arcs(d)) + [(4 * idx + a, 4 * idx + b)
                              for idx, pairs in wires.items() for a, b in pairs]
-    joined, loops = skein._contract(edges, removed)
+    joined, loops = skein.contract(edges, removed)
     kept = [i for i in range(len(d.over)) if i not in wires]
     new = {4 * i + k: 4 * j + k for j, i in enumerate(kept) for k in range(4)}
     nbr = [None] * (4 * len(kept))

@@ -1,4 +1,4 @@
-"""Extended Temperley-Lieb: multiplication, diagrams, traces, splittings."""
+"""Extended Temperley-Lieb: multiplication, closures, traces, splittings."""
 
 import math
 import random
@@ -11,16 +11,14 @@ from cubictrace.tl import (
     DT_OVER_X,
     TWO_A_OVER_X,
     ExtTL,
-    TLDiagram,
     TLElement,
     apl,
-    closure_components,
+    closure_circles,
     jones_normal_words,
     retraction_check,
     split_checks,
     trace_x2a,
     trace_xa,
-    word_to_diagram,
 )
 
 
@@ -71,34 +69,45 @@ class TestMultiplication:
             assert alg.multiply(alg.multiply(u, v), w) == alg.multiply(u, alg.multiply(v, w))
 
 
+def random_word(rng, n, longest):
+    return tuple(rng.randint(0, n - 2) for _ in range(rng.randint(0, longest)))
+
+
 class TestDiagrams:
-    def test_generator_diagram(self):
-        d = word_to_diagram((0,), 3)
-        assert ((0, 1) in d.pairing) and ((3, 4) in d.pairing)
-        assert d.circles == 0
-
-    def test_idempotent_makes_circle(self):
-        d = word_to_diagram((0, 0), 3)
-        assert d.circles == 1
-
-    def test_sandwich_same_pairing_no_circle(self):
-        assert word_to_diagram((0, 1, 0), 3).pairing == word_to_diagram((0,), 3).pairing
-        assert word_to_diagram((0, 1, 0), 3).circles == 0
-
     def test_closure_counts(self):
-        assert closure_components(TLDiagram.identity(3)) == 3
-        assert closure_components(word_to_diagram((0,), 3)) == 2
-        assert closure_components(word_to_diagram((0, 0), 3)) == 3
-        assert closure_components(word_to_diagram((0, 1, 0), 3)) == 2
+        assert closure_circles((), 3) == 3
+        assert closure_circles((0,), 3) == 2
+        assert closure_circles((0, 0), 3) == 3
+        assert closure_circles((0, 1, 0), 3) == 2
+        assert closure_circles((), 1) == 1
 
     def test_closure_rotation_invariance(self):
         rng = random.Random(31)
         for _ in range(100):
             n = rng.randint(3, 5)
             word = tuple(rng.randint(0, n - 2) for _ in range(rng.randint(1, 6)))
-            base = closure_components(word_to_diagram(word, n))
+            base = closure_circles(word, n)
             k = rng.randrange(len(word))
-            assert closure_components(word_to_diagram(word[k:] + word[:k], n)) == base
+            assert closure_circles(word[k:] + word[:k], n) == base
+
+    def test_squaring_a_letter_adds_one_circle(self):
+        # e_i e_i = (dt/x) e_i: the square closes one more circle than e_i
+        rng = random.Random(37)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            u, v = random_word(rng, n, 5), random_word(rng, n, 5)
+            i = rng.randint(0, n - 2)
+            assert closure_circles(u + (i, i) + v, n) == closure_circles(u + (i,) + v, n) + 1
+
+    def test_a_sandwich_closes_like_its_outer_letter(self):
+        # e_i e_j e_i with |i - j| = 1 is e_i as a diagram, with no circle
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(3, 6)
+            u, v = random_word(rng, n, 5), random_word(rng, n, 5)
+            i = rng.randint(0, n - 2)
+            j = rng.choice([k for k in (i - 1, i + 1) if 0 <= k <= n - 2])
+            assert closure_circles(u + (i, j, i) + v, n) == closure_circles(u + (i,) + v, n)
 
 
 class TestTraces:
