@@ -128,22 +128,6 @@ def markov_move(w: BraidWord, move: str, g: BraidWord | None = None) -> BraidWor
     raise BraidError(f"unknown Markov move {move!r}")
 
 
-def is_destabilizable(w: BraidWord) -> bool:
-    """Recognizer only: final letter is +-(n-1) and that index occurs once."""
-    if not w.letters or w.strands < 2:
-        return False
-    top = w.strands - 1
-    if abs(w.letters[-1]) != top:
-        return False
-    return sum(1 for x in w.letters if abs(x) == top) == 1
-
-
-def destabilize(w: BraidWord) -> BraidWord:
-    if not is_destabilizable(w):
-        raise BraidError("braid is not in destabilizable form")
-    return BraidWord(w.strands - 1, w.letters[:-1])
-
-
 def parity_invariant(w: BraidWord) -> QA:
     """a^(#L) in Q[a]/(a^2-1); equals a^(n + writhe) by the parity lemma."""
     return QA.a_power(component_count(w))

@@ -140,8 +140,8 @@ def contract(edges: list[tuple[int, int]], internal: Container[int]):
 
     Returns the arcs between the remaining ports, each walked from its
     smaller end, and the number of closed circles made of internal nodes.
-    Braid closures and plats are built with it, and `tl.closure_circles`
-    counts a Temperley-Lieb closure with every node internal.
+    Braid closures and plats are built with it, and so are the products of
+    `tl` (inner levels internal) and its trace closures (every node internal).
     """
     adj: dict[int, list[int]] = {}
     for p, q in edges:

@@ -9,10 +9,18 @@ Over A = Q[a, x, x^-1]/(a^2 - 1), with dt = 2 - ax:
     (5) e_i e_j e_i = e_i + 2a x^-1 C    (|i-j| = 1)
 
 A basis is the usual Temperley-Lieb diagram basis (Jones normal words,
-Catalan many) together with C.  Multiplication is done by rewriting words
-with memoized breadth-first search over commutation moves, which is cheap
-at the ranks used here (n <= 6); associativity is property-tested rather
-than proved by a confluence argument.
+Catalan many) together with C.  A word w of L letters is stacked as a
+tangle: `skein.contract` gives its boundary matching, which names a normal
+word N, and its number k of closed circles.  With m = (L - k - |N|)/2,
+
+    w = (dt/x)^k N + (2a/x) sum_{j<m} (dt/x)^(L-3-2j) C,
+
+which is what rewriting by (1), (4) and (5) gives in any order.  (4) keeps
+the tangle; (1) drops a letter and a circle and multiplies by dt/x; a
+use of (5) after j others and i uses of (1) drops two letters at length
+l = L - i - 2j and adds (2a/x)(dt/x)^(l-3) C, since by (2) each remaining
+letter acts on C by dt/x, and the i earlier factors dt/x make that
+(2a/x)(dt/x)^(L-3-2j) C.  Associativity is property-tested, not proved.
 
 The two trace families live at the special points:
   * x = a:  t(word of length k) = a^(k+n) (N(word) - k) with N the number
@@ -31,6 +39,7 @@ x = a or x = 2a because its obstruction polynomial is the unit x^4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .combination import Combination
 from .qa import A, QA, specialize
@@ -40,11 +49,9 @@ from .skein import contract
 Word = tuple[int, ...]
 C_WORD = "C"
 
-A_VARS = AX  # ("a", "x")
-
 
 def apl(text: str) -> LaurentPolynomial:
-    return fold_a(LaurentPolynomial.parse(text, A_VARS))
+    return fold_a(LaurentPolynomial.parse(text, AX))
 
 
 DT = apl("2 - a*x")
@@ -61,18 +68,14 @@ class TLElement(Combination):
     @classmethod
     def word(cls, word: Word, coeff: LaurentPolynomial | int = 1) -> "TLElement":
         if isinstance(coeff, int):
-            coeff = LaurentPolynomial.constant(coeff, A_VARS)
+            coeff = LaurentPolynomial.constant(coeff, AX)
         return cls({tuple(word): coeff})
 
     @classmethod
     def c(cls, coeff: LaurentPolynomial | int = 1) -> "TLElement":
         if isinstance(coeff, int):
-            coeff = LaurentPolynomial.constant(coeff, A_VARS)
+            coeff = LaurentPolynomial.constant(coeff, AX)
         return cls({C_WORD: coeff})
-
-    @classmethod
-    def zero(cls) -> "TLElement":
-        return cls({})
 
     def __repr__(self):
         if not self.coeffs:
@@ -85,65 +88,17 @@ class TLElement(Combination):
 
 
 class ExtTL:
-    """The rank-n extended algebra with rewriting-based multiplication."""
+    """The rank-n extended algebra, multiplied through the stacked tangle."""
 
     def __init__(self, n: int):
         if not (1 <= n <= 6):
             raise RingError("rank limited to n <= 6")
         self.n = n
-        self._reduce_cache: dict[Word, TLElement] = {}
         self.normal_words = tuple(jones_normal_words(n))
-
-    # -- rewriting ---------------------------------------------------------
 
     def reduce_word(self, word: Word) -> TLElement:
         """Express a generator word on the basis (normal words and C)."""
-        word = tuple(word)
-        hit = self._reduce_cache.get(word)
-        if hit is not None:
-            return hit
-        result = self._reduce_uncached(word)
-        self._reduce_cache[word] = result
-        return result
-
-    def _reduce_uncached(self, word: Word) -> TLElement:
-        # breadth-first search through commutation moves for a shortening
-        # pattern e_i e_i or e_i e_j e_i (|i-j| = 1)
-        seen = {word}
-        queue = [word]
-        while queue:
-            current = queue.pop()
-            for pos in range(len(current) - 1):
-                i, j = current[pos], current[pos + 1]
-                if i == j:
-                    rest = current[:pos] + current[pos + 1:]
-                    return self.reduce_word(rest).map(lambda c: fold_a(c * DT_OVER_X))
-                if pos + 2 < len(current) and current[pos + 2] == i and abs(i - j) == 1:
-                    rest = current[:pos] + (i,) + current[pos + 3:]
-                    through = self.reduce_word(rest)
-                    c_coeff = fold_a(TWO_A_OVER_X * DT_OVER_X ** (len(current) - 3))
-                    return through + TLElement.c(c_coeff)
-            for pos in range(len(current) - 1):
-                i, j = current[pos], current[pos + 1]
-                if abs(i - j) >= 2:
-                    swapped = current[:pos] + (j, i) + current[pos + 2:]
-                    if swapped not in seen:
-                        seen.add(swapped)
-                        queue.append(swapped)
-        # irreducible: must be a normal word
-        normal = normalize_commutation_class(word)
-        if normal not in self._normal_set():
-            raise RingError(f"irreducible word {word} is not in normal form")
-        return TLElement.word(normal)
-
-    _normal_cache: dict[int, frozenset] = {}
-
-    def _normal_set(self) -> frozenset:
-        hit = ExtTL._normal_cache.get(self.n)
-        if hit is None:
-            hit = frozenset(normalize_commutation_class(w) for w in self.normal_words)
-            ExtTL._normal_cache[self.n] = hit
-        return hit
+        return _reduce(tuple(word), self.n)
 
     def multiply(self, u: TLElement, v: TLElement) -> TLElement:
         """Product in the extended algebra."""
@@ -158,13 +113,30 @@ class ExtTL:
         if ku == C_WORD and kv == C_WORD:
             return TLElement.c(C_SQUARED)
         if ku == C_WORD:
-            return TLElement.c(fold_a(DT_OVER_X ** len(kv)))
+            return TLElement.c(_dt_over_x_power(len(kv)))
         if kv == C_WORD:
-            return TLElement.c(fold_a(DT_OVER_X ** len(ku)))
+            return TLElement.c(_dt_over_x_power(len(ku)))
         return self.reduce_word(tuple(ku) + tuple(kv))
 
     def basis(self) -> list:
         return [C_WORD] + [w for w in self.normal_words]
+
+
+@cache
+def _dt_over_x_power(k: int) -> LaurentPolynomial:
+    return fold_a(DT_OVER_X ** k)
+
+
+@cache
+def _reduce(word: Word, n: int) -> TLElement:
+    """A word on the basis, by the closed form of the module docstring."""
+    matching, circles = _tangle(word, n)
+    normal = _normal_word_by_matching(n)[matching]
+    c = LaurentPolynomial.zero(AX)
+    for j in range((len(word) - circles - len(normal)) // 2):
+        c = c + _dt_over_x_power(len(word) - 3 - 2 * j)
+    return (TLElement.word(normal, _dt_over_x_power(circles))
+            + TLElement.c(fold_a(TWO_A_OVER_X * c)))
 
 
 def jones_normal_words(n: int) -> list[Word]:
@@ -185,37 +157,47 @@ def jones_normal_words(n: int) -> list[Word]:
     return words
 
 
-def normalize_commutation_class(word: Word) -> Word:
-    """Canonical representative under far-commutation, by bubble sort."""
-    w = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(len(w) - 1):
-            if abs(w[pos] - w[pos + 1]) >= 2 and w[pos] > w[pos + 1]:
-                w[pos], w[pos + 1] = w[pos + 1], w[pos]
-                changed = True
-    return tuple(w)
+# -- the stacked tangle ----------------------------------------------------------
 
 
-# -- closures --------------------------------------------------------------------
-
-
-def closure_circles(word: Word, n: int) -> int:
-    """Circles of the trace closure of a word (0-indexed letters) on n strands.
+def _stack_edges(word: Word, n: int) -> list[tuple[int, int]]:
+    """The tangle of a word (0-indexed letters) on n strands, as edges.
 
     Level k holds the points k n .. k n + n-1; letter k joins level k to
     level k+1 (a cap at k n + i, k n + i+1 and a cup at the next level
-    for e_{i+1}, straight strands elsewhere), and the closure joins the
-    top level back to level 0.  Every point is internal to `contract`.
+    for e_{i+1}, straight strands elsewhere).
     """
     edges: list[tuple[int, int]] = []
     for k, i in enumerate(word):
         low, high = k * n, (k + 1) * n
         edges += [(low + i, low + i + 1), (high + i, high + i + 1)]
         edges += [(low + j, high + j) for j in range(n) if j != i and j != i + 1]
+    return edges
+
+
+def _tangle(word: Word, n: int) -> tuple[tuple, int]:
+    """The boundary matching of a word's tangle and its closed circles.
+
+    The levels strictly between the bottom and the top are internal; the
+    top points are renumbered n .. 2n-1 so the matching forgets the length.
+    """
     top = len(word) * n
-    edges += [(top + j, j) for j in range(n)]
+    arcs, circles = contract(_stack_edges(word, n), range(n, top))
+    ends = lambda p: p if p < n else p - top + n
+    return tuple((ends(p), ends(q)) for p, q in arcs), circles
+
+
+@cache
+def _normal_word_by_matching(n: int) -> dict[tuple, Word]:
+    return {_tangle(w, n)[0]: w for w in jones_normal_words(n)}
+
+
+def closure_circles(word: Word, n: int) -> int:
+    """Circles of the trace closure of a word (0-indexed letters) on n strands:
+    the stacked tangle with the top level joined back to level 0, every
+    point internal to `contract`."""
+    top = len(word) * n
+    edges = _stack_edges(word, n) + [(top + j, j) for j in range(n)]
     return contract(edges, range(top + n))[1]
 
 

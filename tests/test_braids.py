@@ -13,8 +13,6 @@ from cubictrace.braids import (
     component_count,
     component_trace,
     conjugate,
-    destabilize,
-    is_destabilizable,
     markov_move,
     parity_invariant,
     parse_braid,
@@ -104,19 +102,10 @@ class TestMarkovMoves:
                                               + [-i for i in range(1, n)])
                                    for _ in range(rng.randint(0, 10))))
             ncomp = component_count(w)
-            assert component_count(stabilize_pos(w)) == ncomp + 1 - 1 or True
             assert component_count(stabilize_pos(w)) == ncomp
             assert component_count(stabilize_neg(w)) == ncomp
             g = BraidWord(n, (rng.choice([i for i in range(1, n)]),))
             assert component_count(conjugate(w, g)) == ncomp
-
-    def test_destabilization_recognizer(self):
-        w = parse_braid("1 1 1 2", 3)
-        assert is_destabilizable(w)
-        assert destabilize(w) == parse_braid("1 1 1", 2)
-        assert not is_destabilizable(parse_braid("1 2 1 2", 3))
-        with pytest.raises(BraidError):
-            destabilize(parse_braid("2 1 2", 3))
 
 
 class TestInvariantFamilies:

@@ -1,7 +1,9 @@
 """Extended Temperley-Lieb: multiplication, closures, traces, splittings."""
 
+import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from cubictrace.tl import (
     trace_x2a,
     trace_xa,
 )
+
+GOLDEN_PRODUCTS = Path(__file__).resolve().parent / "golden" / "tl_products.sha256"
 
 
 class TestBasis:
@@ -58,6 +62,20 @@ class TestMultiplication:
         alg = ExtTL(4)
         e1, e3 = TLElement.word((0,)), TLElement.word((2,))
         assert alg.multiply(e1, e3) == alg.multiply(e3, e1)
+
+    def test_normal_word_products_match_the_recorded_digest(self):
+        """Every product of two normal words for n = 1..5 (1,990 products),
+        rendered as recorded with the commutation-search rewriting that
+        preceded the tangle contraction."""
+        lines = []
+        for n in range(1, 6):
+            alg = ExtTL(n)
+            for u in alg.normal_words:
+                for v in alg.normal_words:
+                    lines.append(f"{n} {u} {v} {alg.reduce_word(u + v)!r}")
+        assert len(lines) == 1990
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == GOLDEN_PRODUCTS.read_text().strip()
 
     def test_associativity_on_random_triples(self):
         rng = random.Random(21)
