@@ -20,20 +20,20 @@ C this is the Hecke algebra at (x, y) = (2a, 1), so both have one action,
 `hecke._act_at` on dicts keyed by step-table ids, which the extension
 calls with its `a` and C coefficient.  Type A and the step table live in
 `hecke`, I2(m) here.  `act_word`, the public action, runs it once at
-a = A on `QA` coefficients
-(which `qa` stores as the two values).  `verify_braid_relations`, the
-theorem trace and `nonsplit_certificate` run it at a = 1 and at a = -1
-on integer (or Q[L]) coefficients and never leave them.
+a = A on `QA` coefficients (which `qa` stores as the two values).
+`verify_braid_relations`, the theorem trace and `nonsplit_certificate`
+run it at a = 1 and at a = -1 on integer (or Q[L]) coefficients and
+never leave them.
 
 For W = S_n the tower carries a unique-per-normalization family of Markov
 traces with t_2(C) = 1; `ThmTraceEngine` is two `hecke.TowerTrace`s, the
 recursion the Ocneanu trace runs too, at a = 1 and at a = -1 over int
 (Fraction for a fractional base value), with the C-term on and its own
-level-descent rule, and joins the two values once per braid.  Combining it with
-the Ocneanu and Kauffman traces specialized at y = 1, x = 2a (where those
-two degenerate to a^(#L-1) and a^(#L-1) det^2), each likewise computed at
-the two points and joined once, yields the exotic link invariant
-`T0Invariant`, pinned by the 3-strand values t_3(1) = 1,
+level-descent rule, and joins the two values once per braid.  Combining
+it with the Ocneanu and Kauffman traces specialized at y = 1, x = 2a
+(where those two degenerate to a^(#L-1) and a^(#L-1) det^2), each
+likewise computed at the two points and joined once, yields the exotic
+link invariant `T0Invariant`, pinned by the 3-strand values t_3(1) = 1,
 t_3(s_1) = t_3(s_1 s_2) = 0 and provably independent of the free base
 value t_1(1) = lambda.
 """

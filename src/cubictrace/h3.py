@@ -10,7 +10,10 @@ keeping all Schur elements nonzero.  Every identity-checking routine in
 this module decides equality through that embedding; no basis rewriting is
 ever performed.  A specialization (`rings.Specialization`) is a ring map
 into a Laurent ring: the blocks are mapped once and multiplied there, and
-the ring with a^2 = 1 is checked as its two points a = 1 and a = -1.
+the ring with a^2 = 1 is checked as its two points a = 1 and a = -1.  A
+rational point (`at_point`) is one more ring map, into Q, and the Gram
+check builds one model per point.  The symbolic generator blocks are built
+once per process, on first use.
 
 Checked here, exactly and symbolically unless noted:
 
@@ -38,9 +41,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .combination import Combination
 from .linalg import Matrix, det_bareiss, eliminate
@@ -52,6 +56,7 @@ from .rings import (
     LaurentPolynomial,
     RingError,
     Specialization,
+    _canonical,
     dagger_dagger,
     fold_a,
     poly_abc,
@@ -60,7 +65,6 @@ from .rings import (
 Word = tuple[int, ...]
 
 REP_KEYS = ("Sa", "Sb", "Sc", "Uab", "Uac", "Ubc", "V")
-REP_DIMS = {"Sa": 1, "Sb": 1, "Sc": 1, "Uab": 2, "Uac": 2, "Ubc": 2, "V": 3}
 
 
 # -- formal linear combinations of braid words --------------------------------
@@ -107,20 +111,28 @@ def _mat(rows: Sequence[Sequence[str]]) -> Matrix:
     return Matrix([[poly_abc(x) for x in row] for row in rows])
 
 
-def _generator_matrices() -> dict[str, tuple[Matrix, Matrix]]:
-    """Images of (s_1, s_2) in the seven irreducible representations."""
-    reps: dict[str, tuple[Matrix, Matrix]] = {}
+@cache
+def _generator_images() -> dict[int, "H3RepImage"]:
+    """Images of s_1^+-1, s_2^+-1 in the seven irreducible representations.
+
+    Built over Q[a,b,c,(abc)^-1] once per process, on first use.  Every
+    block satisfies the defining cubic, so it inverts by it.
+    """
+    roots = [poly_abc(r) for r in "abc"]
+    gens: dict[str, tuple[Matrix, Matrix]] = {}
     for key, alpha in (("Sa", "a"), ("Sb", "b"), ("Sc", "c")):
         m = _mat([[alpha]])
-        reps[key] = (m, m)
+        gens[key] = (m, m)
     for key, (al, be) in (("Uab", ("a", "b")), ("Uac", ("a", "c")), ("Ubc", ("b", "c"))):
-        s1 = _mat([[al, "0"], [f"-{al}", be]])
-        s2 = _mat([[be, be], ["0", al]])
-        reps[key] = (s1, s2)
-    s1 = _mat([["c", "0", "0"], ["a*c+b^2", "b", "0"], ["b", "1", "a"]])
-    s2 = _mat([["a", "-1", "b"], ["0", "b", "-a*c-b^2"], ["0", "0", "c"]])
-    reps["V"] = (s1, s2)
-    return reps
+        gens[key] = (_mat([[al, "0"], [f"-{al}", be]]), _mat([[be, be], ["0", al]]))
+    gens["V"] = (_mat([["c", "0", "0"], ["a*c+b^2", "b", "0"], ["b", "1", "a"]]),
+                 _mat([["a", "-1", "b"], ["0", "b", "-a*c-b^2"], ["0", "0", "c"]]))
+    images: dict[int, H3RepImage] = {}
+    for i in (1, 2):
+        blocks = tuple((key, pair[i - 1]) for key, pair in gens.items())
+        images[i] = H3RepImage(blocks)
+        images[-i] = H3RepImage(tuple((key, _inverse_from_cubic(m, roots)) for key, m in blocks))
+    return images
 
 
 def _inverse_from_cubic(s: Matrix, roots: Sequence[LaurentPolynomial]) -> Matrix:
@@ -147,13 +159,16 @@ class H3RepImage:
         return dict(self.blocks)[key]
 
     def __add__(self, other: "H3RepImage") -> "H3RepImage":
-        return H3RepImage(tuple((k, m + other.block(k)) for k, m in self.blocks))
+        return H3RepImage(tuple((k, m + n) for (k, m), (_, n) in zip(self.blocks, other.blocks)))
 
     def __mul__(self, other: "H3RepImage") -> "H3RepImage":
-        return H3RepImage(tuple((k, m * other.block(k)) for k, m in self.blocks))
+        return H3RepImage(tuple((k, m * n) for (k, m), (_, n) in zip(self.blocks, other.blocks)))
 
     def scale(self, coeff) -> "H3RepImage":
         return H3RepImage(tuple((k, m * coeff) for k, m in self.blocks))
+
+    def map(self, f: Callable) -> "H3RepImage":
+        return H3RepImage(tuple((k, m.map(f)) for k, m in self.blocks))
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for _, m in self.blocks)
@@ -167,59 +182,46 @@ class H3RepImage:
         return {k: m.trace() for k, m in self.blocks}
 
 
-class H3Model:
-    """The seven matrix models under a specialization of Q[a,b,c,(abc)^-1].
+RingMap = Callable[[LaurentPolynomial], "LaurentPolynomial | int | Fraction"]
 
-    The generator blocks and the coefficients are mapped once; products
-    are then taken in the target Laurent ring, where they are canonical.
+
+class H3Model:
+    """The seven matrix models under a ring map from Q[a,b,c,(abc)^-1].
+
+    The map is a `Specialization` into a Laurent ring, or a rational point
+    (`at_point`) into Q.  The generator blocks and the coefficients are
+    mapped once; products are then taken in the target ring, where they
+    are canonical.
     """
 
-    def __init__(self, spec: Specialization = FREE):
+    def __init__(self, spec: RingMap = FREE):
         self.spec = spec
-        self._letter: dict[str, dict[int, Matrix]] = {}
-        roots = [poly_abc(r) for r in "abc"]
-        for key, (s1, s2) in _generator_matrices().items():
-            # every block satisfies the defining cubic, so it inverts by it
-            self._letter[key] = {
-                1: s1.map(spec),
-                2: s2.map(spec),
-                -1: _inverse_from_cubic(s1, roots).map(spec),
-                -2: _inverse_from_cubic(s2, roots).map(spec),
-            }
+        self._letter = {letter: image.map(spec) for letter, image in _generator_images().items()}
         self._word_cache: dict[Word, H3RepImage] = {}
-        self._zero = LaurentPolynomial.zero(spec.variables)
-        self._one = LaurentPolynomial.one(spec.variables)
+        self._zero = spec(LaurentPolynomial.zero(ABC))
+        self._one = spec(LaurentPolynomial.one(ABC))
 
     def identity_image(self) -> H3RepImage:
-        blocks = []
-        for key in REP_KEYS:
-            d = REP_DIMS[key]
-            blocks.append((key, Matrix.identity(d, self._one, self._zero)))
-        return H3RepImage(tuple(blocks))
+        return H3RepImage(tuple((k, Matrix.identity(m.nrows, self._one, self._zero))
+                                for k, m in self._letter[1].blocks))
 
     def word_image(self, word: Word) -> H3RepImage:
         word = tuple(word)
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
+        image = self._word_cache.get(word)
+        if image is not None:
+            return image
         if not word:
             image = self.identity_image()
+        elif word[-1] not in self._letter:
+            raise RingError(f"letter {word[-1]!r} is none of s_1^+-1, s_2^+-1 (1, -1, 2, -2): "
+                            "words on more than 3 strands are not in H_3")
         else:
-            prefix = self.word_image(word[:-1])
-            letter = word[-1]
-            blocks = []
-            for key, m in prefix.blocks:
-                blocks.append((key, m * self._letter[key][letter]))
-            image = H3RepImage(tuple(blocks))
+            image = self.word_image(word[:-1]) * self._letter[word[-1]]
         self._word_cache[word] = image
         return image
 
     def image(self, expr: WordSum) -> H3RepImage:
         """Image of a formal linear combination; multiplicative and linear."""
-        for word in expr.coeffs:
-            for letter in word:
-                if letter not in (1, -1, 2, -2):
-                    raise RingError("words on more than 3 strands are not in H_3")
         acc = None
         for word, coeff in expr.coeffs.items():
             term = self.word_image(word).scale(self.spec(coeff))
@@ -233,19 +235,22 @@ class H3Model:
         return all(self.spec(p) for p in schur_elements().values())
 
 
-def verify_identity(lhs: WordSum, rhs: WordSum, spec: Specialization = FREE,
-                    model: H3Model | None = None) -> bool:
-    """Equality in the specialized H_3, decided through the embedding.
+def at_point(point: dict[str, Fraction]) -> RingMap:
+    """The ring map R -> Q that evaluates at a rational point, into `int | Fraction`."""
+    return lambda p: _canonical(p.evaluate(point))
 
-    Raises RingError with a diagnostic if the specialization kills a Schur
-    element, because then the embedding is no longer injective and a
-    negative answer would be meaningless.
+
+def verify_identity(lhs: WordSum, rhs: WordSum, model: H3Model) -> bool:
+    """Equality in the specialized H_3, decided through the model's embedding.
+
+    Raises RingError with a diagnostic if the model's ring map kills a
+    Schur element, because then the embedding is no longer injective and
+    a negative answer would be meaningless.
     """
-    model = model or H3Model(spec)
     if not model.schur_values_nonzero():
         raise RingError(
-            f"spec {model.spec.name!r} kills a Schur element; the matrix "
-            "embedding is not faithful there"
+            f"spec {getattr(model.spec, 'name', 'at_point')!r} kills a Schur element; "
+            "the matrix embedding is not faithful there"
         )
     return model.image(lhs) == model.image(rhs)
 
@@ -580,19 +585,11 @@ def check_schur_identity() -> dict[str, bool]:
     return out
 
 
-def _numeric_word_images(model: H3Model, words: Sequence[Word],
-                         point: dict[str, Fraction]) -> dict[Word, dict[str, Matrix]]:
-    out: dict[Word, dict[str, Matrix]] = {}
-    for w in words:
-        img = model.word_image(w)
-        out[w] = {k: m.map(lambda p: p.evaluate(point)) for k, m in img.blocks}
-    return out
-
-
-def _gram_at(numeric: dict[Word, dict[str, Matrix]], words: Sequence[Word],
+def _gram_at(images: Sequence[H3RepImage],
              schur_at: dict[str, Fraction]) -> tuple[list[list[Fraction]], bool]:
     """G[u][v] = sum_chi tr(u_chi v_chi) / p_chi at one point, and whether G is symmetric.
 
+    `images` are the words' images under the point's model (`at_point`).
     With p_chi = n_chi / d_chi and L = lcm |n_chi|, 1/p_chi = w_chi / L for
     the integer weight w_chi = L d_chi / n_chi.  Each word's blocks are
     flattened row-major (weighted) and column-major, both times D_u, the
@@ -604,15 +601,15 @@ def _gram_at(numeric: dict[Word, dict[str, Matrix]], words: Sequence[Word],
     common = lcm(*(abs(p.numerator) for p in schur_at.values()))
     weight = {k: common * p.denominator // p.numerator for k, p in schur_at.items()}
     left, col, scale = [], [], []
-    for u in words:
-        rows = [(k, x) for k in REP_KEYS for row in numeric[u][k].rows for x in row]
-        cols = [x for k in REP_KEYS for c in zip(*numeric[u][k].rows) for x in c]
+    for image in images:
+        rows = [(k, x) for k, m in image.blocks for row in m.rows for x in row]
+        cols = [x for _, m in image.blocks for c in zip(*m.rows) for x in c]
         den = lcm(*(x.denominator for _, x in rows))
         left.append([weight[k] * x.numerator * (den // x.denominator) for k, x in rows])
         col.append([x.numerator * (den // x.denominator) for x in cols])
         scale.append(den)
     cleared = [[sum(map(mul, lu, cv)) for cv in col] for lu in left]
-    n = len(words)
+    n = len(images)
     symmetric = all(cleared[i][j] == cleared[j][i] for i in range(n) for j in range(i + 1, n))
     gram = [[Fraction(cleared[i][j], common * scale[i] * scale[j]) for j in range(n)]
             for i in range(n)]
@@ -627,10 +624,11 @@ def gram_determinant_at_points(basis: str = "B0", count: int = 7, seed: int = 23
 
     The points are drawn coordinatewise from +-[1, 10^6]; by Schwartz-Zippel
     a false identity of degree d (denominators cleared) holds at one such
-    point with probability at most d / (2 * 10^6).  At each point the Schur
-    denominators are cleared once, by the lcm of their numerators, so every
-    entry comes from an integer dot product (`_gram_at`); the determinant is
-    taken over Q by `eliminate`.
+    point with probability at most d / (2 * 10^6).  Each point is a model of
+    its own (`at_point`): the generator blocks are mapped to Q once and the
+    word images multiplied there.  The Schur denominators are cleared once,
+    by the lcm of their numerators, so every entry comes from an integer
+    dot product (`_gram_at`); the determinant is taken over Q by `eliminate`.
     """
     if basis not in GRAM_BASES:
         raise RingError(f"unknown basis {basis!r}; expected one of {', '.join(GRAM_BASES)}")
@@ -638,17 +636,17 @@ def gram_determinant_at_points(basis: str = "B0", count: int = 7, seed: int = 23
         raise RingError(f"the Gram check needs at least one point, got {count}")
     words_of, expected_exp = GRAM_BASES[basis]
     words = words_of()
-    model = H3Model()
     schur = schur_elements()
     rng = random.Random(seed)
     out = {}
     for idx in range(count):
         pt = FREE.point(rng)
-        schur_at = {k: p.evaluate(pt) for k, p in schur.items()}
+        model = H3Model(at_point(pt))
+        schur_at = {k: model.spec(p) for k, p in schur.items()}
         if any(v == 0 for v in schur_at.values()):
             out[f"{basis} point {idx} degenerate"] = False
             continue
-        gram, symmetric = _gram_at(_numeric_word_images(model, words, pt), words, schur_at)
+        gram, symmetric = _gram_at([model.word_image(w) for w in words], schur_at)
         det, _ = eliminate(Matrix(gram))
         abc_val = pt["a"] * pt["b"] * pt["c"]
         out[f"{basis} Gram symmetric at point {idx}"] = symmetric
@@ -863,15 +861,9 @@ def _specialized_vector_check(which: str, seed: int) -> bool:
 
 
 def check_parity_character() -> bool:
-    """The algebra map s_i -> a kills the six-term relator at bc = 1, a = 1 and a = -1."""
-    def image(spec: Specialization) -> LaurentPolynomial:
-        total = LaurentPolynomial.zero(spec.variables)
-        for word, coeff in relator_r(1).coeffs.items():
-            exponent = sum(1 if x > 0 else -1 for x in word)
-            total = total + spec(coeff * LaurentPolynomial.var("a", ABC, exponent))
-        return total
-
-    return all(image(dagger_dagger(a)).is_zero() for a in (1, -1))
+    """The character s_i -> a, the block Sa, kills the six-term relator at bc = 1, a = +-1."""
+    return all(H3Model(dagger_dagger(a)).image(relator_r(1)).block("Sa").is_zero()
+               for a in (1, -1))
 
 
 def _dim3_module_at(spec: Specialization) -> tuple[bool, bool, bool, bool]:

@@ -102,7 +102,7 @@ class Matrix:
     def is_zero(self) -> bool:
         for row in self.rows:
             for x in row:
-                zero = (x == 0) if isinstance(x, Fraction) else x.is_zero()
+                zero = (x == 0) if isinstance(x, (int, Fraction)) else x.is_zero()
                 if not zero:
                     return False
         return True

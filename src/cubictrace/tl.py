@@ -29,17 +29,25 @@ The two trace families live at the special points:
     and t(C) = -a^(n+1);
   * x = 2a: t(1) = v_n, t(e_i) = u_n, t(C) = -u_n, t(longer words) = 0,
     with u_n = -a^n, v_n = (n-2) a^(n+1) and v_1 = 0.
+Both formulas apply to any word, reduced or not, so
+`relator_sandwich_traces` checks them on the terms of u R v for the
+defining relators R, which `ExtTL` would reduce to 0.  Letters are
+0-indexed (letter i is e_{i+1}); every entry point refuses a letter
+outside 0 .. n-2 with `RingError`.
 
 `split_checks` certifies when the central extension splits over the plain
-Temperley-Lieb algebra (x != a, with the explicit section; at x = 2a the
-section is e_i + C) and that the braid-style extension never splits at
-x = a or x = 2a because its obstruction polynomial is the unit x^4.
+Temperley-Lieb algebra (x != a: `cleared_section`, the section cleared of
+its denominator, satisfies the relations in `ExtTL(4)` over Q[a, x]; at
+x = 2a the section is e_i + C) and that the braid-style extension never
+splits at x = a or x = 2a, because there its obstruction polynomial in
+lambda has the unit x^4 as its only nonzero coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable
 
 from .combination import Combination
 from .qa import A, QA, specialize
@@ -160,6 +168,13 @@ def jones_normal_words(n: int) -> list[Word]:
 # -- the stacked tangle ----------------------------------------------------------
 
 
+def _check_letters(word: Word, n: int) -> None:
+    """Raise unless every letter names one of e_1 .. e_{n-1} (0-indexed)."""
+    for i in word:
+        if not (isinstance(i, int) and 0 <= i <= n - 2):
+            raise RingError(f"letter {i!r} is not one of the rank-{n} letters 0 .. {n - 2}")
+
+
 def _stack_edges(word: Word, n: int) -> list[tuple[int, int]]:
     """The tangle of a word (0-indexed letters) on n strands, as edges.
 
@@ -167,6 +182,7 @@ def _stack_edges(word: Word, n: int) -> list[tuple[int, int]]:
     level k+1 (a cap at k n + i, k n + i+1 and a cup at the next level
     for e_{i+1}, straight strands elsewhere).
     """
+    _check_letters(word, n)
     edges: list[tuple[int, int]] = []
     for k, i in enumerate(word):
         low, high = k * n, (k + 1) * n
@@ -232,6 +248,8 @@ def trace_x2a(elem: TLElement | Word, n: int) -> QA:
     v = QA(0) if n == 1 else QA.a_power(n + 1) * QA(n - 2)
     total = QA(0)
     for k, coeff in elem.coeffs.items():
+        if k != C_WORD:
+            _check_letters(k, n)
         scalar = specialize(coeff, 2 * A)
         if k == C_WORD:
             cell = -u
@@ -245,19 +263,27 @@ def trace_x2a(elem: TLElement | Word, n: int) -> QA:
     return total
 
 
+def relator_sandwich_traces(u: Word, i: int, v: Word, n: int) -> list[list[QA]]:
+    """Both trace families on u R v, for the relators R of (1) and (5) at e_i.
+
+    The terms of u R v are traced unreduced, each word by the family's
+    formula, with u C v = (dt/x)^(|u|+|v|) C by (2).  Returns one list of
+    term traces per relator and family; each sums to zero exactly when the
+    family respects that relator there.  Reduced in `ExtTL`, every u R v
+    is 0, and its trace would be the trace of 0.
+    """
+    def between(w: Word, coeff: LaurentPolynomial | int = 1) -> TLElement:
+        return TLElement.word(tuple(u) + w + tuple(v), coeff)
+
+    relators = [[between((i, i)), between((i,), -DT_OVER_X)]]
+    if i + 1 <= n - 2:
+        c = fold_a(TWO_A_OVER_X * _dt_over_x_power(len(u) + len(v)))
+        relators.append([between((i, i + 1, i)), between((i,), -1), TLElement.c(-c)])
+    return [[trace(term, n) for term in terms]
+            for terms in relators for trace in (trace_xa, trace_x2a)]
+
+
 # -- splitting and retraction certificates ----------------------------------------
-
-
-AXL = ("a", "x", "L")
-
-
-def _by_l(p: LaurentPolynomial) -> dict[int, LaurentPolynomial]:
-    """The coefficients over (a, x) of the powers of L in p over (a, x, L)."""
-    by_l: dict[int, LaurentPolynomial] = {}
-    for (ea, ex, el), c in p.terms.items():
-        mono = LaurentPolynomial(AX, {(ea, ex): c})
-        by_l[el] = by_l.get(el, LaurentPolynomial.zero(AX)) + mono
-    return by_l
 
 
 @dataclass
@@ -275,94 +301,59 @@ class SplitReport:
                 and self.braid_obstruction_unit_x2a)
 
 
+def cleared_section(i: int) -> TLElement:
+    """The section e_i -> e_i + lambda C, lambda = -x/(2(a-x)), times 2(a-x):
+    2(a-x) e_i - x C."""
+    return TLElement.word((i,), apl("2*(a-x)")) + TLElement.c(apl("-x"))
+
+
+def x2a_section(i: int) -> TLElement:
+    """The section e_i -> e_i + C at x = 2a."""
+    return TLElement.word((i,)) + TLElement.c(1)
+
+
+def _relation_residues(alg: ExtTL, section: Callable[[int], TLElement],
+                       k: LaurentPolynomial) -> list[TLElement]:
+    """Residues of (1), (4) and (5) for f_i = section(i), a candidate section
+    times k: f_0^2 - k (dt/x) f_0, f_0 f_2 - f_2 f_0 and f_0 f_1 f_0 - k^2 f_0."""
+    f0, f1, f2 = (section(i) for i in range(3))
+    m = alg.multiply
+    return [m(f0, f0) - f0.scale(k * DT_OVER_X), m(f0, f2) - m(f2, f0),
+            m(m(f0, f1), f0) - f0.scale(k * k)]
+
+
 def split_checks() -> SplitReport:
     """Splitting analysis of both central extensions.
 
-    (i) With lambda = -x/(2(a-x)) (cleared of the denominator), the map
-    e_i -> e_i + lambda C satisfies the plain Temperley-Lieb relations,
-    so the TL extension splits away from x = a; at x = 2a the section
-    e_i -> e_i + C works directly.  At x = a the obstruction system forces
-    lambda_i = 0 and then the sandwich relation leaves a nonzero 2a x^-1 C.
+    (i) With lambda = -x/(2(a-x)), the map e_i -> e_i + lambda C satisfies
+    the plain Temperley-Lieb relations, so the TL extension splits away
+    from x = a: `cleared_section` clears the denominator, and its
+    relations hold in ExtTL(4) over Q[a, x].  At x = 2a the section
+    e_i -> e_i + C works directly.  At x = a the residue of (1) for
+    e_i + lambda C is a lambda C, so lambda = 0, and then (5) leaves
+    2a x^-1 C = 2C.
 
     (ii) The braid-style extension's splitting obstruction polynomial
     Q(lambda) = x^4 (1 + u dt + u^2 dt), u = 2 lambda a (a-x) x^-2, is the
-    unit constant x^4 at both x = a and x = 2a, so it has no roots there.
+    unit constant x^4 at both x = a and x = 2a, so it has no roots there:
+    its coefficients of lambda^1 and lambda^2 vanish and that of lambda^0
+    is a unit.
     """
     alg = ExtTL(4)
+    one = apl("1")
+    generic_ok = all(r.map(fold_a).is_zero()
+                     for r in _relation_residues(alg, cleared_section, apl("2*(a-x)")))
+    x2a_ok = all(r.map(lambda p: specialize(p, 2 * A)).is_zero()
+                 for r in _relation_residues(alg, x2a_section, one))
+    sandwich = _relation_residues(alg, lambda i: TLElement.word((i,)), one)[2]
+    xa_obstructed = sandwich.map(lambda p: specialize(p, A)) == TLElement({C_WORD: QA(2)})
 
-    def mul(u: Combination, v: Combination) -> Combination:
-        # the product of ExtTL.multiply, with coefficients in Q[a, x, L]
-        return Combination.collect(
-            (k, fold_a(cu * cv * c.extend(AXL)))
-            for ku, cu in u.coeffs.items()
-            for kv, cv in v.coeffs.items()
-            for k, c in alg._basis_product(ku, kv).coeffs.items()
-        )
+    # Q(lambda) by its coefficients of lambda^0, lambda^1, lambda^2 (a^2 = 1)
+    q = (apl("x^4"), apl("2*a*(a-x)*x^2") * DT, apl("4*(a-x)^2") * DT)
 
-    def relation_residues_with_lambda() -> list[LaurentPolynomial]:
-        """Residues of the TL relations for e_i + L C, as polynomials in L.
-
-        Returns the coefficients (in Q[a,x,L]) that must vanish after the
-        substitution L = -x/(2(a-x)), cleared of denominators.
-        """
-        lam = LaurentPolynomial.var("L", AXL)
-        e1, e2, e3 = (Combination({(i,): LaurentPolynomial.one(AXL), C_WORD: lam})
-                      for i in range(3))
-        # relation (1): ě^2 = dt/x ě
-        r1 = mul(e1, e1) - e1.scale(DT_OVER_X.extend(AXL))
-        # relation (4): commuting generators
-        r4 = mul(e1, e3) - mul(e3, e1)
-        # relation (5): ě1 ě2 ě1 = ě1
-        r5 = mul(mul(e1, e2), e1) - e1
-        return [*r1.coeffs.values(), *r4.coeffs.values(), *r5.coeffs.values()]
-
-    residues = relation_residues_with_lambda()
-    # substitute L = -x / (2(a-x)) with denominator cleared: for a residue
-    # sum r_k L^k, check sum r_k (-x)^k (2(a-x))^(d-k) = 0 where d = max k.
-    def cleared_substitution_zero(p: LaurentPolynomial) -> bool:
-        by_l = _by_l(p)
-        if not by_l:
-            return True
-        d = max(by_l)
-        minus_x = apl("-x")
-        two_a_minus_x = apl("2*(a-x)")
-        total = LaurentPolynomial.zero(AX)
-        for k, coeff in by_l.items():
-            total = total + coeff * minus_x ** k * two_a_minus_x ** (d - k)
-        return fold_a(total).is_zero()
-
-    generic_ok = all(cleared_substitution_zero(r) for r in residues)
-
-    # x = 2a: the section e_i -> e_i + C
-    def at0(p: LaurentPolynomial) -> QA:
-        return specialize(p, 2 * A)
-
-    e1c, e2c, e3c = (TLElement.word((i,)) + TLElement.c(1) for i in range(3))
-    x2a_ok = (
-        alg.multiply(e1c, e1c).map(at0).is_zero()
-        and (alg.multiply(alg.multiply(e1c, e2c), e1c) - e1c).map(at0).is_zero()
-        and (alg.multiply(e1c, e3c) - alg.multiply(e3c, e1c)).map(at0).is_zero()
-    )
-
-    # x = a: lambda is forced to 0 by (1), and then (5) leaves 2a/x C != 0
-    def ata(p: LaurentPolynomial) -> QA:
-        return specialize(p, A)
-
-    # residue of (1) at x=a as a polynomial in L: (dt/x) L (1 + 2L(a-x)/x) C
-    # = a L C, so lambda_i = 0; then (5) residue with lambda = 0:
-    e1p = TLElement.word((0,))
-    e2p = TLElement.word((1,))
-    sandwich = alg.multiply(alg.multiply(e1p, e2p), e1p) - e1p
-    xa_obstructed = sandwich.map(ata) == TLElement({C_WORD: QA(2)})  # 2a/x C at x=a is 2C
-
-    # braid-extension obstruction Q(lambda) = x^4(1 + u dt + u^2 dt)
     def q_is_unit(x: QA) -> bool:
-        lam = LaurentPolynomial.var("L", AXL)
-        u = apl("2*a*(a-x)*x^-2").extend(AXL) * lam
-        dt = DT.extend(AXL)
-        q = (LaurentPolynomial.one(AXL) + u * dt + u * u * dt) * apl("x^4").extend(AXL)
-        reduced = Combination(_by_l(q)).map(lambda v: specialize(v, x))
-        return set(reduced.coeffs) == {0} and reduced.coeffs[0].is_unit()
+        constant, *rest = (specialize(c, x) for c in q)
+        return constant.is_unit() and not any(rest)
 
     return SplitReport(
         generic_section_works=generic_ok,

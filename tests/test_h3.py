@@ -68,7 +68,15 @@ class TestMatrixModels:
         # sends b - c to 0, killing p_{U_bc}
         bad = Specialization("b=c", ("a", "c"), {"b": LaurentPolynomial.parse("c", ("a", "c"))})
         with pytest.raises(RingError):
-            verify_identity(WordSum.word((1,)), WordSum.word((1,)), spec=bad)
+            verify_identity(WordSum.word((1,)), WordSum.word((1,)), H3Model(bad))
+
+    @pytest.mark.parametrize("word", [(3,), (1, 0), (2, -3, 1)])
+    def test_letters_outside_three_strands_are_refused(self, word):
+        model = H3Model()
+        with pytest.raises(RingError, match="not in H_3"):
+            model.word_image(word)
+        with pytest.raises(RingError, match="not in H_3"):
+            model.image(WordSum.word(word))
 
 
 class TestIdealIdentities:
@@ -110,17 +118,25 @@ class TestSchur:
         with pytest.raises(RingError, match=repr(basis)):
             gram_determinant_at_points(basis, count=1)
 
+    @pytest.mark.parametrize("seed", [23, 29])
+    def test_point_model_images_are_the_evaluated_free_images(self, seed):
+        # the first point each Gram check draws; the point model maps only the generators
+        pt = FREE.point(random.Random(seed))
+        free, point = H3Model(), H3Model(h3.at_point(pt))
+        for w in basis_b0() + basis_b1():
+            assert point.word_image(w) == free.word_image(w).map(lambda p: p.evaluate(pt)), w
+
     @pytest.mark.parametrize("basis, words, seed", [("B0", basis_b0(), 23), ("B1", basis_b1(), 29)])
     def test_integer_gram_kernel_matches_the_trace_sum(self, basis, words, seed):
         # the first point the Gram check draws, against sum_chi tr(u v) / p_chi over Fraction
         pt = FREE.point(random.Random(seed))
         schur_at = {k: p.evaluate(pt) for k, p in schur_elements().items()}
-        numeric = h3._numeric_word_images(H3Model(), words, pt)
-        gram, symmetric = h3._gram_at(numeric, words, schur_at)
+        model = H3Model(h3.at_point(pt))
+        gram, symmetric = h3._gram_at([model.word_image(w) for w in words], schur_at)
         assert symmetric
         for i, j in ((0, 0), (1, 5), (5, 1), (7, 22), (22, 7), (23, 23)):
-            u, v = words[i], words[j]
-            want = sum((Fraction((numeric[u][k] * numeric[v][k]).trace()) / schur_at[k]
+            u, v = model.word_image(words[i]), model.word_image(words[j])
+            want = sum((Fraction((u.block(k) * v.block(k)).trace()) / schur_at[k]
                         for k in schur_at), Fraction(0))
             assert gram[i][j] == want, (basis, i, j)
 

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from cubictrace import tl
 from cubictrace.qa import QA
+from cubictrace.rings import RingError
 from cubictrace.tl import (
     C_WORD,
     DT_OVER_X,
@@ -17,6 +19,7 @@ from cubictrace.tl import (
     apl,
     closure_circles,
     jones_normal_words,
+    relator_sandwich_traces,
     retraction_check,
     split_checks,
     trace_x2a,
@@ -35,6 +38,20 @@ class TestBasis:
     def test_rank_cap(self):
         with pytest.raises(Exception):
             ExtTL(7)
+
+    @pytest.mark.parametrize("entry", [
+        lambda: trace_x2a((7,), 3),
+        lambda: trace_x2a(TLElement.word((0, 2)), 3),
+        lambda: trace_xa((5,), 3),
+        lambda: closure_circles((2,), 3),
+        lambda: closure_circles((0, -1), 4),
+        lambda: ExtTL(3).reduce_word((5,)),
+        lambda: ExtTL(4).multiply(TLElement.word((0,)), TLElement.word((3,))),
+    ], ids=["trace_x2a", "trace_x2a-element", "trace_xa", "closure_circles",
+            "closure_circles-negative", "reduce_word", "multiply"])
+    def test_letters_outside_the_rank_are_refused(self, entry):
+        with pytest.raises(RingError, match="letter"):
+            entry()
 
 
 class TestMultiplication:
@@ -157,25 +174,17 @@ class TestTraces:
             assert trace_x2a(uv, n) == trace_x2a(vu, n)
 
     def test_traces_kill_defining_relators(self):
+        # traced unreduced, by each family's formula: reduced, every sandwich is 0
         rng = random.Random(43)
+        nonzero = 0
         for _ in range(100):
             n = rng.randint(3, 5)
-            alg = ExtTL(n)
             i = rng.randint(0, n - 2)
-            relators = [alg.multiply(TLElement.word((i,)), TLElement.word((i,)))
-                        - TLElement.word((i,)).scale(DT_OVER_X)]
-            if i + 1 <= n - 2:
-                sandwich = alg.multiply(alg.multiply(TLElement.word((i,)),
-                                                     TLElement.word((i + 1,))),
-                                        TLElement.word((i,)))
-                relators.append(sandwich - TLElement.word((i,)) - TLElement.c(TWO_A_OVER_X))
-            mk = lambda: TLElement.word(tuple(rng.randint(0, n - 2)
-                                              for _ in range(rng.randint(0, 3))))
-            left, right = mk(), mk()
-            for relator in relators:
-                sandwiched = alg.multiply(alg.multiply(left, relator), right)
-                assert trace_xa(sandwiched, n) == QA(0)
-                assert trace_x2a(sandwiched, n) == QA(0)
+            left, right = random_word(rng, n, 3), random_word(rng, n, 3)
+            for terms in relator_sandwich_traces(left, i, right, n):
+                assert sum(terms) == QA(0), (n, i, left, right, terms)
+                nonzero += any(terms)
+        assert nonzero
 
     def test_nonsymmetry_witness(self):
         alg = ExtTL(3)
@@ -195,6 +204,14 @@ class TestCertificates:
         assert rep.xa_obstructed
         assert rep.braid_obstruction_unit_xa
         assert rep.braid_obstruction_unit_x2a
+
+    def test_a_wrong_section_fails_the_generic_certificate(self, monkeypatch):
+        # the C coefficient of the cleared section with the wrong sign
+        monkeypatch.setattr(tl, "cleared_section",
+                            lambda i: TLElement.word((i,), apl("2*(a-x)")) + TLElement.c(apl("x")))
+        rep = split_checks()
+        assert not rep.generic_section_works
+        assert rep.x2a_section_works and not rep.ok
 
     def test_retraction(self):
         rep = retraction_check()

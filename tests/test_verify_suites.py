@@ -44,7 +44,10 @@ def test_coxeter_suite():
 
 
 def test_tl_suite():
-    _assert_green(suite_tl())
+    rep = suite_tl()
+    _assert_green(rep)
+    golden = Path(__file__).resolve().parent / "golden" / "verify_tl.txt"
+    assert rep.render() + "\n" == golden.read_text()
 
 
 def test_table_runner_strict_rows():
