@@ -12,8 +12,12 @@ ever performed.  A specialization (`rings.Specialization`) is a ring map
 into a Laurent ring: the blocks are mapped once and multiplied there, and
 the ring with a^2 = 1 is checked as its two points a = 1 and a = -1.  A
 rational point (`at_point`) is one more ring map, into Q, and the Gram
-check builds one model per point.  The symbolic generator blocks are built
-once per process, on first use.
+check builds one model per point.  The symbolic generator blocks and the
+Schur elements are built once per process, on first use.  Products are
+fused: each entry of a matrix product, and each block entry of a linear
+combination's image, is one dot product into one accumulator
+(`linalg.dot`).  The Markov-trace forms evaluate each word's block traces
+at the point and combine them there.
 
 Checked here, exactly and symbolically unless noted:
 
@@ -41,13 +45,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property, reduce
 from math import lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .combination import Combination
-from .linalg import Matrix, det_bareiss, eliminate
+from .linalg import Matrix, det_bareiss, dot, eliminate
 from .rings import (
     ABC,
     FREE,
@@ -63,9 +68,6 @@ from .rings import (
 )
 
 Word = tuple[int, ...]
-
-REP_KEYS = ("Sa", "Sb", "Sc", "Uab", "Uac", "Ubc", "V")
-
 
 # -- formal linear combinations of braid words --------------------------------
 
@@ -158,28 +160,14 @@ class H3RepImage:
     def block(self, key: str) -> Matrix:
         return dict(self.blocks)[key]
 
-    def __add__(self, other: "H3RepImage") -> "H3RepImage":
-        return H3RepImage(tuple((k, m + n) for (k, m), (_, n) in zip(self.blocks, other.blocks)))
-
     def __mul__(self, other: "H3RepImage") -> "H3RepImage":
         return H3RepImage(tuple((k, m * n) for (k, m), (_, n) in zip(self.blocks, other.blocks)))
-
-    def scale(self, coeff) -> "H3RepImage":
-        return H3RepImage(tuple((k, m * coeff) for k, m in self.blocks))
 
     def map(self, f: Callable) -> "H3RepImage":
         return H3RepImage(tuple((k, m.map(f)) for k, m in self.blocks))
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for _, m in self.blocks)
-
-    def __eq__(self, other):
-        if not isinstance(other, H3RepImage):
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def traces(self) -> dict[str, LaurentPolynomial]:
-        return {k: m.trace() for k, m in self.blocks}
 
 
 RingMap = Callable[[LaurentPolynomial], "LaurentPolynomial | int | Fraction"]
@@ -221,15 +209,22 @@ class H3Model:
         return image
 
     def image(self, expr: WordSum) -> H3RepImage:
-        """Image of a formal linear combination; multiplicative and linear."""
-        acc = None
-        for word, coeff in expr.coeffs.items():
-            term = self.word_image(word).scale(self.spec(coeff))
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = self.identity_image().scale(self._zero)
-        return acc
+        """Image of a formal linear combination; multiplicative and linear.
 
+        Each block entry is one dot product (`linalg.dot`) of the mapped
+        word coefficients with that entry of the word images.
+        """
+        if not expr.coeffs:
+            return self.identity_image().map(lambda _: self._zero)
+        coeffs = [self.spec(c) for c in expr.coeffs.values()]
+        blocks = []
+        for parts in zip(*(self.word_image(w).blocks for w in expr.coeffs)):  # a block, all words
+            rows = zip(*(m.rows for _, m in parts))  # a row index, all words
+            matrix = Matrix([[dot(coeffs, xs) for xs in zip(*row)] for row in rows])
+            blocks.append((parts[0][0], matrix))
+        return H3RepImage(tuple(blocks))
+
+    @cached_property
     def schur_values_nonzero(self) -> bool:
         """Faithfulness guard: all Schur elements nonzero under the spec."""
         return all(self.spec(p) for p in schur_elements().values())
@@ -247,7 +242,7 @@ def verify_identity(lhs: WordSum, rhs: WordSum, model: H3Model) -> bool:
     Schur element, because then the embedding is no longer injective and
     a negative answer would be meaningless.
     """
-    if not model.schur_values_nonzero():
+    if not model.schur_values_nonzero:
         raise RingError(
             f"spec {getattr(model.spec, 'name', 'at_point')!r} kills a Schur element; "
             "the matrix embedding is not faithful there"
@@ -369,15 +364,11 @@ def check_twelve_term_identities() -> dict[str, bool]:
             if sign < 0:
                 flipped_const = (one - x) * y_inv if not primed else (y - x) * y_inv * y_inv
                 flipped = factors[(sign, primed)] + WordSum.from_terms([
-                    (flipped_const - _constant_of(factors[(sign, primed)]), ()),
+                    (flipped_const - factors[(sign, primed)].coeffs[()], ()),
                 ])
                 results[name + " (sign flip fails)"] = not verify_identity(
                     flipped * r1s2, lhs, model=model)
     return results
-
-
-def _constant_of(ws: WordSum) -> LaurentPolynomial:
-    return ws.coeffs.get((), LaurentPolynomial.zero(ABC))
 
 
 # -- the e-generators at bc = 1, a^2 = 1 --------------------------------------
@@ -510,13 +501,15 @@ SCHUR_TABLE: dict[str, tuple[int, tuple[str, ...], str]] = {
 }
 
 
-def schur_elements() -> dict[str, LaurentPolynomial]:
+@cache
+def schur_elements() -> Mapping[str, LaurentPolynomial]:
     """The seven Schur elements of t_0; denominators are unit monomials.
 
     Three come from the explicit displays; the other four are their images
     under the variable permutations suggested by the representation labels,
     and `check_schur_identity` certifies the whole table at once.  Each is
-    built from its row of SCHUR_TABLE, as Lambda is.
+    built from its row of SCHUR_TABLE, as Lambda is, once per process; the
+    mapping is read-only, since every caller shares it.
     """
     out = {}
     for key, (sign, factors, den) in SCHUR_TABLE.items():
@@ -524,7 +517,7 @@ def schur_elements() -> dict[str, LaurentPolynomial]:
         for f in factors:
             p = p * poly_abc(f)
         out[key] = p * poly_abc(den).monomial_inverse()
-    return out
+    return MappingProxyType(out)
 
 
 def schur_common_multiple() -> LaurentPolynomial:
@@ -576,10 +569,8 @@ def check_schur_identity() -> dict[str, bool]:
     cofactors = {k: common.exact_div(p) for k, p in schur_elements().items()}
     out = {}
     for idx, g in enumerate(basis_b0()):
-        traces = model.word_image(g).traces()
-        rhs = LaurentPolynomial.zero(ABC)
-        for k in REP_KEYS:
-            rhs = rhs + cofactors[k] * traces[k]
+        blocks = model.word_image(g).blocks
+        rhs = dot([cofactors[k] for k, _ in blocks], [m.trace() for _, m in blocks])
         lhs = common if idx == 0 else LaurentPolynomial.zero(ABC)
         out[f"t0 decomposition on word {idx}"] = lhs == rhs
     return out
@@ -662,14 +653,16 @@ TRACE_BASIS: tuple[Word, ...] = ((), (1,), (1, 2), (1, -2, 1, -2))
 
 @dataclass
 class TraceEquationReport:
+    """The verdicts start true; a failing point or check clears them."""
+
     points_checked: int
-    t4_coefficients_vanish: bool
-    first_equation_matches: bool
-    second_equation_matches: bool
-    r1s1_equation_matches: bool
-    hecke_vector_annihilates: bool
-    parity_vector_annihilates: bool
-    kauffman_vector_annihilates: bool
+    t4_coefficients_vanish: bool = True
+    first_equation_matches: bool = True
+    second_equation_matches: bool = True
+    r1s1_equation_matches: bool = True
+    hecke_vector_annihilates: bool = True
+    parity_vector_annihilates: bool = True
+    kauffman_vector_annihilates: bool = True
     notes: list[str] = field(default_factory=list)
     # not in repr: perfbench's identities workload hashes the repr
     points_requested: int = field(default=0, repr=False)
@@ -701,23 +694,24 @@ def _trace_forms(model: H3Model, point: dict[str, Fraction],
     A trace is a combination of the 7 block traces; its multiplicities
     solve the 3 Markov conditions and the 4 values on TRACE_BASIS, one
     right-hand side per unknown.  None when the system is singular at
-    the point.
+    the point.  The block traces of each word are evaluated at the point
+    once, and those of a linear combination are combined there from them.
     """
-    def traces(expr: WordSum) -> list[Fraction]:
-        image = model.image(expr)
-        return [image.block(k).trace().evaluate(point) for k in REP_KEYS]
+    @cache
+    def traces(word: Word) -> list[Fraction]:
+        return [m.trace().evaluate(point) for _, m in model.word_image(word).blocks]
 
-    rows = [[p - q for p, q in zip(traces(WordSum.word(u)), traces(WordSum.word(v)))]
-            for u, v in MARKOV_PAIRS]
-    rows += [traces(WordSum.word(g)) for g in TRACE_BASIS]
+    rows = [[p - q for p, q in zip(traces(u), traces(v))] for u, v in MARKOV_PAIRS]
+    rows += [traces(g) for g in TRACE_BASIS]
     units = [[int(i == 3 + j) for i in range(7)] for j in range(4)]
     _, solved = eliminate(Matrix(rows), units)
     if solved is None:
         return None
     forms = []
     for expr in exprs:
-        values = traces(expr)
-        forms.append([sum(c * v for c, v in zip(solved[j], values)) for j in range(4)])
+        coeffs = [c.evaluate(point) for c in expr.coeffs.values()]
+        values = [dot(coeffs, column) for column in zip(*map(traces, expr.coeffs))]
+        forms.append([dot(solved[j], values) for j in range(4)])
     return forms
 
 
@@ -735,17 +729,7 @@ def trace_equations_check(points: int = 5, seed: int = 97) -> TraceEquationRepor
     r1 = relator_r(1)
     exprs = (WordSum.word((-1,)) * r1, r1, r1 * WordSum.word((1,)))
 
-    report = TraceEquationReport(
-        points_checked=0,
-        t4_coefficients_vanish=True,
-        first_equation_matches=True,
-        second_equation_matches=True,
-        r1s1_equation_matches=True,
-        hecke_vector_annihilates=True,
-        parity_vector_annihilates=True,
-        kauffman_vector_annihilates=True,
-        points_requested=points,
-    )
+    report = TraceEquationReport(points_checked=0, points_requested=points)
 
     schur = schur_elements()
     done = 0
@@ -766,11 +750,7 @@ def trace_equations_check(points: int = 5, seed: int = 97) -> TraceEquationRepor
         y = pt["b"] * pt["c"]
 
         expected1 = [Fraction(0), (a * a - y * y) * x, -(a * a - y * y) * (y + 1), Fraction(0)]
-        scale = None
-        for got, want in zip(form1, expected1):
-            if want != 0:
-                scale = got / want
-                break
+        scale = next((got / want for got, want in zip(form1, expected1) if want != 0), None)
         if form1[0] != 0 or form1[3] != 0:
             report.t4_coefficients_vanish = False
         if scale is None or [scale * w for w in expected1] != form1 or scale == 0:
@@ -817,14 +797,14 @@ def trace_equations_check(points: int = 5, seed: int = 97) -> TraceEquationRepor
         done += 1
 
     # specialized vectors: parity trace at a^2 = y = 1, Kauffman at a^2 = y^2
-    report.parity_vector_annihilates = _specialized_vector_check("parity", seed + 1)
-    report.kauffman_vector_annihilates = _specialized_vector_check("kauffman", seed + 2)
+    report.parity_vector_annihilates = _specialized_vector_check(model, "parity", seed + 1)
+    report.kauffman_vector_annihilates = _specialized_vector_check(model, "kauffman", seed + 2)
     return report
 
 
-def _specialized_vector_check(which: str, seed: int) -> bool:
-    """t^dagger-dagger (resp. t^K) satisfies both trace equations at its locus."""
-    model = H3Model()
+def _specialized_vector_check(model: H3Model, which: str, seed: int) -> bool:
+    """t^dagger-dagger (resp. t^K) satisfies both trace equations at its locus,
+    by the traces of the free `model` evaluated at points of the locus."""
     rng = random.Random(seed)
     r1 = relator_r(1)
     exprs = (r1, WordSum.word((-1,)) * r1)
@@ -860,10 +840,17 @@ def _specialized_vector_check(which: str, seed: int) -> bool:
 # -- the character s_i -> a and the 3-dimensional module -----------------------
 
 
+def writhe_character(expr: WordSum, spec: Specialization = FREE) -> LaurentPolynomial:
+    """The Sa block of expr's image under spec: s_i^+-1 -> a^+-1, so a word
+    w maps to a^writhe(w) and expr to sum_w spec(c_w) spec(a)^writhe(w)."""
+    a = spec(poly_abc("a"))
+    return sum((spec(c) * a ** sum(1 if x > 0 else -1 for x in w) for w, c in expr.coeffs.items()),
+               spec(LaurentPolynomial.zero(ABC)))
+
+
 def check_parity_character() -> bool:
     """The character s_i -> a, the block Sa, kills the six-term relator at bc = 1, a = +-1."""
-    return all(H3Model(dagger_dagger(a)).image(relator_r(1)).block("Sa").is_zero()
-               for a in (1, -1))
+    return all(not writhe_character(relator_r(1), dagger_dagger(a)) for a in (1, -1))
 
 
 def _dim3_module_at(spec: Specialization) -> tuple[bool, bool, bool, bool]:
@@ -886,13 +873,9 @@ def _dim3_module_at(spec: Specialization) -> tuple[bool, bool, bool, bool]:
 
     # R_1 under the module: all letters act by s (same index or not)
     letter = {1: s, 2: s, -1: s_inv, -2: s_inv}
-    total = Matrix.identity(3, zero, zero)
-    for word, coeff in relator_r(1).coeffs.items():
-        m = ident
-        for ltr in word:
-            m = m * letter[ltr]
-        total = total + m * spec(coeff)
-    r1_zero = total.is_zero()
+    terms = [reduce(mul, map(letter.get, word), ident) * spec(coeff)
+             for word, coeff in relator_r(1).coeffs.items()]
+    r1_zero = sum(terms[1:], terms[0]).is_zero()
 
     e_cleared = (s + s_inv - ident * x) * pl("a")  # x * e_i
     target_e = Matrix([

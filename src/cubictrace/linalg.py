@@ -1,9 +1,11 @@
 """Small exact matrices over any of the project's rings.
 
 Entries may be `int`, `Fraction` or `LaurentPolynomial`; the only
-requirements are +, -, * and (for determinants) exact division.  A system
-over Q[a]/(a^2-1) is solved as one system over Q at a = 1 and one at
-a = -1, as the T0 pin in `coxeter` does.  There are two determinants:
+requirements are +, -, * and (for determinants) exact division.  Each
+entry of a product is one dot product (`dot`), so the entries of two
+multiplied matrices share one ring.  A system over Q[a]/(a^2-1) is solved
+as one system over Q at a = 1 and one at a = -1, as the T0 pin in
+`coxeter` does.  There are two determinants:
 `det_bareiss`, fraction-free over Z and over Laurent polynomials, and
 `eliminate`, the one Gaussian elimination over Q, which also solves
 linear systems.  There is no inverse routine: the generators inverted
@@ -15,9 +17,18 @@ asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .rings import LaurentPolynomial, RingError, _as_fraction
+
+
+def dot(xs: Sequence, ys: Sequence):
+    """sum(x * y for x, y in zip(xs, ys)) over nonempty xs, as one accumulation:
+    `LaurentPolynomial.dot` for Laurent entries, a plain sum for rationals."""
+    if isinstance(xs[0], LaurentPolynomial):
+        return LaurentPolynomial.dot(xs, ys)
+    return sum(map(mul, xs, ys))
 
 
 class Matrix:
@@ -60,17 +71,10 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise RingError("matrix shape mismatch")
-            cols = list(zip(*other.rows))
-            out = []
-            for row in self.rows:
-                out_row = []
-                for col in cols:
-                    acc = row[0] * col[0]
-                    for x, y in zip(row[1:], col[1:]):
-                        acc = acc + x * y
-                    out_row.append(acc)
-                out.append(out_row)
-            return Matrix(out)
+            cols = list(zip(*other.rows))  # `dot`, with its ring chosen once per product
+            if isinstance(self.rows[0][0], LaurentPolynomial):
+                return Matrix([[LaurentPolynomial.dot(r, c) for c in cols] for r in self.rows])
+            return Matrix([[sum(map(mul, r, c)) for c in cols] for r in self.rows])
         return Matrix([[x * other for x in r] for r in self.rows])
 
     def __rmul__(self, scalar):
@@ -94,18 +98,10 @@ class Matrix:
     def trace(self):
         if self.nrows != self.ncols:
             raise RingError("trace of a non-square matrix")
-        acc = self.rows[0][0]
-        for i in range(1, self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
+        return sum((self.rows[i][i] for i in range(1, self.nrows)), self.rows[0][0])
 
     def is_zero(self) -> bool:
-        for row in self.rows:
-            for x in row:
-                zero = (x == 0) if isinstance(x, (int, Fraction)) else x.is_zero()
-                if not zero:
-                    return False
-        return True
+        return not any(x for row in self.rows for x in row)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)

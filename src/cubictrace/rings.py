@@ -13,11 +13,13 @@ The quotients of R = Q[a,b,c,(abc)^-1] in which the H3 identities hold are
 ring maps, `Specialization`s: R/(a -+ bc) is the Laurent ring in b, c
 under a -> +-bc, and R/(bc - 1, a^2 - 1) is two copies of the Laurent ring
 in b, one under a -> 1 and one under a -> -1, both with c -> 1/b.  Each
-map is a substitution, so an image is canonical as computed and needs no
-reduction afterwards.  `Specialization.point` draws seeded rational points
-of the locus for the checks that evaluate instead of expanding, such as
-the 24x24 Gram determinants.  `fold_a` reduces a^2 -> 1 where
-coefficients stay in Q[a]/(a^2 - 1), as in the Temperley-Lieb algebras.
+map sends every variable to a unit monomial, so it is a monomial map on
+exponent vectors (`LaurentPolynomial.substitute`): an image is canonical
+as computed and needs no reduction afterwards.  `Specialization.point`
+draws seeded rational points of the locus for the checks that evaluate
+instead of expanding, such as the 24x24 Gram determinants.  `fold_a`
+reduces a^2 -> 1 where coefficients stay in Q[a]/(a^2 - 1), as in the
+Temperley-Lieb algebras.
 """
 
 from __future__ import annotations
@@ -69,25 +71,14 @@ class LaurentPolynomial:
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Coefficient]):
         variables = tuple(variables)
-        clean: dict[Monomial, Coefficient] = {}
-        nvars = len(variables)
+        merged: dict[Monomial, Coefficient] = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
-            if len(mono) != nvars:
+            if len(mono) != len(variables):
                 raise RingError(f"exponent vector {mono} has wrong length for {variables}")
-            coeff = _as_fraction(coeff)
-            if coeff != 0:
-                acc = clean.get(mono)
-                if acc is None:
-                    clean[mono] = coeff
-                else:
-                    acc = _canonical(acc + coeff)
-                    if acc == 0:
-                        del clean[mono]
-                    else:
-                        clean[mono] = acc
+            merged[mono] = merged.get(mono, 0) + _as_fraction(coeff)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {m: _canonical(c) for m, c in merged.items() if c})
         object.__setattr__(self, "_hash", None)
 
     @classmethod
@@ -214,6 +205,30 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def dot(xs: Sequence["LaurentPolynomial"],
+            ys: Sequence["LaurentPolynomial"]) -> "LaurentPolynomial":
+        """sum(x * y for x, y in zip(xs, ys)) for nonempty xs: `__mul__`'s loop
+        over every pair, into one term dict canonicalized once at the end,
+        instead of a polynomial per product and per partial sum."""
+        variables = xs[0].variables
+        out: dict[Monomial, Coefficient] = {}
+        get = out.get
+        try:
+            for p, q in zip(xs, ys):
+                if p.variables != variables or q.variables != variables:
+                    raise RingError(f"mismatched variable lists {p.variables} vs {q.variables}")
+                items2 = q.terms.items()
+                for m1, c1 in p.terms.items():
+                    for m2, c2 in items2:
+                        mono = tuple(map(add, m1, m2))
+                        out[mono] = get(mono, 0) + c1 * c2
+        except AttributeError:  # a factor without .variables or .terms
+            raise RingError("a Laurent dot product mixes in a non-polynomial factor") from None
+        return LaurentPolynomial._trusted(variables, {
+            m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for m, c in out.items() if c})
+
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise RingError("exponent must be an integer")
@@ -255,39 +270,41 @@ class LaurentPolynomial:
 
     def substitute(self, mapping: Mapping[str, "LaurentPolynomial"],
                    target_variables: Sequence[str] | None = None) -> "LaurentPolynomial":
-        """Substitute polynomials for variables.
+        """The monomial map sending each mapped variable to its image, a unit
+        monomial k*m over `target_variables`, on exponent vectors.
 
-        Unmapped variables must exist in the target variable tuple.  A
-        negative power of a mapped variable requires its image to be an
-        invertible monomial.
+        Every other variable must be in the target tuple and maps to itself.
+        A term c * prod v^e goes to c * prod k^e times the monomial sum e*m;
+        terms that meet are summed in one dict.  Raises RingError otherwise.
         """
         if target_variables is None:
             first = next(iter(mapping.values()), None)
             target_variables = first.variables if first is not None else self.variables
-        target_variables = tuple(target_variables)
-        images: list[LaurentPolynomial] = []
+        target = tuple(target_variables)
+        images = []  # per variable: (k, [(target index, exponent) of m])
         for v in self.variables:
-            if v in mapping:
-                img = mapping[v]
-                if img.variables != target_variables:
-                    raise RingError("substitution images must share the target variable tuple")
-                images.append(img)
-            else:
-                images.append(LaurentPolynomial.var(v, target_variables))
-        out = LaurentPolynomial.zero(target_variables)
-        pow_cache: list[dict[int, LaurentPolynomial]] = [dict() for _ in images]
+            if v not in mapping:
+                if v not in target:
+                    raise RingError(f"unmapped variable {v!r} is not among the target {target}")
+                images.append((1, [(target.index(v), 1)]))
+                continue
+            image = mapping[v]
+            if image.variables != target or len(image.terms) != 1:
+                raise RingError(f"{v} -> {image} is not a unit monomial over {target}")
+            (mono, k), = image.terms.items()
+            images.append((k, [(j, e) for j, e in enumerate(mono) if e]))
+        out: dict[Monomial, Coefficient] = {}
         for mono, coeff in self.terms.items():
-            term = LaurentPolynomial.constant(coeff, target_variables)
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                cached = pow_cache[i].get(e)
-                if cached is None:
-                    cached = images[i] ** e
-                    pow_cache[i][e] = cached
-                term = term * cached
-            out = out + term
-        return out
+            exps = [0] * len(target)
+            for e, (k, image) in zip(mono, images):
+                if e:
+                    if k != 1:
+                        coeff *= k ** e if e > 0 else Fraction(k) ** e
+                    for j, f in image:
+                        exps[j] += e * f
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + coeff
+        return LaurentPolynomial._trusted(target, {m: _canonical(c) for m, c in out.items() if c})
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """The value at an exact rational point (`int` or `Fraction` coordinates)."""
@@ -537,19 +554,22 @@ def poly_abc(text: str) -> LaurentPolynomial:
 class Specialization:
     """A ring map from R = Q[a,b,c,(abc)^-1] onto the Laurent ring over `variables`.
 
-    `images` sends some of a, b, c to polynomials over `variables`; the
-    others map to themselves.  Each quotient of R used here solves its
-    relations for unit monomials (a = +-bc, c = 1/b, a = +-1), so the
-    quotient is that Laurent ring, substitution is its canonical form, and
-    the image of p is zero exactly when p lies in the ideal.  The relation
-    a^2 = 1 is not of that shape: it is split, Q[a]/(a^2-1) = Q x Q, into
-    the two maps a -> 1 and a -> -1, and a claim holds there when it holds
-    under both.
+    `images` sends some of a, b, c to unit monomials over `variables`; the
+    others map to themselves and must be among `variables`, which the
+    constructor checks.  Each quotient of R used here solves its relations
+    for unit monomials (a = +-bc, c = 1/b, a = +-1), so the quotient is that
+    Laurent ring, the monomial map is its canonical form, and the image of p
+    is zero exactly when p lies in the ideal.  The relation a^2 = 1 is not
+    of that shape: it is split, Q[a]/(a^2-1) = Q x Q, into the two maps
+    a -> 1 and a -> -1, and a claim holds there when it holds under both.
     """
 
     name: str
     variables: tuple[str, ...]
     images: Mapping[str, LaurentPolynomial]
+
+    def __post_init__(self):
+        LaurentPolynomial.zero(ABC).substitute(self.images, self.variables)  # checks the images
 
     def __call__(self, p: LaurentPolynomial) -> LaurentPolynomial:
         """The image of p, a polynomial over ABC."""

@@ -7,8 +7,10 @@ import pytest
 
 from cubictrace import h3
 from cubictrace.cli import main
+from cubictrace.linalg import Matrix
 from cubictrace.h3 import (
     H3Model,
+    H3RepImage,
     WordSum,
     basis_b0,
     basis_b1,
@@ -24,7 +26,9 @@ from cubictrace.h3 import (
     relator_r,
     schur_elements,
     trace_equations_check,
+    twelve_term_relator,
     verify_identity,
+    writhe_character,
 )
 from cubictrace.rings import (
     FREE,
@@ -39,6 +43,29 @@ from cubictrace.rings import (
 
 SPECIALIZATIONS = pytest.mark.parametrize(
     "spec", [FREE, R_PLUS, R_MINUS, dagger_dagger(1), dagger_dagger(-1)], ids=lambda s: s.name)
+
+
+def _random_word_sums(seed: int, count: int = 6) -> list[WordSum]:
+    """Seeded sums of up to six words of length <= 5, with small coefficients over R."""
+    rng = random.Random(seed)
+    letters = (1, -1, 2, -2)
+    coeffs = ("1", "-2", "a", "b^-1*c", "a - 3*b*c", "1/2*a^2 + c^-1")
+    return [WordSum.from_terms(
+        (rng.choice(coeffs), tuple(rng.choice(letters) for _ in range(rng.randint(0, 5))))
+        for _ in range(rng.randint(1, 6))) for _ in range(count)]
+
+
+def _scale_and_add(model: H3Model, expr: WordSum) -> H3RepImage:
+    """The image of expr as the sum of its word images, each scaled by its mapped coefficient."""
+    acc = None
+    for word, coeff in expr.coeffs.items():
+        scaled = [(k, m * model.spec(coeff)) for k, m in model.word_image(word).blocks]
+        acc = scaled if acc is None else [(k, m + n) for (k, m), (_, n) in zip(acc, scaled)]
+    return H3RepImage(tuple(acc))
+
+
+IDENTITY_EXPRS = [relator_r(1), relator_r(2), twelve_term_relator(1, True),
+                  twelve_term_relator(-1, False), *_random_word_sums(7)]
 
 
 class TestMatrixModels:
@@ -70,6 +97,15 @@ class TestMatrixModels:
         with pytest.raises(RingError):
             verify_identity(WordSum.word((1,)), WordSum.word((1,)), H3Model(bad))
 
+    @pytest.mark.parametrize("spec", [FREE, R_PLUS, dagger_dagger(-1),
+                                      h3.at_point(FREE.point(random.Random(23)))],
+                             ids=["R", "R+", "Sdd(a=-1)", "point"])
+    def test_image_is_the_sum_of_scaled_word_images(self, spec):
+        model = H3Model(spec)
+        for expr in IDENTITY_EXPRS:
+            assert model.image(expr) == _scale_and_add(model, expr)
+        assert model.image(WordSum({})).is_zero()
+
     @pytest.mark.parametrize("word", [(3,), (1, 0), (2, -3, 1)])
     def test_letters_outside_three_strands_are_refused(self, word):
         model = H3Model()
@@ -83,6 +119,14 @@ class TestIdealIdentities:
     def test_twelve_term_relators_lie_in_the_six_term_ideal(self):
         results = check_twelve_term_identities()
         assert all(results.values()), results
+
+    def test_a_wrong_minus_quotient_fails_the_twelve_term_identities(self, monkeypatch):
+        # R/(a + bc) replaced by a second copy of R/(a - bc)
+        bc = ("b", "c")
+        monkeypatch.setattr(h3, "R_MINUS",
+                            Specialization("R-", bc, {"a": LaurentPolynomial.parse("b*c", bc)}))
+        results = check_twelve_term_identities()
+        assert not all(results.values()), results
 
     def test_symmetric_difference_identities(self):
         results = check_symmetric_difference_identities()
@@ -181,6 +225,13 @@ class TestCharacterAndModule:
 
 
 class TestRelators:
+    @pytest.mark.parametrize("spec", [FREE, dagger_dagger(1), dagger_dagger(-1)],
+                             ids=lambda s: s.name)
+    def test_writhe_character_is_the_sa_block(self, spec):
+        model = H3Model(spec)
+        for expr in [relator_r(1), relator_r(2), *_random_word_sums(11)]:
+            assert Matrix([[writhe_character(expr, spec)]]) == model.image(expr).block("Sa")
+
     def test_writhe_character_kills_relator_only_at_special_locus(self):
         # under the free spec, the s_i -> a character does NOT kill it
         model = H3Model()

@@ -1,10 +1,13 @@
 """The one elimination over Q, against the fraction-free determinant over Z
-and over Laurent polynomials."""
+and over Laurent polynomials; the fused matrix product against an
+entrywise sum of products."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubictrace.linalg import Matrix, det_bareiss, eliminate
 from cubictrace.rings import LaurentPolynomial, RingError
@@ -80,3 +83,81 @@ def test_bareiss_rejects_rational_entries():
 def test_elimination_rejects_inexact_entries(rows, rhs):
     with pytest.raises(RingError):
         eliminate(Matrix(rows), rhs)
+
+
+# Small exponents and coefficients, so that sums of products often cancel;
+# the Fractions include integral ones such as 4/2.
+small_ints = st.integers(min_value=-2, max_value=2)
+small_fractions = st.builds(Fraction, small_ints, st.integers(min_value=1, max_value=2))
+AB = ("a", "b")
+
+
+@st.composite
+def small_polys(draw):
+    n = draw(st.integers(min_value=0, max_value=3))
+    mono = st.tuples(st.integers(min_value=-1, max_value=1), st.integers(min_value=-1, max_value=1))
+    return LaurentPolynomial(AB, {draw(mono): draw(st.one_of(small_ints, small_fractions))
+                                  for _ in range(n)})
+
+
+ENTRIES = {"laurent": small_polys(), "int": small_ints, "fraction": small_fractions}
+
+
+@st.composite
+def matrix_pairs(draw, kind):
+    n, k, m = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
+    entry = ENTRIES[kind]
+    x = Matrix([[draw(entry) for _ in range(k)] for _ in range(n)])
+    y = Matrix([[draw(entry) for _ in range(m)] for _ in range(k)])
+    return x, y
+
+
+def _entrywise_product(x: Matrix, y: Matrix) -> list[list]:
+    """(x y)[i][j], one product and one partial sum at a time."""
+    out = []
+    for i in range(x.nrows):
+        row = []
+        for j in range(y.ncols):
+            acc = x[i, 0] * y[0, j]
+            for k in range(1, x.ncols):
+                acc = acc + x[i, k] * y[k, j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fused_product_matches_the_entrywise_sum(kind, data):
+    x, y = data.draw(matrix_pairs(kind))
+    product = x * y
+    assert product == Matrix(_entrywise_product(x, y))
+    if kind == "laurent":
+        for row in product.rows:
+            for p in row:
+                assert all(type(c) is int or c.denominator != 1 for c in p.terms.values()), p
+
+
+def test_fused_product_cancels_and_stores_integral_sums_as_ints():
+    p = LaurentPolynomial.parse("a - 1/2*b^-1", AB)
+    q = LaurentPolynomial.parse("3*a*b + 2", AB)
+    half_a = LaurentPolynomial.parse("1/2*a", AB)
+    a = LaurentPolynomial.parse("a", AB)
+    cancelled = (Matrix([[p, -p]]) * Matrix([[q], [q]]))[0, 0]
+    assert cancelled.is_zero() and cancelled.terms == {}
+    whole = (Matrix([[half_a, half_a]]) * Matrix([[a], [a]]))[0, 0]
+    assert whole.terms == {(2, 0): 1} and type(whole.terms[(2, 0)]) is int
+    halves = Matrix([[Fraction(1, 2), Fraction(3, 2)]]) * Matrix([[1], [1]])
+    assert halves[0, 0] == 2
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("other, message", [(LaurentPolynomial.one(("a", "x")), "mismatched"),
+                                            (1, "non-polynomial")])
+def test_fused_product_rejects_mismatched_variables(position, other, message):
+    ab = LaurentPolynomial.one(AB)
+    column = [[ab], [ab]]
+    column[position] = [other]
+    with pytest.raises(RingError, match=message):
+        Matrix([[ab, ab]]) * Matrix(column)

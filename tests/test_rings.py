@@ -16,6 +16,7 @@ from cubictrace.rings import (
     R_PLUS,
     LaurentPolynomial,
     RingError,
+    Specialization,
     dagger_dagger,
     fold_a,
     poly_abc,
@@ -274,6 +275,38 @@ class TestQuotients:
     def test_dagger_dagger_takes_a_square_root_of_one(self):
         with pytest.raises(RingError):
             dagger_dagger(2)
+
+    @given(mixed_polys(ABC), st.integers(min_value=0, max_value=2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_image_takes_the_value_of_p_at_every_point_of_the_locus(self, p, seed):
+        # evaluation is the independent oracle for the monomial map
+        import random
+
+        rng = random.Random(seed)
+        for spec in SPECIALIZATIONS:
+            pt = spec.point(rng)
+            assert spec(p).evaluate(pt) == p.evaluate(pt), spec.name
+
+    @pytest.mark.parametrize("image", ["b + c", "b*c + 1", "0"])
+    def test_a_non_monomial_image_is_refused(self, image):
+        bc = ("b", "c")
+        with pytest.raises(RingError, match="not a unit monomial"):
+            Specialization("bad", bc, {"a": LaurentPolynomial.parse(image, bc)})
+        with pytest.raises(RingError, match="not a unit monomial"):
+            poly_abc("a*b + c").substitute({"a": LaurentPolynomial.parse(image, bc)}, bc)
+
+    def test_an_unmapped_variable_missing_from_the_target_is_refused(self):
+        # c is neither mapped nor among the target variables
+        ab = ("a", "b")
+        b = LaurentPolynomial.var("b", ab)
+        with pytest.raises(RingError, match="unmapped variable 'c'"):
+            Specialization("bad", ab, {"a": b})
+        with pytest.raises(RingError, match="unmapped variable 'c'"):
+            poly_abc("a + c").substitute({"a": b}, ab)
+        # a monomial with a rational coefficient is a unit, and its powers stay exact
+        half = LaurentPolynomial.parse("1/2*b", ab)
+        assert poly_abc("a^-2*b").substitute({"a": half, "c": b}, ab) \
+            == LaurentPolynomial.parse("4*b^-1", ab)
 
 
 qa_elements = st.builds(QA, mixed_coeffs, mixed_coeffs)
