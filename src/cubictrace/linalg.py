@@ -2,10 +2,9 @@
 
 Entries may be `int`, `Fraction` or `LaurentPolynomial`; the only
 requirements are +, -, * and (for determinants) exact division.  Each
-entry of a product is one dot product (`dot`), so the entries of two
-multiplied matrices share one ring.  A system over Q[a]/(a^2-1) is solved
-as one system over Q at a = 1 and one at a = -1, as the T0 pin in
-`coxeter` does.  There are two determinants:
+entry of a product is one dot product (`dot`).  A system over
+Q[a]/(a^2-1) is solved as one system over Q at a = 1 and one at a = -1,
+as the T0 pin in `coxeter` does.  There are two determinants:
 `det_bareiss`, fraction-free over Z and over Laurent polynomials, and
 `eliminate`, the one Gaussian elimination over Q, which also solves
 linear systems.  There is no inverse routine: the generators inverted
@@ -24,8 +23,8 @@ from .rings import LaurentPolynomial, RingError, _as_fraction
 
 
 def dot(xs: Sequence, ys: Sequence):
-    """sum(x * y for x, y in zip(xs, ys)) over nonempty xs, as one accumulation:
-    `LaurentPolynomial.dot` for Laurent entries, a plain sum for rationals."""
+    """sum(x * y for x, y in zip(xs, ys)) over nonempty xs: `LaurentPolynomial.dot`,
+    one accumulation, when xs[0] is a polynomial, else a plain sum."""
     if isinstance(xs[0], LaurentPolynomial):
         return LaurentPolynomial.dot(xs, ys)
     return sum(map(mul, xs, ys))
@@ -71,10 +70,8 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise RingError("matrix shape mismatch")
-            cols = list(zip(*other.rows))  # `dot`, with its ring chosen once per product
-            if isinstance(self.rows[0][0], LaurentPolynomial):
-                return Matrix([[LaurentPolynomial.dot(r, c) for c in cols] for r in self.rows])
-            return Matrix([[sum(map(mul, r, c)) for c in cols] for r in self.rows])
+            cols = list(zip(*other.rows))
+            return Matrix([[dot(r, c) for c in cols] for r in self.rows])
         return Matrix([[x * other for x in r] for r in self.rows])
 
     def __rmul__(self, scalar):
@@ -98,10 +95,18 @@ class Matrix:
     def trace(self):
         if self.nrows != self.ncols:
             raise RingError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(1, self.nrows)), self.rows[0][0])
+        acc = self.rows[0][0]
+        for i in range(1, self.nrows):
+            acc = acc + self.rows[i][i]
+        return acc
 
     def is_zero(self) -> bool:
-        return not any(x for row in self.rows for x in row)
+        for row in self.rows:
+            for x in row:
+                zero = (x == 0) if isinstance(x, (int, Fraction)) else x.is_zero()
+                if not zero:
+                    return False
+        return True
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)

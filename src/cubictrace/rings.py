@@ -71,14 +71,25 @@ class LaurentPolynomial:
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Coefficient]):
         variables = tuple(variables)
-        merged: dict[Monomial, Coefficient] = {}
+        clean: dict[Monomial, Coefficient] = {}
+        nvars = len(variables)
         for mono, coeff in terms.items():
             mono = tuple(mono)
-            if len(mono) != len(variables):
+            if len(mono) != nvars:
                 raise RingError(f"exponent vector {mono} has wrong length for {variables}")
-            merged[mono] = merged.get(mono, 0) + _as_fraction(coeff)
+            coeff = _as_fraction(coeff)
+            if coeff != 0:
+                acc = clean.get(mono)
+                if acc is None:
+                    clean[mono] = coeff
+                else:
+                    acc = _canonical(acc + coeff)
+                    if acc == 0:
+                        del clean[mono]
+                    else:
+                        clean[mono] = acc
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", {m: _canonical(c) for m, c in merged.items() if c})
+        object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
@@ -190,41 +201,33 @@ class LaurentPolynomial:
                 return LaurentPolynomial.zero(self.variables)
             return LaurentPolynomial._trusted(
                 self.variables, {m: _canonical(c * v) for m, v in self.terms.items()})
-        self._check_compatible(other)
-        out: dict[Monomial, Coefficient] = {}
-        get = out.get
-        items2 = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in items2:
-                mono = tuple(map(add, m1, m2))
-                out[mono] = get(mono, 0) + c1 * c2
-        # drop the sums that cancelled; `_canonical`, inlined, on the rest
-        return LaurentPolynomial._trusted(self.variables, {
-            m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for m, c in out.items() if c})
+        return LaurentPolynomial.dot((self,), (other,))
 
     __rmul__ = __mul__
 
     @staticmethod
-    def dot(xs: Sequence["LaurentPolynomial"],
-            ys: Sequence["LaurentPolynomial"]) -> "LaurentPolynomial":
-        """sum(x * y for x, y in zip(xs, ys)) for nonempty xs: `__mul__`'s loop
-        over every pair, into one term dict canonicalized once at the end,
+    def dot(xs: Sequence["LaurentPolynomial | Coefficient"],
+            ys: Sequence["LaurentPolynomial | Coefficient"]) -> "LaurentPolynomial":
+        """sum(x * y for x, y in zip(xs, ys)) for nonempty xs whose first entry
+        is a polynomial; an int or Fraction factor is a constant.  Every
+        product goes into one term dict, canonicalized once at the end,
         instead of a polynomial per product and per partial sum."""
         variables = xs[0].variables
         out: dict[Monomial, Coefficient] = {}
         get = out.get
-        try:
-            for p, q in zip(xs, ys):
-                if p.variables != variables or q.variables != variables:
-                    raise RingError(f"mismatched variable lists {p.variables} vs {q.variables}")
-                items2 = q.terms.items()
-                for m1, c1 in p.terms.items():
-                    for m2, c2 in items2:
-                        mono = tuple(map(add, m1, m2))
-                        out[mono] = get(mono, 0) + c1 * c2
-        except AttributeError:  # a factor without .variables or .terms
-            raise RingError("a Laurent dot product mixes in a non-polynomial factor") from None
+        for p, q in zip(xs, ys):
+            if not isinstance(p, LaurentPolynomial):
+                p = LaurentPolynomial.constant(p, variables)
+            if not isinstance(q, LaurentPolynomial):
+                q = LaurentPolynomial.constant(q, variables)
+            if p.variables != variables or q.variables != variables:
+                raise RingError(f"mismatched variable lists {p.variables} vs {q.variables}")
+            items2 = q.terms.items()
+            for m1, c1 in p.terms.items():
+                for m2, c2 in items2:
+                    mono = tuple(map(add, m1, m2))
+                    out[mono] = get(mono, 0) + c1 * c2
+        # drop the sums that cancelled; `_canonical`, inlined, on the rest
         return LaurentPolynomial._trusted(variables, {
             m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
             for m, c in out.items() if c})

@@ -100,7 +100,8 @@ def small_polys(draw):
                                   for _ in range(n)})
 
 
-ENTRIES = {"laurent": small_polys(), "int": small_ints, "fraction": small_fractions}
+ENTRIES = {"laurent": small_polys(), "int": small_ints, "fraction": small_fractions,
+           "mixed": st.one_of(small_polys(), small_ints, small_fractions)}
 
 
 @st.composite
@@ -153,11 +154,21 @@ def test_fused_product_cancels_and_stores_integral_sums_as_ints():
 
 
 @pytest.mark.parametrize("position", [0, 1])
-@pytest.mark.parametrize("other, message", [(LaurentPolynomial.one(("a", "x")), "mismatched"),
-                                            (1, "non-polynomial")])
-def test_fused_product_rejects_mismatched_variables(position, other, message):
+def test_fused_product_rejects_mismatched_variables(position):
     ab = LaurentPolynomial.one(AB)
     column = [[ab], [ab]]
-    column[position] = [other]
-    with pytest.raises(RingError, match=message):
+    column[position] = [LaurentPolynomial.one(("a", "x"))]
+    with pytest.raises(RingError, match="mismatched"):
         Matrix([[ab, ab]]) * Matrix(column)
+
+
+def test_fused_product_takes_rationals_beside_polynomials_in_either_order():
+    """A row or column may mix `int`/`Fraction` entries with polynomials,
+    whichever kind comes first: a rational is the constant polynomial."""
+    ab = LaurentPolynomial.parse("a + b", AB)
+    expected = LaurentPolynomial.parse("5/2*a + 5/2*b", AB)
+    assert (Matrix([[ab, 2]]) * Matrix([[Fraction(1, 2)], [ab]]))[0, 0] == expected
+    assert (Matrix([[2, ab]]) * Matrix([[ab], [Fraction(1, 2)]]))[0, 0] == expected
+    m = Matrix([[ab, 0], [1, ab]])
+    ident = Matrix.identity(2, 1, 0)
+    assert m * ident == m == ident * m
