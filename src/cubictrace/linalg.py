@@ -24,10 +24,13 @@ from .rings import LaurentPolynomial, RingError, _as_fraction
 
 def dot(xs: Sequence, ys: Sequence):
     """sum(x * y for x, y in zip(xs, ys)) over nonempty xs: `LaurentPolynomial.dot`,
-    one accumulation, when xs[0] is a polynomial, else a plain sum."""
+    one accumulation, when xs[0] is a polynomial, else a plain sum that
+    starts from the first product (from 0, every Fraction entry would cost
+    one more Fraction addition)."""
     if isinstance(xs[0], LaurentPolynomial):
         return LaurentPolynomial.dot(xs, ys)
-    return sum(map(mul, xs, ys))
+    products = map(mul, xs, ys)
+    return sum(products, next(products))
 
 
 class Matrix:
