@@ -116,7 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", default="all",
                      choices=["h3", "braid", "skein", "hecke", "coxeter", "tl", "all"])
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=int, default=0,
+                     help="seed of the sampled checks; 0 (the default) keeps each "
+                          "suite's own seed")
     ver.add_argument("--pit-points", type=int, default=7, dest="pit_points")
     ver.add_argument("--timings", action="store_true")
     ver.set_defaults(func=cmd_verify)

@@ -37,7 +37,10 @@ Checked here, exactly and symbolically unless noted:
 * the linear equations cutting out the 4-dimensional space of Markov
   trace restrictions, solved at random points with formal trace unknowns;
 * the one-dimensional character s_i -> a and the 3-dimensional
-  upper-triangular module that witnesses the central extension.
+  upper-triangular module that witnesses the central extension.  Both are
+  `H3Model`s on their own generator images: the character is the model
+  restricted to the block S_a, the module a model whose one block is the
+  matrix by which s_1 and s_2 both act.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .rings import (
     R_PLUS,
     LaurentPolynomial,
     RingError,
-    Specialization,
     _canonical,
     dagger_dagger,
     fold_a,
@@ -117,10 +119,8 @@ def _mat(rows: Sequence[Sequence[str]]) -> Matrix:
 def _generator_images() -> dict[int, "H3RepImage"]:
     """Images of s_1^+-1, s_2^+-1 in the seven irreducible representations.
 
-    Built over Q[a,b,c,(abc)^-1] once per process, on first use.  Every
-    block satisfies the defining cubic, so it inverts by it.
+    Built over Q[a,b,c,(abc)^-1] once per process, on first use.
     """
-    roots = [poly_abc(r) for r in "abc"]
     gens: dict[str, tuple[Matrix, Matrix]] = {}
     for key, alpha in (("Sa", "a"), ("Sb", "b"), ("Sc", "c")):
         m = _mat([[alpha]])
@@ -129,12 +129,34 @@ def _generator_images() -> dict[int, "H3RepImage"]:
         gens[key] = (_mat([[al, "0"], [f"-{al}", be]]), _mat([[be, be], ["0", al]]))
     gens["V"] = (_mat([["c", "0", "0"], ["a*c+b^2", "b", "0"], ["b", "1", "a"]]),
                  _mat([["a", "-1", "b"], ["0", "b", "-a*c-b^2"], ["0", "0", "c"]]))
+    return _letter_images(gens)
+
+
+@cache
+def _dim3_module_images() -> dict[int, "H3RepImage"]:
+    """The upper-triangular module: s_1 and s_2 both act by s, once per process."""
+    s = _mat([["a", "1", "0"], ["0", "b", "1"], ["0", "0", "c"]])
+    return _letter_images({"M": (s, s)})
+
+
+def _letter_images(gens: Mapping[str, tuple[Matrix, Matrix]]) -> dict[int, "H3RepImage"]:
+    """Images of s_1^+-1, s_2^+-1 from each block's pair (s_1, s_2).
+
+    Every block satisfies the defining cubic, so it inverts by it.
+    """
+    roots = [poly_abc(r) for r in "abc"]
     images: dict[int, H3RepImage] = {}
     for i in (1, 2):
         blocks = tuple((key, pair[i - 1]) for key, pair in gens.items())
         images[i] = H3RepImage(blocks)
         images[-i] = H3RepImage(tuple((key, _inverse_from_cubic(m, roots)) for key, m in blocks))
     return images
+
+
+def restricted_images(*keys: str) -> dict[int, "H3RepImage"]:
+    """The seven irreducibles' generator images, restricted to the blocks `keys`."""
+    return {letter: H3RepImage(tuple((k, m) for k, m in image.blocks if k in keys))
+            for letter, image in _generator_images().items()}
 
 
 def _inverse_from_cubic(s: Matrix, roots: Sequence[LaurentPolynomial]) -> Matrix:
@@ -153,7 +175,7 @@ def _inverse_from_cubic(s: Matrix, roots: Sequence[LaurentPolynomial]) -> Matrix
 
 @dataclass(frozen=True)
 class H3RepImage:
-    """Image of an element of H_3 under the direct sum of the seven models."""
+    """Image of an element of H_3 under the direct sum of a model's blocks."""
 
     blocks: tuple[tuple[str, Matrix], ...]
 
@@ -174,17 +196,19 @@ RingMap = Callable[[LaurentPolynomial], "LaurentPolynomial | int | Fraction"]
 
 
 class H3Model:
-    """The seven matrix models under a ring map from Q[a,b,c,(abc)^-1].
+    """Matrix models of H_3 under a ring map from Q[a,b,c,(abc)^-1].
 
     The map is a `Specialization` into a Laurent ring, or a rational point
-    (`at_point`) into Q.  The generator blocks and the coefficients are
-    mapped once; products are then taken in the target ring, where they
-    are canonical.
+    (`at_point`) into Q.  `images` are the generator images over R; the
+    default is the seven irreducibles.  The generator blocks and the
+    coefficients are mapped once; products are then taken in the target
+    ring, where they are canonical.
     """
 
-    def __init__(self, spec: RingMap = FREE):
+    def __init__(self, spec: RingMap = FREE, images: Mapping[int, H3RepImage] | None = None):
         self.spec = spec
-        self._letter = {letter: image.map(spec) for letter, image in _generator_images().items()}
+        self.images = _generator_images() if images is None else images
+        self._letter = {letter: image.map(spec) for letter, image in self.images.items()}
         self._word_cache: dict[Word, H3RepImage] = {}
         self._zero = spec(LaurentPolynomial.zero(ABC))
         self._one = spec(LaurentPolynomial.one(ABC))
@@ -239,9 +263,12 @@ def verify_identity(lhs: WordSum, rhs: WordSum, model: H3Model) -> bool:
     """Equality in the specialized H_3, decided through the model's embedding.
 
     Raises RingError with a diagnostic if the model's ring map kills a
-    Schur element, because then the embedding is no longer injective and
-    a negative answer would be meaningless.
+    Schur element, or its images are not the seven irreducibles, because
+    then the embedding is not injective and a negative answer is meaningless.
     """
+    if model.images is not _generator_images():
+        raise RingError("the model maps other images than the seven irreducibles; "
+                        "only their sum is a faithful embedding")
     if not model.schur_values_nonzero:
         raise RingError(
             f"spec {getattr(model.spec, 'name', 'at_point')!r} kills a Schur element; "
@@ -456,17 +483,21 @@ def check_r2_conjugation() -> bool:
     return model.image(relator_r(2)) == model.image(relator_r_hat(1))
 
 
+def cubic_relator(i: int) -> WordSum:
+    """(s_i - a)(s_i - b)(s_i - c), expanded."""
+    return WordSum.from_terms([
+        (1, (i, i, i)),
+        ("-a-b-c", (i, i)),
+        ("a*b+a*c+b*c", (i,)),
+        ("-a*b*c", ()),
+    ])
+
+
 def check_cubic_and_braid() -> dict[str, bool]:
     model = H3Model()
     out = {}
     for i in (1, 2):
-        cubic = WordSum.from_terms([
-            (1, (i, i, i)),
-            ("-a-b-c", (i, i)),
-            ("a*b+a*c+b*c", (i,)),
-            ("-a*b*c", ()),
-        ])
-        out[f"cubic on s{i}"] = model.image(cubic).is_zero()
+        out[f"cubic on s{i}"] = model.image(cubic_relator(i)).is_zero()
     lhs = WordSum.word((1, 2, 1))
     rhs = WordSum.word((2, 1, 2))
     out["braid relation"] = model.image(lhs) == model.image(rhs)
@@ -475,6 +506,8 @@ def check_cubic_and_braid() -> dict[str, bool]:
 
 def check_multiplicativity(pairs: int = 200, seed: int = 5) -> bool:
     """The word image is multiplicative on `pairs` random pairs of words of length <= 5."""
+    if pairs < 1:
+        raise RingError(f"the multiplicativity check needs at least one pair, got {pairs}")
     model = H3Model()
     rng = random.Random(seed)
     letters = (1, -1, 2, -2)
@@ -856,65 +889,10 @@ def _specialized_vector_check(model: H3Model, which: str, seed: int) -> bool:
 # -- the character s_i -> a and the 3-dimensional module -----------------------
 
 
-def writhe_character(expr: WordSum, spec: Specialization = FREE) -> LaurentPolynomial:
-    """The Sa block of expr's image under spec: s_i^+-1 -> a^+-1, so a word
-    w maps to a^writhe(w) and expr to sum_w spec(c_w) spec(a)^writhe(w)."""
-    a = spec(poly_abc("a"))
-    return sum((spec(c) * a ** sum(1 if x > 0 else -1 for x in w) for w, c in expr.coeffs.items()),
-               spec(LaurentPolynomial.zero(ABC)))
-
-
 def check_parity_character() -> bool:
     """The character s_i -> a, the block Sa, kills the six-term relator at bc = 1, a = +-1."""
-    return all(not writhe_character(relator_r(1), dagger_dagger(a)) for a in (1, -1))
-
-
-def _dim3_module_at(spec: Specialization) -> tuple[bool, bool, bool, bool]:
-    """The cubic, R_1, e-matrix and sandwich checks of the module over Q[b, b^-1]."""
-    def pl(text: str) -> LaurentPolynomial:
-        return spec(poly_abc(text))
-
-    zero, one = LaurentPolynomial.zero(spec.variables), LaurentPolynomial.one(spec.variables)
-    s = Matrix([
-        [pl("a"), one, zero],
-        [zero, pl("b"), one],
-        [zero, zero, pl("b^-1")],
-    ])
-    s_inv = _inverse_from_cubic(s, [pl("a"), pl("b"), pl("b^-1")])
-    x = pl("b+b^-1")
-    ident = Matrix.identity(3, one, zero)
-
-    cubic = (s - ident * pl("a")) * (s - ident * pl("b")) * (s - ident * pl("b^-1"))
-    cubic_holds = cubic.is_zero()
-
-    # R_1 under the module: all letters act by s (same index or not)
-    letter = {1: s, 2: s, -1: s_inv, -2: s_inv}
-    total = Matrix.identity(3, zero, zero)
-    for word, coeff in relator_r(1).coeffs.items():
-        m = ident
-        for ltr in word:
-            m = m * letter[ltr]
-        total = total + m * spec(coeff)
-    r1_zero = total.is_zero()
-
-    e_cleared = (s + s_inv - ident * x) * pl("a")  # x * e_i
-    target_e = Matrix([
-        [pl("(a*b-1)*(a-b)"), pl("a*b-1"), pl("b")],
-        [zero, zero, zero],
-        [zero, zero, zero],
-    ]) * pl("b^-1")
-    e_matches = e_cleared == target_e
-
-    scalar = pl("2*a*b-2*b^2-2") * pl("b^-2")
-    target_sandwich = Matrix([
-        [pl("(a*b-1)*(a-b)"), pl("a*b-1"), pl("b")],
-        [zero, zero, zero],
-        [zero, zero, zero],
-    ]) * scalar
-    lhs_pos = e_cleared * s * e_cleared - e_cleared * x       # x^2 (e s e - e)
-    lhs_neg = e_cleared * s_inv * e_cleared - e_cleared * x   # x^2 (e s^-1 e - e)
-    sandwich_matches = lhs_pos == target_sandwich and lhs_neg == target_sandwich
-    return cubic_holds, r1_zero, e_matches, sandwich_matches
+    sa = restricted_images("Sa")
+    return all(H3Model(dagger_dagger(a), sa).image(relator_r(1)).is_zero() for a in (1, -1))
 
 
 def _delta_determinant_check() -> bool:
@@ -944,13 +922,26 @@ def character_and_module_checks() -> dict[str, bool]:
     and e_i s e_i - e_i is the displayed matrix with scalar
     2(ab - b^2 - 1)/(b^2 + 1)^2.  All module checks run with the
     denominator (b^2+1) cleared, which turns them into exact Laurent
-    identities, and each holds at a = 1 and at a = -1.
+    identities, and each holds at a = 1 and at a = -1.  The targets are
+    written over R, with c for b^-1, and mapped by each spec.
     """
-    cubic, r1_zero, e_matches, sandwich_matches = (
-        all(at) for at in zip(*(_dim3_module_at(dagger_dagger(a)) for a in (1, -1))))
+    rank_one = _mat([["(a*b-1)*(a-b)", "a*b-1", "b"], ["0"] * 3, ["0"] * 3])
+    target_e = rank_one * poly_abc("c")
+    target_sandwich = rank_one * poly_abc("2*(a*b-b^2-1)*c^2")
+    exprs = (cubic_relator(1), relator_r(1), cleared_e(1),
+             cleared_s_relator(False), cleared_s_relator(True))
+    verdicts = []
+    for a in (1, -1):
+        spec = dagger_dagger(a)
+        model = H3Model(spec, _dim3_module_images())
+        cubic, r1, e, pos, neg = (model.image(x).block("M") for x in exprs)
+        sandwich = target_sandwich.map(spec)
+        verdicts.append((cubic.is_zero(), r1.is_zero(), e == target_e.map(spec),
+                         pos == sandwich and neg == sandwich))
+    cubic_holds, r1_zero, e_matches, sandwich_matches = (all(at) for at in zip(*verdicts))
     return {
         "writhe character kills the 6-term relator": check_parity_character(),
-        "3-dim module: cubic relation": cubic,
+        "3-dim module: cubic relation": cubic_holds,
         "3-dim module: 6-term relator acts by zero": r1_zero,
         "3-dim module: e-generator matrix": e_matches,
         "3-dim module: sandwich matrices": sandwich_matches,

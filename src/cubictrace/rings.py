@@ -324,22 +324,6 @@ class LaurentPolynomial:
             total += acc
         return total
 
-    def extend(self, variables: Sequence[str]) -> "LaurentPolynomial":
-        """Re-express over a superset of variables (new ones with exponent 0)."""
-        variables = tuple(variables)
-        idx = []
-        for v in self.variables:
-            if v not in variables:
-                raise RingError(f"{v} missing from extension {variables}")
-            idx.append(variables.index(v))
-        terms = {}
-        for mono, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for pos, e in zip(idx, mono):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return LaurentPolynomial._trusted(variables, terms)
-
     # -- exact division --------------------------------------------------
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable
 
 from . import h3
 from .braids import (
@@ -66,6 +67,40 @@ def _random_braid(rng: random.Random, max_strands: int, max_len: int,
 def _random_letter(rng: random.Random, n: int) -> int:
     i = rng.randint(1, n - 1)
     return i if rng.random() < 0.5 else -i
+
+
+def _trace_pairs(rng: random.Random, count: int,
+                 max_strands: int) -> list[tuple[BraidWord, BraidWord]]:
+    """Random pairs (u, v) on a common number of strands, for t(uv) = t(vu)."""
+    pairs = []
+    for _ in range(count):
+        n = rng.randint(2, max_strands)
+        pairs.append((_random_braid(rng, n, 6, min_strands=n),
+                      _random_braid(rng, n, 6, min_strands=n)))
+    return pairs
+
+
+def _markov_samples(rng: random.Random, count: int, max_strands: int, max_len: int,
+                    conjugates: bool = True) -> list[tuple[BraidWord, list[BraidWord]]]:
+    """Random braids w, each with the braids a Markov trace must give its value:
+    both stabilizations and, with `conjugates`, w conjugated by a random letter."""
+    samples = []
+    for _ in range(count):
+        w = _random_braid(rng, max_strands, max_len)
+        moved = [stabilize_pos(w), stabilize_neg(w)]
+        if conjugates and w.strands > 1:
+            moved.append(conjugate(w, BraidWord(w.strands, (_random_letter(rng, w.strands),))))
+        samples.append((w, moved))
+    return samples
+
+
+def _markov_invariant(trace: Callable[[BraidWord], object], samples: list[tuple[BraidWord, list[BraidWord]]]) -> bool:
+    """trace gives each sample's moved braids the value of the sample itself."""
+    for w, moved in samples:
+        t0 = trace(w)
+        if any(trace(w2) != t0 for w2 in moved):
+            return False
+    return True
 
 
 # -- suites --------------------------------------------------------------------
@@ -172,25 +207,10 @@ def suite_skein(seed: int = 5) -> SuiteReport:
     rep.run("skein/often-quoted + figure-eight display is the a -> a^-1 image",
             printed_display_is_mirror_image,
             "the display cannot hold together with the loop-value anchors")
-    rng = random.Random(seed)
-
-    def markov_invariance() -> bool:
-        ok = True
-        for _ in range(markov_braids):
-            w = _random_braid(rng, 4, 10)
-            g = BraidWord(w.strands, (_random_letter(rng, w.strands),)) if w.strands > 1 else None
-            for v in "+-":
-                t0 = markov_trace_pm_fast(w, v, evs[v])
-                variants = [stabilize_pos(w), stabilize_neg(w)]
-                if g is not None:
-                    variants.append(conjugate(w, g))
-                for w2 in variants:
-                    if markov_trace_pm_fast(w2, v, evs[v]) != t0:
-                        ok = False
-        return ok
-
+    samples = _markov_samples(random.Random(seed), markov_braids, 4, 10)
     rep.run(f"skein/markov invariance on {markov_braids} random braids (exact)",
-            markov_invariance)
+            lambda: all(_markov_invariant(lambda b, v=v: markov_trace_pm_fast(b, v, evs[v]),
+                                          samples) for v in "+-"))
     w = BraidWord(3, (1, -2, 1, -2))
     rep.run("skein/memoization transparency",
             lambda: markov_trace_pm_fast(w, "+", KauffmanEvaluator("+", use_cache=True))
@@ -222,39 +242,23 @@ def suite_hecke(seed: int = 7) -> SuiteReport:
     ring = HeckeRing.generic()
     tracer = OcneanuTrace(ring)
     rng = random.Random(seed)
-
-    def trace_property() -> bool:
-        ok = True
-        for _ in range(pairs):
-            n = rng.randint(2, 5)
-            u = _random_braid(rng, n, 6, min_strands=n)
-            v = _random_braid(rng, n, 6, min_strands=n)
-            if tracer.of_braid(u * v) != tracer.of_braid(v * u):
-                ok = False
-        return ok
-
-    def markov_conditions() -> bool:
-        ok = True
-        for _ in range(pairs):
-            w = _random_braid(rng, 4, 8)
-            t0 = tracer.of_braid(w)
-            if tracer.of_braid(stabilize_pos(w)) != t0 or tracer.of_braid(stabilize_neg(w)) != t0:
-                ok = False
-        return ok
-
-    rep.run(f"hecke/trace property on {pairs} random pairs", trace_property)
-    rep.run(f"hecke/both Markov conditions on {pairs} random braids", markov_conditions)
+    trace_pairs = _trace_pairs(rng, pairs, 5)
+    samples = _markov_samples(rng, pairs, 4, 8, conjugates=False)
+    rep.run(f"hecke/trace property on {pairs} random pairs",
+            lambda: all(tracer.of_braid(u * v) == tracer.of_braid(v * u) for u, v in trace_pairs))
+    rep.run(f"hecke/both Markov conditions on {pairs} random braids",
+            lambda: _markov_invariant(tracer.of_braid, samples))
     rep.run("hecke/normalization anchors",
             lambda: tracer.of_braid(BraidWord(1, ())) == LaurentPolynomial.one(("x", "y"))
             and tracer.of_braid(BraidWord(3, ()))
             == LaurentPolynomial.parse("(y+1)^2 * x^-2", ("x", "y"))
             and tracer.of_braid(BraidWord(2, (1, 1, 1)))
             == LaurentPolynomial.parse("x^2 - y^2 - 2*y", ("x", "y")))
-    delta_h = LaurentPolynomial.parse("(y+1)/x", ("x", "y"))
-    delta_k = LaurentPolynomial.parse("(y^2 - a*x + y)/(x*y)", ("x", "y", "a"))
+    xya = ("x", "y", "a")
+    delta_h = LaurentPolynomial.parse("(y+1)/x", xya)
+    delta_k = LaurentPolynomial.parse("(y^2 - a*x + y)/(x*y)", xya)
     rep.run("hecke/loop-value difference delta_H - delta_K = a/y",
-            lambda: delta_h.extend(("x", "y", "a")) - delta_k
-            == LaurentPolynomial.parse("a/y", ("x", "y", "a")))
+            lambda: delta_h - delta_k == LaurentPolynomial.parse("a/y", xya))
     parity = parity_tracers()
     rep.run("hecke/value a^(#L-1) at y = 1, x = 2a on the whole table",
             lambda: all(hecke_trace_qa(r.braid(), parity)
@@ -289,30 +293,15 @@ def suite_coxeter(seed: int = 7) -> SuiteReport:
 
     rng = random.Random(seed)
     engine = ThmTraceEngine()
-
-    def trace_property() -> bool:
-        ok = True
-        for _ in range(200):
-            n = rng.randint(2, 4)
-            u = _random_braid(rng, n, 6, min_strands=n)
-            v = _random_braid(rng, n, 6, min_strands=n)
-            if engine.trace_braid(u * v) != engine.trace_braid(v * u):
-                ok = False
-        return ok
-
-    rep.run("coxeter/theorem trace property on 200 random pairs", trace_property)
+    trace_pairs = _trace_pairs(rng, 200, 4)
+    rep.run("coxeter/theorem trace property on 200 random pairs",
+            lambda: all(engine.trace_braid(u * v) == engine.trace_braid(v * u)
+                        for u, v in trace_pairs))
 
     inv = T0Invariant()
-    samples = []  # (w, the moved braids w is checked against)
-    for _ in range(markov_braids):
-        w = _random_braid(rng, 5, 12)
-        g = BraidWord(w.strands, (_random_letter(rng, w.strands),)) if w.strands > 1 else None
-        moved = [stabilize_pos(w), stabilize_neg(w)]
-        if g is not None:
-            moved.append(conjugate(w, g))
-        samples.append((w, moved))
+    samples = _markov_samples(rng, markov_braids, 5, 12)
     rep.run(f"coxeter/t0 Markov invariance on {markov_braids} random braids",
-            lambda: all(inv.value(w2) == inv.value(w) for w, moved in samples for w2 in moved))
+            lambda: _markov_invariant(inv.value, samples))
     rep.run("coxeter/t0 mirror and reversal invariance",
             lambda: all(inv.value(w.mirror()) == inv.value(w) == inv.value(w.reverse())
                         for w, _ in samples))

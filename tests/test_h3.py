@@ -28,7 +28,6 @@ from cubictrace.h3 import (
     trace_equations_check,
     twelve_term_relator,
     verify_identity,
-    writhe_character,
 )
 from cubictrace.rings import (
     FREE,
@@ -96,6 +95,13 @@ class TestMatrixModels:
         bad = Specialization("b=c", ("a", "c"), {"b": LaurentPolynomial.parse("c", ("a", "c"))})
         with pytest.raises(RingError):
             verify_identity(WordSum.word((1,)), WordSum.word((1,)), H3Model(bad))
+
+    @pytest.mark.parametrize("images", [h3.restricted_images("Sa"), h3._dim3_module_images()],
+                             ids=["Sa", "module"])
+    def test_verify_identity_refuses_other_images(self, images):
+        # the Schur guard vouches only for the sum of the seven irreducibles
+        with pytest.raises(RingError, match="seven irreducibles"):
+            verify_identity(WordSum.word((1,)), WordSum.word((1,)), H3Model(FREE, images))
 
     @pytest.mark.parametrize("spec", [FREE, R_PLUS, dagger_dagger(-1),
                                       h3.at_point(FREE.point(random.Random(23)))],
@@ -216,6 +222,9 @@ class TestTraceEquations:
         assert not trace_equations_check(points=0).ok
         with pytest.raises(RingError):
             gram_determinant_at_points("B0", count=0)
+        for pairs in (0, -3):
+            with pytest.raises(RingError):
+                check_multiplicativity(pairs)
 
 
 class TestCharacterAndModule:
@@ -223,20 +232,30 @@ class TestCharacterAndModule:
         results = character_and_module_checks()
         assert all(results.values()), results
 
+    def test_module_without_its_off_diagonal_entry_fails(self, monkeypatch):
+        # s with its (1,2) entry zeroed still satisfies the cubic and kills R_1
+        s = Matrix([[poly_abc(x) for x in row]
+                    for row in (["a", "0", "0"], ["0", "b", "1"], ["0", "0", "c"])])
+        monkeypatch.setattr(h3, "_dim3_module_images", lambda: h3._letter_images({"M": (s, s)}))
+        results = character_and_module_checks()
+        assert not results["3-dim module: e-generator matrix"], results
+        assert not results["3-dim module: sandwich matrices"], results
+
 
 class TestRelators:
     @pytest.mark.parametrize("spec", [FREE, dagger_dagger(1), dagger_dagger(-1)],
                              ids=lambda s: s.name)
     def test_writhe_character_is_the_sa_block(self, spec):
-        model = H3Model(spec)
+        # the writhe character s_i -> a is the Sa-restricted model
+        full, sa = H3Model(spec), H3Model(spec, h3.restricted_images("Sa"))
         for expr in [relator_r(1), relator_r(2), *_random_word_sums(11)]:
-            assert Matrix([[writhe_character(expr, spec)]]) == model.image(expr).block("Sa")
+            assert sa.image(expr).blocks == (("Sa", full.image(expr).block("Sa")),)
 
     def test_writhe_character_kills_relator_only_at_special_locus(self):
-        # under the free spec, the s_i -> a character does NOT kill it
-        model = H3Model()
-        image = model.image(relator_r(1))
-        assert not image.block("Sa").is_zero()
+        # under the free spec, the s_i -> a character does NOT kill it; at bc = 1, a = +-1 it does
+        for spec in (FREE, dagger_dagger(1), dagger_dagger(-1)):
+            image = H3Model(spec, h3.restricted_images("Sa")).image(relator_r(1))
+            assert image.is_zero() == (spec is not FREE), spec.name
 
     @SPECIALIZATIONS
     def test_relator_image_is_zero_in_quotient_reps(self, spec):
