@@ -17,7 +17,9 @@ Schur elements are built once per process, on first use.  Products are
 fused: each entry of a matrix product, and each block entry of a linear
 combination's image, is one dot product into one accumulator
 (`linalg.dot`).  The Markov-trace forms evaluate each word's block traces
-at the point and combine them there.
+at the point and combine them there.  The Gram and trace-equation checks
+draw their points from one sampler, which redraws a point where a Schur
+element vanishes, so every point they count is faithful.
 
 Checked here, exactly and symbolically unless noted:
 
@@ -35,7 +37,8 @@ Checked here, exactly and symbolically unless noted:
   cleared symbolically by Lambda, the product of the nine distinct Schur
   factors, instead of the product of all seven Schur elements;
 * the linear equations cutting out the 4-dimensional space of Markov
-  trace restrictions, solved at random points with formal trace unknowns;
+  trace restrictions, solved at random points with formal trace unknowns,
+  each form compared with its expected one up to a nonzero scale;
 * the one-dimensional character s_i -> a and the 3-dimensional
   upper-triangular module that witnesses the central extension.  Both are
   `H3Model`s on their own generator images: the character is the model
@@ -52,7 +55,7 @@ from functools import cache, cached_property
 from math import lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combination import Combination
 from .linalg import Matrix, det_bareiss, dot, eliminate
@@ -644,6 +647,26 @@ def _gram_at(images: Sequence[H3RepImage],
     return gram, symmetric
 
 
+def _faithful_points(draw: Callable[[], dict], count: int, attempts: int,
+                     solve: Callable[[dict], object]) -> Iterator[tuple[dict, dict, object]]:
+    """Up to `count` points from at most `attempts` calls of `draw()`, each with
+    its Schur values and its `solve(point)`.  A point is redrawn where a Schur
+    element vanishes (the embedding is not faithful there) or `solve` returns
+    None: the caller's skip rule refuses it, or its multiplicity system is singular."""
+    accepted = 0
+    for _ in range(attempts):
+        if accepted == count:
+            return
+        pt = draw()
+        schur_at = {k: p.evaluate(pt) for k, p in schur_elements().items()}
+        if 0 in schur_at.values():
+            continue
+        solved = solve(pt)
+        if solved is not None:
+            accepted += 1
+            yield pt, schur_at, solved
+
+
 GRAM_BASES = {"B0": (basis_b0, 54), "B1": (basis_b1, 2)}
 
 
@@ -652,11 +675,13 @@ def gram_determinant_at_points(basis: str = "B0", count: int = 7, seed: int = 23
 
     The points are drawn coordinatewise from +-[1, 10^6]; by Schwartz-Zippel
     a false identity of degree d (denominators cleared) holds at one such
-    point with probability at most d / (2 * 10^6).  Each point is a model of
-    its own (`at_point`): the generator blocks are mapped to Q once and the
-    word images multiplied there.  The Schur denominators are cleared once,
-    by the lcm of their numerators, so every entry comes from an integer
-    dot product (`_gram_at`); the determinant is taken over Q by `eliminate`.
+    point with probability at most d / (2 * 10^6).  Degenerate points are
+    redrawn (`_faithful_points`); the check fails with fewer than `count`
+    faithful points in 10 * count draws.  Each point is a model of its own
+    (`at_point`): the generator blocks are mapped to Q once and the word
+    images multiplied there.  The Schur denominators are cleared once, by
+    the lcm of their numerators, so every entry comes from an integer dot
+    product (`_gram_at`); the determinant is taken over Q by `eliminate`.
     """
     if basis not in GRAM_BASES:
         raise RingError(f"unknown basis {basis!r}; expected one of {', '.join(GRAM_BASES)}")
@@ -664,21 +689,19 @@ def gram_determinant_at_points(basis: str = "B0", count: int = 7, seed: int = 23
         raise RingError(f"the Gram check needs at least one point, got {count}")
     words_of, expected_exp = GRAM_BASES[basis]
     words = words_of()
-    schur = schur_elements()
     rng = random.Random(seed)
     out = {}
-    for idx in range(count):
-        pt = FREE.point(rng)
-        model = H3Model(at_point(pt))
-        schur_at = {k: model.spec(p) for k, p in schur.items()}
-        if any(v == 0 for v in schur_at.values()):
-            out[f"{basis} point {idx} degenerate"] = False
-            continue
+    found = 0
+    for pt, schur_at, model in _faithful_points(lambda: FREE.point(rng), count, 10 * count,
+                                                lambda pt: H3Model(at_point(pt))):
         gram, symmetric = _gram_at([model.word_image(w) for w in words], schur_at)
         det, _ = eliminate(Matrix(gram))
         abc_val = pt["a"] * pt["b"] * pt["c"]
-        out[f"{basis} Gram symmetric at point {idx}"] = symmetric
-        out[f"{basis} Gram det at point {idx}"] = det == -(abc_val ** expected_exp)
+        out[f"{basis} Gram symmetric at point {found}"] = symmetric
+        out[f"{basis} Gram det at point {found}"] = det == -(abc_val ** expected_exp)
+        found += 1
+    if found < count:
+        out[f"{basis} faithful points ({found} of {count})"] = False
     return out
 
 
@@ -690,30 +713,25 @@ TRACE_BASIS: tuple[Word, ...] = ((), (1,), (1, 2), (1, -2, 1, -2))
 
 @dataclass
 class TraceEquationReport:
-    points_checked: int
-    t4_coefficients_vanish: bool
-    first_equation_matches: bool
-    second_equation_matches: bool
-    r1s1_equation_matches: bool
-    hecke_vector_annihilates: bool
-    parity_vector_annihilates: bool
-    kauffman_vector_annihilates: bool
+    """The verdicts of `trace_equations_check`; each holds until a point refutes it."""
+
+    points_checked: int = 0
+    t4_coefficients_vanish: bool = True
+    first_equation_matches: bool = True
+    second_equation_matches: bool = True
+    r1s1_equation_matches: bool = True
+    hecke_vector_annihilates: bool = True
+    parity_vector_annihilates: bool = True
+    kauffman_vector_annihilates: bool = True
     notes: list[str] = field(default_factory=list)
     # not in repr: perfbench's identities workload hashes the repr
     points_requested: int = field(default=0, repr=False)
 
     @property
     def ok(self) -> bool:
-        return (
-            0 < self.points_checked == self.points_requested
-            and self.t4_coefficients_vanish
-            and self.first_equation_matches
-            and self.second_equation_matches
-            and self.r1s1_equation_matches
-            and self.hecke_vector_annihilates
-            and self.parity_vector_annihilates
-            and self.kauffman_vector_annihilates
-        )
+        """Every verdict holds, at every requested point (at least one)."""
+        return (0 < self.points_checked == self.points_requested
+                and all(v for v in vars(self).values() if isinstance(v, bool)))
 
 
 # Markov conditions t(x s_2) = t(x s_2^-1) for x = 1, s_1, s_1^-1.
@@ -757,71 +775,46 @@ def trace_equations_check(points: int = 5, seed: int = 97) -> TraceEquationRepor
     4 unknowns (t(1), t(s1), t(s1 s2), t((s1 s2^-1)^2)) together with the 3
     linear conditions defining Markov-type traces; the values of the trace
     on s_1^-1 R_1, R_1 and R_1 s_1 then become explicit linear forms in the
-    unknowns, which are compared coefficientwise with the expected ones.
+    unknowns, each compared with the expected one up to a nonzero scale
+    (`_scale`).  Degenerate points are redrawn (`_faithful_points`), for at
+    most 10 * points draws.
     """
     model = H3Model()
     rng = random.Random(seed)
     r1 = relator_r(1)
     exprs = (WordSum.word((-1,)) * r1, r1, r1 * WordSum.word((1,)))
 
-    report = TraceEquationReport(
-        points_checked=0,
-        t4_coefficients_vanish=True,
-        first_equation_matches=True,
-        second_equation_matches=True,
-        r1s1_equation_matches=True,
-        hecke_vector_annihilates=True,
-        parity_vector_annihilates=True,
-        kauffman_vector_annihilates=True,
-        points_requested=points,
-    )
+    report = TraceEquationReport(points_requested=points)
 
-    schur = schur_elements()
-    done = 0
-    attempts = 0
-    while done < points and attempts < 10 * points:
-        attempts += 1
-        pt = FREE.point(rng, low=2)
-        if any(p.evaluate(pt) == 0 for p in schur.values()):
-            continue  # resample: embedding not faithful at this point
-        forms = _trace_forms(model, pt, exprs)
-        if forms is None:
-            continue
-        # coefficients of the unknowns in t(s_1^-1 R_1), t(R_1), t(R_1 s_1)
-        form1, form2, form3 = forms
-
+    # coefficients of the unknowns in t(s_1^-1 R_1), t(R_1), t(R_1 s_1)
+    for pt, _, (form1, form2, form3) in _faithful_points(
+            lambda: FREE.point(rng, low=2), points, 10 * points,
+            lambda pt: _trace_forms(model, pt, exprs)):
         a = pt["a"]
         x = pt["b"] + pt["c"]
         y = pt["b"] * pt["c"]
 
-        expected1 = [Fraction(0), (a * a - y * y) * x, -(a * a - y * y) * (y + 1), Fraction(0)]
-        scale = None
-        for got, want in zip(form1, expected1):
-            if want != 0:
-                scale = got / want
-                break
-        if form1[0] != 0 or form1[3] != 0:
+        if form1[0] != 0 or form1[3] != 0 or form2[3] != 0:
             report.t4_coefficients_vanish = False
-        if scale is None or [scale * w for w in expected1] != form1 or scale == 0:
+
+        scale = _scale(form1, [0, (a * a - y * y) * x, -(a * a - y * y) * (y + 1), 0])
+        if scale is None:
             report.first_equation_matches = False
-        if scale != 1 and report.first_equation_matches:
+        elif scale != 1 and report.first_equation_matches:
             report.notes.append(f"first equation matched up to overall scale {scale}")
 
         # t(R_1) = 0 reads x^2(a^2-y) t(1) =
         #   ((a^2-y)(y+1) - x(y-1)a) (x t(s1) - (y+1) t(s1 s2))
         #   + x(y+1)(a^2-y) t(s1),
         # i.e. the often-quoted right-hand side times a unit factor a.
-        if form2[3] != 0:
-            report.t4_coefficients_vanish = False
         bracket = (a * a - y) * (y + 1) - x * (y - 1) * a
         expected2 = [
             x * x * (a * a - y),
             -bracket * x - x * (y + 1) * (a * a - y),
             bracket * (y + 1),
-            Fraction(0),
+            0,
         ]
-        scale2 = form2[0] / expected2[0] if expected2[0] != 0 else None
-        if scale2 is None or scale2 == 0 or [scale2 * t for t in expected2] != form2:
+        if _scale(form2, expected2) is None:
             report.second_equation_matches = False
 
         c1 = -x * x * (a * a + a * x + y)
@@ -830,25 +823,28 @@ def trace_equations_check(points: int = 5, seed: int = 97) -> TraceEquationRepor
         c3 = (-(y + 1) ** 2 * a ** 3 - x * (y + 1) ** 2 * a ** 2
               + a * (-x ** 2 - 2 * x ** 2 * y + y * (y ** 2 + y + 1)) - y * x * (y + 1)) / a
         c4 = y * y
-        disp3 = [c1, c2, c3, c4]
-        scale3 = form3[3] / c4 if c4 != 0 else None
-        if scale3 is None or [scale3 * t for t in disp3] != form3:
+        if _scale(form3, [c1, c2, c3, c4]) is None:
             report.r1s1_equation_matches = False
 
         # the Ocneanu restriction annihilates both forms at a generic point
         delta_h = (y + 1) / x
-        hecke_vec = [delta_h * delta_h, delta_h, Fraction(1), Fraction(0)]
-        for form in (form1, form2):
-            if sum(cf * t for cf, t in zip(form[:3], hecke_vec[:3])) != 0:
-                report.hecke_vector_annihilates = False
+        if any(dot(form[:3], [delta_h * delta_h, delta_h, 1]) for form in (form1, form2)):
+            report.hecke_vector_annihilates = False
 
         report.points_checked += 1
-        done += 1
 
     # specialized vectors: parity trace at a^2 = y = 1, Kauffman at a^2 = y^2
     report.parity_vector_annihilates = _specialized_vector_check(model, "parity", seed + 1)
     report.kauffman_vector_annihilates = _specialized_vector_check(model, "kauffman", seed + 2)
     return report
+
+
+def _scale(form: list[Fraction], expected: list[Fraction]) -> Fraction | None:
+    """The nonzero s with form = s * expected, else None; s is read at the
+    first nonzero entry of `expected`, and is unique wherever it exists."""
+    at = next((i for i, w in enumerate(expected) if w != 0), None)
+    s = None if at is None else form[at] / expected[at]
+    return s if s and [s * w for w in expected] == form else None
 
 
 def _specialized_vector_check(model: H3Model, which: str, seed: int) -> bool:
@@ -857,33 +853,25 @@ def _specialized_vector_check(model: H3Model, which: str, seed: int) -> bool:
     rng = random.Random(seed)
     r1 = relator_r(1)
     exprs = (r1, WordSum.word((-1,)) * r1)
-    schur = schur_elements()
     loci = (dagger_dagger(1), dagger_dagger(-1)) if which == "parity" else (R_PLUS, R_MINUS)
-    done = 0
-    attempts = 0
-    while done < 3 and attempts < 40:
-        attempts += 1
-        pt = rng.choice(loci).point(rng, low=2)
-        if any(p.evaluate(pt) == 0 for p in schur.values()):
-            continue
-        a, b, c = pt["a"], pt["b"], pt["c"]
-        x = b + c
-        y = b * c
+
+    def annihilated(pt: dict[str, Fraction]) -> bool | None:
+        a, x, y = pt["a"], pt["b"] + pt["c"], pt["b"] * pt["c"]
         if which == "parity":
             vec = [a ** 3, a ** 2, a]
         elif x == 0:
-            continue  # delta_K has a pole at c = -b
+            return None  # delta_K has a pole at c = -b
         else:
             delta_k = (y * y - a * x + y) / (x * y)
-            vec = [delta_k ** 2, delta_k, Fraction(1)]
+            vec = [delta_k ** 2, delta_k, 1]
         forms = _trace_forms(model, pt, exprs)
         if forms is None:
-            continue
-        for form in forms:
-            if sum(cf * t for cf, t in zip(form[:3], vec)) != 0 or form[3] != 0:
-                return False
-        done += 1
-    return done == 3
+            return None
+        return all(form[3] == 0 and dot(form[:3], vec) == 0 for form in forms)
+
+    verdicts = [ok for _, _, ok in _faithful_points(
+        lambda: rng.choice(loci).point(rng, low=2), 3, 40, annihilated)]
+    return len(verdicts) == 3 and all(verdicts)
 
 
 # -- the character s_i -> a and the 3-dimensional module -----------------------

@@ -16,7 +16,7 @@ asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .rings import LaurentPolynomial, RingError, _as_fraction
@@ -47,6 +47,16 @@ class Matrix:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", width)
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple, ...]) -> "Matrix":
+        """Wrap an arithmetic result: nonempty rows, already tuples of equal
+        width.  Skips `__init__`'s validation, which `Matrix(rows)` keeps."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", len(rows[0]))
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -59,26 +69,24 @@ class Matrix:
         return self.rows[i][j]
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self.rows])
+        return self._entrywise(sub, other)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise RingError("matrix shape mismatch")
             cols = list(zip(*other.rows))
-            return Matrix([[dot(r, c) for c in cols] for r in self.rows])
-        return Matrix([[x * other for x in r] for r in self.rows])
+            return Matrix._trusted(tuple(tuple(dot(r, c) for c in cols) for r in self.rows))
+        return self.map(lambda x: x * other)
 
-    def __rmul__(self, scalar):
-        return Matrix([[scalar * x for x in r] for r in self.rows])
+    def _entrywise(self, op: Callable, other: "Matrix") -> "Matrix":
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise RingError("matrix shape mismatch")
+        rows = zip(self.rows, other.rows)
+        return Matrix._trusted(tuple(tuple(map(op, r1, r2)) for r1, r2 in rows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -88,12 +96,8 @@ class Matrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise RingError("matrix shape mismatch")
-
     def map(self, f: Callable) -> "Matrix":
-        return Matrix([[f(x) for x in r] for r in self.rows])
+        return Matrix._trusted(tuple(tuple(f(x) for x in r) for r in self.rows))
 
     def trace(self):
         if self.nrows != self.ncols:

@@ -36,19 +36,19 @@ class SuiteReport:
         The thunk returns a dict from check name to verdict, or to a
         (verdict, detail) pair; each check is recorded as prefix + name
         with an equal share of the elapsed time, since one call decides
-        them all.  An exception records the single failed check `check_id`.
+        them all.  An exception records the single failed check `check_id`,
+        and so does an empty dict, which decides nothing.
         """
         start = time.perf_counter()
         try:
-            results = thunk()
+            results = ({prefix + name: verdict for name, verdict in thunk().items()}
+                       or {check_id: (False, "no verdicts")})
         except Exception as exc:  # surfaces as a failure with the message
-            self.add(check_id, False, f"{detail + '; ' if detail else ''}error: {exc}",
-                     time.perf_counter() - start)
-            return
-        share = (time.perf_counter() - start) / max(len(results), 1)
+            results = {check_id: (False, f"{detail + '; ' if detail else ''}error: {exc}")}
+        share = (time.perf_counter() - start) / len(results)
         for name, verdict in results.items():
             ok, note = verdict if isinstance(verdict, tuple) else (verdict, detail)
-            self.add(prefix + name, ok, note, share)
+            self.add(name, ok, note, share)
 
     @property
     def ok(self) -> bool:

@@ -532,8 +532,10 @@ class SkeinRing:
             raise RingError("a and x must be invertible")
         if variant == "+":
             delta = (a + 1) / x - 1
-        else:
+        elif variant == "-":
             delta = (1 - a) / x + 1
+        else:
+            raise RingError("variant must be '+' or '-'")
         return cls(Fraction(1), 1 / a, x / a, delta)
 
 

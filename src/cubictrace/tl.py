@@ -120,10 +120,10 @@ class ExtTL:
     def _basis_product(self, ku, kv) -> TLElement:
         if ku == C_WORD and kv == C_WORD:
             return TLElement.c(C_SQUARED)
-        if ku == C_WORD:
-            return TLElement.c(_dt_over_x_power(len(kv)))
-        if kv == C_WORD:
-            return TLElement.c(_dt_over_x_power(len(ku)))
+        if ku == C_WORD or kv == C_WORD:
+            word = kv if ku == C_WORD else ku
+            _check_letters(word, self.n)
+            return TLElement.c(_dt_over_x_power(len(word)))
         return self.reduce_word(tuple(ku) + tuple(kv))
 
     def basis(self) -> list:

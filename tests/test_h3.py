@@ -40,6 +40,9 @@ from cubictrace.rings import (
     poly_abc,
 )
 
+# a = c kills the Schur factor a - c, so the embedding is not faithful here
+DEGENERATE = {"a": Fraction(2), "b": Fraction(3), "c": Fraction(2)}
+
 SPECIALIZATIONS = pytest.mark.parametrize(
     "spec", [FREE, R_PLUS, R_MINUS, dagger_dagger(1), dagger_dagger(-1)], ids=lambda s: s.name)
 
@@ -197,6 +200,20 @@ class TestSchur:
         gram = gram_determinant_at_points("B0", count=1, seed=23)
         assert gram["B0 Gram det at point 0"] is False
 
+    def test_a_schur_degenerate_draw_is_redrawn(self, monkeypatch):
+        # a = c kills the Schur factor a - c; the check goes on to the seed's first point
+        want = gram_determinant_at_points("B0", count=1, seed=23)
+        draws = []
+        real = Specialization.point
+
+        def point(spec, rng, low=1):
+            draws.append(spec)
+            return DEGENERATE if len(draws) == 1 else real(spec, rng, low)
+
+        monkeypatch.setattr(Specialization, "point", point)
+        assert gram_determinant_at_points("B0", count=1, seed=23) == want
+        assert len(draws) == 2 and all(want.values())
+
     def test_factor_missing_from_the_table_is_an_error(self, monkeypatch, capsys):
         # Lambda is read from a table without a*b+c^2; the Schur elements keep it
         p = schur_elements()
@@ -217,6 +234,42 @@ class TestTraceEquations:
         rep = trace_equations_check(points=5, seed=97)
         assert rep.points_checked == 5
         assert rep.ok, rep
+
+    def test_a_zero_third_form_fails(self, monkeypatch):
+        # t(R_1 s_1) = 0 is a multiple of the expected form only by the scale 0
+        real = h3._trace_forms
+
+        def zero_third(model, point, exprs):
+            forms = real(model, point, exprs)
+            if forms is not None and len(exprs) == 3:
+                forms[2] = [Fraction(0)] * 4
+            return forms
+
+        monkeypatch.setattr(h3, "_trace_forms", zero_third)
+        rep = trace_equations_check(points=1, seed=97)
+        assert not rep.r1s1_equation_matches and not rep.ok
+        assert rep.first_equation_matches and rep.second_equation_matches
+
+    def test_too_few_faithful_points_fail(self, monkeypatch):
+        # only the first draw is faithful: Gram and the trace check stop after 10 draws per
+        # point asked for, each specialized-vector check after 40
+        draws = []
+        real = Specialization.point
+
+        def point(spec, rng, low=1):
+            draws.append(spec)
+            return real(spec, rng, low) if len(draws) == 1 else DEGENERATE
+
+        monkeypatch.setattr(Specialization, "point", point)
+        gram = gram_determinant_at_points("B0", count=2, seed=23)
+        assert gram.pop("B0 faithful points (1 of 2)") is False
+        assert all(gram.values()) and list(gram) == ["B0 Gram symmetric at point 0",
+                                                     "B0 Gram det at point 0"]
+        assert len(draws) == 20
+        draws.clear()
+        rep = trace_equations_check(points=2, seed=97)
+        assert rep.points_checked == 1 and not rep.ok
+        assert len(draws) == 20 + 40 + 40
 
     def test_no_sampled_check_passes_on_zero_points(self):
         assert not trace_equations_check(points=0).ok

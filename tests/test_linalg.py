@@ -172,3 +172,21 @@ def test_fused_product_takes_rationals_beside_polynomials_in_either_order():
     m = Matrix([[ab, 0], [1, ab]])
     ident = Matrix.identity(2, 1, 0)
     assert m * ident == m == ident * m
+
+
+def test_arithmetic_results_keep_their_shape_and_the_constructor_validates():
+    """Arithmetic results skip validation; their rows are tuples of the
+    width their shape says.  `Matrix(rows)` still refuses bad rows."""
+    row, col = Matrix([[1, 2, 3]]), Matrix([[1], [2], [3]])
+    results = {(1, 1): row * col, (3, 3): col * row, (1, 3): row + row,
+               (3, 1): col - col, (2, 3): Matrix([[1, 2, 3], [4, 5, 6]]).map(str)}
+    for shape, m in results.items():
+        assert (m.nrows, m.ncols) == shape
+        assert all(type(r) is tuple and len(r) == m.ncols for r in m.rows)
+    assert col * row == Matrix([[1, 2, 3], [2, 4, 6], [3, 6, 9]])
+    assert (row * Fraction(1, 2)).rows == ((Fraction(1, 2), 1, Fraction(3, 2)),)
+    for rows, message in (([], "empty"), ([[1, 2], [3]], "ragged")):
+        with pytest.raises(RingError, match=message):
+            Matrix(rows)
+    with pytest.raises(RingError, match="shape"):
+        row + col

@@ -522,6 +522,13 @@ class TestPointEvaluation:
                 SkeinRing.numeric("+", a, x)
         assert SkeinRing.numeric("+", 1, Fraction(4, 2)).skein_mult == 2
 
+    @pytest.mark.parametrize("variant", ["x", "+-", "plus"])
+    def test_numeric_ring_refuses_an_unknown_variant(self, variant):
+        # as the generic ring does; "x" used to build the - ring
+        for make in (lambda: SkeinRing.numeric(variant, 1, 2), lambda: SkeinRing.generic(variant)):
+            with pytest.raises(RingError, match="variant"):
+                make()
+
 
 class TestAlexander:
     def test_small_table(self):

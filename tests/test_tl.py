@@ -47,8 +47,11 @@ class TestBasis:
         lambda: closure_circles((0, -1), 4),
         lambda: ExtTL(3).reduce_word((5,)),
         lambda: ExtTL(4).multiply(TLElement.word((0,)), TLElement.word((3,))),
+        lambda: ExtTL(4).multiply(TLElement.c(1), TLElement.word((5,))),
+        lambda: ExtTL(4).multiply(TLElement.word((5,)), TLElement.c(1)),
     ], ids=["trace_x2a", "trace_x2a-element", "trace_xa", "closure_circles",
-            "closure_circles-negative", "reduce_word", "multiply"])
+            "closure_circles-negative", "reduce_word", "multiply", "multiply-C-word",
+            "multiply-word-C"])
     def test_letters_outside_the_rank_are_refused(self, entry):
         with pytest.raises(RingError, match="letter"):
             entry()

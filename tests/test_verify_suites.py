@@ -72,6 +72,14 @@ def test_a_raising_check_fails_alone():
     assert "error:" in rep.checks[1].detail and "error:" in rep.checks[2].detail
 
 
+def test_a_thunk_without_verdicts_fails():
+    rep = SuiteReport("empty")
+    rep.run_each("decides nothing", lambda: {}, prefix="group/")
+    assert [(c.check_id, c.ok, c.detail) for c in rep.checks] == [
+        ("decides nothing", False, "no verdicts")]
+    assert not rep.ok and "0/1 checks passed" in rep.render()
+
+
 def test_reports_render_deterministically():
     a = suite_braid().render()
     b = suite_braid().render()
