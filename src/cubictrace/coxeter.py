@@ -25,6 +25,15 @@ a = A on `QA` coefficients (which `qa` stores as the two values).
 run it at a = 1 and at a = -1 on integer (or Q[L]) coefficients and
 never leave them.
 
+A braid relation in the letters s, t only moves E_w inside its orbit
+under s and t, the coset W_{s,t} w, and the action reads only the rows of
+that orbit: per element and letter, the triple (position of s w in the
+orbit, ascent, parity of l(w)).  Two orbits with the same row pattern
+compute the same images up to renaming ids, C coefficient included, so
+`verify_braid_relations` acts on every E_w of the first orbit of each
+pattern and on C, and that proves the relation on every E_w: on A5, 424
+calls of the action instead of 28,840.
+
 For W = S_n the tower carries a unique-per-normalization family of Markov
 traces with t_2(C) = 1; `ThmTraceEngine` is two `hecke.TowerTrace`s, the
 recursion the Ocneanu trace runs too, at a = 1 and at a = -1 over int
@@ -116,15 +125,27 @@ def act_word(cox: CoxeterSystem, word: Sequence[int], vec: dict, c: QA) -> tuple
     """The action of a braid word on sum_w vec[w] E_w + c C over Q[a]/(a^2-1).
 
     `vec` maps group elements to `QA` coefficients; letters are 1-based,
-    signed and act right to left.  Returns the image as (vec, c).
+    signed and act right to left.  Returns the image as (vec, c).  A
+    letter out of range or a key that is not a group element raises
+    `RingError`.
     """
     gens = cox.generators()
     for letter in word:
         if abs(letter) - 1 not in gens:
             raise RingError(f"generator index {letter} out of range")
     steps = cox.steps
+    for w in vec:
+        if w not in steps.ids and not _is_element(cox, w):
+            raise RingError(f"{w!r} is not an element of the Coxeter group")
     out, c = _act_at(cox, word, {steps.id(w): x for w, x in vec.items()}, TWO_A, 1, 1, A, c)
     return {steps.elements[i]: x for i, x in out.items()}, c
+
+
+def _is_element(cox: CoxeterSystem, w) -> bool:
+    """Whether w is a group element: a one-line permutation of 0..n-1 for S_n."""
+    if isinstance(cox, SymmetricCoxeter):
+        return isinstance(w, tuple) and len(w) == cox.n and set(w) == set(range(cox.n))
+    return w in cox.elements()
 
 
 def act_generator(cox: CoxeterSystem, letter: int, vec: dict, c: QA) -> tuple[dict, QA]:
@@ -136,16 +157,85 @@ def act_generator(cox: CoxeterSystem, letter: int, vec: dict, c: QA) -> tuple[di
     return act_word(cox, (letter,), vec, c)
 
 
+def _fill_steps(cox: CoxeterSystem) -> int:
+    """Fill `cox.steps` breadth-first from the identity; returns the number of ids.
+
+    On a fresh table the ids then come in length order.
+    """
+    steps = cox.steps
+    steps.id(cox.identity(), 0)
+    i = 0
+    while i < len(steps.elements):
+        steps[i]
+        i += 1
+    return i
+
+
+def _orbit_starts(steps, size: int, gens: Sequence[int]) -> list[int]:
+    """Start ids that prove a relation in the letters `gens` on every E_w.
+
+    Splits the ids 0..size-1 into orbits under `gens`, each in BFS order
+    from its least id.  `_act_at` on an orbit element reads only the row
+    triples (position of s w, ascent, parity) of its orbit, so orbits with
+    equal row patterns give images that correspond under the position map,
+    C coefficient included: the starts are every element of the first
+    orbit of each pattern, and every element of an orbit with a row into
+    an earlier orbit (none in a Coxeter table, where s (s w) = w).  A
+    single orbit builds no pattern.
+    """
+    owner = [-1] * size
+    pos = [0] * size
+    orbits = []
+    for first in range(size):
+        if owner[first] >= 0:
+            continue
+        owner[first] = first
+        orbit, closed = [first], True
+        for w in orbit:
+            row = steps[w]
+            for g in gens:
+                sw = row[g][0]
+                if owner[sw] < 0:
+                    owner[sw], pos[sw] = first, len(orbit)
+                    orbit.append(sw)
+                elif owner[sw] != first:
+                    closed = False
+        orbits.append((orbit, closed))
+    if len(orbits) == 1:
+        return orbits[0][0]
+    starts, seen = [], set()
+    for orbit, closed in orbits:
+        if closed:
+            pattern = []
+            for w in orbit:
+                row = steps[w]
+                for g in gens:
+                    sw, up, odd = row[g]
+                    pattern.append((pos[sw], up, odd))
+            pattern = tuple(pattern)
+            if pattern in seen:
+                continue
+            seen.add(pattern)
+        starts += orbit
+    return starts
+
+
 def verify_braid_relations(cox: CoxeterSystem) -> bool:
     """Both sides of every braid relation act identically on all E_w and C.
 
     Checked with integer coefficients at a = 1 and at a = -1, which is
-    exact (see the module docstring).
+    exact (see the module docstring), on C and on the E_w of one orbit per
+    row pattern under the relation's letters (`_orbit_starts`): an orbit
+    with the same pattern computes the same images up to renaming ids, so
+    the relation holds on it too.
     """
-    starts = [({cox.steps.id(w): 1}, 0) for w in cox.elements()] + [({}, 1)]
+    steps = cox.steps
+    size = _fill_steps(cox)
     for lhs, rhs in cox.braid_relations():
         lhs_word = tuple(g + 1 for g in lhs)
         rhs_word = tuple(g + 1 for g in rhs)
+        starts = [({i: 1}, 0) for i in _orbit_starts(steps, size, sorted({*lhs, *rhs}))]
+        starts.append(({}, 1))
         for a in (1, -1):
             x = 2 * a
             for vec, c in starts:

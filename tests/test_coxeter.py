@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubictrace import coxeter
 from cubictrace.braids import BraidWord, conjugate, parse_braid, stabilize_neg, stabilize_pos
 from cubictrace.coxeter import (
     DihedralCoxeter,
@@ -62,6 +63,13 @@ class TestModuleAction:
             with pytest.raises(RingError):
                 act_generator(cox, letter, {}, QA(1))
 
+    @pytest.mark.parametrize("cox, key", [(DihedralCoxeter(3), (5, 0)),
+                                          (SymmetricCoxeter(3), (0, 0, 1))],
+                             ids=["I2(3) length 5", "S3 repeated entry"])
+    def test_key_outside_the_group(self, cox, key):
+        with pytest.raises(RingError):
+            act_word(cox, (1,), {key: QA(1)}, QA(0))
+
     @staticmethod
     def _start(cox):
         # coefficients whose values at a = 1 and a = -1 differ and are not
@@ -111,7 +119,7 @@ class TestBraidRelations:
     def test_type_a(self, n):
         assert verify_braid_relations(SymmetricCoxeter(n))
 
-    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
     def test_dihedral(self, m):
         assert verify_braid_relations(DihedralCoxeter(m))
 
@@ -125,7 +133,20 @@ class TestBraidRelations:
             def braid_relations(self):
                 return [relation]
 
-        assert not verify_braid_relations(Wrong(size))
+        cox = Wrong(size)
+        assert (verify_braid_relations(cox), _per_vector_check(cox)) == (False, False)
+
+    def test_act_at_calls_on_a5(self, monkeypatch):
+        # one orbit per row pattern: 424 calls, against 28,840 for every basis vector
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _act_at(*args)
+
+        monkeypatch.setattr(coxeter, "_act_at", counted)
+        assert verify_braid_relations(SymmetricCoxeter(6))
+        assert len(calls) <= 1000
 
     def test_injectivity_smoke(self):
         rng = random.Random(11)
@@ -136,6 +157,130 @@ class TestBraidRelations:
             v1, v2 = (act_word(cox, reduced_word(w), {cox.identity(): QA(1)}, QA(0))
                       for w in (w1, w2))
             assert v1 != v2
+
+
+def _per_vector_check(cox):
+    """The braid relations on every E_w and C, one `_act_at` per start: the oracle."""
+    starts = [({cox.steps.id(w): 1}, 0) for w in cox.elements()] + [({}, 1)]
+    for lhs, rhs in cox.braid_relations():
+        lhs_word = tuple(g + 1 for g in lhs)
+        rhs_word = tuple(g + 1 for g in rhs)
+        for a in (1, -1):
+            x = 2 * a
+            for vec, c in starts:
+                if (_act_at(cox, lhs_word, vec, x, 1, 1, a, c)
+                        != _act_at(cox, rhs_word, vec, x, 1, 1, a, c)):
+                    return False
+    return True
+
+
+def _first_orbit_only(steps, size, gens):
+    # the check without patterns: only the orbit of id 0 under the letters
+    orbit = [0]
+    for w in orbit:
+        orbit += [sw for sw, _, _ in (steps[w][g] for g in gens) if sw not in orbit]
+    return orbit
+
+
+class TestOrbitClasses:
+    """`verify_braid_relations` on one orbit per row pattern against `_per_vector_check`."""
+
+    @pytest.mark.parametrize("cox", [SymmetricCoxeter(n) for n in (3, 4, 5)]
+                             + [DihedralCoxeter(m) for m in range(2, 9)],
+                             ids=[f"S{n}" for n in (3, 4, 5)] + [f"I2({m})" for m in range(2, 9)])
+    def test_agrees_with_the_oracle(self, cox):
+        assert (verify_braid_relations(cox), _per_vector_check(cox)) == (True, True)
+
+    @staticmethod
+    def _mutated(n, i, g, flag):
+        # a filled S_n table with the ascent (flag 1) or parity (flag 2)
+        # flag of the row of id i for letter g flipped
+        cox = SymmetricCoxeter(n)
+        coxeter._fill_steps(cox)
+        row = list(cox.steps[i])
+        triple = list(row[g])
+        triple[flag] = not triple[flag]
+        row[g] = tuple(triple)
+        cox.steps[i] = tuple(row)
+        return cox
+
+    @pytest.mark.parametrize("n, seed", [(4, 41), (5, 43)], ids=["S4", "S5"])
+    def test_single_flag_mutations(self, n, seed, monkeypatch):
+        rng = random.Random(seed)
+        clean = SymmetricCoxeter(n)
+        size = coxeter._fill_steps(clean)
+        relation_letters = [sorted({*lhs, *rhs}) for lhs, rhs in clean.braid_relations()]
+        checked = [set(coxeter._orbit_starts(clean.steps, size, gens))
+                   for gens in relation_letters]
+        mutations = [(rng.randrange(size), rng.randrange(n - 1), rng.choice((1, 2)))
+                     for _ in range(24)]
+        hidden_failures = 0
+        for i, g, flag in mutations:
+            verdict = verify_braid_relations(self._mutated(n, i, g, flag))
+            assert verdict == _per_vector_check(self._mutated(n, i, g, flag))
+            # an orbit that is not its class's representative on the clean table
+            hidden = any(g in gens and i not in starts
+                         for gens, starts in zip(relation_letters, checked))
+            hidden_failures += hidden and not verdict
+        assert hidden_failures > 0
+        # the check without pattern comparison passes a mutation the oracle rejects
+        monkeypatch.setattr(coxeter, "_orbit_starts", _first_orbit_only)
+        assert any(verify_braid_relations(self._mutated(n, i, g, flag))
+                   and not _per_vector_check(self._mutated(n, i, g, flag))
+                   for i, g, flag in mutations)
+
+    def test_rewired_rows(self):
+        # one row of a filled S4 table sent to another id, flags kept: the
+        # self-loops s w = w keep every flag of the orbit, so only the
+        # positions in the pattern tell them apart
+        size = coxeter._fill_steps(SymmetricCoxeter(4))
+        rng = random.Random(47)
+        rewirings = [(size - 1, g, size - 1) for g in range(3)]
+        rewirings += [(rng.randrange(size), rng.randrange(3), rng.randrange(size))
+                      for _ in range(12)]
+        for i, g, j in rewirings:
+            verdicts = []
+            for check in (verify_braid_relations, _per_vector_check):
+                cox = SymmetricCoxeter(4)
+                coxeter._fill_steps(cox)
+                row = list(cox.steps[i])
+                row[g] = (j,) + row[g][1:]
+                cox.steps[i] = tuple(row)
+                verdicts.append(check(cox))
+            assert verdicts[0] == verdicts[1]
+
+    def test_row_into_an_earlier_orbit(self):
+        # send s_3 of the last id of S4 to the element at the same position
+        # of an earlier orbit under {s_1, s_3} with the same row pattern:
+        # the pattern still matches, so only checking that orbit start by
+        # start finds the broken relation s_1 s_3 = s_3 s_1
+        class Commuting(SymmetricCoxeter):
+            def braid_relations(self):
+                return [((0, 2), (2, 0))]
+
+        cox = Commuting(4)
+        steps = cox.steps
+        size = coxeter._fill_steps(cox)
+        gens = (0, 2)
+        orbits = []
+        for first in range(size):
+            if all(first not in orbit for orbit in orbits):
+                orbit = [first]
+                for w in orbit:
+                    orbit += [steps[w][g][0] for g in gens if steps[w][g][0] not in orbit]
+                orbits.append(orbit)
+
+        def pattern(orbit):
+            return [(orbit.index(steps[w][g][0]),) + steps[w][g][1:] for w in orbit for g in gens]
+
+        last = size - 1
+        home = next(orbit for orbit in orbits if last in orbit)
+        twin = next(orbit for orbit in orbits if pattern(orbit) == pattern(home))
+        assert twin != home
+        row = list(steps[last])
+        row[2] = (twin[home.index(row[2][0])],) + row[2][1:]
+        steps[last] = tuple(row)
+        assert (verify_braid_relations(cox), _per_vector_check(cox)) == (False, False)
 
 
 class TestStepTable:
