@@ -13,13 +13,15 @@ into a Laurent ring: the blocks are mapped once and multiplied there, and
 the ring with a^2 = 1 is checked as its two points a = 1 and a = -1.  A
 rational point (`at_point`) is one more ring map, into Q, and the Gram
 check builds one model per point.  The symbolic generator blocks and the
-Schur elements are built once per process, on first use.  Products are
-fused: each entry of a matrix product, and each block entry of a linear
-combination's image, is one dot product into one accumulator
-(`linalg.dot`).  The Markov-trace forms evaluate each word's block traces
-at the point and combine them there.  The Gram and trace-equation checks
-draw their points from one sampler, which redraws a point where a Schur
-element vanishes, so every point they count is faithful.
+Schur elements are built once per process, on first use.  An image stores
+each block as one sparse term map {(row, column, exponents): coefficient}
+over the target ring (`H3RepImage`), so a product of word images and the
+image of a linear combination are each one accumulation per block, with no
+polynomial or matrix object per entry.  The Markov-trace forms evaluate
+each word's block traces at the point and combine them there.  The Gram
+and trace-equation checks draw their points from one sampler, which
+redraws a point where a Schur element vanishes, so every point they count
+is faithful.
 
 Checked here, exactly and symbolically unless noted:
 
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -64,9 +66,13 @@ from .rings import (
     FREE,
     R_MINUS,
     R_PLUS,
+    Coefficient,
     LaurentPolynomial,
+    Monomial,
     RingError,
+    _as_fraction,
     _canonical,
+    _clean,
     dagger_dagger,
     fold_a,
     poly_abc,
@@ -176,23 +182,125 @@ def _inverse_from_cubic(s: Matrix, roots: Sequence[LaurentPolynomial]) -> Matrix
     return (s * s - s * e1 + e2_ident) * e3_inv
 
 
-@dataclass(frozen=True)
-class H3RepImage:
-    """Image of an element of H_3 under the direct sum of a model's blocks."""
+Block = dict[tuple[int, int, Monomial], Coefficient]
+# a block's terms by row: row -> [(column, exponents, coefficient)]
+Rows = dict[int, list[tuple[int, Monomial, Coefficient]]]
 
-    blocks: tuple[tuple[str, Matrix], ...]
+
+class H3RepImage:
+    """Image of an element of H_3 under the direct sum of a model's blocks.
+
+    Each block is one sparse term map {(row, column, exponents): coefficient}
+    over the target variables of the model's ring map: the entry at (row,
+    column) is the sum of c * x^exponents over its terms.  A rational point
+    (`at_point`) has no variables, so every exponent vector is empty and an
+    entry is its one coefficient.  Coefficients are canonical and no term is
+    zero, so two images are equal exactly when their term maps are.
+    `H3RepImage(((key, Matrix), ...))` reads matrices in; `blocks` and
+    `block` write them out, for the checks that compare displayed matrices.
+    """
+
+    __slots__ = ("variables", "keys", "sizes", "terms", "_rows")
+
+    def __init__(self, blocks: Sequence[tuple[str, Matrix]]):
+        entries = (x for _, m in blocks for row in m.rows for x in row)
+        poly = next((x for x in entries if isinstance(x, LaurentPolynomial)), None)
+        self.variables = () if poly is None else poly.variables
+        self.keys = tuple(k for k, _ in blocks)
+        self.sizes = tuple(m.nrows for _, m in blocks)
+        self.terms = tuple({(i, j, e): c for i, row in enumerate(m.rows)
+                            for j, x in enumerate(row) for e, c in _terms_of(x)}
+                           for _, m in blocks)
+        self._rows = None
+
+    def _like(self, terms: Iterable[Block]) -> "H3RepImage":
+        """An image with this one's variables and blocks, and the given term maps."""
+        image = object.__new__(H3RepImage)
+        image.variables, image.keys, image.sizes = self.variables, self.keys, self.sizes
+        image.terms, image._rows = tuple(terms), None
+        return image
+
+    def _entry(self, terms: dict[Monomial, Coefficient]):
+        return LaurentPolynomial._trusted(self.variables, terms) if self.variables \
+            else terms.get((), 0)
+
+    @property
+    def blocks(self) -> tuple[tuple[str, Matrix], ...]:
+        return tuple((k, self.block(k)) for k in self.keys)
 
     def block(self, key: str) -> Matrix:
-        return dict(self.blocks)[key]
+        b = self.keys.index(key)
+        entries: dict[tuple[int, int], dict[Monomial, Coefficient]] = {}
+        for (i, j, e), c in self.terms[b].items():
+            entries.setdefault((i, j), {})[e] = c
+        n = self.sizes[b]
+        return Matrix([[self._entry(entries.get((i, j), {})) for j in range(n)] for i in range(n)])
+
+    def traces(self) -> list:
+        """Each block's trace: a polynomial over `variables`, or a number at a point."""
+        out = []
+        for terms in self.terms:
+            acc: dict[Monomial, Coefficient] = {}
+            for (i, j, e), c in terms.items():
+                if i == j:
+                    acc[e] = acc.get(e, 0) + c
+            out.append(self._entry(_clean(acc)))
+        return out
+
+    def _row_groups(self) -> tuple[Rows, ...]:
+        """Each block's terms grouped by row, as a right factor needs them; kept,
+        since a model's letter images are the right factor of every word product."""
+        if self._rows is None:
+            self._rows = tuple({} for _ in self.terms)
+            for rows, terms in zip(self._rows, self.terms):
+                for (j, k, e), c in terms.items():
+                    rows.setdefault(j, []).append((k, e, c))
+        return self._rows
 
     def __mul__(self, other: "H3RepImage") -> "H3RepImage":
-        return H3RepImage(tuple((k, m * n) for (k, m), (_, n) in zip(self.blocks, other.blocks)))
+        pairs = zip(self.terms, other._row_groups())
+        return self._like(_sum_of_products([pair]) for pair in pairs)
 
     def map(self, f: Callable) -> "H3RepImage":
         return H3RepImage(tuple((k, m.map(f)) for k, m in self.blocks))
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for _, m in self.blocks)
+        return not any(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, H3RepImage):
+            return NotImplemented
+        return (self.variables, self.keys, self.sizes, self.terms) == \
+            (other.variables, other.keys, other.sizes, other.terms)
+
+    def __repr__(self):
+        return f"H3RepImage({self.blocks!r})"
+
+
+def _terms_of(x) -> Iterable[tuple[Monomial, Coefficient]]:
+    """The terms of an entry or a mapped coefficient: a polynomial's, or a number's."""
+    if isinstance(x, LaurentPolynomial):
+        return x.terms.items()
+    return [((), _as_fraction(x))] if x else []
+
+
+def _scalar_rows(n: int, terms: Iterable[tuple[Monomial, Coefficient]]) -> Rows:
+    """The rows of c times the n x n identity, for c with the given terms."""
+    return {i: [(i, e, c) for e, c in terms] for i in range(n)}
+
+
+def _sum_of_products(pairs: Iterable[tuple[Block, Rows]]) -> Block:
+    """The sum of the matrix products x y over the pairs of blocks, with y
+    grouped by row, as one accumulation: each term of x meets the terms of
+    y in the row named by its column, and every product goes into one term map."""
+    acc: dict = {}
+    get = acc.get
+    for x, rows in pairs:
+        for (i, j, e1), c1 in x.items():
+            for k, e2, c2 in rows.get(j, ()):
+                key = (i, k, tuple(map(add, e1, e2)))
+                acc[key] = get(key, 0) + c1 * c2
+    return _clean(acc)
 
 
 RingMap = Callable[[LaurentPolynomial], "LaurentPolynomial | int | Fraction"]
@@ -203,9 +311,9 @@ class H3Model:
 
     The map is a `Specialization` into a Laurent ring, or a rational point
     (`at_point`) into Q.  `images` are the generator images over R; the
-    default is the seven irreducibles.  The generator blocks and the
-    coefficients are mapped once; products are then taken in the target
-    ring, where they are canonical.
+    default is the seven irreducibles.  The generator blocks are mapped
+    once; products and linear combinations are then taken on the term maps
+    (`H3RepImage`) in the target ring, where they are canonical.
     """
 
     def __init__(self, spec: RingMap = FREE, images: Mapping[int, H3RepImage] | None = None):
@@ -213,12 +321,11 @@ class H3Model:
         self.images = _generator_images() if images is None else images
         self._letter = {letter: image.map(spec) for letter, image in self.images.items()}
         self._word_cache: dict[Word, H3RepImage] = {}
-        self._zero = spec(LaurentPolynomial.zero(ABC))
-        self._one = spec(LaurentPolynomial.one(ABC))
+        self._one = _terms_of(spec(LaurentPolynomial.one(ABC)))
 
     def identity_image(self) -> H3RepImage:
-        return H3RepImage(tuple((k, Matrix.identity(m.nrows, self._one, self._zero))
-                                for k, m in self._letter[1].blocks))
+        one = self._letter[1]
+        return one._like({(i, i, e): c for i in range(n) for e, c in self._one} for n in one.sizes)
 
     def word_image(self, word: Word) -> H3RepImage:
         word = tuple(word)
@@ -238,18 +345,17 @@ class H3Model:
     def image(self, expr: WordSum) -> H3RepImage:
         """Image of a formal linear combination; multiplicative and linear.
 
-        Each block entry is one dot product (`linalg.dot`) of the mapped
-        word coefficients with that entry of the word images.
+        Each block is one accumulation of the word images' blocks times
+        their mapped coefficients (`_sum_of_products`).
         """
-        if not expr.coeffs:
-            return self.identity_image().map(lambda _: self._zero)
-        coeffs = [self.spec(c) for c in expr.coeffs.values()]
-        blocks = []
-        for parts in zip(*(self.word_image(w).blocks for w in expr.coeffs)):  # a block, all words
-            rows = zip(*(m.rows for _, m in parts))  # a row index, all words
-            matrix = Matrix([[dot(coeffs, xs) for xs in zip(*row)] for row in rows])
-            blocks.append((parts[0][0], matrix))
-        return H3RepImage(tuple(blocks))
+        one = self._letter[1]
+        # c times the identity at the largest block size serves every block,
+        # whose terms name only its own columns
+        n = max(one.sizes)
+        scaled = [(self.word_image(w), _scalar_rows(n, _terms_of(self.spec(c))))
+                  for w, c in expr.coeffs.items()]
+        return one._like(_sum_of_products((image.terms[b], rows) for image, rows in scaled)
+                         for b in range(len(one.keys)))
 
     @cached_property
     def schur_values_nonzero(self) -> bool:
@@ -609,8 +715,8 @@ def check_schur_identity() -> dict[str, bool]:
     cofactors = {k: common.exact_div(p) for k, p in schur_elements().items()}
     out = {}
     for idx, g in enumerate(basis_b0()):
-        blocks = model.word_image(g).blocks
-        rhs = dot([cofactors[k] for k, _ in blocks], [m.trace() for _, m in blocks])
+        image = model.word_image(g)
+        rhs = dot([cofactors[k] for k in image.keys], image.traces())
         lhs = common if idx == 0 else LaurentPolynomial.zero(ABC)
         out[f"t0 decomposition on word {idx}"] = lhs == rhs
     return out
@@ -622,8 +728,8 @@ def _gram_at(images: Sequence[H3RepImage],
 
     `images` are the words' images under the point's model (`at_point`).
     With p_chi = n_chi / d_chi and L = lcm |n_chi|, 1/p_chi = w_chi / L for
-    the integer weight w_chi = L d_chi / n_chi.  Each word's blocks are
-    flattened row-major (weighted) and column-major, both times D_u, the
+    the integer weight w_chi = L d_chi / n_chi.  Each word's blocks are read
+    from its term maps, row-major (weighted) and column-major, both times D_u, the
     lcm of their entry denominators, so both are integer vectors.  Since
     tr(XY) = sum X_ij Y_ji, M[u][v] = left_u . col_v is an integer and
     G[u][v] = M[u][v] / (L D_u D_v).  Both triangles of M are computed, and
@@ -633,8 +739,10 @@ def _gram_at(images: Sequence[H3RepImage],
     weight = {k: common * p.denominator // p.numerator for k, p in schur_at.items()}
     left, col, scale = [], [], []
     for image in images:
-        rows = [(k, x) for k, m in image.blocks for row in m.rows for x in row]
-        cols = [x for _, m in image.blocks for c in zip(*m.rows) for x in c]
+        rows, cols = [], []
+        for k, n, terms in zip(image.keys, image.sizes, image.terms):
+            rows += [(k, terms.get((i, j, ()), 0)) for i in range(n) for j in range(n)]
+            cols += [terms.get((i, j, ()), 0) for j in range(n) for i in range(n)]
         den = lcm(*(x.denominator for _, x in rows))
         left.append([weight[k] * x.numerator * (den // x.denominator) for k, x in rows])
         col.append([x.numerator * (den // x.denominator) for x in cols])
@@ -752,7 +860,7 @@ def _trace_forms(model: H3Model, point: dict[str, Fraction],
     """
     @cache
     def traces(word: Word) -> list[Fraction]:
-        return [m.trace().evaluate(point) for _, m in model.word_image(word).blocks]
+        return [t.evaluate(point) for t in model.word_image(word).traces()]
 
     rows = [[p - q for p, q in zip(traces(u), traces(v))] for u, v in MARKOV_PAIRS]
     rows += [traces(g) for g in TRACE_BASIS]

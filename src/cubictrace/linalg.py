@@ -99,14 +99,6 @@ class Matrix:
     def map(self, f: Callable) -> "Matrix":
         return Matrix._trusted(tuple(tuple(f(x) for x in r) for r in self.rows))
 
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise RingError("trace of a non-square matrix")
-        acc = self.rows[0][0]
-        for i in range(1, self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def is_zero(self) -> bool:
         for row in self.rows:
             for x in row:

@@ -28,6 +28,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Mapping, Sequence
 
@@ -51,6 +52,13 @@ def _as_fraction(c) -> Coefficient:
 def _canonical(c: Coefficient) -> Coefficient:
     """Store an integral arithmetic result as an int."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _clean(acc: dict) -> dict:
+    """An accumulator's sums without those that cancelled, each canonical
+    (`_canonical`, inlined)."""
+    return {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for k, c in acc.items() if c}
 
 
 class LaurentPolynomial:
@@ -227,10 +235,7 @@ class LaurentPolynomial:
                 for m2, c2 in items2:
                     mono = tuple(map(add, m1, m2))
                     out[mono] = get(mono, 0) + c1 * c2
-        # drop the sums that cancelled; `_canonical`, inlined, on the rest
-        return LaurentPolynomial._trusted(variables, {
-            m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for m, c in out.items() if c})
+        return LaurentPolynomial._trusted(variables, _clean(out))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -307,22 +312,56 @@ class LaurentPolynomial:
                         exps[j] += e * f
             key = tuple(exps)
             out[key] = out.get(key, 0) + coeff
-        return LaurentPolynomial._trusted(target, {m: _canonical(c) for m, c in out.items() if c})
+        return LaurentPolynomial._trusted(target, _clean(out))
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """The value at an exact rational point (`int` or `Fraction` coordinates)."""
-        total = Fraction(0)
-        # the powers stay over Fraction: an int to a negative power is a float
-        vals = [Fraction(_as_fraction(point[v])) for v in self.variables]
-        for mono, coeff in self.terms.items():
-            acc = coeff
-            for val, e in zip(vals, mono):
-                if e:
-                    if val == 0 and e < 0:
-                        raise RingError("evaluation divides by zero")
-                    acc *= val ** e
+        """The value at an exact rational point (`int` or `Fraction` coordinates).
+
+        With x = p/q and the exponents of x from lo <= 0 to hi >= 0, the
+        term x^e is p^(e-lo) q^(hi-e) / (p^-lo q^hi): one table of these
+        integer numerators per variable, and the coefficients over their
+        lcm, so the terms sum as ints and one `Fraction` is made at the end.
+        """
+        values = []
+        for v in self.variables:
+            try:
+                values.append(_as_fraction(point[v]))
+            except KeyError:
+                raise RingError(f"the point gives no value for {v!r}") from None
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        tables, shifts = [], []
+        den = 1
+        for x, exps in zip(values, zip(*terms)):
+            p, q = x.numerator, x.denominator
+            lo, hi = min(min(exps), 0), max(max(exps), 0)
+            if p == 0 and lo < 0:
+                raise RingError("evaluation divides by zero")
+            span = hi - lo
+            if q == 1:
+                table = [1]
+                for _ in range(span):
+                    table.append(table[-1] * p)
+            else:
+                table = [p ** k * q ** (span - k) for k in range(span + 1)]
+            tables.append(table)
+            shifts.append(lo)
+            den *= table[-lo]
+        common = 1
+        for c in terms.values():
+            if type(c) is Fraction:
+                common = lcm(common, c.denominator)
+        total = 0
+        for mono, c in terms.items():
+            acc = c * common if type(c) is int else c.numerator * (common // c.denominator)
+            for e, table, lo in zip(mono, tables, shifts):
+                acc *= table[e - lo]
             total += acc
-        return total
+        den *= common
+        if den < 0:
+            total, den = -total, -den
+        return Fraction(total) if den == 1 else Fraction(total, den)
 
     # -- exact division --------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -22,6 +24,7 @@ from cubictrace.h3 import (
     check_schur_identity,
     check_symmetric_difference_identities,
     check_twelve_term_identities,
+    cleared_s_relator,
     gram_determinant_at_points,
     relator_r,
     schur_elements,
@@ -30,6 +33,7 @@ from cubictrace.h3 import (
     verify_identity,
 )
 from cubictrace.rings import (
+    ABC,
     FREE,
     R_MINUS,
     R_PLUS,
@@ -66,8 +70,34 @@ def _scale_and_add(model: H3Model, expr: WordSum) -> H3RepImage:
     return H3RepImage(tuple(acc))
 
 
-IDENTITY_EXPRS = [relator_r(1), relator_r(2), twelve_term_relator(1, True),
-                  twelve_term_relator(-1, False), *_random_word_sums(7)]
+def _model_zoo() -> dict[str, H3Model]:
+    """Every kind of model: the Laurent quotients, the restricted and the module
+    images, and rational points, one with integral and one with non-integral coordinates."""
+    models = {s.name: H3Model(s) for s in (FREE, R_PLUS, R_MINUS, dagger_dagger(1), dagger_dagger(-1))}
+    models["Sa at Sdd(a=1)"] = H3Model(dagger_dagger(1), h3.restricted_images("Sa"))
+    for a in (1, -1):
+        models[f"module at Sdd(a={a})"] = H3Model(dagger_dagger(a), h3._dim3_module_images())
+    models["point"] = H3Model(h3.at_point(FREE.point(random.Random(23))))
+    fractions = {"a": Fraction(-3, 7), "b": Fraction(5, 2), "c": Fraction(11, 4)}
+    models["fraction point"] = H3Model(h3.at_point(fractions))
+    return models
+
+
+MODELS = _model_zoo()
+
+
+def _matrix_product_image(model: H3Model, word) -> H3RepImage:
+    """The word's image as Matrix products of its letters' mapped blocks, the identity if empty."""
+    letters = [model.images[x].map(model.spec).blocks for x in (1,) + tuple(word)]
+    one, zero = (model.spec(p) for p in (LaurentPolynomial.one(ABC), LaurentPolynomial.zero(ABC)))
+    return H3RepImage(tuple((k, reduce(mul, (blocks[b][1] for blocks in letters[1:]),
+                                       Matrix.identity(m.nrows, one, zero)))
+                            for b, (k, m) in enumerate(letters[0])))
+
+
+IDENTITY_EXPRS = [relator_r(1), relator_r(2), cleared_s_relator(False), cleared_s_relator(True),
+                  *(twelve_term_relator(sign, primed) for sign in (1, -1) for primed in (False, True)),
+                  *_random_word_sums(7)]
 
 
 class TestMatrixModels:
@@ -106,14 +136,22 @@ class TestMatrixModels:
         with pytest.raises(RingError, match="seven irreducibles"):
             verify_identity(WordSum.word((1,)), WordSum.word((1,)), H3Model(FREE, images))
 
-    @pytest.mark.parametrize("spec", [FREE, R_PLUS, dagger_dagger(-1),
-                                      h3.at_point(FREE.point(random.Random(23)))],
-                             ids=["R", "R+", "Sdd(a=-1)", "point"])
-    def test_image_is_the_sum_of_scaled_word_images(self, spec):
-        model = H3Model(spec)
+    @pytest.mark.parametrize("name", MODELS)
+    def test_image_is_the_sum_of_scaled_word_images(self, name):
+        model = MODELS[name]
         for expr in IDENTITY_EXPRS:
             assert model.image(expr) == _scale_and_add(model, expr)
         assert model.image(WordSum({})).is_zero()
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_word_images_are_the_matrix_products_of_their_letters(self, name):
+        model = MODELS[name]
+        rng = random.Random(31)
+        for _ in range(40):
+            word = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 8)))
+            want = _matrix_product_image(model, word)
+            assert model.word_image(word).blocks == want.blocks, word
+            assert model.word_image(word) == want, word
 
     @pytest.mark.parametrize("word", [(3,), (1, 0), (2, -3, 1)])
     def test_letters_outside_three_strands_are_refused(self, word):
@@ -189,8 +227,8 @@ class TestSchur:
         assert symmetric
         for i, j in ((0, 0), (1, 5), (5, 1), (7, 22), (22, 7), (23, 23)):
             u, v = model.word_image(words[i]), model.word_image(words[j])
-            want = sum((Fraction((u.block(k) * v.block(k)).trace()) / schur_at[k]
-                        for k in schur_at), Fraction(0))
+            want = sum((Fraction(sum(r[i] for i, r in enumerate((u.block(k) * v.block(k)).rows)))
+                        / schur_at[k] for k in schur_at), Fraction(0))
             assert gram[i][j] == want, (basis, i, j)
 
     def test_wrong_schur_element_fails_both_checks(self, monkeypatch):

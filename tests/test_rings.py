@@ -1,5 +1,6 @@
 """Exact arithmetic, the specializations of R, rendering and the a^2 = 1 fold."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,70 @@ class TestCanonicalCoefficients:
         # Bareiss over Z[t, t^-1] divides exactly at every step
         assert alexander_coefficients(BraidWord(3, (1, -2, 1, -2))) == (1, -3, 1)
         assert alexander_coefficients(BraidWord(2, (1, 1, 1))) == (1, -1, 1)
+
+
+def _evaluate_by_powers(p: LaurentPolynomial, point) -> Fraction:
+    """The value at a point as a sum of Fraction powers, term by term: the reference."""
+    total = Fraction(0)
+    vals = [Fraction(point[v]) for v in p.variables]
+    for mono, coeff in p.terms.items():
+        acc = coeff
+        for val, e in zip(vals, mono):
+            if e:
+                acc *= val ** e
+        total += acc
+    return total
+
+
+class TestEvaluate:
+    VARIABLES = (("t",), ("a", "x"), ABC)
+
+    @staticmethod
+    def _random_poly(rng: random.Random, variables) -> LaurentPolynomial:
+        def coeff():
+            return rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+
+        return LaurentPolynomial(variables, {tuple(rng.randint(-5, 5) for _ in variables): coeff()
+                                             for _ in range(rng.randint(0, 6))})
+
+    @staticmethod
+    def _random_coordinate(rng: random.Random):
+        value = rng.choice([0, 1, -1]) if rng.random() < 0.2 else rng.randint(-30, 30)
+        return value if rng.random() < 0.5 else Fraction(value, rng.randint(1, 9))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_power_tables_match_the_fraction_powers(self, seed):
+        rng = random.Random(seed)
+        checked = 0
+        for _ in range(150):
+            variables = rng.choice(self.VARIABLES)
+            p = self._random_poly(rng, variables)
+            point = {v: self._random_coordinate(rng) for v in variables}
+            if any(point[v] == 0 and any(m[i] < 0 for m in p.terms)
+                   for i, v in enumerate(variables)):
+                continue
+            got = p.evaluate(point)
+            assert type(got) is Fraction and got == _evaluate_by_powers(p, point), (p, point)
+            checked += 1
+        assert checked > 100
+
+    def test_burau_sized_polynomials_at_minus_one(self):
+        t = ("t",)
+        for terms in ({(3,): 1}, {(-2,): -1}, {(0,): 1, (-1,): -1}, {(0,): 2}, {}):
+            p = LaurentPolynomial(t, terms)
+            assert p.evaluate({"t": Fraction(-1)}) == _evaluate_by_powers(p, {"t": -1})
+
+    def test_zero_to_a_negative_power_is_refused(self):
+        p = LaurentPolynomial.parse("a^-2*b + 3", ("a", "b"))
+        with pytest.raises(RingError, match="divides by zero"):
+            p.evaluate({"a": 0, "b": 1})
+        assert LaurentPolynomial.parse("a^2*b + 3", ("a", "b")).evaluate({"a": 0, "b": 5}) == 3
+
+    @pytest.mark.parametrize("p", [LaurentPolynomial.zero(("a",)), LaurentPolynomial.one(("a",)),
+                                   LaurentPolynomial.parse("a + b", ("a", "b"))])
+    def test_a_missing_coordinate_is_refused_by_name(self, p):
+        with pytest.raises(RingError, match="'a'"):
+            p.evaluate({"b": 1})
 
 
 class TestRendering:
