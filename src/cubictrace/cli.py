@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from .braids import BraidError, BraidWord, parity_invariant, parse_braid
-from .coxeter import T0Invariant, ThmTraceConfig
+from .coxeter import T0Invariant
 from .hecke import OcneanuTrace, hecke_trace_qa, parity_tracers
 from .knotdata import DataError
 from .qa import A
@@ -57,7 +57,7 @@ def cmd_invariant(args) -> int:
     if which != "t0x2a" and args.base is not None:
         raise RingError(f"{which} takes no --base")
     if which == "t0x2a":
-        value = T0Invariant(ThmTraceConfig(base=Fraction(args.base or 0))).value(braid)
+        value = T0Invariant(Fraction(args.base or 0)).value(braid)
         print(value.render())
     elif which == "hecke":
         if args.at is None:

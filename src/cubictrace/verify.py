@@ -28,7 +28,6 @@ from .coxeter import (
     DihedralCoxeter,
     SymmetricCoxeter,
     T0Invariant,
-    ThmTraceConfig,
     ThmTraceEngine,
     act_word,
     nonsplit_certificate,
@@ -37,6 +36,7 @@ from .coxeter import (
 from .hecke import (HeckeRing, OcneanuTrace, hecke_normal_form, hecke_trace_qa, parity_tracers,
                     reduced_word)
 from .knotdata import DataError, load_records
+from .linalg import Matrix, det_bareiss
 from .qa import A, QA
 from .rings import AX, LaurentPolynomial
 from .report import SuiteReport
@@ -299,6 +299,8 @@ def suite_coxeter(seed: int = 7) -> SuiteReport:
                         for u, v in trace_pairs))
 
     inv = T0Invariant()
+    rep.run("coxeter/t0 pin (1, 0, 0) on (1, s1, s1 s2), pin matrix det nonzero at a = +-1",
+            lambda: _t0_pin(inv))
     samples = _markov_samples(rng, markov_braids, 5, 12)
     rep.run(f"coxeter/t0 Markov invariance on {markov_braids} random braids",
             lambda: _markov_invariant(inv.value, samples))
@@ -307,7 +309,7 @@ def suite_coxeter(seed: int = 7) -> SuiteReport:
                         for w, _ in samples))
 
     def lambda_independence() -> bool:
-        invariants = [T0Invariant(ThmTraceConfig(base=Fraction(lam))) for lam in (0, 1, -1, 5)]
+        invariants = [T0Invariant(Fraction(lam)) for lam in (0, 1, -1, 5)]
         ok = True
         for _ in range(50):
             w = _random_braid(rng, 4, 10)
@@ -337,13 +339,25 @@ def suite_coxeter(seed: int = 7) -> SuiteReport:
                         for n in range(2, 9)))
 
     def printed_variant_breaks() -> bool:
-        printed = T0Invariant(ThmTraceConfig(printed_exponent_variant=True))
+        printed = ThmTraceEngine(printed_exponent_variant=True)
         w = BraidWord(2, (1,))
-        return printed.engine.trace_braid(stabilize_neg(w)) != printed.engine.trace_braid(w)
+        return printed.trace_braid(stabilize_neg(w)) != printed.trace_braid(w)
 
     rep.run("coxeter/printed level-descent exponent variant breaks the negative Markov move",
             printed_variant_breaks, "the derived exponent is the one used")
     return rep
+
+
+def _t0_pin(inv: T0Invariant) -> bool:
+    """T0 takes the values (1, 0, 0) on (1, s_1, s_1 s_2) at 3 strands, and
+    no other weights of its three traces do: the integer matrix of those
+    traces on those words has a nonzero determinant at a = 1 and a = -1."""
+    comps = [inv.components(BraidWord(3, letters)) for letters in ((), (1,), (1, 2))]
+    if [c.value for c in comps] != [QA(1), QA(0), QA(0)]:
+        return False
+    return all(det_bareiss(Matrix([[getattr(c, trace).at(a) for c in comps]
+                                   for trace in ("thm", "hecke", "kauffman")])) != 0
+               for a in (1, -1))
 
 
 def suite_tl(seed: int = 13) -> SuiteReport:
@@ -480,7 +494,7 @@ def _tl_t0_consistency() -> bool:
     return True
 
 
-def table_report(path: str | None = None, base: Fraction = Fraction(0)) -> SuiteReport:
+def table_report(path: str | None = None) -> SuiteReport:
     """Compute the x = 2a invariant for every catalog row.
 
     Knot and composite rows are strict comparisons; link rows are reported
@@ -492,7 +506,7 @@ def table_report(path: str | None = None, base: Fraction = Fraction(0)) -> Suite
     records = load_records(path)
     if not records:
         raise DataError(f"{path}: no catalog rows")
-    inv = T0Invariant(ThmTraceConfig(base=base))
+    inv = T0Invariant()
     rep = SuiteReport("table")
 
     def row(record) -> dict[str, tuple[bool, str]]:

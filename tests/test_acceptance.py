@@ -30,7 +30,6 @@ from cubictrace.coxeter import (
     DihedralCoxeter,
     SymmetricCoxeter,
     T0Invariant,
-    ThmTraceConfig,
     nonsplit_certificate,
     verify_braid_relations,
 )
@@ -199,7 +198,7 @@ def test_criterion_5_schur_gram_suite():
 def test_criterion_6_markov_property_suites(t0, evaluators):
     rng = random.Random(2026)
     parity_tracer = parity_tracers()
-    lambdas = [T0Invariant(ThmTraceConfig(base=Fraction(b))) for b in (1, -1, 5)]
+    lambdas = [T0Invariant(Fraction(b)) for b in (1, -1, 5)]
     bad = []
     for trial in range(300):
         n = rng.randint(2, 5)

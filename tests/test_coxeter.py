@@ -11,7 +11,6 @@ from cubictrace.coxeter import (
     DihedralCoxeter,
     SymmetricCoxeter,
     T0Invariant,
-    ThmTraceConfig,
     ThmTraceEngine,
     _act_at,
     act_generator,
@@ -20,7 +19,8 @@ from cubictrace.coxeter import (
     shifted_minus_a,
     verify_braid_relations,
 )
-from cubictrace.hecke import _SYMMETRIC, MAX_STRANDS, reduced_word
+from cubictrace.hecke import _SYMMETRIC, MAX_STRANDS, hecke_trace_qa, parity_tracers, reduced_word
+from cubictrace.knotdata import load_records
 from cubictrace.qa import QA
 from cubictrace.rings import RingError
 
@@ -318,14 +318,14 @@ class TestThmTrace:
         # t_n(C) = a^n, read through C = a - (s_1 + s_1^-1)/2, for any base value
         half = QA(Fraction(1, 2))
         for base in (Fraction(0), Fraction(5), Fraction(-2, 3)):
-            eng = ThmTraceEngine(ThmTraceConfig(base=base))
+            eng = ThmTraceEngine(base)
             for n in (2, 3, 4, 5):
                 one, up, down = (eng.trace_braid(BraidWord(n, w)) for w in ((), (1,), (-1,)))
                 assert QA(0, 1) * one - (up + down) * half == QA.a_power(n)
 
     def test_markov_peeling_example(self):
         # on three strands the element s1 s2 peels down to the base value
-        eng = ThmTraceEngine(ThmTraceConfig(base=Fraction(5)))
+        eng = ThmTraceEngine(Fraction(5))
         assert eng.trace_braid(parse_braid("1 2", 3)) == QA(5)
 
     def test_trace_property(self):
@@ -340,11 +340,32 @@ class TestThmTrace:
             assert eng.trace_braid(u * v) == eng.trace_braid(v * u)
 
     def test_printed_exponent_variant_breaks_negative_markov(self):
-        good = ThmTraceEngine(ThmTraceConfig())
-        bad = ThmTraceEngine(ThmTraceConfig(printed_exponent_variant=True))
+        good = ThmTraceEngine()
+        bad = ThmTraceEngine(printed_exponent_variant=True)
         w = BraidWord(2, (1,))
         assert good.trace_braid(stabilize_neg(w)) == good.trace_braid(w)
         assert bad.trace_braid(stabilize_neg(w)) != bad.trace_braid(w)
+
+
+class TestAffineInBase:
+    """thm_lambda = thm_0 + lambda hecke: the lemma that fixes T0's weights."""
+
+    def test_lemma_on_the_catalog_and_random_braids(self):
+        rng = random.Random(99)
+        words = [record.braid() for record in load_records()]
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            letters = [i for i in range(1, n)] + [-i for i in range(1, n)]
+            length = rng.randint(0, 12) if letters else 0
+            words.append(BraidWord(n, tuple(rng.choice(letters) for _ in range(length))))
+        tracers = parity_tracers()
+        base0 = ThmTraceEngine()
+        engines = [(lam, ThmTraceEngine(lam))
+                   for lam in (Fraction(1), Fraction(-1), Fraction(5), Fraction(1, 3), Fraction(-7, 2))]
+        for w in words:
+            thm0, hecke = base0.trace_braid(w), hecke_trace_qa(w, tracers)
+            for lam, engine in engines:
+                assert engine.trace_braid(w) == thm0 + lam * hecke, (w.render(), lam)
 
 
 class TestNonSplit:
@@ -364,6 +385,10 @@ class TestNonSplit:
 
 
 class TestT0Invariant:
+    def test_construction_computes_no_trace(self):
+        inv = T0Invariant(Fraction(5))
+        assert not inv.engine._memo and not any(inv._kauffman_caches)
+
     def test_combination_is_pinned(self):
         inv = T0Invariant()
         assert inv.value(BraidWord(3, ())) == QA(1)
@@ -383,7 +408,7 @@ class TestT0Invariant:
 
     def test_lambda_independence(self):
         rng = random.Random(19)
-        invariants = [T0Invariant(ThmTraceConfig(base=Fraction(b))) for b in (0, 1, -1, 5)]
+        invariants = [T0Invariant(Fraction(b)) for b in (0, 1, -1, 5)]
         for _ in range(20):
             n = rng.randint(2, 4)
             w = BraidWord(n, tuple(

@@ -40,7 +40,10 @@ def test_hecke_suite():
 
 
 def test_coxeter_suite():
-    _assert_green(suite_coxeter())
+    rep = suite_coxeter()
+    _assert_green(rep)
+    golden = Path(__file__).resolve().parent / "golden" / "verify_coxeter.txt"
+    assert rep.render() + "\n" == golden.read_text()
 
 
 def test_tl_suite():
