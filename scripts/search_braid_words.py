@@ -38,7 +38,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cubictrace.braids import BraidWord
+from cubictrace.braids import BraidWord, cycle_count
 from cubictrace.burau import burau_at_minus_one, closure_determinant
 from cubictrace.coxeter import T0Invariant
 from cubictrace.knotdata import (
@@ -58,17 +58,6 @@ def _follows(prev: int, letter: int) -> bool:
         return False
     # commuting neighbours appear in increasing generator order
     return not (abs(abs(prev) - abs(letter)) >= 2 and abs(prev) > abs(letter))
-
-
-def _is_n_cycle(word: tuple[int, ...], n: int) -> bool:
-    perm = list(range(n))
-    for letter in word:
-        i = abs(letter) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    length, j = 1, perm[0]
-    while j != 0:
-        j, length = perm[j], length + 1
-    return length == n
 
 
 def _splits(word: tuple[int, ...], n: int) -> bool:
@@ -99,7 +88,7 @@ def normal_words(n: int, length: int):
     while stack:
         word, product = stack.pop()
         if len(word) == length:
-            if (word[0] != -word[-1] and _is_n_cycle(word, n)
+            if (word[0] != -word[-1] and cycle_count(BraidWord(n, word).permutation()) == 1
                     and all(sum(abs(x) == i for x in word) >= 2 for i in range(1, n))
                     and not _splits(word, n)):
                 yield word, product

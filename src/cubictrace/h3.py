@@ -12,16 +12,20 @@ ever performed.  A specialization (`rings.Specialization`) is a ring map
 into a Laurent ring: the blocks are mapped once and multiplied there, and
 the ring with a^2 = 1 is checked as its two points a = 1 and a = -1.  A
 rational point (`at_point`) is one more ring map, into Q, and the Gram
-check builds one model per point.  The symbolic generator blocks and the
-Schur elements are built once per process, on first use.  An image stores
-each block as one sparse term map {(row, column, exponents): coefficient}
-over the target ring (`H3RepImage`), so a product of word images and the
-image of a linear combination are each one accumulation per block, with no
-polynomial or matrix object per entry.  The Markov-trace forms evaluate
-each word's block traces at the point and combine them there.  The Gram
-and trace-equation checks draw their points from one sampler, which
-redraws a point where a Schur element vanishes, so every point they count
-is faithful.
+check builds one model per point.  Each family of generator images (the
+seven irreducibles, the writhe character, the 3-dimensional module) is read
+from its display of s_1 and s_2 straight into term maps, once per process
+on first use; each inverse letter is the image of the defining cubic solved
+for it, s_i^-1 = (abc)^-1 (s_i^2 - (a+b+c) s_i + (ab+ac+bc)).  The Schur
+elements are built once per process too.  An image stores each block as
+one sparse term map {(row, column, exponents): coefficient} over the target
+ring (`H3RepImage`), so a product of word images, the image of a linear
+combination and a check against a displayed block each work on term maps,
+with no polynomial or matrix object per entry.  The Markov-trace forms
+evaluate each word's block traces at the point and combine them there.
+The Gram and trace-equation checks draw their points from one sampler,
+which redraws a point where a Schur element vanishes, so every point they
+count is faithful.
 
 Checked here, exactly and symbolically unless noted:
 
@@ -43,9 +47,8 @@ Checked here, exactly and symbolically unless noted:
   each form compared with its expected one up to a nonzero scale;
 * the one-dimensional character s_i -> a and the 3-dimensional
   upper-triangular module that witnesses the central extension.  Both are
-  `H3Model`s on their own generator images: the character is the model
-  restricted to the block S_a, the module a model whose one block is the
-  matrix by which s_1 and s_2 both act.
+  `H3Model`s on their own one-block displays, in which s_1 and s_2 act by
+  the same 1x1 matrix (a) and the same 3x3 matrix.
 """
 
 from __future__ import annotations
@@ -120,8 +123,9 @@ def _inverse_word(word: Word) -> Word:
 # -- the matrix models --------------------------------------------------------
 
 
-def _mat(rows: Sequence[Sequence[str]]) -> Matrix:
-    return Matrix([[poly_abc(x) for x in row] for row in rows])
+Block = dict[tuple[int, int, Monomial], Coefficient]
+# a block's terms by row: row -> [(column, exponents, coefficient)]
+Rows = dict[int, list[tuple[int, Monomial, Coefficient]]]
 
 
 @cache
@@ -130,111 +134,77 @@ def _generator_images() -> dict[int, "H3RepImage"]:
 
     Built over Q[a,b,c,(abc)^-1] once per process, on first use.
     """
-    gens: dict[str, tuple[Matrix, Matrix]] = {}
-    for key, alpha in (("Sa", "a"), ("Sb", "b"), ("Sc", "c")):
-        m = _mat([[alpha]])
-        gens[key] = (m, m)
+    displays: dict = {key: ([[r]], [[r]]) for key, r in (("Sa", "a"), ("Sb", "b"), ("Sc", "c"))}
     for key, (al, be) in (("Uab", ("a", "b")), ("Uac", ("a", "c")), ("Ubc", ("b", "c"))):
-        gens[key] = (_mat([[al, "0"], [f"-{al}", be]]), _mat([[be, be], ["0", al]]))
-    gens["V"] = (_mat([["c", "0", "0"], ["a*c+b^2", "b", "0"], ["b", "1", "a"]]),
-                 _mat([["a", "-1", "b"], ["0", "b", "-a*c-b^2"], ["0", "0", "c"]]))
-    return _letter_images(gens)
+        displays[key] = ([[al, "0"], [f"-{al}", be]], [[be, be], ["0", al]])
+    displays["V"] = ([["c", "0", "0"], ["a*c+b^2", "b", "0"], ["b", "1", "a"]],
+                     [["a", "-1", "b"], ["0", "b", "-a*c-b^2"], ["0", "0", "c"]])
+    return _letter_images(displays)
+
+
+@cache
+def _character_images() -> dict[int, "H3RepImage"]:
+    """The writhe character: s_1 and s_2 both act by a, once per process."""
+    return _letter_images({"Sa": ([["a"]], [["a"]])})
 
 
 @cache
 def _dim3_module_images() -> dict[int, "H3RepImage"]:
     """The upper-triangular module: s_1 and s_2 both act by s, once per process."""
-    s = _mat([["a", "1", "0"], ["0", "b", "1"], ["0", "0", "c"]])
+    s = [["a", "1", "0"], ["0", "b", "1"], ["0", "0", "c"]]
     return _letter_images({"M": (s, s)})
 
 
-def _letter_images(gens: Mapping[str, tuple[Matrix, Matrix]]) -> dict[int, "H3RepImage"]:
-    """Images of s_1^+-1, s_2^+-1 from each block's pair (s_1, s_2).
+def _letter_images(displays: Mapping[str, tuple]) -> dict[int, "H3RepImage"]:
+    """Images of s_1^+-1, s_2^+-1 over R from each block's displayed pair (s_1, s_2),
+    two matrices of polynomial texts.
 
-    Every block satisfies the defining cubic, so it inverts by it.
+    Every block satisfies the defining cubic, so s_i^-1 is the image of
+    `letter_inverse(i)` under the positive letters.
     """
-    roots = [poly_abc(r) for r in "abc"]
-    images: dict[int, H3RepImage] = {}
-    for i in (1, 2):
-        blocks = tuple((key, pair[i - 1]) for key, pair in gens.items())
-        images[i] = H3RepImage(blocks)
-        images[-i] = H3RepImage(tuple((key, _inverse_from_cubic(m, roots)) for key, m in blocks))
-    return images
+    keys = tuple(displays)
+    sizes = tuple(len(s1) for s1, _ in displays.values())
+    images = {i: H3RepImage(ABC, keys, sizes, [_block(pair[i - 1]) for pair in displays.values()])
+              for i in (1, 2)}
+    positive = H3Model(FREE, images)
+    return {**images, **{-i: positive.image(letter_inverse(i)) for i in (1, 2)}}
 
 
-def restricted_images(*keys: str) -> dict[int, "H3RepImage"]:
-    """The seven irreducibles' generator images, restricted to the blocks `keys`."""
-    return {letter: H3RepImage(tuple((k, m) for k, m in image.blocks if k in keys))
-            for letter, image in _generator_images().items()}
-
-
-def _inverse_from_cubic(s: Matrix, roots: Sequence[LaurentPolynomial]) -> Matrix:
-    """s^-1 = e3^-1 (s^2 - e1 s + e2) for s with (s - r1)(s - r2)(s - r3) = 0.
-
-    e1, e2, e3 are the elementary symmetric functions of the roots, and
-    e3 = r1 r2 r3 must be a unit monomial.
-    """
-    r1, r2, r3 = roots
-    e1 = r1 + r2 + r3
-    e2 = r1 * r2 + r1 * r3 + r2 * r3
-    e3_inv = (r1 * r2 * r3).monomial_inverse()
-    e2_ident = Matrix.identity(s.nrows, e2, LaurentPolynomial.zero(e2.variables))
-    return (s * s - s * e1 + e2_ident) * e3_inv
-
-
-Block = dict[tuple[int, int, Monomial], Coefficient]
-# a block's terms by row: row -> [(column, exponents, coefficient)]
-Rows = dict[int, list[tuple[int, Monomial, Coefficient]]]
+def _block(rows: Sequence[Sequence]) -> Block:
+    """The term map of a displayed block; an entry is a polynomial or the text of one over R."""
+    return {(i, j, e): c for i, row in enumerate(rows) for j, x in enumerate(row)
+            for e, c in _terms_of(poly_abc(x) if isinstance(x, str) else x)}
 
 
 class H3RepImage:
     """Image of an element of H_3 under the direct sum of a model's blocks.
 
-    Each block is one sparse term map {(row, column, exponents): coefficient}
-    over the target variables of the model's ring map: the entry at (row,
-    column) is the sum of c * x^exponents over its terms.  A rational point
+    Each block (`block(key)`) is one sparse term map {(row, column,
+    exponents): coefficient} over `variables`: the entry at (row, column)
+    is the sum of c * x^exponents over its terms.  A rational point
     (`at_point`) has no variables, so every exponent vector is empty and an
     entry is its one coefficient.  Coefficients are canonical and no term is
     zero, so two images are equal exactly when their term maps are.
-    `H3RepImage(((key, Matrix), ...))` reads matrices in; `blocks` and
-    `block` write them out, for the checks that compare displayed matrices.
     """
 
     __slots__ = ("variables", "keys", "sizes", "terms", "_rows")
 
-    def __init__(self, blocks: Sequence[tuple[str, Matrix]]):
-        entries = (x for _, m in blocks for row in m.rows for x in row)
-        poly = next((x for x in entries if isinstance(x, LaurentPolynomial)), None)
-        self.variables = () if poly is None else poly.variables
-        self.keys = tuple(k for k, _ in blocks)
-        self.sizes = tuple(m.nrows for _, m in blocks)
-        self.terms = tuple({(i, j, e): c for i, row in enumerate(m.rows)
-                            for j, x in enumerate(row) for e, c in _terms_of(x)}
-                           for _, m in blocks)
+    def __init__(self, variables: tuple[str, ...], keys: tuple[str, ...],
+                 sizes: tuple[int, ...], terms: Iterable[Block]):
+        self.variables, self.keys, self.sizes = variables, keys, sizes
+        self.terms = tuple(terms)
         self._rows = None
 
     def _like(self, terms: Iterable[Block]) -> "H3RepImage":
         """An image with this one's variables and blocks, and the given term maps."""
-        image = object.__new__(H3RepImage)
-        image.variables, image.keys, image.sizes = self.variables, self.keys, self.sizes
-        image.terms, image._rows = tuple(terms), None
-        return image
+        return H3RepImage(self.variables, self.keys, self.sizes, terms)
 
     def _entry(self, terms: dict[Monomial, Coefficient]):
         return LaurentPolynomial._trusted(self.variables, terms) if self.variables \
             else terms.get((), 0)
 
-    @property
-    def blocks(self) -> tuple[tuple[str, Matrix], ...]:
-        return tuple((k, self.block(k)) for k in self.keys)
-
-    def block(self, key: str) -> Matrix:
-        b = self.keys.index(key)
-        entries: dict[tuple[int, int], dict[Monomial, Coefficient]] = {}
-        for (i, j, e), c in self.terms[b].items():
-            entries.setdefault((i, j), {})[e] = c
-        n = self.sizes[b]
-        return Matrix([[self._entry(entries.get((i, j), {})) for j in range(n)] for i in range(n)])
+    def block(self, key: str) -> Block:
+        return self.terms[self.keys.index(key)]
 
     def traces(self) -> list:
         """Each block's trace: a polynomial over `variables`, or a number at a point."""
@@ -262,7 +232,16 @@ class H3RepImage:
         return self._like(_sum_of_products([pair]) for pair in pairs)
 
     def map(self, f: Callable) -> "H3RepImage":
-        return H3RepImage(tuple((k, m.map(f)) for k, m in self.blocks))
+        """The image with f applied to every entry; f maps 0 into its target ring."""
+        zero = f(self._entry({}))
+        blocks = []
+        for terms in self.terms:
+            entries: dict[tuple[int, int], dict[Monomial, Coefficient]] = {}
+            for (i, j, e), c in terms.items():
+                entries.setdefault((i, j), {})[e] = c
+            blocks.append({(i, j, e): c for (i, j), entry in entries.items()
+                           for e, c in _terms_of(f(self._entry(entry)))})
+        return H3RepImage(getattr(zero, "variables", ()), self.keys, self.sizes, blocks)
 
     def is_zero(self) -> bool:
         return not any(self.terms)
@@ -274,7 +253,7 @@ class H3RepImage:
             (other.variables, other.keys, other.sizes, other.terms)
 
     def __repr__(self):
-        return f"H3RepImage({self.blocks!r})"
+        return f"H3RepImage({self.variables!r}, {self.keys!r}, {self.sizes!r}, {self.terms!r})"
 
 
 def _terms_of(x) -> Iterable[tuple[Monomial, Coefficient]]:
@@ -569,14 +548,13 @@ def check_r1_images() -> dict[str, bool]:
     image = model.image(relator_r(1))
     out = {}
     for key in ("Sb", "Sc", "Ubc", "V"):
-        out[f"R1 -> 0 in {key}"] = image.block(key).is_zero()
-    target_sa = poly_abc("-(a-c)*(a-b)*(a^2-b*c)*(a^2+b*c)") * poly_abc("a").monomial_inverse() ** 3
-    out["R1 in Sa"] = image.block("Sa") == Matrix([[target_sa]])
+        out[f"R1 -> 0 in {key}"] = not image.block(key)
+    out["R1 in Sa"] = image.block("Sa") == _block([["-(a-c)*(a-b)*(a^2-b*c)*(a^2+b*c)*a^-3"]])
 
-    def rank_one(al: str, scalar: LaurentPolynomial) -> Matrix:
+    def rank_one(al: str, scalar: LaurentPolynomial) -> Block:
         a_inv = poly_abc("a").monomial_inverse()
         v = poly_abc(al)
-        return Matrix([
+        return _block([
             [scalar, -1 * scalar * v * a_inv],
             [-1 * scalar * v * a_inv, scalar * v * v * a_inv * a_inv],
         ])
@@ -590,6 +568,15 @@ def check_r2_conjugation() -> bool:
     """The index-swapped relator is the half-twist conjugate of R_1."""
     model = H3Model()
     return model.image(relator_r(2)) == model.image(relator_r_hat(1))
+
+
+def letter_inverse(i: int) -> WordSum:
+    """s_i^-1 = (abc)^-1 (s_i^2 - (a+b+c) s_i + (ab+ac+bc)), by the cubic."""
+    return WordSum.from_terms([
+        ("(a*b*c)^-1", (i, i)),
+        ("-(a+b+c)*(a*b*c)^-1", (i,)),
+        ("(a*b+a*c+b*c)*(a*b*c)^-1", ()),
+    ])
 
 
 def cubic_relator(i: int) -> WordSum:
@@ -989,9 +976,9 @@ def _specialized_vector_check(model: H3Model, which: str, seed: int) -> bool:
 
 
 def check_parity_character() -> bool:
-    """The character s_i -> a, the block Sa, kills the six-term relator at bc = 1, a = +-1."""
-    sa = restricted_images("Sa")
-    return all(H3Model(dagger_dagger(a), sa).image(relator_r(1)).is_zero() for a in (1, -1))
+    """The character s_i -> a kills the six-term relator at bc = 1, a = +-1."""
+    return all(H3Model(dagger_dagger(a), _character_images()).image(relator_r(1)).is_zero()
+               for a in (1, -1))
 
 
 def _delta_determinant_check() -> bool:
@@ -1024,19 +1011,18 @@ def character_and_module_checks() -> dict[str, bool]:
     identities, and each holds at a = 1 and at a = -1.  The targets are
     written over R, with c for b^-1, and mapped by each spec.
     """
-    rank_one = _mat([["(a*b-1)*(a-b)", "a*b-1", "b"], ["0"] * 3, ["0"] * 3])
-    target_e = rank_one * poly_abc("c")
-    target_sandwich = rank_one * poly_abc("2*(a*b-b^2-1)*c^2")
+    rank_one = [poly_abc(x) for x in ("(a*b-1)*(a-b)", "a*b-1", "b")]
+    scalars = (poly_abc("c"), poly_abc("2*(a*b-b^2-1)*c^2"))
     exprs = (cubic_relator(1), relator_r(1), cleared_e(1),
              cleared_s_relator(False), cleared_s_relator(True))
     verdicts = []
     for a in (1, -1):
         spec = dagger_dagger(a)
+        # both targets are rank one: their only nonzero row is the first
+        target_e, sandwich = (_block([[spec(x * s) for x in rank_one]]) for s in scalars)
         model = H3Model(spec, _dim3_module_images())
         cubic, r1, e, pos, neg = (model.image(x).block("M") for x in exprs)
-        sandwich = target_sandwich.map(spec)
-        verdicts.append((cubic.is_zero(), r1.is_zero(), e == target_e.map(spec),
-                         pos == sandwich and neg == sandwich))
+        verdicts.append((not cubic, not r1, e == target_e, pos == sandwich == neg))
     cubic_holds, r1_zero, e_matches, sandwich_matches = (all(at) for at in zip(*verdicts))
     return {
         "writhe character kills the 6-term relator": check_parity_character(),

@@ -270,7 +270,11 @@ class LaurentPolynomial:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.variables, tuple(sorted(self.terms.items()))))
+            const = (0,) * len(self.variables)
+            if self.terms.keys() <= {const}:  # a constant equals, so hashes like, its value
+                h = hash(self.terms.get(const, 0))
+            else:
+                h = hash((self.variables, tuple(sorted(self.terms.items()))))
             object.__setattr__(self, "_hash", h)
         return h
 

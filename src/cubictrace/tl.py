@@ -220,20 +220,25 @@ def closure_circles(word: Word, n: int) -> int:
 # -- the two trace families -------------------------------------------------------
 
 
-def trace_xa(elem: TLElement | Word, n: int) -> QA:
-    """The trace family at x = a: a^(k+n)(N - k) on words, -a^(n+1) on C."""
+def _trace(elem: TLElement | Word, x: QA, cell: Callable[[Word | str], QA]) -> QA:
+    """sum specialize(coeff, x) * cell(key) over the terms of elem; a word is
+    coerced to its element first."""
     if not isinstance(elem, TLElement):
         elem = TLElement.word(tuple(elem))
     total = QA(0)
     for k, coeff in elem.coeffs.items():
-        scalar = specialize(coeff, A)
-        if k == C_WORD:
-            cell = -QA.a_power(n + 1)
-        else:
-            word = tuple(k)
-            cell = QA.a_power(len(word) + n) * QA(closure_circles(word, n) - len(word))
-        total = total + scalar * cell
+        total = total + specialize(coeff, x) * cell(k)
     return total
+
+
+def trace_xa(elem: TLElement | Word, n: int) -> QA:
+    """The trace family at x = a: a^(k+n)(N - k) on words, -a^(n+1) on C."""
+    def cell(k: Word | str) -> QA:
+        if k == C_WORD:
+            return -QA.a_power(n + 1)
+        return QA.a_power(len(k) + n) * QA(closure_circles(k, n) - len(k))
+
+    return _trace(elem, A, cell)
 
 
 def trace_x2a(elem: TLElement | Word, n: int) -> QA:
@@ -242,25 +247,16 @@ def trace_x2a(elem: TLElement | Word, n: int) -> QA:
     u_n = -a^n and v_n = (n-2) a^(n+1) (v_1 = 0), the values forced by the
     tower normalization t_n(1) = (n-2) a^(n+1).
     """
-    if not isinstance(elem, TLElement):
-        elem = TLElement.word(tuple(elem))
     u = -QA.a_power(n)
     v = QA(0) if n == 1 else QA.a_power(n + 1) * QA(n - 2)
-    total = QA(0)
-    for k, coeff in elem.coeffs.items():
-        if k != C_WORD:
-            _check_letters(k, n)
-        scalar = specialize(coeff, 2 * A)
+
+    def cell(k: Word | str) -> QA:
         if k == C_WORD:
-            cell = -u
-        elif len(k) == 0:
-            cell = v
-        elif len(k) == 1:
-            cell = u
-        else:
-            cell = QA(0)
-        total = total + scalar * cell
-    return total
+            return -u
+        _check_letters(k, n)
+        return v if not k else u if len(k) == 1 else QA(0)
+
+    return _trace(elem, 2 * A, cell)
 
 
 def relator_sandwich_traces(u: Word, i: int, v: Word, n: int) -> list[list[QA]]:

@@ -72,6 +72,14 @@ class TestArithmetic:
         assert hash(rebuilt) == hash(p)
         assert rebuilt.render() == p.render()
 
+    def test_a_constant_hashes_like_its_value(self):
+        for value in (3, -1, Fraction(1, 2), Fraction(4, 2), 0):
+            p = LaurentPolynomial.constant(value, AX)
+            assert p == value and hash(p) == hash(value)
+            assert len({p, value}) == 1
+        assert LaurentPolynomial.zero(ABC) == 0 and len({LaurentPolynomial.zero(ABC), 0}) == 1
+        assert len({LaurentPolynomial.constant(3, AX), poly_abc("3*a"), 3}) == 2
+
     def test_exact_division(self):
         p = poly_abc("(a^2-b*c)*(a+b)*(a+b)")
         q = poly_abc("a+b")

@@ -19,38 +19,35 @@ def _assert_green(rep: SuiteReport):
     assert not failing, "\n" + "\n".join(f"{c.check_id}: {c.detail}" for c in failing)
 
 
-def test_h3_suite():
-    # every check and its detail, down to the trace-equation scale, as first recorded
-    rep = suite_h3()
+def _assert_golden(rep: SuiteReport, name: str):
+    # every check and its detail, as first recorded; a golden is independent of PYTHONHASHSEED
     _assert_green(rep)
-    golden = Path(__file__).resolve().parent / "golden" / "verify_h3.txt"
+    golden = Path(__file__).resolve().parent / "golden" / f"verify_{name}.txt"
     assert rep.render() + "\n" == golden.read_text()
+
+
+def test_h3_suite():
+    _assert_golden(suite_h3(), "h3")
 
 
 def test_braid_suite():
-    _assert_green(suite_braid())
+    _assert_golden(suite_braid(), "braid")
 
 
 def test_skein_suite():
-    _assert_green(suite_skein())
+    _assert_golden(suite_skein(), "skein")
 
 
 def test_hecke_suite():
-    _assert_green(suite_hecke())
+    _assert_golden(suite_hecke(), "hecke")
 
 
 def test_coxeter_suite():
-    rep = suite_coxeter()
-    _assert_green(rep)
-    golden = Path(__file__).resolve().parent / "golden" / "verify_coxeter.txt"
-    assert rep.render() + "\n" == golden.read_text()
+    _assert_golden(suite_coxeter(), "coxeter")
 
 
 def test_tl_suite():
-    rep = suite_tl()
-    _assert_green(rep)
-    golden = Path(__file__).resolve().parent / "golden" / "verify_tl.txt"
-    assert rep.render() + "\n" == golden.read_text()
+    _assert_golden(suite_tl(), "tl")
 
 
 def test_table_runner_strict_rows():
