@@ -18,14 +18,20 @@ from its display of s_1 and s_2 straight into term maps, once per process
 on first use; each inverse letter is the image of the defining cubic solved
 for it, s_i^-1 = (abc)^-1 (s_i^2 - (a+b+c) s_i + (ab+ac+bc)).  The Schur
 elements are built once per process too.  An image stores each block as
-one sparse term map {(row, column, exponents): coefficient} over the target
-ring (`H3RepImage`), so a product of word images, the image of a linear
-combination and a check against a displayed block each work on term maps,
-with no polynomial or matrix object per entry.  The Markov-trace forms
-evaluate each word's block traces at the point and combine them there.
-The Gram and trace-equation checks draw their points from one sampler,
-which redraws a point where a Schur element vanishes, so every point they
-count is faithful.
+one sparse term map {(row, column, m): coefficient} over the target ring
+(`H3RepImage`), where m packs the exponent vector into one int with a signed
+32-bit digit per variable (`_pack`), so the monomial of a product is an int
+sum.  Packing is injective while every exponent stays below 2^31 in absolute
+value; no letter moves one by more than 2, so only a word of more than 10^9
+letters could leave that bound, and `_pack` refuses an exponent outside it.
+A product of word images, the image of a linear combination and a check
+against a displayed block each work on term maps, with no polynomial or
+matrix object per entry; m is unpacked only where a polynomial is built.
+The Markov-trace forms evaluate a word's seven block traces at the point
+with one power table per variable (`rings.evaluate_terms`) and combine them
+there.  The Gram and trace-equation checks draw their points from one
+sampler, which redraws a point where a Schur element vanishes, so every
+point they count is faithful.
 
 Checked here, exactly and symbolically unless noted:
 
@@ -58,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
-from operator import add, mul
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -77,6 +83,7 @@ from .rings import (
     _canonical,
     _clean,
     dagger_dagger,
+    evaluate_terms,
     fold_a,
     poly_abc,
 )
@@ -123,9 +130,40 @@ def _inverse_word(word: Word) -> Word:
 # -- the matrix models --------------------------------------------------------
 
 
-Block = dict[tuple[int, int, Monomial], Coefficient]
-# a block's terms by row: row -> [(column, exponents, coefficient)]
-Rows = dict[int, list[tuple[int, Monomial, Coefficient]]]
+# A monomial in a term map is its exponent vector packed into one int,
+# m = sum e_v * 2^(32 v) with signed digits (`_pack`), so the monomial of a
+# product is the int sum of its factors'.  In every model built here a
+# letter's entries have exponents of absolute value <= 2, so a digit would
+# overflow only in a word of more than 10^9 letters; a word image is built
+# one letter at a time, by one recursive call per letter, far short of that.
+_DIGIT_BITS = 32
+_HALF = 1 << (_DIGIT_BITS - 1)
+_MASK = (1 << _DIGIT_BITS) - 1
+
+Block = dict[tuple[int, int, int], Coefficient]  # (row, column, packed monomial) -> coefficient
+# a block's terms by row: row -> [(column, packed monomial, coefficient)]
+Rows = dict[int, list[tuple[int, int, Coefficient]]]
+
+
+def _pack(e: Monomial) -> int:
+    """The exponent vector e as one int, sum e_v * 2^(32 v); raises RingError
+    unless every |e_v| < 2^31, the bound within which packing is injective."""
+    m = 0
+    for x in reversed(e):
+        if not -_HALF < x < _HALF:
+            raise RingError(f"exponent {x} is outside the packing bound +-{_HALF - 1}")
+        m = (m << _DIGIT_BITS) + x
+    return m
+
+
+def _unpack(m: int, n: int) -> Monomial:
+    """The exponent vector of n variables packed in m (`_pack`), digit by signed digit."""
+    out = []
+    for _ in range(n):
+        d = ((m + _HALF) & _MASK) - _HALF
+        out.append(d)
+        m = (m - d) >> _DIGIT_BITS
+    return tuple(out)
 
 
 @cache
@@ -172,19 +210,21 @@ def _letter_images(displays: Mapping[str, tuple]) -> dict[int, "H3RepImage"]:
 
 def _block(rows: Sequence[Sequence]) -> Block:
     """The term map of a displayed block; an entry is a polynomial or the text of one over R."""
-    return {(i, j, e): c for i, row in enumerate(rows) for j, x in enumerate(row)
-            for e, c in _terms_of(poly_abc(x) if isinstance(x, str) else x)}
+    return {(i, j, m): c for i, row in enumerate(rows) for j, x in enumerate(row)
+            for m, c in _terms_of(poly_abc(x) if isinstance(x, str) else x)}
 
 
 class H3RepImage:
     """Image of an element of H_3 under the direct sum of a model's blocks.
 
-    Each block (`block(key)`) is one sparse term map {(row, column,
-    exponents): coefficient} over `variables`: the entry at (row, column)
-    is the sum of c * x^exponents over its terms.  A rational point
-    (`at_point`) has no variables, so every exponent vector is empty and an
-    entry is its one coefficient.  Coefficients are canonical and no term is
-    zero, so two images are equal exactly when their term maps are.
+    Each block (`block(key)`) is one sparse term map {(row, column, m):
+    coefficient} over `variables`: the entry at (row, column) is the sum of
+    c * x^e over its terms, where m is the exponent vector e packed into one
+    int (`_pack`, injective for |e_v| < 2^31).  Products add the packed ints;
+    only `_entry` unpacks them, where it builds a polynomial.  A rational
+    point (`at_point`) has no variables, so every m is 0 and an entry is its
+    one coefficient.  Coefficients are canonical and no term is zero, so two
+    images are equal exactly when their term maps are.
     """
 
     __slots__ = ("variables", "keys", "sizes", "terms", "_rows")
@@ -199,23 +239,38 @@ class H3RepImage:
         """An image with this one's variables and blocks, and the given term maps."""
         return H3RepImage(self.variables, self.keys, self.sizes, terms)
 
-    def _entry(self, terms: dict[Monomial, Coefficient]):
-        return LaurentPolynomial._trusted(self.variables, terms) if self.variables \
-            else terms.get((), 0)
+    def _entry(self, terms: dict[int, Coefficient]):
+        """The entry whose terms are {packed monomial: coefficient}."""
+        n = len(self.variables)
+        if not n:
+            return terms.get(0, 0)
+        return LaurentPolynomial._trusted(self.variables,
+                                          {_unpack(m, n): c for m, c in terms.items()})
 
     def block(self, key: str) -> Block:
         return self.terms[self.keys.index(key)]
 
-    def traces(self) -> list:
-        """Each block's trace: a polynomial over `variables`, or a number at a point."""
+    def _diagonal_sums(self) -> list[dict[int, Coefficient]]:
+        """Each block's trace as {packed monomial: coefficient}."""
         out = []
         for terms in self.terms:
-            acc: dict[Monomial, Coefficient] = {}
-            for (i, j, e), c in terms.items():
+            acc: dict[int, Coefficient] = {}
+            for (i, j, m), c in terms.items():
                 if i == j:
-                    acc[e] = acc.get(e, 0) + c
-            out.append(self._entry(_clean(acc)))
+                    acc[m] = acc.get(m, 0) + c
+            out.append(_clean(acc))
         return out
+
+    def traces(self) -> list:
+        """Each block's trace: a polynomial over `variables`, or a number at a point."""
+        return [self._entry(acc) for acc in self._diagonal_sums()]
+
+    def traces_at(self, point: Mapping[str, Fraction]) -> list[Fraction]:
+        """Each block's trace evaluated at a rational point, by one `evaluate_terms`
+        call: one power table per variable for all the blocks, and no polynomial."""
+        n = len(self.variables)
+        return evaluate_terms(self.variables, [[(_unpack(m, n), c) for m, c in acc.items()]
+                                               for acc in self._diagonal_sums()], point)
 
     def _row_groups(self) -> tuple[Rows, ...]:
         """Each block's terms grouped by row, as a right factor needs them; kept,
@@ -223,8 +278,8 @@ class H3RepImage:
         if self._rows is None:
             self._rows = tuple({} for _ in self.terms)
             for rows, terms in zip(self._rows, self.terms):
-                for (j, k, e), c in terms.items():
-                    rows.setdefault(j, []).append((k, e, c))
+                for (j, k, m), c in terms.items():
+                    rows.setdefault(j, []).append((k, m, c))
         return self._rows
 
     def __mul__(self, other: "H3RepImage") -> "H3RepImage":
@@ -236,11 +291,11 @@ class H3RepImage:
         zero = f(self._entry({}))
         blocks = []
         for terms in self.terms:
-            entries: dict[tuple[int, int], dict[Monomial, Coefficient]] = {}
-            for (i, j, e), c in terms.items():
-                entries.setdefault((i, j), {})[e] = c
-            blocks.append({(i, j, e): c for (i, j), entry in entries.items()
-                           for e, c in _terms_of(f(self._entry(entry)))})
+            entries: dict[tuple[int, int], dict[int, Coefficient]] = {}
+            for (i, j, m), c in terms.items():
+                entries.setdefault((i, j), {})[m] = c
+            blocks.append({(i, j, m): c for (i, j), entry in entries.items()
+                           for m, c in _terms_of(f(self._entry(entry)))})
         return H3RepImage(getattr(zero, "variables", ()), self.keys, self.sizes, blocks)
 
     def is_zero(self) -> bool:
@@ -256,16 +311,17 @@ class H3RepImage:
         return f"H3RepImage({self.variables!r}, {self.keys!r}, {self.sizes!r}, {self.terms!r})"
 
 
-def _terms_of(x) -> Iterable[tuple[Monomial, Coefficient]]:
-    """The terms of an entry or a mapped coefficient: a polynomial's, or a number's."""
+def _terms_of(x) -> list[tuple[int, Coefficient]]:
+    """The terms of an entry or a mapped coefficient, a polynomial's or a
+    number's, each as (packed monomial, coefficient)."""
     if isinstance(x, LaurentPolynomial):
-        return x.terms.items()
-    return [((), _as_fraction(x))] if x else []
+        return [(_pack(e), c) for e, c in x.terms.items()]
+    return [(0, _as_fraction(x))] if x else []
 
 
-def _scalar_rows(n: int, terms: Iterable[tuple[Monomial, Coefficient]]) -> Rows:
+def _scalar_rows(n: int, terms: Iterable[tuple[int, Coefficient]]) -> Rows:
     """The rows of c times the n x n identity, for c with the given terms."""
-    return {i: [(i, e, c) for e, c in terms] for i in range(n)}
+    return {i: [(i, m, c) for m, c in terms] for i in range(n)}
 
 
 def _sum_of_products(pairs: Iterable[tuple[Block, Rows]]) -> Block:
@@ -275,9 +331,9 @@ def _sum_of_products(pairs: Iterable[tuple[Block, Rows]]) -> Block:
     acc: dict = {}
     get = acc.get
     for x, rows in pairs:
-        for (i, j, e1), c1 in x.items():
-            for k, e2, c2 in rows.get(j, ()):
-                key = (i, k, tuple(map(add, e1, e2)))
+        for (i, j, m1), c1 in x.items():
+            for k, m2, c2 in rows.get(j, ()):
+                key = (i, k, m1 + m2)
                 acc[key] = get(key, 0) + c1 * c2
     return _clean(acc)
 
@@ -304,7 +360,7 @@ class H3Model:
 
     def identity_image(self) -> H3RepImage:
         one = self._letter[1]
-        return one._like({(i, i, e): c for i in range(n) for e, c in self._one} for n in one.sizes)
+        return one._like({(i, i, m): c for i in range(n) for m, c in self._one} for n in one.sizes)
 
     def word_image(self, word: Word) -> H3RepImage:
         word = tuple(word)
@@ -728,8 +784,8 @@ def _gram_at(images: Sequence[H3RepImage],
     for image in images:
         rows, cols = [], []
         for k, n, terms in zip(image.keys, image.sizes, image.terms):
-            rows += [(k, terms.get((i, j, ()), 0)) for i in range(n) for j in range(n)]
-            cols += [terms.get((i, j, ()), 0) for j in range(n) for i in range(n)]
+            rows += [(k, terms.get((i, j, 0), 0)) for i in range(n) for j in range(n)]
+            cols += [terms.get((i, j, 0), 0) for j in range(n) for i in range(n)]
         den = lcm(*(x.denominator for _, x in rows))
         left.append([weight[k] * x.numerator * (den // x.denominator) for k, x in rows])
         col.append([x.numerator * (den // x.denominator) for x in cols])
@@ -753,7 +809,9 @@ def _faithful_points(draw: Callable[[], dict], count: int, attempts: int,
         if accepted == count:
             return
         pt = draw()
-        schur_at = {k: p.evaluate(pt) for k, p in schur_elements().items()}
+        schur = schur_elements()
+        values = evaluate_terms(ABC, [p.terms.items() for p in schur.values()], pt)
+        schur_at = dict(zip(schur, values))
         if 0 in schur_at.values():
             continue
         solved = solve(pt)
@@ -846,11 +904,12 @@ def _trace_forms(model: H3Model, point: dict[str, Fraction],
     solve the 3 Markov conditions and the 4 values on TRACE_BASIS, one
     right-hand side per unknown.  None when the system is singular at
     the point.  The block traces of each word are evaluated at the point
-    once, and those of a linear combination are combined there from them.
+    once, together (`H3RepImage.traces_at`), and those of a linear
+    combination are combined there from them.
     """
     @cache
     def traces(word: Word) -> list[Fraction]:
-        return [t.evaluate(point) for t in model.word_image(word).traces()]
+        return model.word_image(word).traces_at(point)
 
     rows = [[p - q for p, q in zip(traces(u), traces(v))] for u, v in MARKOV_PAIRS]
     rows += [traces(g) for g in TRACE_BASIS]
@@ -860,7 +919,7 @@ def _trace_forms(model: H3Model, point: dict[str, Fraction],
         return None
     forms = []
     for expr in exprs:
-        coeffs = [c.evaluate(point) for c in expr.coeffs.values()]
+        coeffs = evaluate_terms(ABC, [c.terms.items() for c in expr.coeffs.values()], point)
         values = [dot(coeffs, column) for column in zip(*map(traces, expr.coeffs))]
         forms.append([dot(solved[j], values) for j in range(4)])
     return forms
@@ -941,7 +1000,7 @@ def _scale(form: list[Fraction], expected: list[Fraction]) -> Fraction | None:
     """The nonzero s with form = s * expected, else None; s is read at the
     first nonzero entry of `expected`, and is unique wherever it exists."""
     at = next((i for i, w in enumerate(expected) if w != 0), None)
-    s = None if at is None else form[at] / expected[at]
+    s = None if at is None else Fraction(form[at]) / expected[at]
     return s if s and [s * w for w in expected] == form else None
 
 

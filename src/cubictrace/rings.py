@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 Coefficient = int | Fraction
@@ -319,53 +319,10 @@ class LaurentPolynomial:
         return LaurentPolynomial._trusted(target, _clean(out))
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """The value at an exact rational point (`int` or `Fraction` coordinates).
-
-        With x = p/q and the exponents of x from lo <= 0 to hi >= 0, the
-        term x^e is p^(e-lo) q^(hi-e) / (p^-lo q^hi): one table of these
-        integer numerators per variable, and the coefficients over their
-        lcm, so the terms sum as ints and one `Fraction` is made at the end.
-        """
-        values = []
-        for v in self.variables:
-            try:
-                values.append(_as_fraction(point[v]))
-            except KeyError:
-                raise RingError(f"the point gives no value for {v!r}") from None
-        terms = self.terms
-        if not terms:
-            return Fraction(0)
-        tables, shifts = [], []
-        den = 1
-        for x, exps in zip(values, zip(*terms)):
-            p, q = x.numerator, x.denominator
-            lo, hi = min(min(exps), 0), max(max(exps), 0)
-            if p == 0 and lo < 0:
-                raise RingError("evaluation divides by zero")
-            span = hi - lo
-            if q == 1:
-                table = [1]
-                for _ in range(span):
-                    table.append(table[-1] * p)
-            else:
-                table = [p ** k * q ** (span - k) for k in range(span + 1)]
-            tables.append(table)
-            shifts.append(lo)
-            den *= table[-lo]
-        common = 1
-        for c in terms.values():
-            if type(c) is Fraction:
-                common = lcm(common, c.denominator)
-        total = 0
-        for mono, c in terms.items():
-            acc = c * common if type(c) is int else c.numerator * (common // c.denominator)
-            for e, table, lo in zip(mono, tables, shifts):
-                acc *= table[e - lo]
-            total += acc
-        den *= common
-        if den < 0:
-            total, den = -total, -den
-        return Fraction(total) if den == 1 else Fraction(total, den)
+        """The value at an exact rational point (`int` or `Fraction` coordinates),
+        by `evaluate_terms` on this one term list: a coordinate the point lacks
+        and a negative power of 0 raise RingError, and the zero polynomial is 0."""
+        return evaluate_terms(self.variables, (self.terms.items(),), point)[0]
 
     # -- exact division --------------------------------------------------
 
@@ -466,6 +423,64 @@ class LaurentPolynomial:
         rendering and parsing round-trip.
         """
         return _Parser(text, tuple(variables)).parse()
+
+
+def evaluate_terms(variables: Sequence[str],
+                   term_lists: Sequence[Iterable[tuple[Monomial, Coefficient]]],
+                   point: Mapping[str, Fraction]) -> list[Fraction]:
+    """The values of several term lists over `variables` at one exact rational
+    point (`int` or `Fraction` coordinates), one `Fraction` per list.
+
+    With x = p/q and the exponents of x over all the lists from lo <= 0 to
+    hi >= 0, the term x^e is p^(e-lo) q^(hi-e) / (p^-lo q^hi): one table of
+    these integer numerators per variable, shared by every list.  Each
+    list's coefficients go over their lcm, so its terms sum as ints and one
+    `Fraction` is made per list.  A list may be read twice, so it must be a
+    sequence or a view, not an iterator.
+    """
+    values = []
+    for v in variables:
+        try:
+            values.append(_as_fraction(point[v]))
+        except KeyError:
+            raise RingError(f"the point gives no value for {v!r}") from None
+    monos = [mono for terms in term_lists for mono, _ in terms]
+    if not monos:
+        return [Fraction(0) for _ in term_lists]
+    tables, shifts = [], []
+    den = 1
+    for x, exps in zip(values, zip(*monos)):
+        p, q = x.numerator, x.denominator
+        lo, hi = min(min(exps), 0), max(max(exps), 0)
+        if p == 0 and lo < 0:
+            raise RingError("evaluation divides by zero")
+        span = hi - lo
+        if q == 1:
+            table = [1]
+            for _ in range(span):
+                table.append(table[-1] * p)
+        else:
+            table = [p ** k * q ** (span - k) for k in range(span + 1)]
+        tables.append(table)
+        shifts.append(lo)
+        den *= table[-lo]
+    out = []
+    for terms in term_lists:
+        common = 1
+        for _, c in terms:
+            if type(c) is Fraction:
+                common = lcm(common, c.denominator)
+        total = 0
+        for mono, c in terms:
+            acc = c * common if type(c) is int else c.numerator * (common // c.denominator)
+            for e, table, lo in zip(mono, tables, shifts):
+                acc *= table[e - lo]
+            total += acc
+        d = den * common
+        if d < 0:
+            total, d = -total, -d
+        out.append(Fraction(total) if d == 1 else Fraction(total, d))
+    return out
 
 
 class _Parser:

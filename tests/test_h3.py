@@ -66,8 +66,8 @@ def _matrices(image: H3RepImage) -> list[Matrix]:
     out = []
     for n, terms in zip(image.sizes, image.terms):
         entries: dict = {}
-        for (i, j, e), c in terms.items():
-            entries.setdefault((i, j), {})[e] = c
+        for (i, j, m), c in terms.items():
+            entries.setdefault((i, j), {})[h3._unpack(m, len(image.variables))] = c
         out.append(Matrix([[LaurentPolynomial(image.variables, entries.get((i, j), {}))
                             if image.variables else entries.get((i, j), {}).get((), 0)
                             for j in range(n)] for i in range(n)]))
@@ -75,8 +75,8 @@ def _matrices(image: H3RepImage) -> list[Matrix]:
 
 
 def _term_maps(matrices: list[Matrix]) -> tuple[dict, ...]:
-    """Each Matrix read into the term map {(row, column, exponents): coefficient} of a block."""
-    return tuple({(i, j, e): c for i, row in enumerate(m.rows) for j, x in enumerate(row)
+    """Each Matrix read into a block's term map {(row, column, packed monomial): coefficient}."""
+    return tuple({(i, j, h3._pack(e)): c for i, row in enumerate(m.rows) for j, x in enumerate(row)
                   for e, c in (x.terms.items() if isinstance(x, LaurentPolynomial)
                                else [((), x)] if x else [])}
                  for m in matrices)
@@ -175,6 +175,15 @@ class TestMatrixModels:
             assert _matrices(model.word_image(word)) == want, word
             assert model.word_image(word).terms == _term_maps(want), word
 
+    @pytest.mark.parametrize("name", MODELS)
+    def test_letter_exponents_are_far_inside_the_packing_bound(self, name):
+        # the overflow argument of the packing: no letter moves an exponent by more than 2
+        model = MODELS[name]
+        n = len(model.word_image((1,)).variables)
+        for letter in (1, -1, 2, -2):
+            for terms in model.word_image((letter,)).terms:
+                assert all(abs(e) <= 2 for _, _, m in terms for e in h3._unpack(m, n))
+
     @pytest.mark.parametrize("word", [(3,), (1, 0), (2, -3, 1)])
     def test_letters_outside_three_strands_are_refused(self, word):
         model = H3Model()
@@ -182,6 +191,38 @@ class TestMatrixModels:
             model.word_image(word)
         with pytest.raises(RingError, match="not in H_3"):
             model.image(WordSum.word(word))
+
+
+class TestPacking:
+    def test_unpack_inverts_pack(self):
+        rng = random.Random(41)
+        top = h3._HALF - 1
+        values = (0, 1, -1, 2, -2, top, -top, top - 1, -top + 1)
+        for _ in range(400):
+            e = tuple(rng.choice(values) if rng.random() < 0.5 else rng.randint(-top, top)
+                      for _ in range(rng.randint(0, 3)))
+            assert h3._unpack(h3._pack(e), len(e)) == e, e
+        for e in ((top, -top, top), (-top, top, -top), (-top,) * 3, (top,) * 3):
+            assert h3._unpack(h3._pack(e), 3) == e
+
+    @pytest.mark.parametrize("e", [(h3._HALF,), (-h3._HALF,), (0, h3._HALF), (1, 2, -h3._HALF),
+                                   (-h3._HALF - 1, 0, 0)])
+    def test_an_exponent_past_the_bound_is_refused(self, e):
+        with pytest.raises(RingError, match="packing bound"):
+            h3._pack(e)
+
+    @pytest.mark.parametrize("word", [(1, -2), (-1, 2, -1, 1, -2), (-2, -2, 1, 1, -1)])
+    def test_a_word_with_zero_sum_exponents_is_its_matrix_product(self, word):
+        # terms such as a b^-1 pack to a negative int, and a b^-1 times a^-1 b to 0:
+        # each must decode to its own exponent vector
+        model = H3Model()
+        image = model.word_image(word)
+        exps = [h3._unpack(m, 3) for terms in image.terms for _, _, m in terms]
+        assert any(sum(e) == 0 and any(e) for e in exps), word
+        assert any(min(e) < 0 for e in exps), word
+        want = _matrix_product_image(model, word)
+        assert _matrices(image) == want
+        assert image.terms == _term_maps(want)
 
 
 class TestIdealIdentities:
@@ -309,6 +350,36 @@ class TestTraceEquations:
         rep = trace_equations_check(points=1, seed=97)
         assert not rep.r1s1_equation_matches and not rep.ok
         assert rep.first_equation_matches and rep.second_equation_matches
+
+    @pytest.mark.parametrize("locus", [FREE, R_PLUS, R_MINUS, None],
+                             ids=["R", "R+", "R-", "fraction point"])
+    def test_block_traces_at_a_point_are_the_evaluated_traces(self, locus):
+        rng = random.Random(53)
+        model = H3Model()
+        for _ in range(25):
+            pt = locus.point(rng) if locus else \
+                {"a": Fraction(-3, 7), "b": Fraction(5, 2), "c": Fraction(rng.randint(1, 9), 4)}
+            word = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 8)))
+            image = model.word_image(word)
+            got = image.traces_at(pt)
+            assert got == [t.evaluate(pt) for t in image.traces()], (word, pt)
+            assert all(type(x) is Fraction for x in got)
+
+    def test_block_traces_at_a_point_model_are_its_traces(self):
+        model = MODELS["fraction point"]
+        for word in basis_b1():
+            image = model.word_image(word)
+            assert image.traces_at({}) == image.traces(), word
+
+    def test_scale_is_exact(self):
+        # int forms divide exactly: never a float
+        for form, expected, want in (([1, 3], [3, 9], Fraction(1, 3)), ([2, 6], [1, 3], 2),
+                                     ([0, -5], [0, 2], Fraction(-5, 2))):
+            s = h3._scale(form, expected)
+            assert s == want and type(s) in (int, Fraction), (form, expected, s)
+        assert h3._scale([1, 3], [1, 4]) is None
+        assert h3._scale([0, 0], [1, 2]) is None
+        assert h3._scale([1, 2], [0, 0]) is None
 
     def test_too_few_faithful_points_fail(self, monkeypatch):
         # only the first draw is faithful: Gram and the trace check stop after 10 draws per

@@ -19,6 +19,7 @@ from cubictrace.rings import (
     RingError,
     Specialization,
     dagger_dagger,
+    evaluate_terms,
     fold_a,
     poly_abc,
 )
@@ -228,6 +229,38 @@ class TestEvaluate:
             assert type(got) is Fraction and got == _evaluate_by_powers(p, point), (p, point)
             checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_table_for_several_lists_matches_evaluate(self, seed):
+        # the shared tables span every list's exponents; each value is its list's own
+        rng = random.Random(seed)
+        checked = 0
+        for _ in range(60):
+            variables = rng.choice(self.VARIABLES)
+            polys = [self._random_poly(rng, variables) for _ in range(rng.randint(1, 7))]
+            point = {v: self._random_coordinate(rng) for v in variables}
+            if any(point[v] == 0 and any(m[i] < 0 for p in polys for m in p.terms)
+                   for i, v in enumerate(variables)):
+                continue
+            got = evaluate_terms(variables, [p.terms.items() for p in polys], point)
+            assert got == [p.evaluate(point) for p in polys] \
+                == [_evaluate_by_powers(p, point) for p in polys], (polys, point)
+            assert all(type(x) is Fraction for x in got)
+            checked += 1
+        assert checked > 30
+
+    def test_one_table_keeps_the_refusals_and_the_zero_lists(self):
+        ab = ("a", "b")
+        p = LaurentPolynomial.parse("a^-2*b + 3", ab)
+        with pytest.raises(RingError, match="divides by zero"):
+            evaluate_terms(ab, [LaurentPolynomial.one(ab).terms.items(), p.terms.items()],
+                           {"a": 0, "b": 1})
+        with pytest.raises(RingError, match="'a'"):
+            evaluate_terms(ab, [{}.items()], {"b": 1})
+        assert evaluate_terms(ab, [{}.items(), {}.items()], {"a": 2, "b": 3}) == [0, 0]
+        assert evaluate_terms(ab, [{}.items(), p.terms.items()], {"a": 2, "b": 3}) \
+            == [0, Fraction(15, 4)]
+        assert evaluate_terms((), [[((), Fraction(1, 2))], [((), -3)]], {}) == [Fraction(1, 2), -3]
 
     def test_burau_sized_polynomials_at_minus_one(self):
         t = ("t",)
