@@ -131,7 +131,7 @@ def alexander_coefficients(w: BraidWord) -> tuple[int, ...]:
     Delta is defined up to a unit +-t^k; the sign is fixed so that the
     first coefficient is positive.
     """
-    terms = alexander_polynomial_normalized(w).terms
+    terms = dict(alexander_polynomial_normalized(w).sorted_terms())
     if not terms:
         return ()
     exps = [mono[0] for mono in terms]

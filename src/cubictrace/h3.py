@@ -19,16 +19,13 @@ on first use; each inverse letter is the image of the defining cubic solved
 for it, s_i^-1 = (abc)^-1 (s_i^2 - (a+b+c) s_i + (ab+ac+bc)).  The Schur
 elements are built once per process too.  An image stores each block as
 one sparse term map {(row, column, m): coefficient} over the target ring
-(`H3RepImage`), where m packs the exponent vector into one int with a signed
-32-bit digit per variable (`_pack`), so the monomial of a product is an int
-sum.  Packing is injective while every exponent stays below 2^31 in absolute
-value; no letter moves one by more than 2, so only a word of more than 10^9
-letters could leave that bound, and `_pack` refuses an exponent outside it.
-A product of word images, the image of a linear combination and a check
-against a displayed block each work on term maps, with no polynomial or
-matrix object per entry; m is unpacked only where a polynomial is built.
-The Markov-trace forms evaluate a word's seven block traces at the point
-with one power table per variable (`rings.evaluate_terms`) and combine them
+(`H3RepImage`), where m is the packed int that keys a monomial in
+`LaurentPolynomial.terms`, so the monomial of a product is an int sum and
+this module never packs or unpacks one.  A product of word images, the
+image of a linear combination and a check against a displayed block each
+work on term maps, with no polynomial or matrix object per entry.  The
+Markov-trace forms evaluate a word's seven block traces at the point with
+one power table per variable (`rings.evaluate_terms`) and combine them
 there.  The Gram and trace-equation checks draw their points from one
 sampler, which redraws a point where a Schur element vanishes, so every
 point they count is faithful.
@@ -77,10 +74,7 @@ from .rings import (
     R_PLUS,
     Coefficient,
     LaurentPolynomial,
-    Monomial,
     RingError,
-    _as_fraction,
-    _canonical,
     _clean,
     dagger_dagger,
     evaluate_terms,
@@ -130,40 +124,12 @@ def _inverse_word(word: Word) -> Word:
 # -- the matrix models --------------------------------------------------------
 
 
-# A monomial in a term map is its exponent vector packed into one int,
-# m = sum e_v * 2^(32 v) with signed digits (`_pack`), so the monomial of a
-# product is the int sum of its factors'.  In every model built here a
-# letter's entries have exponents of absolute value <= 2, so a digit would
-# overflow only in a word of more than 10^9 letters; a word image is built
-# one letter at a time, by one recursive call per letter, far short of that.
-_DIGIT_BITS = 32
-_HALF = 1 << (_DIGIT_BITS - 1)
-_MASK = (1 << _DIGIT_BITS) - 1
-
+# `_sum_of_products` adds packed monomials without the bound check of
+# `rings`: no letter moves an exponent by more than 2, so only a word of more
+# than 10^9 letters could leave the bound.
 Block = dict[tuple[int, int, int], Coefficient]  # (row, column, packed monomial) -> coefficient
 # a block's terms by row: row -> [(column, packed monomial, coefficient)]
 Rows = dict[int, list[tuple[int, int, Coefficient]]]
-
-
-def _pack(e: Monomial) -> int:
-    """The exponent vector e as one int, sum e_v * 2^(32 v); raises RingError
-    unless every |e_v| < 2^31, the bound within which packing is injective."""
-    m = 0
-    for x in reversed(e):
-        if not -_HALF < x < _HALF:
-            raise RingError(f"exponent {x} is outside the packing bound +-{_HALF - 1}")
-        m = (m << _DIGIT_BITS) + x
-    return m
-
-
-def _unpack(m: int, n: int) -> Monomial:
-    """The exponent vector of n variables packed in m (`_pack`), digit by signed digit."""
-    out = []
-    for _ in range(n):
-        d = ((m + _HALF) & _MASK) - _HALF
-        out.append(d)
-        m = (m - d) >> _DIGIT_BITS
-    return tuple(out)
 
 
 @cache
@@ -211,20 +177,19 @@ def _letter_images(displays: Mapping[str, tuple]) -> dict[int, "H3RepImage"]:
 def _block(rows: Sequence[Sequence]) -> Block:
     """The term map of a displayed block; an entry is a polynomial or the text of one over R."""
     return {(i, j, m): c for i, row in enumerate(rows) for j, x in enumerate(row)
-            for m, c in _terms_of(poly_abc(x) if isinstance(x, str) else x)}
+            for m, c in (poly_abc(x) if isinstance(x, str) else x).terms.items()}
 
 
 class H3RepImage:
     """Image of an element of H_3 under the direct sum of a model's blocks.
 
     Each block (`block(key)`) is one sparse term map {(row, column, m):
-    coefficient} over `variables`: the entry at (row, column) is the sum of
-    c * x^e over its terms, where m is the exponent vector e packed into one
-    int (`_pack`, injective for |e_v| < 2^31).  Products add the packed ints;
-    only `_entry` unpacks them, where it builds a polynomial.  A rational
-    point (`at_point`) has no variables, so every m is 0 and an entry is its
-    one coefficient.  Coefficients are canonical and no term is zero, so two
-    images are equal exactly when their term maps are.
+    coefficient} over `variables`: the entry at (row, column) is the
+    polynomial whose `LaurentPolynomial.terms` are {m: c}, so products add
+    the packed monomials and an entry's terms become a polynomial as they
+    are.  A rational point (`at_point`) has no variables, so every m is 0.
+    Coefficients are canonical and no term is zero, so two images are equal
+    exactly when their term maps are.
     """
 
     __slots__ = ("variables", "keys", "sizes", "terms", "_rows")
@@ -238,14 +203,6 @@ class H3RepImage:
     def _like(self, terms: Iterable[Block]) -> "H3RepImage":
         """An image with this one's variables and blocks, and the given term maps."""
         return H3RepImage(self.variables, self.keys, self.sizes, terms)
-
-    def _entry(self, terms: dict[int, Coefficient]):
-        """The entry whose terms are {packed monomial: coefficient}."""
-        n = len(self.variables)
-        if not n:
-            return terms.get(0, 0)
-        return LaurentPolynomial._trusted(self.variables,
-                                          {_unpack(m, n): c for m, c in terms.items()})
 
     def block(self, key: str) -> Block:
         return self.terms[self.keys.index(key)]
@@ -261,16 +218,14 @@ class H3RepImage:
             out.append(_clean(acc))
         return out
 
-    def traces(self) -> list:
-        """Each block's trace: a polynomial over `variables`, or a number at a point."""
-        return [self._entry(acc) for acc in self._diagonal_sums()]
+    def traces(self) -> list[LaurentPolynomial]:
+        """Each block's trace, a polynomial over `variables` (over none at a point)."""
+        return [LaurentPolynomial._trusted(self.variables, acc) for acc in self._diagonal_sums()]
 
     def traces_at(self, point: Mapping[str, Fraction]) -> list[Fraction]:
         """Each block's trace evaluated at a rational point, by one `evaluate_terms`
         call: one power table per variable for all the blocks, and no polynomial."""
-        n = len(self.variables)
-        return evaluate_terms(self.variables, [[(_unpack(m, n), c) for m, c in acc.items()]
-                                               for acc in self._diagonal_sums()], point)
+        return evaluate_terms(self.variables, [acc.items() for acc in self._diagonal_sums()], point)
 
     def _row_groups(self) -> tuple[Rows, ...]:
         """Each block's terms grouped by row, as a right factor needs them; kept,
@@ -288,15 +243,16 @@ class H3RepImage:
 
     def map(self, f: Callable) -> "H3RepImage":
         """The image with f applied to every entry; f maps 0 into its target ring."""
-        zero = f(self._entry({}))
+        zero = f(LaurentPolynomial.zero(self.variables))
         blocks = []
         for terms in self.terms:
             entries: dict[tuple[int, int], dict[int, Coefficient]] = {}
             for (i, j, m), c in terms.items():
                 entries.setdefault((i, j), {})[m] = c
             blocks.append({(i, j, m): c for (i, j), entry in entries.items()
-                           for m, c in _terms_of(f(self._entry(entry)))})
-        return H3RepImage(getattr(zero, "variables", ()), self.keys, self.sizes, blocks)
+                           for m, c in f(LaurentPolynomial._trusted(self.variables,
+                                                                    entry)).terms.items()})
+        return H3RepImage(zero.variables, self.keys, self.sizes, blocks)
 
     def is_zero(self) -> bool:
         return not any(self.terms)
@@ -309,14 +265,6 @@ class H3RepImage:
 
     def __repr__(self):
         return f"H3RepImage({self.variables!r}, {self.keys!r}, {self.sizes!r}, {self.terms!r})"
-
-
-def _terms_of(x) -> list[tuple[int, Coefficient]]:
-    """The terms of an entry or a mapped coefficient, a polynomial's or a
-    number's, each as (packed monomial, coefficient)."""
-    if isinstance(x, LaurentPolynomial):
-        return [(_pack(e), c) for e, c in x.terms.items()]
-    return [(0, _as_fraction(x))] if x else []
 
 
 def _scalar_rows(n: int, terms: Iterable[tuple[int, Coefficient]]) -> Rows:
@@ -338,7 +286,7 @@ def _sum_of_products(pairs: Iterable[tuple[Block, Rows]]) -> Block:
     return _clean(acc)
 
 
-RingMap = Callable[[LaurentPolynomial], "LaurentPolynomial | int | Fraction"]
+RingMap = Callable[[LaurentPolynomial], LaurentPolynomial]
 
 
 class H3Model:
@@ -356,7 +304,7 @@ class H3Model:
         self.images = _generator_images() if images is None else images
         self._letter = {letter: image.map(spec) for letter, image in self.images.items()}
         self._word_cache: dict[Word, H3RepImage] = {}
-        self._one = _terms_of(spec(LaurentPolynomial.one(ABC)))
+        self._one = spec(LaurentPolynomial.one(ABC)).terms.items()
 
     def identity_image(self) -> H3RepImage:
         one = self._letter[1]
@@ -387,7 +335,7 @@ class H3Model:
         # c times the identity at the largest block size serves every block,
         # whose terms name only its own columns
         n = max(one.sizes)
-        scaled = [(self.word_image(w), _scalar_rows(n, _terms_of(self.spec(c))))
+        scaled = [(self.word_image(w), _scalar_rows(n, self.spec(c).terms.items()))
                   for w, c in expr.coeffs.items()]
         return one._like(_sum_of_products((image.terms[b], rows) for image, rows in scaled)
                          for b in range(len(one.keys)))
@@ -399,8 +347,8 @@ class H3Model:
 
 
 def at_point(point: dict[str, Fraction]) -> RingMap:
-    """The ring map R -> Q that evaluates at a rational point, into `int | Fraction`."""
-    return lambda p: _canonical(p.evaluate(point))
+    """The ring map R -> Q, the Laurent ring over no variables, at a rational point."""
+    return lambda p: LaurentPolynomial.constant(p.evaluate(point), ())
 
 
 def verify_identity(lhs: WordSum, rhs: WordSum, model: H3Model) -> bool:

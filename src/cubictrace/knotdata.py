@@ -181,7 +181,7 @@ def crossing_number(name: str) -> int | None:
 
 def x_degree(trace: LaurentPolynomial) -> int:
     """Top x-degree of a generic `+` trace, i.e. the z-degree of the Kauffman polynomial."""
-    return max(mono[1] for mono in trace.terms)
+    return max(mono[1] for mono, _ in trace.sorted_terms())
 
 
 def crossing_screen(name: str, xdeg: int) -> bool:
@@ -210,8 +210,8 @@ def rational_plat(conway: str) -> BraidWord:
 
 
 def _up_to_a_power(p: LaurentPolynomial) -> LaurentPolynomial:
-    low = min(mono[0] for mono in p.terms)
-    return LaurentPolynomial(p.variables, {(ea - low, ex): c for (ea, ex), c in p.terms.items()})
+    (low, _), _ = p.sorted_terms()[0]  # the least exponent of a
+    return p * LaurentPolynomial.var("a", p.variables, -low)
 
 
 def pretzel_plat(twists: tuple[int, ...]) -> BraidWord:

@@ -2,12 +2,21 @@
 
 Every ring element used in this project is a Laurent polynomial: a finite
 map from integer exponent vectors (negative entries allowed) to nonzero
-rational coefficients, over a fixed ordered tuple of variable names.  A
-coefficient is stored in canonical form: an `int` when it is integral and a
-`Fraction` (denominator > 1) otherwise, so the integer polynomials that
-dominate the H3 checks never pay for `Fraction`.  Since 3 == Fraction(3)
-and both hash alike, equality, hashing and rendering see only the value.
-There is no floating point anywhere.
+rational coefficients, over a fixed ordered tuple of variable names.  This
+module alone knows how a monomial is stored: its exponent vector e packed
+into one int, m = sum e_v * 2^(32 v), one signed 32-bit digit per variable
+(`_pack`, `_unpack`).  Packing is linear, so the monomial of a product is
+the int sum of its factors' and an inverse is a negation.  It is injective
+while every |e_v| <= 2^31 - 1, and an exponent that would leave that bound
+raises `RingError` instead of wrapping into the next digit.  Within it,
+packed ints compare in lex order with the last variable most significant, a
+translation-invariant order, so the leading term of a product is the product
+of the leading terms, as exact division needs.  Only `sorted_terms` hands
+out exponent tuples.  A coefficient is stored in canonical form: an `int`
+when it is integral and a `Fraction` (denominator > 1) otherwise, so the
+integer polynomials that dominate the H3 checks never pay for `Fraction`.
+Since 3 == Fraction(3) and both hash alike, equality, hashing and rendering
+see only the value.  There is no floating point anywhere.
 
 The quotients of R = Q[a,b,c,(abc)^-1] in which the H3 identities hold are
 ring maps, `Specialization`s: R/(a -+ bc) is the Laurent ring in b, c
@@ -26,11 +35,13 @@ from __future__ import annotations
 
 import random
 import re
+import struct
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
-from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 Coefficient = int | Fraction
@@ -38,6 +49,45 @@ Coefficient = int | Fraction
 
 class RingError(ValueError):
     pass
+
+
+_DIGIT_BITS = 32
+_HALF = 1 << (_DIGIT_BITS - 1)
+_BOUND = _HALF - 1  # the largest |exponent| a digit holds
+
+
+def _pack(e: Monomial) -> int:
+    """The exponent vector e as one int, sum e_v * 2^(32 v); raises RingError
+    unless every |e_v| < 2^31, the bound within which packing is injective."""
+    m = 0
+    for x in reversed(e):
+        if not -_HALF < x < _HALF:
+            raise RingError(f"exponent {x} is outside the packing bound +-{_BOUND}")
+        m = (m << _DIGIT_BITS) + x
+    return m
+
+
+@cache
+def _layout(n: int) -> tuple[int, Callable[[bytes], Monomial], Callable, Callable]:
+    """For n digits: 2^31 in each; the reader of n signed 32-bit little-endian
+    ints; and the add and mask that screen a monomial: adding 2^29 to each digit
+    leaves its bits 30 and 31 clear exactly when it lies in [-2^29, 2^29)."""
+    half = _pack((1,) * n) << (_DIGIT_BITS - 1)
+    return half, struct.Struct(f"<{n}i").unpack, (half >> 2).__add__, (3 * (half >> 1)).__and__
+
+
+def _unpack(m: int, n: int) -> Monomial:
+    """The exponent vector of n variables packed in m (`_pack`).  Adding 2^31
+    to every digit makes each nonnegative, so no digit borrows from the next;
+    flipping bit 31 of each then leaves the two's complement bits of e_v."""
+    half, read, _, _ = _layout(n)
+    return read(((m + half) ^ half).to_bytes(4 * n, "little"))
+
+
+def _extents(keys: Iterable[int], n: int) -> list[tuple[int, int]]:
+    """Each variable's least and greatest exponent over packed monomials;
+    empty for no monomials."""
+    return [(min(d), max(d)) for d in zip(*(_unpack(m, n) for m in keys))]
 
 
 def _as_fraction(c) -> Coefficient:
@@ -64,47 +114,38 @@ def _clean(acc: dict) -> dict:
 class LaurentPolynomial:
     """A Laurent polynomial with exact rational coefficients.
 
-    Terms are stored sparsely; zero coefficients are never kept, and each
-    coefficient is canonical (`int | Fraction`, see the module docstring).
-    Two polynomials compare equal iff they have the same variable tuple and
-    equal term maps, so the representation is canonical.
+    Terms are stored sparsely as {packed monomial: coefficient} (see the
+    module docstring); zero coefficients are never kept, and each
+    coefficient is canonical (`int | Fraction`).  Two polynomials compare
+    equal iff they have the same variable tuple and equal term maps, so the
+    representation is canonical.
 
-    The public constructor validates: it checks exponent lengths, rejects
-    non-rational coefficients, canonicalizes and merges repeated monomials.
-    Arithmetic results are already canonical and go through `_trusted`,
-    which stores them as given.
+    The public constructor takes exponent tuples and validates: it checks
+    their lengths and the packing bound, rejects non-rational coefficients,
+    canonicalizes and merges repeated monomials.  Arithmetic results are
+    already canonical and go through `_trusted`, which stores them as given.
     """
 
     __slots__ = ("variables", "terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Coefficient]):
         variables = tuple(variables)
-        clean: dict[Monomial, Coefficient] = {}
-        nvars = len(variables)
+        acc: dict[int, Coefficient] = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
-            if len(mono) != nvars:
+            if len(mono) != len(variables):
                 raise RingError(f"exponent vector {mono} has wrong length for {variables}")
-            coeff = _as_fraction(coeff)
-            if coeff != 0:
-                acc = clean.get(mono)
-                if acc is None:
-                    clean[mono] = coeff
-                else:
-                    acc = _canonical(acc + coeff)
-                    if acc == 0:
-                        del clean[mono]
-                    else:
-                        clean[mono] = acc
+            mono = _pack(mono)
+            acc[mono] = acc.get(mono, 0) + _as_fraction(coeff)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _clean(acc))
         object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, variables: tuple[str, ...],
-                 terms: dict[Monomial, Coefficient]) -> "LaurentPolynomial":
-        """Wrap terms that are already clean: right-length exponent tuples,
-        nonzero canonical coefficients.  Skips `__init__`'s validation."""
+                 terms: dict[int, Coefficient]) -> "LaurentPolynomial":
+        """Wrap terms that are already clean: packed monomials within the
+        bound, nonzero canonical coefficients.  Skips `__init__`'s validation."""
         p = object.__new__(cls)
         object.__setattr__(p, "variables", variables)
         object.__setattr__(p, "terms", terms)
@@ -126,7 +167,7 @@ class LaurentPolynomial:
         variables = tuple(variables)
         if c == 0:
             return cls._trusted(variables, {})
-        return cls._trusted(variables, {(0,) * len(variables): c})
+        return cls._trusted(variables, {0: c})
 
     @classmethod
     def one(cls, variables: Sequence[str]) -> "LaurentPolynomial":
@@ -138,7 +179,7 @@ class LaurentPolynomial:
         if name not in variables:
             raise RingError(f"{name!r} is not among variables {variables}")
         mono = tuple(power if v == name else 0 for v in variables)
-        return cls._trusted(variables, {mono: 1})
+        return cls._trusted(variables, {_pack(mono): 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -149,18 +190,16 @@ class LaurentPolynomial:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        z = tuple([0] * len(self.variables))
-        return not self.terms or (len(self.terms) == 1 and z in self.terms)
+        return self.terms.keys() <= {0}
 
     def constant_value(self) -> Coefficient:
-        if self.is_zero():
-            return 0
         if not self.is_constant():
             raise RingError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return self.terms.get(0, 0)
 
     def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
-        return sorted(self.terms.items())
+        """The terms as (exponent tuple, coefficient), in lex order of the tuples."""
+        return sorted((_unpack(m, len(self.variables)), c) for m, c in self.terms.items())
 
     # -- arithmetic ----------------------------------------------------
 
@@ -219,10 +258,12 @@ class LaurentPolynomial:
         """sum(x * y for x, y in zip(xs, ys)) for nonempty xs whose first entry
         is a polynomial; an int or Fraction factor is a constant.  Every
         product goes into one term dict, canonicalized once at the end,
-        instead of a polynomial per product and per partial sum."""
+        instead of a polynomial per product and per partial sum.  A product's
+        monomial is the int sum of its factors' once no digit can leave the
+        bound: all digits lie in [-2^29, 2^29) (`_layout`), or else the
+        factors' extents add up within it."""
         variables = xs[0].variables
-        out: dict[Monomial, Coefficient] = {}
-        get = out.get
+        pairs, keys = [], []
         for p, q in zip(xs, ys):
             if not isinstance(p, LaurentPolynomial):
                 p = LaurentPolynomial.constant(p, variables)
@@ -230,26 +271,41 @@ class LaurentPolynomial:
                 q = LaurentPolynomial.constant(q, variables)
             if p.variables != variables or q.variables != variables:
                 raise RingError(f"mismatched variable lists {p.variables} vs {q.variables}")
-            items2 = q.terms.items()
-            for m1, c1 in p.terms.items():
+            if p.terms and q.terms:
+                pairs.append((p.terms, q.terms))
+                keys += [*p.terms, *q.terms]
+        n = len(variables)
+        _, _, shift, mask = _layout(n)
+        if any(map(mask, map(shift, keys))):
+            for p, q in pairs:
+                for (plo, phi), (qlo, qhi) in zip(_extents(p, n), _extents(q, n)):
+                    if plo + qlo < -_BOUND or phi + qhi > _BOUND:
+                        raise RingError(f"a product leaves the packing bound +-{_BOUND}")
+        out: dict[int, Coefficient] = {}
+        get = out.get
+        for p, q in pairs:
+            items2 = q.items()
+            for m1, c1 in p.items():
                 for m2, c2 in items2:
-                    mono = tuple(map(add, m1, m2))
+                    mono = m1 + m2
                     out[mono] = get(mono, 0) + c1 * c2
         return LaurentPolynomial._trusted(variables, _clean(out))
 
     def __pow__(self, n: int):
+        """By repeated squaring.  No square past the last bit of n is taken, so a
+        product leaves the packing bound, and raises, exactly when the power does."""
         if not isinstance(n, int):
             raise RingError("exponent must be an integer")
         if n < 0:
-            inv = self.monomial_inverse()
-            return inv ** (-n)
+            return self.monomial_inverse() ** -n
         result = LaurentPolynomial.one(self.variables)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def monomial_inverse(self) -> "LaurentPolynomial":
@@ -257,8 +313,7 @@ class LaurentPolynomial:
         if len(self.terms) != 1:
             raise RingError(f"{self} is not a unit monomial")
         (mono, coeff), = self.terms.items()
-        return LaurentPolynomial._trusted(self.variables,
-                                          {tuple(-e for e in mono): _canonical(1 / Fraction(coeff))})
+        return LaurentPolynomial._trusted(self.variables, {-mono: _canonical(1 / Fraction(coeff))})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -270,11 +325,10 @@ class LaurentPolynomial:
     def __hash__(self):
         h = self._hash
         if h is None:
-            const = (0,) * len(self.variables)
-            if self.terms.keys() <= {const}:  # a constant equals, so hashes like, its value
-                h = hash(self.terms.get(const, 0))
+            if self.terms.keys() <= {0}:  # a constant equals, so hashes like, its value
+                h = hash(self.terms.get(0, 0))
             else:
-                h = hash((self.variables, tuple(sorted(self.terms.items()))))
+                h = hash((self.variables, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -304,17 +358,18 @@ class LaurentPolynomial:
             if image.variables != target or len(image.terms) != 1:
                 raise RingError(f"{v} -> {image} is not a unit monomial over {target}")
             (mono, k), = image.terms.items()
-            images.append((k, [(j, e) for j, e in enumerate(mono) if e]))
-        out: dict[Monomial, Coefficient] = {}
+            images.append((k, [(j, e) for j, e in enumerate(_unpack(mono, len(target))) if e]))
+        n = len(self.variables)
+        out: dict[int, Coefficient] = {}
         for mono, coeff in self.terms.items():
             exps = [0] * len(target)
-            for e, (k, image) in zip(mono, images):
+            for e, (k, image) in zip(_unpack(mono, n), images):
                 if e:
                     if k != 1:
                         coeff *= k ** e if e > 0 else Fraction(k) ** e
                     for j, f in image:
                         exps[j] += e * f
-            key = tuple(exps)
+            key = _pack(exps)
             out[key] = out.get(key, 0) + coeff
         return LaurentPolynomial._trusted(target, _clean(out))
 
@@ -327,56 +382,54 @@ class LaurentPolynomial:
     # -- exact division --------------------------------------------------
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact quotient self/divisor; raises RingError when not divisible."""
+        """Exact quotient self/divisor; raises RingError when not divisible.
+
+        Each step divides the remainder's leading term, its greatest packed
+        monomial, by the divisor's; subtracting that quotient term times the
+        divisor cancels the lead and adds only smaller monomials, so the
+        remainder's monomials wait in one ascending list, and a cancelled one
+        is skipped when it comes last.  An exact quotient's exponent of each
+        variable lies between the dividend's least minus the divisor's least
+        and the dividend's greatest minus the divisor's greatest, since the
+        extreme terms of a product never cancel.  A quotient monomial outside
+        that box, or outside the packing bound, certifies that no quotient
+        exists in this ring; inside both the decreasing quotient monomials
+        terminate, and every product stays in the dividend's box, so no digit
+        wraps.  The check reads the lead's digits, which always decode.
+        """
         self._check_compatible(divisor)
         if divisor.is_zero():
             raise RingError("division by zero polynomial")
         if self.is_zero():
             return self
-        # Shift both by monomials so all exponents are nonnegative; lex
-        # order is then well founded for the division loop.
-        nvars = len(self.variables)
-        shift = [0] * nvars
-        for mono in list(self.terms) + list(divisor.terms):
-            for i, e in enumerate(mono):
-                shift[i] = min(shift[i], e)
-        shift_t = tuple(shift)
-
-        def shifted(p: LaurentPolynomial) -> dict[Monomial, Coefficient]:
-            return {tuple(e - s for e, s in zip(m, shift_t)): c for m, c in p.terms.items()}
-
-        num = shifted(self)
-        den = shifted(divisor)
-        lead_d = max(den)
-        lead_dc = den[lead_d]
-        # In an exact division the intermediate numerators are tail-sums of
-        # quotient * divisor, whose exponents stay inside the dividend's
-        # bounding box (extreme monomials of a product never cancel).  A
-        # lead escaping the box therefore certifies non-divisibility, and
-        # the strictly lex-decreasing leads inside a finite box terminate.
-        lo = [min(m[i] for m in num) for i in range(nvars)]
-        hi = [max(m[i] for m in num) for i in range(nvars)]
-        quo: dict[Monomial, Coefficient] = {}
-        while num:
-            lead_n = max(num)
-            if any(e < l or e > h for e, l, h in zip(lead_n, lo, hi)):
+        n = len(self.variables)
+        lead_d, lead_dc = max(divisor.terms.items())
+        box = [(max(lo - dlo, -_BOUND) + e, min(hi - dhi, _BOUND) + e)  # the lead's, for lead_d
+               for (lo, hi), (dlo, dhi), e in zip(_extents(self.terms, n),
+                                                  _extents(divisor.terms, n), _unpack(lead_d, n))]
+        rest = [(m, c) for m, c in divisor.terms.items() if m != lead_d]
+        num = dict(self.terms)
+        order = sorted(num)
+        quo: dict[int, Coefficient] = {}
+        while order:
+            lead = order.pop()
+            c = num.pop(lead, 0)
+            if not c:
+                continue
+            if any(not lo <= e <= hi for e, (lo, hi) in zip(_unpack(lead, n), box)):
                 raise RingError("non-exact polynomial division")
-            q_mono = tuple(en - ed for en, ed in zip(lead_n, lead_d))
+            q_mono = lead - lead_d
             # through Fraction: int / int would be a float
-            q_coeff = _canonical(Fraction(num[lead_n]) / lead_dc)
-            # the leads strictly decrease, so each quotient monomial is new
-            quo[q_mono] = q_coeff
-            for m, c in den.items():
-                mono = tuple(map(add, q_mono, m))
-                acc = _canonical(num.get(mono, 0) - q_coeff * c)
-                if acc == 0:
-                    num.pop(mono, None)
-                else:
+            q_coeff = quo[q_mono] = _canonical(Fraction(c) / lead_dc)
+            for m, dc in rest:
+                mono = q_mono + m
+                if mono not in num:
+                    insort(order, mono)
+                acc = _canonical(num.get(mono, 0) - q_coeff * dc)
+                if acc:
                     num[mono] = acc
-            if num and max(num) >= lead_n:
-                raise RingError("non-exact polynomial division")
-        # The numerator shift cancels the denominator shift exactly, so the
-        # quotient needs no adjustment.
+                else:
+                    del num[mono]
         return LaurentPolynomial._trusted(self.variables, quo)
 
     # -- rendering / parsing ----------------------------------------------
@@ -426,17 +479,20 @@ class LaurentPolynomial:
 
 
 def evaluate_terms(variables: Sequence[str],
-                   term_lists: Sequence[Iterable[tuple[Monomial, Coefficient]]],
+                   term_lists: Sequence[Iterable[tuple[int, Coefficient]]],
                    point: Mapping[str, Fraction]) -> list[Fraction]:
     """The values of several term lists over `variables` at one exact rational
-    point (`int` or `Fraction` coordinates), one `Fraction` per list.
+    point (`int` or `Fraction` coordinates), one `Fraction` per list; a term
+    is (packed monomial, coefficient), as in `LaurentPolynomial.terms`.
 
     With x = p/q and the exponents of x over all the lists from lo <= 0 to
-    hi >= 0, the term x^e is p^(e-lo) q^(hi-e) / (p^-lo q^hi): one table of
-    these integer numerators per variable, shared by every list.  Each
-    list's coefficients go over their lcm, so its terms sum as ints and one
-    `Fraction` is made per list.  A list may be read twice, so it must be a
-    sequence or a view, not an iterator.
+    hi >= 0, the term x^e is p^(e-lo) q^(hi-e) / (p^-lo q^hi), the
+    numerator's value at e = 0.  One table per variable, shared by every
+    list, holds these integer numerators at the distinct exponents and 0,
+    each from the next smaller one times p^gap and the next larger one times
+    q^gap, so the work follows the exponents that occur, not their span.
+    Each list's coefficients go over their lcm, so its terms sum as ints and
+    one `Fraction` is made per list.
     """
     values = []
     for v in variables:
@@ -444,28 +500,26 @@ def evaluate_terms(variables: Sequence[str],
             values.append(_as_fraction(point[v]))
         except KeyError:
             raise RingError(f"the point gives no value for {v!r}") from None
-    monos = [mono for terms in term_lists for mono, _ in terms]
-    if not monos:
-        return [Fraction(0) for _ in term_lists]
-    tables, shifts = [], []
+    lists = [[(_unpack(m, len(variables)), c) for m, c in terms] for terms in term_lists]
+    tables = []
     den = 1
-    for x, exps in zip(values, zip(*monos)):
+    for x, column in zip(values, zip(*(mono for terms in lists for mono, _ in terms))):
+        exps = sorted({0, *column})
         p, q = x.numerator, x.denominator
-        lo, hi = min(min(exps), 0), max(max(exps), 0)
-        if p == 0 and lo < 0:
+        if p == 0 and exps[0] < 0:
             raise RingError("evaluation divides by zero")
-        span = hi - lo
-        if q == 1:
-            table = [1]
-            for _ in range(span):
-                table.append(table[-1] * p)
-        else:
-            table = [p ** k * q ** (span - k) for k in range(span + 1)]
+        table, acc, prev = {}, 1, exps[0]
+        for e in exps:  # p^(e - lo), up by the gaps
+            acc *= p ** (e - prev)
+            table[e], prev = acc, e
+        acc = 1
+        for e in reversed(exps):  # times q^(hi - e), down by the gaps
+            acc *= q ** (prev - e)
+            table[e], prev = table[e] * acc, e
         tables.append(table)
-        shifts.append(lo)
-        den *= table[-lo]
+        den *= table[0]
     out = []
-    for terms in term_lists:
+    for terms in lists:
         common = 1
         for _, c in terms:
             if type(c) is Fraction:
@@ -473,8 +527,8 @@ def evaluate_terms(variables: Sequence[str],
         total = 0
         for mono, c in terms:
             acc = c * common if type(c) is int else c.numerator * (common // c.denominator)
-            for e, table, lo in zip(mono, tables, shifts):
-                acc *= table[e - lo]
+            for e, table in zip(mono, tables):
+                acc *= table[e]
             total += acc
         d = den * common
         if d < 0:
@@ -658,9 +712,10 @@ def fold_a(p: LaurentPolynomial) -> LaurentPolynomial:
     The exponent of a is taken mod 2, the others are kept.
     """
     i = p.variables.index("a")
-    out: dict[Monomial, Coefficient] = {}
+    out: dict[int, Coefficient] = {}
     for mono, c in p.terms.items():
-        mono = mono[:i] + (mono[i] % 2,) + mono[i + 1:]
+        e = _unpack(mono, len(p.variables))[i]
+        mono -= (e - e % 2) << (_DIGIT_BITS * i)
         out[mono] = out.get(mono, 0) + c
-    return LaurentPolynomial(p.variables, out)
+    return LaurentPolynomial._trusted(p.variables, _clean(out))
 

@@ -602,7 +602,7 @@ def rewrite_alpha_z(p: LaurentPolynomial) -> LaurentPolynomial:
     if p.variables != ALPHA_Z:
         raise RingError("expected a polynomial in (alpha, z)")
     terms: dict[tuple[int, int], Fraction] = {}
-    for (u, v), coeff in p.terms.items():
+    for (u, v), coeff in p.sorted_terms():
         if (u + v) % 2:
             raise RingError(
                 "odd alpha/z degree: value does not descend to the (a, x) ring"
@@ -660,10 +660,6 @@ def variant_sign_relation(w: BraidWord, evaluators: tuple[KauffmanEvaluator, Kau
     ev_plus, ev_minus = evaluators
     t_plus = markov_trace_pm_fast(w, "+", ev_plus)
     t_minus = markov_trace_pm_fast(w, "-", ev_minus)
-    flipped = LaurentPolynomial(
-        AX,
-        {mono: (-coeff if (mono[0] + mono[1]) % 2 else coeff)
-         for mono, coeff in t_minus.terms.items()},
-    )
+    flipped = t_minus.substitute({v: -LaurentPolynomial.var(v, AX) for v in AX}, AX)
     sign = (-1) ** (component_count(w) - 1)
     return flipped == t_plus * sign

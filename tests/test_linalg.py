@@ -146,9 +146,9 @@ def test_fused_product_cancels_and_stores_integral_sums_as_ints():
     half_a = LaurentPolynomial.parse("1/2*a", AB)
     a = LaurentPolynomial.parse("a", AB)
     cancelled = (Matrix([[p, -p]]) * Matrix([[q], [q]]))[0, 0]
-    assert cancelled.is_zero() and cancelled.terms == {}
+    assert cancelled.is_zero() and cancelled.sorted_terms() == []
     whole = (Matrix([[half_a, half_a]]) * Matrix([[a], [a]]))[0, 0]
-    assert whole.terms == {(2, 0): 1} and type(whole.terms[(2, 0)]) is int
+    assert whole.sorted_terms() == [((2, 0), 1)] and type(whole.sorted_terms()[0][1]) is int
     halves = Matrix([[Fraction(1, 2), Fraction(3, 2)]]) * Matrix([[1], [1]])
     assert halves[0, 0] == 2
 

@@ -1,12 +1,14 @@
 """Exact arithmetic, the specializations of R, rendering and the a^2 = 1 fold."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubictrace import rings
 from cubictrace.braids import BraidWord
 from cubictrace.burau import alexander_coefficients
 from cubictrace.qa import A, QA, parse_qa, specialize
@@ -65,7 +67,7 @@ class TestArithmetic:
     @given(polys())
     @settings(max_examples=40, deadline=None)
     def test_canonical_form_is_construction_order_independent(self, p):
-        items = sorted(p.terms.items(), reverse=True)
+        items = p.sorted_terms()[::-1]
         rebuilt = LaurentPolynomial(p.variables, {})
         for mono, c in items:
             rebuilt = rebuilt + LaurentPolynomial(p.variables, {mono: c})
@@ -91,6 +93,86 @@ class TestArithmetic:
     def test_negative_power_division_by_monomial(self):
         p = poly_abc("a^2*b - a*b^2")
         assert p * poly_abc("a*b").monomial_inverse() == poly_abc("a - b")
+
+
+class TestPacking:
+    def test_unpack_inverts_pack(self):
+        rng = random.Random(41)
+        top = rings._HALF - 1
+        values = (0, 1, -1, 2, -2, top, -top, top - 1, -top + 1)
+        for _ in range(400):
+            e = tuple(rng.choice(values) if rng.random() < 0.5 else rng.randint(-top, top)
+                      for _ in range(rng.randint(0, 3)))
+            assert rings._unpack(rings._pack(e), len(e)) == e, e
+        for e in ((top, -top, top), (-top, top, -top), (-top,) * 3, (top,) * 3):
+            assert rings._unpack(rings._pack(e), 3) == e
+
+    @pytest.mark.parametrize("e", [(rings._HALF,), (-rings._HALF,), (0, rings._HALF),
+                                   (1, 2, -rings._HALF), (-rings._HALF - 1, 0, 0)])
+    def test_an_exponent_past_the_bound_is_refused(self, e):
+        with pytest.raises(RingError, match="packing bound"):
+            rings._pack(e)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_packed_order_is_lex_with_the_last_variable_most_significant(self, nvars):
+        # what exact division relies on: the order of the packed ints is a
+        # translation-invariant monomial order, so lead(p q) = lead(p) + lead(q)
+        rng = random.Random(43 + nvars)
+        variables = ("a", "b", "c")[:nvars]
+        top = rings._HALF - 1
+
+        def vector(scale):
+            return tuple(rng.choice((rng.randint(-3, 3), rng.randint(-scale, scale)))
+                         for _ in range(nvars))
+
+        for _ in range(300):
+            e, f = vector(top), vector(top)
+            assert (rings._pack(e) < rings._pack(f)) == (e[::-1] < f[::-1]), (e, f)
+        for _ in range(100):
+            p, q = (LaurentPolynomial(variables, {vector(2 ** 20): rng.randint(1, 5)
+                                                  for _ in range(rng.randint(1, 5))})
+                    for _ in range(2))
+            lead = max((p * q).sorted_terms(), key=lambda t: t[0][::-1])[0]
+            lead_p, lead_q = (max(x.sorted_terms(), key=lambda t: t[0][::-1])[0] for x in (p, q))
+            assert lead == tuple(map(sum, zip(lead_p, lead_q))), (p, q)
+
+    def test_a_product_or_power_past_the_bound_raises(self):
+        xy = ("x", "y")
+        with pytest.raises(RingError, match="packing bound"):
+            LaurentPolynomial.var("x", xy, power=2 ** 31)
+        with pytest.raises(RingError, match="packing bound"):
+            LaurentPolynomial(xy, {(0, -2 ** 31): 1})
+        with pytest.raises(RingError, match="packing bound"):
+            LaurentPolynomial.parse("y^2147483648", xy)
+        big = LaurentPolynomial.var("x", xy, power=2 ** 30)
+        with pytest.raises(RingError, match="packing bound"):
+            big ** 2
+        with pytest.raises(RingError, match="packing bound"):
+            big * (big + 1)
+        with pytest.raises(RingError, match="packing bound"):
+            big.monomial_inverse() * big.monomial_inverse()
+        assert big * big.monomial_inverse() == 1
+        assert big * LaurentPolynomial.var("x", xy, power=-2 ** 30) == 1
+        # up to the bound itself; a square past the last bit of the power is not taken
+        near = LaurentPolynomial.var("x", xy, power=2 ** 29)
+        assert near ** 3 == LaurentPolynomial.var("x", xy, power=3 * 2 ** 29)
+        edge = LaurentPolynomial.var("y", xy, power=2 ** 31 - 2)
+        assert (edge * LaurentPolynomial.var("y", xy)).sorted_terms() == [((0, 2 ** 31 - 1), 1)]
+
+    def test_a_division_whose_quotient_would_wrap_a_digit_raises(self):
+        # x^-B y - x^B = x^B (x^2 - 1) once x^(B+2) wraps into x^-B y (B = 2^31 - 1),
+        # so only the quotient's box tells that x^2 - 1 does not divide it
+        xy = ("x", "y")
+        bound = rings._HALF - 1
+        p = LaurentPolynomial(xy, {(-bound, 1): 1, (bound, 0): -1})
+        with pytest.raises(RingError, match="non-exact"):
+            p.exact_div(LaurentPolynomial.parse("x^2 - 1", xy))
+        # an exact quotient past the bound has no packed monomial either
+        for variables in (("x",), xy):
+            big = LaurentPolynomial.var("x", variables, bound)
+            with pytest.raises(RingError, match="non-exact"):
+                big.exact_div(big.monomial_inverse())
+            assert (big * big.monomial_inverse()).exact_div(big) == big.monomial_inverse()
 
 
 # A mix of ints, proper fractions and integral Fractions such as 4/2.
@@ -175,7 +257,7 @@ class TestCanonicalCoefficients:
             assert got == LaurentPolynomial.parse(quo, a_only)
             assert all(type(c) is int for c in got.terms.values())
         half = LaurentPolynomial.parse("a - 1", a_only).exact_div(two)
-        assert half.terms == {(1,): Fraction(1, 2), (0,): Fraction(-1, 2)}
+        assert half.sorted_terms() == [((0,), Fraction(-1, 2)), ((1,), Fraction(1, 2))]
         with pytest.raises(RingError):
             LaurentPolynomial.parse("a^2 + 1", a_only).exact_div(LaurentPolynomial.parse("a - 1", a_only))
 
@@ -189,7 +271,7 @@ def _evaluate_by_powers(p: LaurentPolynomial, point) -> Fraction:
     """The value at a point as a sum of Fraction powers, term by term: the reference."""
     total = Fraction(0)
     vals = [Fraction(point[v]) for v in p.variables]
-    for mono, coeff in p.terms.items():
+    for mono, coeff in p.sorted_terms():
         acc = coeff
         for val, e in zip(vals, mono):
             if e:
@@ -222,7 +304,7 @@ class TestEvaluate:
             variables = rng.choice(self.VARIABLES)
             p = self._random_poly(rng, variables)
             point = {v: self._random_coordinate(rng) for v in variables}
-            if any(point[v] == 0 and any(m[i] < 0 for m in p.terms)
+            if any(point[v] == 0 and any(m[i] < 0 for m, _ in p.sorted_terms())
                    for i, v in enumerate(variables)):
                 continue
             got = p.evaluate(point)
@@ -239,7 +321,7 @@ class TestEvaluate:
             variables = rng.choice(self.VARIABLES)
             polys = [self._random_poly(rng, variables) for _ in range(rng.randint(1, 7))]
             point = {v: self._random_coordinate(rng) for v in variables}
-            if any(point[v] == 0 and any(m[i] < 0 for p in polys for m in p.terms)
+            if any(point[v] == 0 and any(m[i] < 0 for p in polys for m, _ in p.sorted_terms())
                    for i, v in enumerate(variables)):
                 continue
             got = evaluate_terms(variables, [p.terms.items() for p in polys], point)
@@ -260,13 +342,21 @@ class TestEvaluate:
         assert evaluate_terms(ab, [{}.items(), {}.items()], {"a": 2, "b": 3}) == [0, 0]
         assert evaluate_terms(ab, [{}.items(), p.terms.items()], {"a": 2, "b": 3}) \
             == [0, Fraction(15, 4)]
-        assert evaluate_terms((), [[((), Fraction(1, 2))], [((), -3)]], {}) == [Fraction(1, 2), -3]
+        assert evaluate_terms((), [[(0, Fraction(1, 2))], [(0, -3)]], {}) == [Fraction(1, 2), -3]
 
     def test_burau_sized_polynomials_at_minus_one(self):
         t = ("t",)
         for terms in ({(3,): 1}, {(-2,): -1}, {(0,): 1, (-1,): -1}, {(0,): 2}, {}):
             p = LaurentPolynomial(t, terms)
             assert p.evaluate({"t": Fraction(-1)}) == _evaluate_by_powers(p, {"t": -1})
+
+    def test_a_wide_exponent_span_costs_its_distinct_exponents(self):
+        # a table over the whole span from x^-20000 to x^20000 took 13.8 s and 264 MiB
+        p = LaurentPolynomial(("x",), {(20000,): 1, (-20000,): 1})
+        start = time.perf_counter()
+        got = p.evaluate({"x": Fraction(3, 2)})
+        assert time.perf_counter() - start < 0.1
+        assert got == Fraction(3, 2) ** 20000 + Fraction(3, 2) ** -20000
 
     def test_zero_to_a_negative_power_is_refused(self):
         p = LaurentPolynomial.parse("a^-2*b + 3", ("a", "b"))
@@ -300,7 +390,7 @@ class TestRendering:
 def _is_a_fold(folded: LaurentPolynomial, p: LaurentPolynomial) -> bool:
     """folded has a-exponents 0 or 1 and equals p at a = 1 and at a = -1."""
     i = p.variables.index("a")
-    if any(mono[i] not in (0, 1) for mono in folded.terms):
+    if any(mono[i] not in (0, 1) for mono, _ in folded.sorted_terms()):
         return False
     rest = tuple(v for v in p.variables if v != "a")
     for a in (1, -1):
@@ -420,8 +510,8 @@ qa_elements = st.builds(QA, mixed_coeffs, mixed_coeffs)
 
 def _uv(x: QA) -> tuple[Fraction, Fraction]:
     """(u, v) with x = u + v*a, read from `to_poly`."""
-    p = x.to_poly()
-    return Fraction(p.terms.get((0,), 0)), Fraction(p.terms.get((1,), 0))
+    terms = dict(x.to_poly().sorted_terms())
+    return Fraction(terms.get((0,), 0)), Fraction(terms.get((1,), 0))
 
 
 class TestQA:
