@@ -9,8 +9,9 @@ closure is a connected sum).  A word whose permutation is an n-cycle then
 meets the screens of the target rows named by `--names`, which read each
 row's tabulated data from the catalog:
 
-  1. determinant, from the integer reduced Burau matrix at t = -1 carried
-     along the search, by the library's `burau.closure_determinant`;
+  1. determinant, by the library's `burau.closure_determinant`, from the
+     integer reduced Burau image at t = -1 that the search carries: each
+     pushed letter updates its parent's image by one `burau.burau_step`;
   2. the rest of `knotdata.screen_chain`, cheapest first: the tabulated
      Alexander polynomial, the crossing-number screen on the Kauffman
      x-degree, for a rational or pretzel knot its Kauffman polynomial
@@ -39,7 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cubictrace.braids import BraidWord, cycle_count
-from cubictrace.burau import burau_at_minus_one, closure_determinant
+from cubictrace.burau import burau_step, closure_determinant, working_identity
 from cubictrace.coxeter import T0Invariant
 from cubictrace.knotdata import (
     InvariantIndex,
@@ -80,23 +81,23 @@ def canonical(word: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def normal_words(n: int, length: int):
-    """Yield (word, Burau image at t = -1) over the normal-form words of
-    length >= 1 on n strands."""
-    letters = burau_at_minus_one(n)
+    """Yield (word, integer Burau image at t = -1, as `closure_determinant`
+    takes it) over the normal-form words of length >= 1 on n strands."""
     alphabet = [i for i in range(1, n)] + [-i for i in range(1, n)]
-    stack = [((letter,), letters[letter]) for letter in alphabet]
+    start = working_identity(n)
+    stack = [((letter,), burau_step(start, letter, -1, -1)) for letter in alphabet]
     while stack:
-        word, product = stack.pop()
+        word, rows = stack.pop()
         if len(word) == length:
             if (word[0] != -word[-1] and cycle_count(BraidWord(n, word).permutation()) == 1
                     and all(sum(abs(x) == i for x in word) >= 2 for i in range(1, n))
                     and not _splits(word, n)):
-                yield word, product
+                yield word, rows
             continue
         prev = word[-1]
         for letter in alphabet:
             if _follows(prev, letter):
-                stack.append((word + (letter,), product * letters[letter]))
+                stack.append((word + (letter,), burau_step(rows, letter, -1, -1)))
 
 
 # -- search ---------------------------------------------------------------------------
@@ -112,8 +113,8 @@ def search(n: int, length: int, targets: list[KnotRecord], index: InvariantIndex
             by_det.setdefault(row.det, []).append(row)
     seen = set()
     checks = 0
-    for word, product in normal_words(n, length):
-        det = closure_determinant(product, n)
+    for word, rows in normal_words(n, length):
+        det = closure_determinant(rows, n)
         if det not in by_det:
             continue
         form = canonical(word, n)

@@ -11,10 +11,10 @@ in Q[a]/(a^2-1); `kauffman-` takes no `--at`.
 
 Exit code 0 means every strict comparison passed.  Bad braid or ring input,
 an `--at` or `--base` the chosen invariant does not take, more strands than
-the Hecke and theorem-trace engines take (`hecke.MAX_STRANDS`), a
-`--pit-points` below 1, an unreadable `table --input` file, one without
-catalog rows or a malformed row in it exits with code 2 and a one-line
-message.  A reader
+the Hecke and theorem-trace engines take (`hecke.MAX_STRANDS`, refused for
+every invariant and every `table --input` row), a `--pit-points` below 1,
+an unreadable `table --input` file, one without catalog rows or a
+malformed row in it exits with code 2 and a one-line message.  A reader
 that closes the output pipe early (`| head`) ends the run quietly with
 code 141, as a shell reports a process killed by SIGPIPE.
 """
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .braids import BraidError, BraidWord, parity_invariant, parse_braid
 from .coxeter import T0Invariant
-from .hecke import OcneanuTrace, hecke_trace_qa, parity_tracers
+from .hecke import MAX_STRANDS, OcneanuTrace, hecke_trace_qa, parity_tracers
 from .knotdata import DataError
 from .qa import A
 from .rings import RingError
@@ -46,6 +46,8 @@ AT_POINTS = {
 def _braid_from_args(args) -> BraidWord:
     if args.braid is None or args.strands is None:
         raise BraidError("--braid and --strands are required")
+    if args.strands > MAX_STRANDS:
+        raise BraidError(f"--strands {args.strands}: at most {MAX_STRANDS} are taken")
     return parse_braid(args.braid, args.strands)
 
 

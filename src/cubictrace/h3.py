@@ -66,7 +66,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combination import Combination
-from .linalg import Matrix, det_bareiss, dot, eliminate
+from .linalg import det_bareiss, dot, eliminate
 from .rings import (
     ABC,
     FREE,
@@ -799,7 +799,7 @@ def gram_determinant_at_points(basis: str = "B0", count: int = 7, seed: int = 23
     for pt, schur_at, model in _faithful_points(lambda: FREE.point(rng), count, 10 * count,
                                                 lambda pt: H3Model(at_point(pt))):
         gram, symmetric = _gram_at([model.word_image(w) for w in words], schur_at)
-        det, _ = eliminate(Matrix(gram))
+        det, _ = eliminate(gram)
         abc_val = pt["a"] * pt["b"] * pt["c"]
         out[f"{basis} Gram symmetric at point {found}"] = symmetric
         out[f"{basis} Gram det at point {found}"] = det == -(abc_val ** expected_exp)
@@ -862,7 +862,7 @@ def _trace_forms(model: H3Model, point: dict[str, Fraction],
     rows = [[p - q for p, q in zip(traces(u), traces(v))] for u, v in MARKOV_PAIRS]
     rows += [traces(g) for g in TRACE_BASIS]
     units = [[int(i == 3 + j) for i in range(7)] for j in range(4)]
-    _, solved = eliminate(Matrix(rows), units)
+    _, solved = eliminate(rows, units)
     if solved is None:
         return None
     forms = []
@@ -1001,7 +1001,7 @@ def _delta_determinant_check() -> bool:
         [delta_h * delta_h, delta_h, pl("1")],
         [delta_k * delta_k, delta_k, pl("1")],
     ]
-    det = det_bareiss(Matrix(rows).map(fold_a))
+    det = det_bareiss([[fold_a(x) for x in row] for row in rows])
     expected = fold_a(pl("2*x^-2") * (pl("2*a") - pl("x")) * (a - pl("x")))
     return fold_a(det) == expected
 

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from .braids import BraidWord, component_count, parse_braid
 from .burau import alexander_coefficients
-from .hecke import OcneanuTrace
+from .hecke import MAX_STRANDS, OcneanuTrace
 from .qa import QA, parse_qa
 from .rings import LaurentPolynomial, RingError
 from .skein import KauffmanEvaluator, alexander_det, diagram_from_plat, markov_trace_pm_fast
@@ -115,6 +115,8 @@ def parse_records(text: str) -> list[KnotRecord]:
             n = int(strands)
         except ValueError:
             raise DataError(f"line {lineno}: strands {strands!r} is not an integer") from None
+        if n > MAX_STRANDS:
+            raise DataError(f"line {lineno}: {n} strands; at most {MAX_STRANDS} are taken")
         try:
             expected_qa = None if expected.strip() == "unknown" else parse_qa(expected)
         except (RingError, ZeroDivisionError) as exc:

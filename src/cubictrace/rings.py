@@ -538,7 +538,20 @@ def evaluate_terms(variables: Sequence[str],
 
 
 class _Parser:
-    """Recursive-descent parser for Laurent polynomial expressions."""
+    """Recursive-descent parser for Laurent polynomial expressions.
+
+    Its work is bounded on outside text (`table --input` rows): parentheses
+    nest at most MAX_NESTING deep; p^n is refused when n times the width
+    of p (`_width`) exceeds MAX_POWER, so no power, nested or not, is
+    wider than MAX_POWER (+-(a monomial) has width 0: its powers take any
+    exponent within the packing bound); and the products of one text
+    multiply at most MAX_WORK pairs of terms.
+    """
+
+    # the program's own texts need depth 1, n * width 2 and 34 pairs of terms
+    MAX_NESTING = 32
+    MAX_POWER = 64
+    MAX_WORK = 1 << 12
 
     _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
@@ -555,6 +568,7 @@ class _Parser:
             self.tokens.append(m.group(1))
             pos = m.end()
         self.index = 0
+        self.depth = self.work = 0
         if not self.tokens:
             raise RingError("empty polynomial text")
 
@@ -592,25 +606,30 @@ class _Parser:
             tok = self._peek()
             if tok == "*":
                 self._next()
-                value = value * self._factor()
+                value = self._times(value, self._factor())
             elif tok == "/":
                 self._next()
                 divisor = self._factor()
                 if divisor.is_constant():
                     value = value * (Fraction(1) / divisor.constant_value())
                 else:
-                    value = value * divisor.monomial_inverse()
+                    value = self._times(value, divisor.monomial_inverse())
             elif tok is not None and (tok[0].isalpha() or tok == "("):
-                value = value * self._factor()  # implicit product
+                value = self._times(value, self._factor())  # implicit product
             else:
                 return value
 
+    def _times(self, p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
+        self.work += len(p.terms) * len(q.terms)
+        if self.work > self.MAX_WORK:
+            raise RingError(f"the products in the text multiply more than {self.MAX_WORK} "
+                            f"pairs of terms")
+        return p * q
+
     def _factor(self) -> LaurentPolynomial:
-        tok = self._peek()
-        if tok in ("+", "-"):
-            self._next()
-            base = self._factor()
-            return -base if tok == "-" else base
+        negative = False
+        while self._peek() in ("+", "-"):
+            negative ^= self._next() == "-"
         base = self._base()
         while self._peek() in ("^", "**"):
             self._next()
@@ -621,18 +640,45 @@ class _Parser:
             exp_tok = self._next()
             if not exp_tok.isdigit():
                 raise RingError(f"bad exponent {exp_tok!r}")
-            base = base ** (sign * int(exp_tok))
-        return base
+            n = self._int(exp_tok)
+            if n * self._width(base) > self.MAX_POWER:
+                raise RingError(f"power {n} of a {len(base.terms)}-term base is wider than "
+                                f"{self.MAX_POWER}")
+            base = base ** (sign * n)
+        return -base if negative else base
+
+    @staticmethod
+    def _width(p: LaurentPolynomial) -> int:
+        """0 for 0 and +-(a monomial), else the larger of p's degree span in one
+        variable and the bit length of its largest coefficient numerator or
+        denominator."""
+        coeffs = [Fraction(c) for c in p.terms.values()]
+        if len(coeffs) < 2 and all(abs(c) == 1 for c in coeffs):
+            return 0
+        spans = [hi - lo for lo, hi in _extents(p.terms, len(p.variables))]
+        bits = [abs(x).bit_length() for c in coeffs for x in (c.numerator, c.denominator)]
+        return max(spans + bits)
+
+    @staticmethod
+    def _int(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's digit limit
+            raise RingError(f"integer of {len(tok)} digits is too long") from None
 
     def _base(self) -> LaurentPolynomial:
         tok = self._next()
         if tok == "(":
+            self.depth += 1
+            if self.depth > self.MAX_NESTING:
+                raise RingError(f"parentheses nest deeper than {self.MAX_NESTING}")
             value = self._expr()
             if self._next() != ")":
                 raise RingError("unbalanced parentheses")
+            self.depth -= 1
             return value
         if tok.isdigit():
-            return LaurentPolynomial.constant(int(tok), self.variables)
+            return LaurentPolynomial.constant(self._int(tok), self.variables)
         if tok[0].isalpha():
             return LaurentPolynomial.var(tok, self.variables)
         raise RingError(f"unexpected token {tok!r}")

@@ -36,7 +36,7 @@ from .coxeter import (
 from .hecke import (HeckeRing, OcneanuTrace, hecke_normal_form, hecke_trace_qa, parity_tracers,
                     reduced_word)
 from .knotdata import DataError, load_records
-from .linalg import Matrix, det_bareiss
+from .linalg import det_bareiss
 from .qa import A, QA
 from .rings import AX, LaurentPolynomial
 from .report import SuiteReport
@@ -355,8 +355,8 @@ def _t0_pin(inv: T0Invariant) -> bool:
     comps = [inv.components(BraidWord(3, letters)) for letters in ((), (1,), (1, 2))]
     if [c.value for c in comps] != [QA(1), QA(0), QA(0)]:
         return False
-    return all(det_bareiss(Matrix([[getattr(c, trace).at(a) for c in comps]
-                                   for trace in ("thm", "hecke", "kauffman")])) != 0
+    return all(det_bareiss([[getattr(c, trace).at(a) for c in comps]
+                            for trace in ("thm", "hecke", "kauffman")]) != 0
                for a in (1, -1))
 
 

@@ -3,7 +3,6 @@
 import dataclasses
 import functools
 import importlib.util
-import operator
 import os
 import subprocess
 import sys
@@ -12,11 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from cubictrace import burau
 from cubictrace.braids import BraidWord
 from cubictrace.cli import main
 from cubictrace.coxeter import T0Invariant
+from cubictrace.hecke import MAX_STRANDS
 from cubictrace.knotdata import (
     COLUMNS,
+    DataError,
     InvariantIndex,
     crossing_number,
     load_records,
@@ -34,6 +36,13 @@ BAD_TABLES = {
     "wrong_columns.tsv": "3_1\t2\t1 1 1\n",
     "bad_strands.tsv": "3_1\ttwo\t1 1 1\t0\tknot\tsource=test\n",
     "bad_expected.tsv": "3_1\t2\t1 1 1\tfoo bar\tknot\tsource=test\n",
+    # rows that must be refused before any unbounded work
+    "too_many_strands.tsv": "3_1\t81\t1 1 1\t0\tknot\tsource=test\n",
+    "deep_nesting.tsv": f"3_1\t2\t1 1 1\t{'(' * 3000}a{')' * 3000}\tknot\tsource=test\n",
+    "wide_power.tsv": "3_1\t2\t1 1 1\t(a+1)^8000\tknot\tsource=test\n",
+    "nested_power.tsv": "3_1\t2\t1 1 1\t((a+1)^64)^64\tknot\tsource=test\n",
+    "long_exponent.tsv": f"3_1\t2\t1 1 1\ta^{'9' * 5000}\tknot\tsource=test\n",
+    "long_product.tsv": f"3_1\t2\t1 1 1\t{'*'.join(['(a+1)^64'] * 100)}\tknot\tsource=test\n",
 }
 
 
@@ -120,6 +129,16 @@ class TestInvariantCommand:
         ["invariant", "--which", "kauffman+", "--braid", "1", "--strands", "2", "--base", "3"],
         ["invariant", "--which", "kauffman-", "--braid", "1", "--strands", "2", "--at", "x2a",
          "--base", "3"],
+        # every invariant refuses more strands than hecke.MAX_STRANDS before any work
+        *(["invariant", "--which", which, "--braid", "", "--strands", "1000000000"]
+          for which in ("parity", "kauffman+", "kauffman-", "hecke", "t0x2a")),
+        ["invariant", "--which", "parity", "--braid", "1", "--strands", "33"],
+        ["table", "--input", "too_many_strands.tsv"],
+        ["table", "--input", "deep_nesting.tsv"],
+        ["table", "--input", "wide_power.tsv"],
+        ["table", "--input", "nested_power.tsv"],
+        ["table", "--input", "long_exponent.tsv"],
+        ["table", "--input", "long_product.tsv"],
     ])
     def test_bad_input_is_one_line_and_exit_2(self, args, tmp_path, capsys):
         for name, text in BAD_TABLES.items():
@@ -141,6 +160,13 @@ class TestInvariantCommand:
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
             assert captured.err == f"cubictrace: {source}: no catalog rows\n"
+
+    def test_a_row_past_the_strand_cap_is_refused_by_its_line(self):
+        row = "3_1\t{}\t1 1 1\t0\tknot\tsource=test"
+        text = "\n".join(["# a comment", row.format(MAX_STRANDS), row.format(MAX_STRANDS + 1)])
+        with pytest.raises(DataError, match=f"^line 3: {MAX_STRANDS + 1} strands"):
+            parse_records(text)
+        assert parse_records(text.rsplit("\n", 1)[0])[0].strands == MAX_STRANDS
 
     def test_python_dash_m_entry_point(self):
         done = subprocess.run([sys.executable, "-m", "cubictrace", "invariant", "--which", "parity",
@@ -256,28 +282,33 @@ class TestData:
                 assert alexander_det(record.braid()) == int(det_field), record.name
 
     def test_search_script_determinant_screen(self):
-        """The search script's first screen: Burau products at t = -1 built
-        letter by letter as its depth-first search builds them, then the
-        closure determinant, against the tabulated det of every knot row."""
+        """The search script's first screen: the integer Burau image at
+        t = -1 that its depth-first search carries, one step per pushed
+        letter, then the closure determinant, against the tabulated det of
+        every knot row."""
         search = load_script("search_braid_words")
+
+        def image(word, n):
+            """The library's image of the word, stepped from the identity."""
+            return functools.reduce(lambda rows, x: burau.burau_step(rows, x, -1, -1), word,
+                                    burau.working_identity(n))
+
         checked = 0
         for record in load_records():
             det_field = record.provenance_field("det")
             if record.kind == "link" or det_field is None:
                 continue
-            letters = search.burau_at_minus_one(record.strands)
-            product = functools.reduce(operator.mul, [letters[x] for x in record.braid().letters])
-            assert search.closure_determinant(product, record.strands) == int(det_field), \
+            rows = image(record.braid().letters, record.strands)
+            assert search.closure_determinant(rows, record.strands) == int(det_field), \
                 record.name
             checked += 1
         assert checked >= 84
-        # every word the enumeration yields carries the product of its letters
+        # every word the enumeration yields carries its own image
         for n, length in ((2, 5), (3, 6), (4, 7)):
-            letters = search.burau_at_minus_one(n)
             words = 0
-            for word, product in search.normal_words(n, length):
-                assert product == functools.reduce(operator.mul, [letters[x] for x in word])
-                assert search.closure_determinant(product, n) == alexander_det(BraidWord(n, word))
+            for word, rows in search.normal_words(n, length):
+                assert rows == image(word, n), word
+                assert search.closure_determinant(rows, n) == alexander_det(BraidWord(n, word))
                 words += 1
             assert words > 0, (n, length)
 

@@ -3,13 +3,11 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import mul
 
 import pytest
 
 from cubictrace import h3
 from cubictrace.cli import main
-from cubictrace.linalg import Matrix
 from cubictrace.h3 import (
     H3Model,
     H3RepImage,
@@ -62,33 +60,40 @@ def _random_word_sums(seed: int, count: int = 6) -> list[WordSum]:
         for _ in range(rng.randint(1, 6))) for _ in range(count)]
 
 
-def _matrices(image: H3RepImage) -> list[Matrix]:
-    """Each block of the image as a Matrix: polynomials over its variables, numbers at a point."""
+def _matrices(image: H3RepImage) -> list[list[list]]:
+    """Each block of the image as rows: polynomials over its variables, numbers at a point."""
     out = []
     for n, terms in zip(image.sizes, image.terms):
         entries: dict = {}
         for (i, j, m), c in terms.items():
             entries.setdefault((i, j), {})[m] = c
-        out.append(Matrix([[LaurentPolynomial._trusted(image.variables, entries.get((i, j), {}))
-                            if image.variables else entries.get((i, j), {}).get(0, 0)
-                            for j in range(n)] for i in range(n)]))
+        out.append([[LaurentPolynomial._trusted(image.variables, entries.get((i, j), {}))
+                     if image.variables else entries.get((i, j), {}).get(0, 0)
+                     for j in range(n)] for i in range(n)])
     return out
 
 
-def _term_maps(matrices: list[Matrix]) -> tuple[dict, ...]:
-    """Each Matrix read into a block's term map {(row, column, packed monomial): coefficient}."""
-    return tuple({(i, j, m): c for i, row in enumerate(m.rows) for j, x in enumerate(row)
+def _term_maps(matrices: list[list[list]]) -> tuple[dict, ...]:
+    """Each block's rows read into its term map {(row, column, packed monomial): coefficient}."""
+    return tuple({(i, j, m): c for i, row in enumerate(rows) for j, x in enumerate(row)
                   for m, c in (x.terms.items() if isinstance(x, LaurentPolynomial)
                                else [(0, x)] if x else [])}
-                 for m in matrices)
+                 for rows in matrices)
 
 
-def _scale_and_add(model: H3Model, expr: WordSum) -> list[Matrix]:
+def _product(x: list[list], y: list[list]) -> list[list]:
+    """The row-list product x y, each entry summed one product at a time."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def _scale_and_add(model: H3Model, expr: WordSum) -> list[list[list]]:
     """The image of expr as the sum of its word images, each scaled by its mapped coefficient."""
     acc = None
     for word, coeff in expr.coeffs.items():
-        scaled = [m * model.spec(coeff) for m in _matrices(model.word_image(word))]
-        acc = scaled if acc is None else [m + n for m, n in zip(acc, scaled)]
+        c = model.spec(coeff)
+        scaled = [[[x * c for x in row] for row in m] for m in _matrices(model.word_image(word))]
+        acc = scaled if acc is None else [[[p + q for p, q in zip(r, s)] for r, s in zip(m, n)]
+                                          for m, n in zip(acc, scaled)]
     return acc
 
 
@@ -108,11 +113,13 @@ def _model_zoo() -> dict[str, H3Model]:
 MODELS = _model_zoo()
 
 
-def _matrix_product_image(model: H3Model, word) -> list[Matrix]:
-    """The word's image as Matrix products of its letters' mapped blocks, the identity if empty."""
-    letters = [[m.map(model.spec) for m in _matrices(model.images[x])] for x in word]
+def _matrix_product_image(model: H3Model, word) -> list[list[list]]:
+    """The word's image as row-list products of its letters' mapped blocks, the identity if empty."""
+    letters = [[[[model.spec(p) for p in row] for row in m] for m in _matrices(model.images[x])]
+               for x in word]
     one, zero = (model.spec(p) for p in (LaurentPolynomial.one(ABC), LaurentPolynomial.zero(ABC)))
-    return [reduce(mul, (blocks[b] for blocks in letters), Matrix.identity(n, one, zero))
+    return [reduce(_product, (blocks[b] for blocks in letters),
+                   [[one if i == j else zero for j in range(n)] for i in range(n)])
             for b, n in enumerate(model.images[1].sizes)]
 
 
@@ -275,7 +282,7 @@ class TestSchur:
         assert symmetric
         for i, j in ((0, 0), (1, 5), (5, 1), (7, 22), (22, 7), (23, 23)):
             u, v = _matrices(model.word_image(words[i])), _matrices(model.word_image(words[j]))
-            want = sum((Fraction(sum(r[i] for i, r in enumerate((x * y).rows))) / schur_at[k]
+            want = sum((Fraction(sum(r[i] for i, r in enumerate(_product(x, y)))) / schur_at[k]
                         for k, x, y in zip(model.images[1].keys, u, v)), Fraction(0))
             assert gram[i][j] == want, (basis, i, j)
 

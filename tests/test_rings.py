@@ -387,6 +387,56 @@ class TestRendering:
         assert LaurentPolynomial.parse(p.render(), AX) == p
 
 
+
+class TestParsingBounds:
+    """Outside text cannot make the parser recurse or multiply without bound."""
+
+    NEST, POWER = rings._Parser.MAX_NESTING, rings._Parser.MAX_POWER
+
+    def _parse(self, text):
+        return LaurentPolynomial.parse(text, AX)
+
+    def test_nesting_is_bounded(self):
+        assert self._parse("(" * self.NEST + "a" + ")" * self.NEST) == self._parse("a")
+        for depth in (self.NEST + 1, 3000):
+            with pytest.raises(RingError, match="nest deeper"):
+                self._parse("(" * depth + "a" + ")" * depth)
+        # unary signs are a loop, not a recursion
+        assert self._parse("1*" + "-" * 5001 + "a") == self._parse("-a")
+
+    @pytest.mark.parametrize("text, ok", [
+        (f"(a+1)^{POWER}", True), (f"(a+1)^{POWER + 1}", False), ("(a+1)^8000", False),
+        ("((a+1)^8)^8", True), ("((a+1)^8)^9", False), ("(a+1)^8^9", False),
+        ("(a-x)^32", True), ("(a^2-x)^33", False), ("(a+1)^0", True),
+        ("2^32", True), ("2^33", False), ("(1/2)^33", False), ("(2*a)^33", False),
+        ("(-a)^2147483647", True), ("x^2147483647*a^-2147483647", True), ("0^9999", True),
+    ])
+    def test_a_power_wider_than_the_bound_is_refused(self, text, ok):
+        if ok:
+            self._parse(text)
+        else:
+            with pytest.raises(RingError, match="wider than"):
+                self._parse(text)
+
+    def test_the_products_of_one_text_are_bounded(self):
+        work = rings._Parser.MAX_WORK
+        with pytest.raises(RingError, match="pairs of terms"):
+            self._parse("*".join(["(a+1)^64"] * 100))
+        with pytest.raises(RingError, match="pairs of terms"):
+            self._parse("*".join(["a"] * (work + 2)))
+        assert self._parse("*".join(["a"] * (work + 1))) == self._parse(f"a^{work + 1}")
+        # a sum of bounded powers is linear in the text
+        assert self._parse("+".join(["(a+1)^64"] * 100)) == self._parse("100*(a+1)^64")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a^2147483648", "packing bound"), ("a^" + "9" * 5000, "too long"),
+        ("9" * 5000 + "*a", "too long"),
+    ])
+    def test_a_monomial_power_is_bounded_by_the_packing(self, text, message):
+        with pytest.raises(RingError, match=message):
+            self._parse(text)
+
+
 def _is_a_fold(folded: LaurentPolynomial, p: LaurentPolynomial) -> bool:
     """folded has a-exponents 0 or 1 and equals p at a = 1 and at a = -1."""
     i = p.variables.index("a")

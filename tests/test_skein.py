@@ -10,10 +10,8 @@ import pytest
 from cubictrace import skein
 from cubictrace.braids import BraidWord, component_count, conjugate, parse_braid, \
     stabilize_neg, stabilize_pos
-from cubictrace.burau import alexander_determinant, alexander_polynomial_normalized, \
-    reduced_burau_generator
+from cubictrace.burau import alexander_determinant, alexander_polynomial_normalized, burau_step
 from cubictrace.knotdata import load_records
-from cubictrace.linalg import Matrix
 from cubictrace.qa import A, QA
 from cubictrace.rings import AX, LaurentPolynomial, RingError
 from cubictrace.skein import (
@@ -34,6 +32,9 @@ from cubictrace.skein import (
 )
 
 ONE = LaurentPolynomial.one(AX)
+# (t, t^-1, 1, 0) of the Burau images at generic t and at t = -1
+BURAU_RINGS = (tuple(LaurentPolynomial.parse(text, ("t",)) for text in ("t", "t^-1", "1", "0")),
+               (-1, -1, 1, 0))
 GOLDEN_RESOLUTION = Path(__file__).resolve().parent / "golden" / "skein_resolution.sha256"
 
 
@@ -567,9 +568,52 @@ class TestAlexander:
         assert {("knot", 0, True), ("knot", 1, True), ("link", 0, True), ("link", 1, True),
                 ("link", 0, False), ("link", 1, False)} <= seen
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_step_is_the_product_of_generator_matrices(self, n):
+        """Stepping the identity by each letter, at generic t and at t = -1,
+        gives the product of the letters' generator matrices, written out
+        whole here: the identity but in column i, which holds -t on the
+        diagonal, t above and 1 below for s_i, and -t^-1, 1 above and t^-1
+        below for s_i^-1."""
+        rng = random.Random(70 + n)
+        size = n - 1
+
+        def generator(letter, t_, t_inv, one, zero):
+            i = abs(letter)
+            diag, above, below = (-t_, t_, one) if letter > 0 else (-t_inv, one, t_inv)
+            rows = [[one if r == c else zero for c in range(size)] for r in range(size)]
+            rows[i - 1][i - 1] = diag
+            if i > 1:
+                rows[i - 2][i - 1] = above
+            if i < size:
+                rows[i][i - 1] = below
+            return rows
+
+        def product(x, y):
+            return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+        alphabet = [i for i in range(1, n)] + [-i for i in range(1, n)]
+        for t_, t_inv, one, zero in BURAU_RINGS:
+            identity = [[one if r == c else zero for c in range(size)] for r in range(size)]
+            for _ in range(12):
+                word = [rng.choice(alphabet) for _ in range(rng.randint(1, 9))]
+                rows, want = tuple(map(tuple, identity)), identity
+                for letter in word:
+                    rows = burau_step(rows, letter, t_, t_inv)
+                    want = product(want, generator(letter, t_, t_inv, one, zero))
+                    assert all(type(r) is tuple for r in rows)
+                assert [list(r) for r in rows] == want, (word, t_)
+            for letter in (n, -n):
+                with pytest.raises(RingError, match="out of range"):
+                    burau_step(tuple(map(tuple, identity)), letter, t_, t_inv)
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_closed_form_generator_inverse(self, n):
-        t = ("t",)
-        ident = Matrix.identity(n - 1, LaurentPolynomial.one(t), LaurentPolynomial.zero(t))
-        for i in range(1, n):
-            assert reduced_burau_generator(i, n) * reduced_burau_generator(-i, n) == ident
+        """s_i s_i^-1 = s_i^-1 s_i = 1: the two steps undo each other, at
+        generic t and at t = -1."""
+        for t_, t_inv, one, zero in BURAU_RINGS:
+            ident = tuple(tuple(one if r == c else zero for c in range(n - 1)) for r in range(n - 1))
+            for i in range(1, n):
+                for letter in (i, -i):
+                    once = burau_step(ident, letter, t_, t_inv)
+                    assert burau_step(once, -letter, t_, t_inv) == ident
